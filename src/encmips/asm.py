@@ -115,20 +115,9 @@ _MEM_RE = re.compile(r"^([+-]?(?:0[xX][0-9a-fA-F]+|\d+))\(\s*(\$[rR]?\d+)\s*\)$"
 _NUM_RE = re.compile(r"^[+-]?(?:0[xX][0-9a-fA-F]+|\d+)$")
 _IDENT_RE = re.compile(r"^[A-Za-z_]\w*$")
 
-_ALIASES = {"lkw": "lklw"}
-
-# operand shape per mnemonic: r = register, i = immediate/shamt,
-# m = offset(base), t = branch/jump target (label or raw number)
-_SHAPES = {
-    "add": "rrr", "sub": "rrr", "and": "rrr", "or": "rrr", "slt": "rrr",
-    "sll": "rri",
-    "addi": "rri",
-    "lw": "rm", "sw": "rm",
-    "lklw": "m", "lkuw": "m",
-    "beq": "rrt", "bne": "rrt",
-    "j": "t",
-    "crypt": "i",
-}
+# every name the assembler accepts for a table row
+_MNEMONICS = {name: spec for spec in isa.SPECS.values()
+              for name in (spec.mnemonic, *spec.aliases)}
 
 
 def _parse_reg(text: str, line: int) -> Reg:
@@ -177,25 +166,31 @@ def parse(source: str) -> List[Statement]:
             statements.append(Statement(label, None, [], lineno))
             continue
         parts = text.split(None, 1)
-        mnemonic = parts[0].lower()
-        mnemonic = _ALIASES.get(mnemonic, mnemonic)
-        if mnemonic == "nop":
+        if parts[0].lower() == "nop":
             if len(parts) > 1:
                 raise AsmSyntaxError("nop takes no operands", lineno)
-            statements.append(Statement(label, "sll",
-                                        [Reg(0), Reg(0), Imm(0)], lineno))
+            statements.append(_nop(label, lineno))
             continue
-        shape = _SHAPES.get(mnemonic)
-        if shape is None:
+        spec = _MNEMONICS.get(parts[0].lower())
+        if spec is None:
             raise AsmSyntaxError(f"unknown mnemonic '{parts[0]}'", lineno)
+        shape = spec.shape
         fields = [f.strip() for f in parts[1].split(",")] if len(parts) > 1 else []
         if len(fields) != len(shape):
             raise AsmSyntaxError(
-                f"'{mnemonic}' takes {len(shape)} operand(s), got {len(fields)}",
+                f"'{spec.mnemonic}' takes {len(shape)} operand(s), got {len(fields)}",
                 lineno)
         operands = [_parse_operand(f, k, lineno) for f, k in zip(fields, shape)]
-        statements.append(Statement(label, mnemonic, operands, lineno))
+        statements.append(Statement(label, spec.mnemonic, operands, lineno))
     return statements
+
+
+# what `nop` stands for: isa.NOP written with its row's own operands
+(_NOP,) = parse(isa.NOP.spec.template.format(i=isa.NOP))
+
+
+def _nop(label: Optional[str], line: int) -> Statement:
+    return Statement(label, _NOP.mnemonic, list(_NOP.operands), line)
 
 
 def _signed_imm(value: int, line: int) -> int:
@@ -212,21 +207,22 @@ def _ensure_key_load_guards(statements: List[Statement]) -> List[Statement]:
     out: List[Statement] = []
     since_key_load: Optional[int] = None
     for stmt in statements:
-        if stmt.mnemonic == "crypt" and since_key_load is not None:
+        spec = isa.SPECS.get(stmt.mnemonic)  # None for a label-only line
+        is_crypt = spec is not None and spec.control == isa.SET_CRYPT
+        if is_crypt and since_key_load is not None:
             missing = 2 - since_key_load
             label, stmt.label = stmt.label, None
             for k in range(missing):
-                out.append(Statement(label if k == 0 else None, "sll",
-                                     [Reg(0), Reg(0), Imm(0)], stmt.line))
+                out.append(_nop(label if k == 0 else None, stmt.line))
                 label = None
             stmt.label = label
         out.append(stmt)
-        if stmt.mnemonic in ("lklw", "lkuw"):
+        if spec is not None and spec.mem in (isa.KEY_LOWER, isa.KEY_UPPER):
             since_key_load = 0
-        elif stmt.mnemonic is not None:
+        elif spec is not None:
             if since_key_load is not None:
                 since_key_load += 1
-            if stmt.mnemonic == "crypt" or (since_key_load or 0) >= 2:
+            if is_crypt or (since_key_load or 0) >= 2:
                 since_key_load = None
     return out
 
@@ -257,58 +253,44 @@ def assemble(statements: List[Statement],
     return words, symbols
 
 
-def _resolve_target(op: Operand, symbols: Dict[str, int], line: int) -> Tuple[bool, int]:
-    """Returns (is_address, value): label operands give byte addresses,
-    numeric operands are raw field values."""
+def _target(name: str, op: Operand, addr: int, symbols: Dict[str, int],
+            line: int) -> int:
+    """A `t` operand's field value. A label gives a byte address, which
+    becomes a slot displacement from the next instruction when the operand
+    fills imm (a branch) and a slot index when it fills target (a jump); a
+    number is already the raw field value."""
     if isinstance(op, LabelRef):
         if op.name not in symbols:
             raise UndefinedLabel(f"undefined label '{op.name}'", line)
-        return True, symbols[op.name]
-    assert isinstance(op, Imm)
-    return False, op.value
+        value = symbols[op.name]
+        value = (value - (addr + 8)) // 8 if name == "imm" else value // 8
+    else:
+        value = op.value
+    if name == "imm" and not -32768 <= value <= 32767:
+        raise BranchOutOfRange(f"branch displacement {value} "
+                               "does not fit 16 bits", line)
+    if name == "target" and not 0 <= value <= 0x3FFFFFF:
+        raise BranchOutOfRange(f"jump target {value} "
+                               "does not fit 26 bits", line)
+    return value
 
 
 def _encode_statement(stmt: Statement, addr: int, symbols: Dict[str, int]) -> int:
-    mn, ops, line = stmt.mnemonic, stmt.operands, stmt.line
+    spec, line = isa.SPECS[stmt.mnemonic], stmt.line
+    fields: Dict[str, int] = {}
+    for kind, name, op in zip(spec.shape, spec.operands, stmt.operands):
+        if kind == "r":
+            fields[name] = op.index
+        elif kind == "m":
+            fields["imm"], fields["rs"] = _signed_imm(op.offset, line), op.base
+        elif kind == "t":
+            fields[name] = _target(name, op, addr, symbols, line)
+        elif name == "imm":
+            fields[name] = _signed_imm(op.value, line)
+        else:  # shamt or target: isa.encode checks the field width
+            fields[name] = op.value
     try:
-        if mn in ("add", "sub", "and", "or", "slt"):
-            rd, rs, rt = ops
-            return isa.encode(isa.RType(mn, rs=rs.index, rt=rt.index, rd=rd.index))
-        if mn == "sll":
-            rd, rt, shamt = ops
-            return isa.encode(isa.RType(mn, rs=0, rt=rt.index, rd=rd.index,
-                                        shamt=shamt.value))
-        if mn == "addi":
-            rt, rs, imm = ops
-            return isa.encode(isa.IType(mn, rs=rs.index, rt=rt.index,
-                                        imm=_signed_imm(imm.value, line)))
-        if mn in ("lw", "sw"):
-            rt, mem = ops
-            return isa.encode(isa.IType(mn, rs=mem.base, rt=rt.index,
-                                        imm=_signed_imm(mem.offset, line)))
-        if mn in ("lklw", "lkuw"):
-            (mem,) = ops
-            return isa.encode(isa.IType(mn, rs=mem.base, rt=0,
-                                        imm=_signed_imm(mem.offset, line)))
-        if mn in ("beq", "bne"):
-            rs, rt, target = ops
-            is_addr, value = _resolve_target(target, symbols, line)
-            disp = (value - (addr + 8)) // 8 if is_addr else value
-            if not -32768 <= disp <= 32767:
-                raise BranchOutOfRange(f"branch displacement {disp} "
-                                       "does not fit 16 bits", line)
-            return isa.encode(isa.IType(mn, rs=rs.index, rt=rt.index, imm=disp))
-        if mn == "j":
-            (target,) = ops
-            is_addr, value = _resolve_target(target, symbols, line)
-            slot = value // 8 if is_addr else value
-            if not 0 <= slot <= 0x3FFFFFF:
-                raise BranchOutOfRange(f"jump target {slot} "
-                                       "does not fit 26 bits", line)
-            return isa.encode(isa.JType(mn, target=slot))
-        assert mn == "crypt"
-        (flag,) = ops
-        return isa.encode(isa.JType(mn, target=flag.value))
+        return isa.encode(isa.build(spec.mnemonic, **fields))
     except isa.FieldOverflow as exc:
         raise AsmError(str(exc), line) from exc
 
@@ -336,7 +318,8 @@ def encrypt_image(image: ProgramImage, key: int,
     if boundary is None:
         crypt_positions = [
             i for i, (_, block) in enumerate(image.entries)
-            if (des.extract_word(block) >> 26) == isa.OP_CRYPT
+            if (spec := isa.spec_of(des.extract_word(block))) is not None
+            and spec.control == isa.SET_CRYPT
         ]
         if not crypt_positions:
             raise NoCryptInstruction()

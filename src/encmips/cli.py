@@ -86,6 +86,11 @@ def _print_dumps(state: pipeline.CpuState, args) -> None:
 
 
 def cmd_run(args) -> int:
+    for start, _ in args.dump_mem or ():
+        if start % 8 != 0:
+            print(f"error: --dump-mem start {start:#x} is not 8-aligned",
+                  file=sys.stderr)
+            return 1
     imem = machine.Memory()
     machine.load_image(imem, Path(args.image).read_text())
     dmem = machine.Memory()
@@ -96,6 +101,9 @@ def cmd_run(args) -> int:
     code = 0
     try:
         pipeline.run(state, max_cycles=args.max_cycles, trace=trace)
+    except ValueError as exc:  # a bad --max-cycles, rejected before cycle 1
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except pipeline.Fault as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
@@ -121,11 +129,7 @@ def cmd_des(args) -> int:
 
 
 def cmd_dump(args) -> int:
-    try:
-        image = asm.read_hex(Path(args.image).read_text())
-    except asm.AsmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    image = asm.read_hex(Path(args.image).read_text())
     for addr, block in image.entries:
         line = f"{addr:x}: {block:016x}"
         if args.disasm:
@@ -182,7 +186,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, UnicodeDecodeError, asm.AsmError) as exc:
+        # an input file that is missing, unreadable or malformed
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

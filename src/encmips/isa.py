@@ -1,68 +1,123 @@
-"""Instruction formats, opcode table, and word-level encode/decode.
+"""Instruction formats, the instruction table, and word-level encode/decode.
 
 Field layout (32-bit word, bit 31 on the left):
     R-type: opcode(6) | rs(5) | rt(5) | rd(5) | shamt(5) | funct(6)
     I-type: opcode(6) | rs(5) | rt(5) | imm(16, two's complement)
     J-type: opcode(6) | target(26)
 
-The standard MIPS subset keeps its classic opcode/funct values; the three
-key-handling instructions (lklw, lkuw, crypt) take otherwise unused opcodes.
+`SPECS` is the one place an instruction is defined: its row for a mnemonic
+gives the encoding, the assembler operands, the registers read and written,
+the ALU operation, the memory and control behaviour, and the disassembly.
+The assembler, the pipeline and the reference interpreter read the row and
+name no mnemonic. The standard MIPS subset keeps its classic opcode/funct
+values; the three key-handling instructions take otherwise unused opcodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Union
+from dataclasses import dataclass, field
+from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 WORD_MASK = 0xFFFFFFFF
-
-OP_RTYPE = 0x00
-OP_J     = 0x02
-OP_BEQ   = 0x04
-OP_BNE   = 0x05
-OP_ADDI  = 0x08
-OP_LKLW  = 0x1A
-OP_LKUW  = 0x1B
-OP_CRYPT = 0x1C
-OP_LW    = 0x23
-OP_SW    = 0x2B
-
-FUNCT_SLL = 0x00
-FUNCT_ADD = 0x20
-FUNCT_SUB = 0x22
-FUNCT_AND = 0x24
-FUNCT_OR  = 0x25
-FUNCT_SLT = 0x2A
-
-R_FUNCTS = {
-    FUNCT_SLL: "sll",
-    FUNCT_ADD: "add",
-    FUNCT_SUB: "sub",
-    FUNCT_AND: "and",
-    FUNCT_OR:  "or",
-    FUNCT_SLT: "slt",
-}
-I_OPCODES = {
-    OP_ADDI: "addi",
-    OP_LW:   "lw",
-    OP_SW:   "sw",
-    OP_BEQ:  "beq",
-    OP_BNE:  "bne",
-    OP_LKLW: "lklw",
-    OP_LKUW: "lkuw",
-}
-J_OPCODES = {
-    OP_J:     "j",
-    OP_CRYPT: "crypt",
-}
-
-R_OPCODES = {name: funct for funct, name in R_FUNCTS.items()}
-I_MNEMONICS = {name: op for op, name in I_OPCODES.items()}
-J_MNEMONICS = {name: op for op, name in J_OPCODES.items()}
-
-MNEMONICS = frozenset(R_OPCODES) | frozenset(I_MNEMONICS) | frozenset(J_MNEMONICS)
-
 NOP_WORD = 0x00000000
+
+# Memory kinds: what MEM does at the address the ALU computed.
+LOAD = "load"            # rt = low 32 bits of the block
+STORE = "store"          # block = zero-padded rt, encrypted in crypt mode
+KEY_LOWER = "key-lower"  # key register lower half = low 32 bits of the block
+KEY_UPPER = "key-upper"  # key register upper half = low 32 bits of the block
+
+# Control kinds, resolved in ID.
+BRANCH_EQ = "branch-eq"  # if rs == rt: pc = pc + 8 + imm*8
+BRANCH_NE = "branch-ne"  # if rs != rt: pc = pc + 8 + imm*8
+JUMP = "jump"            # pc = target*8
+SET_CRYPT = "set-crypt"  # crypt mode = (target != 0)
+BRANCHES = (BRANCH_EQ, BRANCH_NE)
+
+
+def _signed(value: int) -> int:
+    return value - 0x100000000 if value & 0x80000000 else value
+
+
+def _add_imm(a: int, b: int, instr: Instruction) -> int:
+    """rs + imm: the result of addi and the address of every memory access."""
+    return (a + instr.imm) & WORD_MASK
+
+
+# How the disassembly writes each operand shape; an `m` operand is imm(rs).
+_OPERAND_TEXT = {"r": "$r{{i.{}}}", "i": "{{i.{}}}", "t": "{{i.{}}}",
+                 "m": "{{i.imm}}($r{{i.rs}})"}
+
+
+@dataclass(frozen=True)
+class InstrSpec:
+    """One instruction's row in the table."""
+
+    mnemonic: str
+    fmt: str                       # "R", "I" or "J"
+    opcode: int
+    funct: Optional[int]           # R format only
+    # assembler operands: r register, i number, m offset(base), t label or
+    # raw number (a slot displacement into imm, a slot index into target)
+    shape: str
+    operands: Tuple[str, ...]      # the field each operand fills
+    sources: Tuple[str, ...] = ()  # register fields read
+    dest: Optional[str] = None     # register field written back
+    # ALU operation: (rs value, rt value, instruction) -> 32-bit result;
+    # None when the instruction has no result
+    alu: Optional[Callable[[int, int, Instruction], int]] = None
+    mem: Optional[str] = None      # memory kind
+    control: Optional[str] = None  # control kind
+    aliases: Tuple[str, ...] = ()  # other names the assembler accepts
+    # derived: disassembly as a str.format template over the instruction `i`
+    template: str = field(init=False)
+    reads_rs: bool = field(init=False)
+    reads_rt: bool = field(init=False)
+
+    def __post_init__(self):
+        text = ", ".join(_OPERAND_TEXT[kind].format(name)
+                         for kind, name in zip(self.shape, self.operands))
+        object.__setattr__(self, "template", f"{self.mnemonic} {text}")
+        object.__setattr__(self, "reads_rs", "rs" in self.sources)
+        object.__setattr__(self, "reads_rt", "rt" in self.sources)
+
+
+SPECS: Dict[str, InstrSpec] = {spec.mnemonic: spec for spec in (
+    #         mnemonic fmt  opcode funct shape  operands
+    InstrSpec("add",   "R", 0x00, 0x20, "rrr", ("rd", "rs", "rt"),
+              sources=("rs", "rt"), dest="rd", alu=lambda a, b, i: (a + b) & WORD_MASK),
+    InstrSpec("sub",   "R", 0x00, 0x22, "rrr", ("rd", "rs", "rt"),
+              sources=("rs", "rt"), dest="rd", alu=lambda a, b, i: (a - b) & WORD_MASK),
+    InstrSpec("and",   "R", 0x00, 0x24, "rrr", ("rd", "rs", "rt"),
+              sources=("rs", "rt"), dest="rd", alu=lambda a, b, i: a & b),
+    InstrSpec("or",    "R", 0x00, 0x25, "rrr", ("rd", "rs", "rt"),
+              sources=("rs", "rt"), dest="rd", alu=lambda a, b, i: a | b),
+    InstrSpec("slt",   "R", 0x00, 0x2A, "rrr", ("rd", "rs", "rt"),
+              sources=("rs", "rt"), dest="rd", alu=lambda a, b, i: int(_signed(a) < _signed(b))),
+    InstrSpec("sll",   "R", 0x00, 0x00, "rri", ("rd", "rt", "shamt"),
+              sources=("rt",), dest="rd", alu=lambda a, b, i: (b << i.shamt) & WORD_MASK),
+    InstrSpec("addi",  "I", 0x08, None, "rri", ("rt", "rs", "imm"),
+              sources=("rs",), dest="rt", alu=_add_imm),
+    InstrSpec("lw",    "I", 0x23, None, "rm",  ("rt", "imm(rs)"),
+              sources=("rs",), dest="rt", alu=_add_imm, mem=LOAD),
+    InstrSpec("sw",    "I", 0x2B, None, "rm",  ("rt", "imm(rs)"),
+              sources=("rs", "rt"), alu=_add_imm, mem=STORE),
+    InstrSpec("beq",   "I", 0x04, None, "rrt", ("rs", "rt", "imm"),
+              sources=("rs", "rt"), control=BRANCH_EQ),
+    InstrSpec("bne",   "I", 0x05, None, "rrt", ("rs", "rt", "imm"),
+              sources=("rs", "rt"), control=BRANCH_NE),
+    InstrSpec("j",     "J", 0x02, None, "t",   ("target",),
+              control=JUMP),
+    InstrSpec("lklw",  "I", 0x1A, None, "m",   ("imm(rs)",),
+              sources=("rs",), alu=_add_imm, mem=KEY_LOWER, aliases=("lkw",)),
+    InstrSpec("lkuw",  "I", 0x1B, None, "m",   ("imm(rs)",),
+              sources=("rs",), alu=_add_imm, mem=KEY_UPPER),
+    InstrSpec("crypt", "J", 0x1C, None, "i",   ("target",),
+              control=SET_CRYPT),
+)}
+
+# funct is None outside the R format, so I and J rows key on the opcode alone
+_BY_CODE = {(spec.opcode, spec.funct): spec for spec in SPECS.values()}
 
 
 class IsaError(Exception):
@@ -126,7 +181,26 @@ def _check(field: str, value: int, lo: int, hi: int) -> int:
 
 
 @dataclass(frozen=True)
-class RType:
+class _Resolved:
+    """The instruction's table row and the registers it reads and writes,
+    looked up once when the instruction is built."""
+
+    spec: InstrSpec = field(init=False, repr=False, compare=False)
+    sources: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # the register written back; None when there is none or it is $r0
+    dest: Optional[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        spec = SPECS[self.mnemonic]
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "sources",
+                           tuple(getattr(self, name) for name in spec.sources))
+        dest = getattr(self, spec.dest) if spec.dest is not None else 0
+        object.__setattr__(self, "dest", dest or None)
+
+
+@dataclass(frozen=True)
+class RType(_Resolved):
     mnemonic: str
     rs: int
     rt: int
@@ -135,7 +209,7 @@ class RType:
 
 
 @dataclass(frozen=True)
-class IType:
+class IType(_Resolved):
     mnemonic: str
     rs: int
     rt: int
@@ -143,7 +217,7 @@ class IType:
 
 
 @dataclass(frozen=True)
-class JType:
+class JType(_Resolved):
     mnemonic: str
     target: int
 
@@ -151,45 +225,58 @@ class JType:
 Instruction = Union[RType, IType, JType]
 
 
+def build(mnemonic: str, rs: int = 0, rt: int = 0, rd: int = 0, shamt: int = 0,
+          imm: int = 0, target: int = 0) -> Instruction:
+    """The instruction `mnemonic` with these field values; fields its format
+    lacks are dropped."""
+    fmt = SPECS[mnemonic].fmt
+    if fmt == "R":
+        return RType(mnemonic, rs, rt, rd, shamt)
+    if fmt == "I":
+        return IType(mnemonic, rs, rt, imm)
+    return JType(mnemonic, target)
+
+
+def spec_of(word: int) -> Optional[InstrSpec]:
+    """The table row a word encodes, or None for an unlisted (op, funct)."""
+    opcode = (word >> 26) & 0x3F
+    return _BY_CODE.get((opcode, word & 0x3F)) or _BY_CODE.get((opcode, None))
+
+
 def decode(word: int) -> Instruction:
     """Decode a 32-bit word; raises UnknownInstruction for unlisted (op, funct)."""
+    spec = spec_of(word)
+    if spec is None:
+        raise UnknownInstruction(word)
     f = raw_fields(word)
-    if f.opcode == OP_RTYPE:
-        name = R_FUNCTS.get(f.funct)
-        if name is None:
-            raise UnknownInstruction(word)
-        return RType(name, rs=f.rs, rt=f.rt, rd=f.rd, shamt=f.shamt)
-    name = I_OPCODES.get(f.opcode)
-    if name is not None:
-        return IType(name, rs=f.rs, rt=f.rt, imm=sign_extend_16(f.imm))
-    name = J_OPCODES.get(f.opcode)
-    if name is not None:
-        return JType(name, target=f.target)
-    raise UnknownInstruction(word)
+    return build(spec.mnemonic, f.rs, f.rt, f.rd, f.shamt,
+                 sign_extend_16(f.imm), f.target)
 
 
 def encode(instr: Instruction) -> int:
     """Bit-exact inverse of decode; raises FieldOverflow on out-of-width fields."""
-    if isinstance(instr, RType):
-        funct = R_OPCODES[instr.mnemonic]
-        return (_check("rs", instr.rs, 0, 31) << 21
+    spec = instr.spec
+    if spec.fmt == "R":
+        return (spec.opcode << 26
+                | _check("rs", instr.rs, 0, 31) << 21
                 | _check("rt", instr.rt, 0, 31) << 16
                 | _check("rd", instr.rd, 0, 31) << 11
                 | _check("shamt", instr.shamt, 0, 31) << 6
-                | funct)
-    if isinstance(instr, IType):
-        op = I_MNEMONICS[instr.mnemonic]
+                | spec.funct)
+    if spec.fmt == "I":
         _check("imm", instr.imm, -32768, 32767)
-        return (op << 26
+        return (spec.opcode << 26
                 | _check("rs", instr.rs, 0, 31) << 21
                 | _check("rt", instr.rt, 0, 31) << 16
                 | (instr.imm & 0xFFFF))
-    op = J_MNEMONICS[instr.mnemonic]
-    return op << 26 | _check("target", instr.target, 0, 0x3FFFFFF)
+    return spec.opcode << 26 | _check("target", instr.target, 0, 0x3FFFFFF)
+
+
+NOP = decode(NOP_WORD)
 
 
 def is_nop(instr: Instruction) -> bool:
-    return instr == RType("sll", 0, 0, 0, 0)
+    return instr == NOP
 
 
 def disassemble(instr: Instruction) -> str:
@@ -198,21 +285,7 @@ def disassemble(instr: Instruction) -> str:
     Branch and jump operands come out as raw field values (slot displacement
     for beq/bne, slot index for j) since labels are gone at this level.
     """
-    if isinstance(instr, RType):
-        if is_nop(instr):
-            return "nop"
-        if instr.mnemonic == "sll":
-            return f"sll $r{instr.rd}, $r{instr.rt}, {instr.shamt}"
-        return f"{instr.mnemonic} $r{instr.rd}, $r{instr.rs}, $r{instr.rt}"
-    if isinstance(instr, IType):
-        if instr.mnemonic in ("lw", "sw"):
-            return f"{instr.mnemonic} $r{instr.rt}, {instr.imm}($r{instr.rs})"
-        if instr.mnemonic in ("lklw", "lkuw"):
-            return f"{instr.mnemonic} {instr.imm}($r{instr.rs})"
-        if instr.mnemonic in ("beq", "bne"):
-            return f"{instr.mnemonic} $r{instr.rs}, $r{instr.rt}, {instr.imm}"
-        return f"addi $r{instr.rt}, $r{instr.rs}, {instr.imm}"
-    return f"{instr.mnemonic} {instr.target}"
+    return "nop" if instr == NOP else instr.spec.template.format(i=instr)
 
 
 def disasm_word(word: int) -> str:

@@ -26,8 +26,6 @@ from typing import Callable, List, Optional, Tuple, Union
 
 from . import des, isa, machine
 
-WORD_MASK = 0xFFFFFFFF
-
 FILL = "fill"
 STALL = "stall"
 FLUSH = "flush"
@@ -164,48 +162,14 @@ class CpuState:
         return self._sched
 
 
-_R_ARITH = ("add", "sub", "and", "or", "slt")
-_MEM_OPS = ("lw", "sw", "lklw", "lkuw")
-
-
-def instr_sources(instr: isa.Instruction) -> Tuple[int, ...]:
-    """Register indices the instruction reads."""
-    mn = instr.mnemonic
-    if mn in _R_ARITH or mn in ("sw", "beq", "bne"):
-        return (instr.rs, instr.rt)
-    if mn == "sll":
-        return (instr.rt,)
-    if mn in ("addi", "lw", "lklw", "lkuw"):
-        return (instr.rs,)
-    return ()
-
-
-def instr_dest(instr: isa.Instruction) -> Optional[int]:
-    """Register the instruction writes back, if any."""
-    mn = instr.mnemonic
-    if mn in _R_ARITH or mn == "sll":
-        return instr.rd
-    if mn in ("addi", "lw"):
-        return instr.rt
-    return None
-
-
-def is_mem_read(instr: isa.Instruction) -> bool:
-    return instr.mnemonic in ("lw", "lklw", "lkuw")
-
-
 def forward_value(reg: int, fallback: int,
                   exmem: LatchValue, memwb: LatchValue) -> int:
     """Pick the freshest available value for a register: EXMEM result,
     else MEMWB writeback, else the value read from the register file."""
-    if isinstance(exmem, ExSlot):
-        dest = instr_dest(exmem.instr)
-        if dest is not None and dest != 0 and dest == reg:
-            return exmem.alu
-    if isinstance(memwb, WbSlot):
-        dest = instr_dest(memwb.instr)
-        if dest is not None and dest != 0 and dest == reg:
-            return memwb.value
+    if isinstance(exmem, ExSlot) and exmem.instr.dest == reg:
+        return exmem.alu
+    if isinstance(memwb, WbSlot) and memwb.instr.dest == reg:
+        return memwb.value
     return fallback
 
 
@@ -219,22 +183,15 @@ def detect_hazards(instr: isa.Instruction,
     for a load still in MEM (its data lands in the register file via the
     write-before-read port one cycle later).
     """
-    sources = instr_sources(instr)
+    sources = instr.sources
     if not sources:
         return False
-    if isinstance(idex, IdSlot) and is_mem_read(idex.instr):
-        dest = instr_dest(idex.instr)
-        if dest is not None and dest != 0 and dest in sources:
+    branch = instr.spec.control in isa.BRANCHES
+    if isinstance(idex, IdSlot) and idex.instr.dest in sources:
+        if branch or idex.instr.spec.mem == isa.LOAD:
             return True
-    if instr.mnemonic in ("beq", "bne"):
-        if isinstance(idex, IdSlot):
-            dest = instr_dest(idex.instr)
-            if dest is not None and dest != 0 and dest in sources:
-                return True
-        if isinstance(exmem, ExSlot) and is_mem_read(exmem.instr):
-            dest = instr_dest(exmem.instr)
-            if dest is not None and dest != 0 and dest in sources:
-                return True
+    if branch and isinstance(exmem, ExSlot) and exmem.instr.dest in sources:
+        return exmem.instr.spec.mem == isa.LOAD
     return False
 
 
@@ -243,7 +200,7 @@ def resolve_branch(instr: isa.IType, pc: int, regs: machine.RegisterFile,
     """Compare in ID and produce (taken, target byte address)."""
     a = forward_value(instr.rs, regs.read(instr.rs), exmem, None)
     b = forward_value(instr.rt, regs.read(instr.rt), exmem, None)
-    taken = (a == b) if instr.mnemonic == "beq" else (a != b)
+    taken = (a == b) if instr.spec.control == isa.BRANCH_EQ else (a != b)
     return taken, pc + 8 + instr.imm * 8
 
 
@@ -271,8 +228,8 @@ def mem_stage(instr: isa.Instruction, addr: int, store_data: int,
     word. Loads return the low 32 bits of the block as-is unless the
     decrypt_loads path is enabled.
     """
-    mn = instr.mnemonic
-    if mn == "sw":
+    kind = instr.spec.mem
+    if kind == isa.STORE:
         if crypt_mode:
             if sched is None:
                 raise machine.KeyNotLoaded("encrypted store before key loaded")
@@ -281,34 +238,18 @@ def mem_stage(instr: isa.Instruction, addr: int, store_data: int,
             dmem.write_block(addr, des.pad_word(store_data))
         return None
     block = dmem.read_block(addr)
-    if mn == "lw" and decrypt_loads and crypt_mode:
+    if kind == isa.LOAD and decrypt_loads and crypt_mode:
         if sched is None:
             raise machine.KeyNotLoaded("decrypting load before key loaded")
         block = des.decrypt_block(block, sched)
     return des.extract_word(block)
 
 
-def _to_signed(value: int) -> int:
-    return value - 0x100000000 if value & 0x80000000 else value
-
-
-def _alu(instr: isa.Instruction, a: int, b: int) -> int:
-    mn = instr.mnemonic
-    if mn == "add":
-        return (a + b) & WORD_MASK
-    if mn == "sub":
-        return (a - b) & WORD_MASK
-    if mn == "and":
-        return a & b
-    if mn == "or":
-        return a | b
-    if mn == "slt":
-        return 1 if _to_signed(a) < _to_signed(b) else 0
-    if mn == "sll":
-        return (b << instr.shamt) & WORD_MASK
-    if mn in ("addi",) or mn in _MEM_OPS:
-        return (a + instr.imm) & WORD_MASK
-    return 0  # branches/jumps/crypt carry no ALU result
+def _load_key_half(keyreg: machine.KeyRegister, kind: str, value: int) -> None:
+    if kind == isa.KEY_LOWER:
+        keyreg.set_lower(value)
+    else:
+        keyreg.set_upper(value)
 
 
 _decode = functools.lru_cache(maxsize=4096)(isa.decode)
@@ -325,9 +266,8 @@ def step(state: CpuState) -> CycleEvents:
     # WB: commit to the register file first so ID reads see it (internal
     # write-before-read forwarding).
     if isinstance(memwb, WbSlot):
-        dest = instr_dest(memwb.instr)
-        if dest is not None:
-            state.regs.write(dest, memwb.value)
+        if memwb.instr.dest is not None:
+            state.regs.write(memwb.instr.dest, memwb.value)
         st.retired += 1
         if state.retired_log is not None:
             state.retired_log.append((memwb.pc, isa.encode(memwb.instr)))
@@ -343,19 +283,18 @@ def step(state: CpuState) -> CycleEvents:
     if isinstance(exmem, ExSlot):
         instr = exmem.instr
         value = exmem.alu
-        if instr.mnemonic in _MEM_OPS:
+        kind = instr.spec.mem
+        if kind is not None:
             try:
                 out = mem_stage(instr, exmem.alu, exmem.store_data,
                                 exmem.crypt_mode, state.key_sched(),
                                 state.dmem, state.decrypt_loads)
             except machine.MachineError as exc:
                 raise Fault(exc, exmem.pc, st.cycles) from exc
-            if instr.mnemonic == "lw":
+            if kind == isa.LOAD:
                 value = out
-            elif instr.mnemonic == "lklw":
-                pending_key = ("lower", out)
-            elif instr.mnemonic == "lkuw":
-                pending_key = ("upper", out)
+            elif kind != isa.STORE:
+                pending_key = (kind, out)
             elif exmem.crypt_mode:
                 st.encrypted_stores += 1
                 ev.enc_store = True
@@ -366,20 +305,15 @@ def step(state: CpuState) -> CycleEvents:
     # EX
     if isinstance(idex, IdSlot):
         instr = idex.instr
-        mn = instr.mnemonic
-        a, b, store_data = idex.a, idex.b, 0
-        if mn in _R_ARITH:
+        spec = instr.spec
+        a, b = idex.a, idex.b
+        if spec.reads_rs:
             a = forward_value(instr.rs, a, exmem, memwb)
+        if spec.reads_rt:
             b = forward_value(instr.rt, b, exmem, memwb)
-        elif mn == "sll":
-            b = forward_value(instr.rt, b, exmem, memwb)
-        elif mn in ("addi", "lw", "lklw", "lkuw"):
-            a = forward_value(instr.rs, a, exmem, memwb)
-        elif mn == "sw":
-            a = forward_value(instr.rs, a, exmem, memwb)
-            store_data = forward_value(instr.rt, b, exmem, memwb)
-        next_exmem: LatchValue = ExSlot(idex.pc, instr, _alu(instr, a, b),
-                                        store_data, idex.crypt_mode)
+        next_exmem: LatchValue = ExSlot(
+            idex.pc, instr, spec.alu(a, b, instr) if spec.alu is not None else 0,
+            b if spec.mem == isa.STORE else 0, idex.crypt_mode)
     else:
         next_exmem = idex
 
@@ -396,14 +330,15 @@ def step(state: CpuState) -> CycleEvents:
             ev.stall = True
             next_idex: LatchValue = Bubble(STALL)
         else:
-            mn = instr.mnemonic
-            if mn in ("beq", "bne"):
+            spec = instr.spec
+            control = spec.control
+            if control in isa.BRANCHES:
                 taken, target = resolve_branch(instr, ifid.pc, state.regs, exmem)
                 if taken:
                     redirect = target
-            elif mn == "j":
+            elif control == isa.JUMP:
                 redirect = instr.target * 8
-            elif mn == "crypt":
+            elif control == isa.SET_CRYPT:
                 enable = instr.target != 0
                 if enable != state.crypt_mode:
                     state.crypt_mode = enable
@@ -412,8 +347,8 @@ def step(state: CpuState) -> CycleEvents:
                         # the slot fetched this cycle went through the wrong
                         # path; squash it and refetch at the same pc
                         redirect = state.pc
-            a = state.regs.read(instr.rs) if not isinstance(instr, isa.JType) else 0
-            b = state.regs.read(instr.rt) if not isinstance(instr, isa.JType) else 0
+            a = state.regs.read(instr.rs) if spec.reads_rs else 0
+            b = state.regs.read(instr.rt) if spec.reads_rt else 0
             next_idex = IdSlot(ifid.pc, instr, a, b, state.crypt_mode)
     else:
         next_idex = ifid
@@ -446,11 +381,7 @@ def step(state: CpuState) -> CycleEvents:
     state.exmem, state.memwb = next_exmem, next_memwb
     state.pc = next_pc
     if pending_key is not None:
-        half, value = pending_key
-        if half == "lower":
-            state.keyreg.set_lower(value)
-        else:
-            state.keyreg.set_upper(value)
+        _load_key_half(state.keyreg, *pending_key)
     state.halted = isinstance(next_memwb, Bubble) and next_memwb.kind == END
     ev.if_slot = next_ifid
     return ev
@@ -536,41 +467,35 @@ def reference_interpret(imem: machine.Memory, dmem: machine.Memory, *,
             instr = _decode(word)
         except isa.UnknownInstruction as exc:
             raise Fault(exc, pc, s.executed) from exc
-        mn = instr.mnemonic
+        spec = instr.spec
         next_pc = pc + 8
         try:
-            if mn in _R_ARITH or mn == "sll":
-                a = s.regs.read(instr.rs)
-                b = s.regs.read(instr.rt)
-                s.regs.write(instr.rd, _alu(instr, a, b))
-            elif mn == "addi":
-                s.regs.write(instr.rt, _alu(instr, s.regs.read(instr.rs), 0))
-            elif mn in _MEM_OPS:
-                addr = _alu(instr, s.regs.read(instr.rs), 0)
+            a = s.regs.read(instr.rs) if spec.reads_rs else 0
+            b = s.regs.read(instr.rt) if spec.reads_rt else 0
+            value = spec.alu(a, b, instr) if spec.alu is not None else 0
+            if spec.mem is not None:
                 if s.keyreg.loaded:
-                    value = s.keyreg.key_value()
-                    if value != sched_for:
-                        sched_for = value
-                        sched = des.key_schedule(value)
+                    key = s.keyreg.key_value()
+                    if key != sched_for:
+                        sched_for = key
+                        sched = des.key_schedule(key)
                 else:
                     sched = None
-                out = mem_stage(instr, addr, s.regs.read(instr.rt),
-                                s.crypt_mode, sched, s.dmem, decrypt_loads)
-                if mn == "lw":
-                    s.regs.write(instr.rt, out)
-                elif mn == "lklw":
-                    s.keyreg.set_lower(out)
-                elif mn == "lkuw":
-                    s.keyreg.set_upper(out)
-            elif mn in ("beq", "bne"):
-                a = s.regs.read(instr.rs)
-                b = s.regs.read(instr.rt)
-                taken = (a == b) if mn == "beq" else (a != b)
+                out = mem_stage(instr, value, b, s.crypt_mode, sched, s.dmem,
+                                decrypt_loads)
+                if spec.mem == isa.LOAD:
+                    value = out
+                elif spec.mem != isa.STORE:
+                    _load_key_half(s.keyreg, spec.mem, out)
+            if instr.dest is not None:
+                s.regs.write(instr.dest, value)
+            if spec.control in isa.BRANCHES:
+                taken = (a == b) if spec.control == isa.BRANCH_EQ else (a != b)
                 if taken:
                     next_pc = pc + 8 + instr.imm * 8
-            elif mn == "j":
+            elif spec.control == isa.JUMP:
                 next_pc = instr.target * 8
-            else:  # crypt
+            elif spec.control == isa.SET_CRYPT:
                 s.crypt_mode = instr.target != 0
         except machine.MachineError as exc:
             raise Fault(exc, pc, s.executed) from exc

@@ -189,7 +189,7 @@ def test_auto_nop_inserts_guards():
     words, _ = asm.assemble(asm.parse(source), auto_nop=True)
     assert len(words) == 4
     assert words[1] == 0 and words[2] == 0
-    assert (words[3] >> 26) == isa.OP_CRYPT
+    assert isa.decode(words[3]).mnemonic == "crypt"
 
 
 def test_auto_nop_partial_gap():
@@ -206,29 +206,34 @@ def test_auto_nop_leaves_guarded_code_alone():
 
 def test_disassemble_parse_round_trip():
     rng = random.Random(5)
-    mnemos = list(isa.R_FUNCTS.values()) + list(isa.I_OPCODES.values()) + ["j"]
+    mnemos = list(isa.SPECS)
+    seen = set()
     for _ in range(300):
         word = _random_word(rng, mnemos)
+        seen.add(isa.decode(word).mnemonic)
         listing = isa.disassemble(isa.decode(word))
         words, _ = asm.assemble(asm.parse(listing))
         assert words == [word]
+    assert seen == set(isa.SPECS)
 
 
 def _random_word(rng, mnemos):
-    name = rng.choice(mnemos)
-    if name in isa.R_OPCODES:
-        if name == "sll":
-            return isa.encode(isa.RType("sll", 0, rng.randrange(32),
-                                        rng.randrange(32), rng.randrange(32)))
-        return isa.encode(isa.RType(name, rng.randrange(32), rng.randrange(32),
-                                    rng.randrange(32)))
-    if name in isa.I_MNEMONICS:
-        if name in ("lklw", "lkuw"):
-            return isa.encode(isa.IType(name, rng.randrange(32), 0,
-                                        rng.randrange(-32768, 32768)))
-        return isa.encode(isa.IType(name, rng.randrange(32), rng.randrange(32),
-                                    rng.randrange(-32768, 32768)))
-    return isa.encode(isa.JType("j", rng.randrange(1 << 26)))
+    """A random word of one of `mnemos`, each operand drawn by its shape
+    over the whole range of the field it fills."""
+    spec = isa.SPECS[rng.choice(mnemos)]
+    fields = {}
+    for kind, name in zip(spec.shape, spec.operands):
+        if kind == "r":
+            fields[name] = rng.randrange(32)
+        elif kind == "m":
+            fields["rs"], fields["imm"] = rng.randrange(32), rng.randrange(-32768, 32768)
+        elif name == "imm":
+            fields[name] = rng.randrange(-32768, 32768)
+        elif name == "shamt":
+            fields[name] = rng.randrange(32)
+        else:
+            fields[name] = rng.randrange(1 << 26)
+    return isa.encode(isa.build(spec.mnemonic, **fields))
 
 
 def test_full_toolchain_round_trip():

@@ -1,3 +1,5 @@
+import pytest
+
 import worked
 from encmips import cli
 
@@ -146,3 +148,28 @@ def test_dump_disasm(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "0: 0000000020010068  addi $r1, $r0, 104\n"
         "68: 000000005450414c  .word 0x5450414c\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "{missing}"],
+    ["run", "{image}", "--dmem", "{missing}"],
+    ["asm", "{missing}"],
+    ["dump", "{missing}"],
+    ["run", "{bad_hex}"],
+    ["run", "{image}", "--dmem", "{bad_directive}"],
+    ["run", "{image}", "--max-cycles", "0"],
+    ["run", "{image}", "--dump-mem", "3:9"],
+], ids=["run-missing-image", "run-missing-dmem", "asm-missing-source",
+        "dump-missing-image", "run-bad-hex-line", "run-dmem-unaligned-directive",
+        "run-max-cycles-0", "run-unaligned-dump-mem"])
+def test_bad_input_is_one_line_error(tmp_path, capsys, argv):
+    paths = {"missing": tmp_path / "missing.hex", "image": tmp_path / "image.hex",
+             "bad_hex": tmp_path / "bad.hex", "bad_directive": tmp_path / "bad_dir.hex"}
+    paths["image"].write_text("0000000020010068\n")
+    paths["bad_hex"].write_text("0000000020010068\nzz\n")
+    paths["bad_directive"].write_text("@6b\n0000000000000000\n")
+    code = cli.main([arg.format(**paths) for arg in argv])
+    cap = capsys.readouterr()
+    assert code == 1
+    assert cap.out == ""
+    assert cap.err.startswith("error: ") and cap.err.count("\n") == 1

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -49,17 +50,14 @@ def test_negative_immediate_round_trip():
 
 
 def _random_recognized_word(rng):
-    fmt = rng.randrange(3)
-    if fmt == 0:
-        funct = rng.choice(list(isa.R_FUNCTS))
+    spec = rng.choice(list(isa.SPECS.values()))
+    if spec.fmt == "R":
         return (rng.randrange(32) << 21 | rng.randrange(32) << 16
-                | rng.randrange(32) << 11 | rng.randrange(32) << 6 | funct)
-    if fmt == 1:
-        op = rng.choice(list(isa.I_OPCODES))
-        return (op << 26 | rng.randrange(32) << 21 | rng.randrange(32) << 16
+                | rng.randrange(32) << 11 | rng.randrange(32) << 6 | spec.funct)
+    if spec.fmt == "I":
+        return (spec.opcode << 26 | rng.randrange(32) << 21 | rng.randrange(32) << 16
                 | rng.getrandbits(16))
-    op = rng.choice(list(isa.J_OPCODES))
-    return op << 26 | rng.getrandbits(26)
+    return spec.opcode << 26 | rng.getrandbits(26)
 
 
 def test_word_round_trip():
@@ -78,13 +76,14 @@ def test_instruction_round_trip():
 
 def test_opcode_table_is_bijective():
     # every mnemonic maps to exactly one (opcode, funct?) pair and back
-    assert len(isa.R_OPCODES) == len(isa.R_FUNCTS)
-    assert len(isa.I_MNEMONICS) == len(isa.I_OPCODES)
-    assert len(isa.J_MNEMONICS) == len(isa.J_OPCODES)
-    assert not (set(isa.I_OPCODES) & set(isa.J_OPCODES))
-    assert isa.OP_RTYPE not in isa.I_OPCODES
-    assert isa.OP_RTYPE not in isa.J_OPCODES
-    assert len(isa.MNEMONICS) == len(isa.R_FUNCTS) + len(isa.I_OPCODES) + len(isa.J_OPCODES)
+    specs = list(isa.SPECS.values())
+    codes = [(s.opcode, s.funct) for s in specs]
+    assert len(set(codes)) == len(codes) == len(isa.SPECS)
+    r_opcodes = {s.opcode for s in specs if s.fmt == "R"}
+    for s in specs:
+        assert (s.funct is not None) == (s.fmt == "R")
+        assert s.fmt == "R" or s.opcode not in r_opcodes
+        assert isa.spec_of(isa.encode(isa.build(s.mnemonic))) is s
 
 
 def test_field_widths_partition_word():
@@ -121,3 +120,68 @@ def test_field_overflow():
 def test_disasm_word_never_raises():
     assert isa.disasm_word(0xFC123456) == ".word 0xfc123456"
     assert isa.disasm_word(0x00000000) == "nop"
+
+
+# Written out by hand, not read from isa.SPECS: for one instance of every
+# mnemonic, the registers it reads, the register it writes back, its memory
+# and control kinds, and its ALU result for a = rs value, b = rt value.
+PINNED = {
+    "add": (isa.RType("add", rs=1, rt=2, rd=3), (1, 2), 3, None, None, 5, 7, 12),
+    "sub": (isa.RType("sub", rs=1, rt=2, rd=3), (1, 2), 3, None, None, 5, 7, 0xFFFFFFFE),
+    "and": (isa.RType("and", rs=1, rt=2, rd=3), (1, 2), 3, None, None, 0b1100, 0b1010, 0b1000),
+    "or": (isa.RType("or", rs=1, rt=2, rd=3), (1, 2), 3, None, None, 0b1100, 0b1010, 0b1110),
+    "slt": (isa.RType("slt", rs=1, rt=2, rd=3), (1, 2), 3, None, None, 0xFFFFFFFF, 1, 1),
+    "sll": (isa.RType("sll", rs=0, rt=2, rd=3, shamt=4), (2,), 3, None, None,
+            0, 0x80000001, 0x10),
+    "addi": (isa.IType("addi", rs=1, rt=2, imm=-1), (1,), 2, None, None, 5, 0, 4),
+    "lw": (isa.IType("lw", rs=1, rt=2, imm=8), (1,), 2, isa.LOAD, None, 16, 99, 24),
+    "sw": (isa.IType("sw", rs=1, rt=2, imm=-8), (1, 2), None, isa.STORE, None, 16, 99, 8),
+    "beq": (isa.IType("beq", rs=1, rt=2, imm=3), (1, 2), None, None, isa.BRANCH_EQ,
+            5, 5, None),
+    "bne": (isa.IType("bne", rs=1, rt=2, imm=3), (1, 2), None, None, isa.BRANCH_NE,
+            5, 6, None),
+    "j": (isa.JType("j", target=5), (), None, None, isa.JUMP, 0, 0, None),
+    "lklw": (isa.IType("lklw", rs=1, rt=0, imm=8), (1,), None, isa.KEY_LOWER, None,
+             16, 0, 24),
+    "lkuw": (isa.IType("lkuw", rs=1, rt=0, imm=-8), (1,), None, isa.KEY_UPPER, None,
+             16, 0, 8),
+    "crypt": (isa.JType("crypt", target=1), (), None, None, isa.SET_CRYPT, 0, 0, None),
+}
+
+
+def test_every_mnemonic_is_pinned():
+    assert set(PINNED) == set(isa.SPECS)
+
+
+@pytest.mark.parametrize("mnemonic", sorted(PINNED))
+def test_table_row_semantics(mnemonic):
+    instr, sources, dest, mem, control, a, b, result = PINNED[mnemonic]
+    assert instr.sources == sources
+    assert instr.dest == dest
+    assert instr.spec.mem == mem
+    assert instr.spec.control == control
+    alu = instr.spec.alu
+    assert (alu(a, b, instr) if alu is not None else None) == result
+
+
+def test_dest_r0_writes_nothing():
+    assert isa.RType("add", rs=1, rt=2, rd=0).dest is None
+    assert isa.IType("lw", rs=1, rt=0, imm=0).dest is None
+
+
+def test_docs_opcode_table_matches_isa():
+    # every row of the "Opcode table" in docs/isa.md: mnemonic, format,
+    # opcode and funct agree with isa.SPECS; `nop` is the word 0
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "isa.md").read_text()
+    section = doc.split("## Opcode table", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) < 4 or not cells[0].startswith("`"):
+            continue
+        mnemonic = cells[0].strip("`").split()[0]
+        rows[mnemonic] = (cells[1], int(cells[2], 16),
+                          int(cells[3], 16) if cells[3] else None)
+    word0 = isa.decode(isa.NOP_WORD).spec
+    assert rows.pop("nop") == (word0.fmt, word0.opcode, word0.funct)
+    assert rows == {s.mnemonic: (s.fmt, s.opcode, s.funct) for s in isa.SPECS.values()}
