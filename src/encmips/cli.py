@@ -22,19 +22,24 @@ def _parse_hex16(text: str) -> int:
     return int(value, 16)
 
 
-def _parse_int(text: str) -> int:
-    return int(text, 0)
+def _parse_int(text: str, option: str) -> int:
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise ValueError(f"{option}: expected an integer, got '{text}'") from None
 
 
 def _parse_reg_list(text: str) -> List[int]:
     regs = []
     for part in text.split(","):
-        part = part.strip().lstrip("$")
-        if part.lower().startswith("r"):
-            part = part[1:]
-        index = int(part, 0)
+        name = part.strip().lstrip("$")
+        digits = name[1:] if name.lower().startswith("r") else name
+        try:
+            index = int(digits, 0)
+        except ValueError:
+            raise ValueError(f"--dump-regs: no such register '{part.strip()}'") from None
         if not 0 <= index <= 31:
-            raise ValueError(f"no such register r{index}")
+            raise ValueError(f"--dump-regs: no such register r{index}")
         regs.append(index)
     return regs
 
@@ -42,9 +47,30 @@ def _parse_reg_list(text: str) -> List[int]:
 def _parse_mem_ranges(text: str) -> List[Tuple[int, int]]:
     ranges = []
     for part in text.split(","):
-        start, _, stop = part.partition(":")
-        ranges.append((_parse_int(start.strip()), _parse_int(stop.strip())))
+        start_text, colon, stop_text = part.partition(":")
+        if not colon:
+            raise ValueError(f"--dump-mem: expected START:STOP, got '{part.strip()}'")
+        start = _parse_int(start_text.strip(), "--dump-mem")
+        stop = _parse_int(stop_text.strip(), "--dump-mem")
+        if start % 8 != 0:
+            raise ValueError(f"--dump-mem start {start:#x} is not 8-aligned")
+        if stop <= start:
+            raise ValueError(f"--dump-mem range {start:#x}:{stop:#x} selects no "
+                             "block: stop must be above start")
+        ranges.append((start, stop))
     return ranges
+
+
+def _parse_run_options(args) -> None:
+    """Turn run's numeric options from text into values, before anything is
+    loaded; a ValueError names the option and the reason."""
+    args.max_cycles = _parse_int(args.max_cycles, "--max-cycles")
+    if args.max_cycles < 1:
+        raise ValueError("--max-cycles must be >= 1")
+    if args.dump_regs is not None:
+        args.dump_regs = _parse_reg_list(args.dump_regs)
+    if args.dump_mem is not None:
+        args.dump_mem = _parse_mem_ranges(args.dump_mem)
 
 
 def cmd_asm(args) -> int:
@@ -86,11 +112,11 @@ def _print_dumps(state: pipeline.CpuState, args) -> None:
 
 
 def cmd_run(args) -> int:
-    for start, _ in args.dump_mem or ():
-        if start % 8 != 0:
-            print(f"error: --dump-mem start {start:#x} is not 8-aligned",
-                  file=sys.stderr)
-            return 1
+    try:
+        _parse_run_options(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     imem = machine.Memory()
     machine.load_image(imem, Path(args.image).read_text())
     dmem = machine.Memory()
@@ -101,9 +127,6 @@ def cmd_run(args) -> int:
     code = 0
     try:
         pipeline.run(state, max_cycles=args.max_cycles, trace=trace)
-    except ValueError as exc:  # a bad --max-cycles, rejected before cycle 1
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except pipeline.Fault as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
@@ -158,14 +181,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run an instruction image to completion")
     p.add_argument("image", help="instruction memory hex image")
     p.add_argument("--dmem", help="data memory hex image")
-    p.add_argument("--max-cycles", type=_parse_int, default=100_000)
+    p.add_argument("--max-cycles", default="100000", metavar="N")
     p.add_argument("--trace", action="store_true",
                    help="per-cycle pipeline trace on standard error")
     p.add_argument("--decrypt-loads", action="store_true",
                    help="route lw data through the decryption core in crypt mode")
-    p.add_argument("--dump-regs", type=_parse_reg_list, default=None,
+    p.add_argument("--dump-regs", default=None,
                    metavar="LIST", help="registers to dump, e.g. r4,r7")
-    p.add_argument("--dump-mem", type=_parse_mem_ranges, default=None,
+    p.add_argument("--dump-mem", default=None,
                    metavar="RANGES", help="byte ranges to dump, e.g. 56:64")
     p.set_defaults(func=cmd_run)
 

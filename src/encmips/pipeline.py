@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from . import des, isa, machine
 
@@ -148,18 +148,24 @@ class CpuState:
         self.halted = False
         self.retired_log: Optional[List[Tuple[int, int]]] = \
             [] if record_retired else None
+        # set by load_key_half; None until both key halves are loaded
+        self.sched: Optional[des.KeySchedule] = None
         self._sched_key: Optional[int] = None
-        self._sched: Optional[des.KeySchedule] = None
+        # Ciphertext block -> its decryption under sched, emptied whenever
+        # sched changes. imem is fixed during a run and DES is ECB, so a
+        # block decrypts once per key however often it is fetched.
+        self.fetch_memo: Dict[int, int] = {}
 
-    def key_sched(self) -> Optional[des.KeySchedule]:
-        """Current key schedule, or None while the key register is partial."""
-        if not self.keyreg.loaded:
-            return None
-        value = self.keyreg.key_value()
-        if value != self._sched_key:
-            self._sched_key = value
-            self._sched = des.key_schedule(value)
-        return self._sched
+    def load_key_half(self, kind: str, value: int) -> None:
+        """Commit a key-register half at the end of a cycle; rederive the
+        schedule (and drop the fetch memo) only when the key value changes."""
+        _load_key_half(self.keyreg, kind, value)
+        if self.keyreg.loaded:
+            key = self.keyreg.key_value()
+            if key != self._sched_key:
+                self._sched_key = key
+                self.sched = des.key_schedule(key)
+                self.fetch_memo.clear()
 
 
 def forward_value(reg: int, fallback: int,
@@ -205,16 +211,27 @@ def resolve_branch(instr: isa.IType, pc: int, regs: machine.RegisterFile,
 
 
 def fetch_word(imem: machine.Memory, pc: int, decrypt: bool,
-               sched: Optional[des.KeySchedule]) -> Optional[int]:
+               sched: Optional[des.KeySchedule],
+               memo: Optional[Dict[int, int]] = None) -> Optional[int]:
     """IF-stage read: the 32-bit payload at pc, decrypted when crypt mode
-    routes the fetch through the decryption core. None past imem's extent."""
+    routes the fetch through the decryption core. None past imem's extent.
+
+    memo maps ciphertext blocks to their decryption under sched; a miss
+    runs DES and fills it. Reusing a decryption changes nothing modelled:
+    the fetch still counts as one pass through the decryption core.
+    """
     if pc >= imem.extent:
         return None
     block = imem.read_block(pc)
     if decrypt:
         if sched is None:
             raise machine.KeyNotLoaded("decrypting fetch before key loaded")
-        block = des.decrypt_block(block, sched)
+        if memo is None:
+            memo = {}
+        plain = memo.get(block)
+        if plain is None:
+            plain = memo[block] = des.decrypt_block(block, sched)
+        block = plain
     return des.extract_word(block)
 
 
@@ -287,7 +304,7 @@ def step(state: CpuState) -> CycleEvents:
         if kind is not None:
             try:
                 out = mem_stage(instr, exmem.alu, exmem.store_data,
-                                exmem.crypt_mode, state.key_sched(),
+                                exmem.crypt_mode, state.sched,
                                 state.dmem, state.decrypt_loads)
             except machine.MachineError as exc:
                 raise Fault(exc, exmem.pc, st.cycles) from exc
@@ -364,7 +381,8 @@ def step(state: CpuState) -> CycleEvents:
     else:
         decrypt = state.crypt_mode and state.crypt_fetch
         try:
-            word = fetch_word(state.imem, state.pc, decrypt, state.key_sched())
+            word = fetch_word(state.imem, state.pc, decrypt, state.sched,
+                              state.fetch_memo)
         except machine.KeyNotLoaded as exc:
             raise Fault(exc, state.pc, st.cycles) from exc
         if word is None:
@@ -381,7 +399,7 @@ def step(state: CpuState) -> CycleEvents:
     state.exmem, state.memwb = next_exmem, next_memwb
     state.pc = next_pc
     if pending_key is not None:
-        _load_key_half(state.keyreg, *pending_key)
+        state.load_key_half(*pending_key)
     state.halted = isinstance(next_memwb, Bubble) and next_memwb.kind == END
     ev.if_slot = next_ifid
     return ev

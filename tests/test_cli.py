@@ -150,19 +150,30 @@ def test_dump_disasm(tmp_path, capsys):
         "68: 000000005450414c  .word 0x5450414c\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ["run", "{missing}"],
-    ["run", "{image}", "--dmem", "{missing}"],
-    ["asm", "{missing}"],
-    ["dump", "{missing}"],
-    ["run", "{bad_hex}"],
-    ["run", "{image}", "--dmem", "{bad_directive}"],
-    ["run", "{image}", "--max-cycles", "0"],
-    ["run", "{image}", "--dump-mem", "3:9"],
+# (argv, a part of the error line or None)
+@pytest.mark.parametrize("argv, reason", [
+    (["run", "{missing}"], None),
+    (["run", "{image}", "--dmem", "{missing}"], None),
+    (["asm", "{missing}"], None),
+    (["dump", "{missing}"], None),
+    (["run", "{bad_hex}"], None),
+    (["run", "{image}", "--dmem", "{bad_directive}"], None),
+    (["run", "{image}", "--max-cycles", "0"], None),
+    (["run", "{image}", "--dump-mem", "3:9"], None),
+    (["run", "{image}", "--dump-regs", "r40"], "--dump-regs: no such register r40"),
+    (["run", "{image}", "--dump-regs", "rx"], "--dump-regs: no such register 'rx'"),
+    (["run", "{image}", "--max-cycles", "x"], "--max-cycles: expected an integer, got 'x'"),
+    (["run", "{image}", "--dump-mem", "16:x"], "--dump-mem: expected an integer, got 'x'"),
+    (["run", "{image}", "--dump-mem", "16"], "--dump-mem: expected START:STOP, got '16'"),
+    (["run", "{image}", "--dump-mem", "16:0"], "stop must be above start"),
+    (["run", "{image}", "--dump-mem", "16:16"], "stop must be above start"),
 ], ids=["run-missing-image", "run-missing-dmem", "asm-missing-source",
         "dump-missing-image", "run-bad-hex-line", "run-dmem-unaligned-directive",
-        "run-max-cycles-0", "run-unaligned-dump-mem"])
-def test_bad_input_is_one_line_error(tmp_path, capsys, argv):
+        "run-max-cycles-0", "run-unaligned-dump-mem", "run-no-such-register",
+        "run-register-not-a-number", "run-max-cycles-not-a-number",
+        "run-dump-mem-not-a-number", "run-dump-mem-no-colon",
+        "run-dump-mem-stop-before-start", "run-dump-mem-empty-range"])
+def test_bad_input_is_one_line_error(tmp_path, capsys, argv, reason):
     paths = {"missing": tmp_path / "missing.hex", "image": tmp_path / "image.hex",
              "bad_hex": tmp_path / "bad.hex", "bad_directive": tmp_path / "bad_dir.hex"}
     paths["image"].write_text("0000000020010068\n")
@@ -173,3 +184,5 @@ def test_bad_input_is_one_line_error(tmp_path, capsys, argv):
     assert code == 1
     assert cap.out == ""
     assert cap.err.startswith("error: ") and cap.err.count("\n") == 1
+    if reason is not None:
+        assert reason in cap.err

@@ -339,6 +339,41 @@ def test_wrong_key_fails_loudly():
         run_asm(source, wrong, encrypt_key=worked.KEY)
 
 
+# Runs through Top twice, reloading the lower key half from byte 120 in
+# between; Top's blocks stay encrypted under the first key.
+KEY_SWITCH = (KEY_PROLOG + "nop\nnop\ncrypt 1\n"
+              "Top: addi $r2, $r2, 1\n"
+              "addi $r3, $r0, 2\n"
+              "beq $r2, $r3, Done\n"
+              "lklw 16($r1)\n"
+              "nop\nnop\n"
+              "j Top\n"
+              "Done: sw $r2, 0($r0)\n")
+
+
+def test_key_change_refetch_decrypts_under_new_key():
+    # a decryption made under the old key must not serve the refetch of Top
+    dmem = key_dmem()
+    dmem.write_block(120, des.pad_word(0x01010101))
+    state = build_state(KEY_SWITCH, dmem, encrypt_key=worked.KEY)
+    with pytest.raises(pipeline.Fault) as exc:
+        pipeline.run(state, max_cycles=1000)
+    assert (exc.value.pc, exc.value.cycle) == (0x30, 18)
+    assert isinstance(exc.value.cause, isa.UnknownInstruction)
+    assert state.regs.read(2) == 1
+    assert (state.stats.crypt_fetches, state.stats.encrypted_stores) == (8, 0)
+
+
+def test_same_key_reload_keeps_running():
+    dmem = key_dmem()
+    dmem.write_block(120, des.pad_word(worked.KEY_LOWER))
+    state, stats = run_asm(KEY_SWITCH, dmem, encrypt_key=worked.KEY, max_cycles=1000)
+    assert state.regs.read(2) == 2
+    assert state.dmem.read_block(0) == 0xCEE91D0BED9C2077   # sw of 2 under KEY
+    assert (stats.cycles, stats.retired, stats.stalls, stats.flushes) == (26, 17, 2, 3)
+    assert (stats.crypt_fetches, stats.encrypted_stores) == (11, 1)
+
+
 def test_unaligned_access_faults():
     with pytest.raises(pipeline.Fault) as exc:
         run_asm("lw $r1, 4($r0)\naddi $r9, $r0, 0\n")
@@ -357,6 +392,20 @@ def test_worked_example_end_to_end():
     assert stats.stalls == 14    # per iteration: load-use + branch compare
     assert stats.flushes == 7    # crypt transition + six taken back edges
     assert_accounting(stats)
+
+
+def test_worked_example_traced_run():
+    # every fetch after crypt 1 counts as a pass through the decryption
+    # core, however many of them share one decrypted block
+    lines = []
+    state, stats = pipeline.run(
+        build_state(worked.CORRECTED, worked.data_memory(), encrypt_key=worked.KEY),
+        trace=lines.append)
+    assert len(lines) == stats.cycles == 100
+    assert sum("DEC_FETCH" in line for line in lines) == 68
+    assert sum("ENC_STORE" in line for line in lines) == 1
+    assert stats.crypt_fetches == 68
+    assert stats.encrypted_stores == 1
 
 
 def test_worked_example_verbatim_never_halts():
