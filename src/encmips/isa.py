@@ -16,6 +16,7 @@ values; the three key-handling instructions take otherwise unused opcodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 WORD_MASK = 0xFFFFFFFF
@@ -49,6 +50,16 @@ _OPERAND_TEXT = {"r": "$r{{i.{}}}", "i": "{{i.{}}}", "t": "{{i.{}}}",
                  "m": "{{i.imm}}($r{{i.rs}})"}
 
 
+def _tuple_reader(names: Tuple[str, ...]) -> Callable[[Instruction], Tuple[int, ...]]:
+    """A function giving an instruction's fields `names` as a tuple."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    if names:
+        read = attrgetter(*names)
+        return lambda instr: (read(instr),)
+    return lambda instr: ()
+
+
 @dataclass(frozen=True)
 class InstrSpec:
     """One instruction's row in the table."""
@@ -73,6 +84,11 @@ class InstrSpec:
     template: str = field(init=False)
     reads_rs: bool = field(init=False)
     reads_rt: bool = field(init=False)
+    # derived: an instruction's source register numbers and its dest field
+    read_sources: Callable[[Instruction], Tuple[int, ...]] = field(
+        init=False, repr=False, compare=False)
+    read_dest: Callable[[Instruction], Optional[int]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         text = ", ".join(_OPERAND_TEXT[kind].format(name)
@@ -80,6 +96,9 @@ class InstrSpec:
         object.__setattr__(self, "template", f"{self.mnemonic} {text}")
         object.__setattr__(self, "reads_rs", "rs" in self.sources)
         object.__setattr__(self, "reads_rt", "rt" in self.sources)
+        object.__setattr__(self, "read_sources", _tuple_reader(self.sources))
+        object.__setattr__(self, "read_dest", attrgetter(self.dest) if self.dest
+                           else lambda instr: None)
 
 
 SPECS: Dict[str, InstrSpec] = {spec.mnemonic: spec for spec in (
@@ -191,12 +210,14 @@ class _Resolved:
     dest: Optional[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # Not through self.__dict__, though that is cheaper here: on CPython
+        # 3.11 it turns the instance's inline attribute values into a dict,
+        # and every later attribute read, which the pipeline makes each
+        # cycle, is then about three times slower.
         spec = SPECS[self.mnemonic]
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "sources",
-                           tuple(getattr(self, name) for name in spec.sources))
-        dest = getattr(self, spec.dest) if spec.dest is not None else 0
-        object.__setattr__(self, "dest", dest or None)
+        object.__setattr__(self, "sources", spec.read_sources(self))
+        object.__setattr__(self, "dest", spec.read_dest(self) or None)
 
 
 @dataclass(frozen=True)

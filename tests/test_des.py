@@ -141,3 +141,48 @@ def test_pad_word_low_half():
     assert des.pad_word(0xCBA767EE) == 0x00000000CBA767EE
     assert des.extract_word(0x123456789ABCDEF0) == 0x9ABCDEF0
     assert des.extract_word(des.pad_word(0xDEADBEEF)) == 0xDEADBEEF
+
+
+def _oracle_decrypt(key: int, block: int) -> int:
+    from cryptography.hazmat.decrepit.ciphers.algorithms import TripleDES
+    from cryptography.hazmat.primitives.ciphers import Cipher, modes
+
+    dec = Cipher(TripleDES(key.to_bytes(8, "big") * 3), modes.ECB()).decryptor()
+    return int.from_bytes(dec.update(block.to_bytes(8, "big")), "big")
+
+
+def _permute(table, value: int, width: int) -> int:
+    """Reference bit permutation: output bit k is input bit table[k] (1-based, MSB first)."""
+    out = 0
+    for pos in table:
+        out = (out << 1) | ((value >> (width - pos)) & 1)
+    return out
+
+
+def test_swap_mask_ip_fp_match_bitwise_permutation():
+    rng = random.Random(19)
+    blocks = [1 << bit for bit in range(64)] + [rng.getrandbits(64) for _ in range(1000)]
+    for block in blocks:
+        assert des._ip(block) == _permute(des._IP, block, 64)
+        assert des._fp(block) == _permute(des._FP, block, 64)
+
+
+def test_decrypt_matches_independent_implementation():
+    rng = random.Random(23)
+    for _ in range(200):
+        key, block = rng.getrandbits(64), rng.getrandbits(64)
+        assert des.decrypt_block(block, des.key_schedule(key)) == _oracle_decrypt(key, block)
+
+
+def test_paired_sp_tables_match_sboxes_and_p():
+    def sbox(i, v):
+        return des._SBOXES[i][(((v >> 4) & 0x2) | (v & 0x1)) * 16 + ((v >> 1) & 0xF)]
+
+    tables = (des._SP01, des._SP23, des._SP45, des._SP67)
+    for pair, table in enumerate(tables):
+        i = 2 * pair
+        assert len(table) == 4096
+        for v in range(4096):
+            # S_i and S_i+1 outputs side by side at nibbles i and i+1, then P
+            nibbles = sbox(i, v >> 6) << (28 - 4 * i) | sbox(i + 1, v & 0x3F) << (24 - 4 * i)
+            assert table[v] == _permute(des._P, nibbles, 32)
