@@ -269,9 +269,12 @@ def decode(word: int) -> Instruction:
     spec = spec_of(word)
     if spec is None:
         raise UnknownInstruction(word)
-    f = raw_fields(word)
-    return build(spec.mnemonic, f.rs, f.rt, f.rd, f.shamt,
-                 sign_extend_16(f.imm), f.target)
+    if spec.fmt == "J":
+        return JType(spec.mnemonic, word & 0x3FFFFFF)
+    rs, rt = (word >> 21) & 0x1F, (word >> 16) & 0x1F
+    if spec.fmt == "I":
+        return IType(spec.mnemonic, rs, rt, sign_extend_16(word))
+    return RType(spec.mnemonic, rs, rt, (word >> 11) & 0x1F, (word >> 6) & 0x1F)
 
 
 def encode(instr: Instruction) -> int:

@@ -7,9 +7,9 @@ i.e. little-endian for byte-level inspection.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from . import asm
+from . import asm, des
 
 WORD_MASK = 0xFFFFFFFF
 BLOCK_MASK = 0xFFFFFFFFFFFFFFFF
@@ -51,6 +51,12 @@ class KeyRegister:
     """Two 32-bit halves of the DES key, loaded independently by lklw/lkuw.
 
     Once both halves are set the value persists until a half is reloaded.
+    The register feeds the DES cores, so it owns what derives from its
+    value: `sched`, the key schedule, rederived only when a load changes
+    the 64-bit key (None until both halves are loaded), and `memo`, which
+    maps a ciphertext block to its decryption under `sched` and is emptied
+    on every rekey. DES is ECB and pure, so a block decrypts once per key
+    however often it is fetched or loaded.
     """
 
     def __init__(self):
@@ -58,14 +64,25 @@ class KeyRegister:
         self.upper = 0
         self.lower_loaded = False
         self.upper_loaded = False
+        self.sched: Optional[des.KeySchedule] = None
+        self.memo: Dict[int, int] = {}
 
     def set_lower(self, value: int) -> None:
-        self.lower = value & WORD_MASK
-        self.lower_loaded = True
+        value &= WORD_MASK
+        if not self.lower_loaded or value != self.lower:
+            self.lower, self.lower_loaded = value, True
+            self._rekey()
 
     def set_upper(self, value: int) -> None:
-        self.upper = value & WORD_MASK
-        self.upper_loaded = True
+        value &= WORD_MASK
+        if not self.upper_loaded or value != self.upper:
+            self.upper, self.upper_loaded = value, True
+            self._rekey()
+
+    def _rekey(self) -> None:
+        if self.loaded:
+            self.sched = des.key_schedule(self.key_value())
+            self.memo.clear()
 
     @property
     def loaded(self) -> bool:
@@ -75,6 +92,24 @@ class KeyRegister:
         if not self.loaded:
             raise KeyNotLoaded()
         return (self.upper << 32) | self.lower
+
+    def encrypt(self, block: int, what: str) -> int:
+        """The DES encryption of block; KeyNotLoaded(what) before both
+        halves are loaded."""
+        if self.sched is None:
+            raise KeyNotLoaded(what)
+        return des.encrypt_block(block, self.sched)
+
+    def decrypt(self, block: int, what: str) -> int:
+        """The DES decryption of block, from the memo when this key has
+        decrypted it before; KeyNotLoaded(what) before both halves are
+        loaded."""
+        plain = self.memo.get(block)
+        if plain is None:
+            if self.sched is None:
+                raise KeyNotLoaded(what)
+            plain = self.memo[block] = des.decrypt_block(block, self.sched)
+        return plain
 
 
 class Memory:

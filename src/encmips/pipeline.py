@@ -1,10 +1,12 @@
 """Cycle-accurate 5-stage pipeline (IF ID EX MEM WB) over the machine state.
 
 Fetch decrypts instruction blocks while crypt mode is on; stores encrypt
-their data block. Data hazards are handled by EX forwarding from the EXMEM
-and MEMWB latches plus a one-cycle load-use stall; branches resolve in ID
-(write-before-read register file + EXMEM forwarding) and squash one fetch
-slot when taken, as does a crypt-mode change.
+their data block. The key register does both and keeps the key schedule
+and the decryptions made under it. Data hazards are handled by EX
+forwarding from the EXMEM and MEMWB latches plus a one-cycle load-use
+stall; branches resolve in ID (write-before-read register file + EXMEM
+forwarding) and squash one fetch slot when taken, as does a crypt-mode
+change.
 
 Bubbles in the latches are tagged with why they exist (pipeline fill,
 stall, flush, end of program). A stall or flush is charged to the
@@ -14,6 +16,10 @@ first end-of-program bubble reaches the WB latch. Under that accounting
 holds exactly for every halting run, even when a squashed slot falls
 inside the final drain.
 
+step() records nothing beyond the state; with a trace sink, run() keeps
+a few values from before each cycle and format_trace_line() reads the
+cycle's events from them and the state after it.
+
 A single-cycle reference interpreter with identical architectural
 semantics serves as the correctness oracle.
 """
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 from . import des, isa, machine
 
@@ -103,24 +109,6 @@ class Stats:
         return self.cycles / self.retired if self.retired else None
 
 
-@dataclass
-class CycleEvents:
-    """What one clock cycle did, for tracing."""
-
-    cycle: int
-    pc: int
-    if_slot: Optional[LatchValue] = None
-    id_slot: Optional[LatchValue] = None
-    ex_slot: Optional[LatchValue] = None
-    mem_slot: Optional[LatchValue] = None
-    wb_slot: Optional[LatchValue] = None
-    stall: bool = False
-    flush: bool = False
-    crypt_change: Optional[bool] = None
-    dec_fetch: bool = False
-    enc_store: bool = False
-
-
 class CpuState:
     """All architectural and microarchitectural state of one core."""
 
@@ -148,24 +136,6 @@ class CpuState:
         self.halted = False
         self.retired_log: Optional[List[Tuple[int, int]]] = \
             [] if record_retired else None
-        # set by load_key_half; None until both key halves are loaded
-        self.sched: Optional[des.KeySchedule] = None
-        self._sched_key: Optional[int] = None
-        # Ciphertext block -> its decryption under sched, emptied whenever
-        # sched changes. imem is fixed during a run and DES is ECB, so a
-        # block decrypts once per key however often it is fetched.
-        self.fetch_memo: Dict[int, int] = {}
-
-    def load_key_half(self, kind: str, value: int) -> None:
-        """Commit a key-register half at the end of a cycle; rederive the
-        schedule (and drop the fetch memo) only when the key value changes."""
-        _load_key_half(self.keyreg, kind, value)
-        if self.keyreg.loaded:
-            key = self.keyreg.key_value()
-            if key != self._sched_key:
-                self._sched_key = key
-                self.sched = des.key_schedule(key)
-                self.fetch_memo.clear()
 
 
 def forward_value(reg: int, fallback: int,
@@ -211,32 +181,20 @@ def resolve_branch(instr: isa.IType, pc: int, regs: machine.RegisterFile,
 
 
 def fetch_word(imem: machine.Memory, pc: int, decrypt: bool,
-               sched: Optional[des.KeySchedule],
-               memo: Optional[Dict[int, int]] = None) -> Optional[int]:
-    """IF-stage read: the 32-bit payload at pc, decrypted when crypt mode
-    routes the fetch through the decryption core. None past imem's extent.
-
-    memo maps ciphertext blocks to their decryption under sched; a miss
-    runs DES and fills it. Reusing a decryption changes nothing modelled:
-    the fetch still counts as one pass through the decryption core.
-    """
+               keyreg: machine.KeyRegister) -> Optional[int]:
+    """IF-stage read: the 32-bit payload at pc, decrypted by the key register
+    when crypt mode routes the fetch through the decryption core. None past
+    imem's extent."""
     if pc >= imem.extent:
         return None
     block = imem.read_block(pc)
     if decrypt:
-        if sched is None:
-            raise machine.KeyNotLoaded("decrypting fetch before key loaded")
-        if memo is None:
-            memo = {}
-        plain = memo.get(block)
-        if plain is None:
-            plain = memo[block] = des.decrypt_block(block, sched)
-        block = plain
+        block = keyreg.decrypt(block, "decrypting fetch before key loaded")
     return des.extract_word(block)
 
 
 def mem_stage(instr: isa.Instruction, addr: int, store_data: int,
-              crypt_mode: bool, sched: Optional[des.KeySchedule],
+              crypt_mode: bool, keyreg: machine.KeyRegister,
               dmem: machine.Memory, decrypt_loads: bool = False) -> Optional[int]:
     """MEM-stage access. Returns lw's loaded word, the 32-bit half for
     lklw/lkuw (the caller routes it into the key register), else None.
@@ -247,18 +205,14 @@ def mem_stage(instr: isa.Instruction, addr: int, store_data: int,
     """
     kind = instr.spec.mem
     if kind == isa.STORE:
+        block = des.pad_word(store_data)
         if crypt_mode:
-            if sched is None:
-                raise machine.KeyNotLoaded("encrypted store before key loaded")
-            dmem.write_block(addr, des.encrypt_block(des.pad_word(store_data), sched))
-        else:
-            dmem.write_block(addr, des.pad_word(store_data))
+            block = keyreg.encrypt(block, "encrypted store before key loaded")
+        dmem.write_block(addr, block)
         return None
     block = dmem.read_block(addr)
     if kind == isa.LOAD and decrypt_loads and crypt_mode:
-        if sched is None:
-            raise machine.KeyNotLoaded("decrypting load before key loaded")
-        block = des.decrypt_block(block, sched)
+        block = keyreg.decrypt(block, "decrypting load before key loaded")
     return des.extract_word(block)
 
 
@@ -272,13 +226,15 @@ def _load_key_half(keyreg: machine.KeyRegister, kind: str, value: int) -> None:
 _decode = functools.lru_cache(maxsize=4096)(isa.decode)
 
 
-def step(state: CpuState) -> CycleEvents:
-    """Advance one clock cycle; all stages work from start-of-cycle latches."""
+def step(state: CpuState) -> None:
+    """Advance one clock cycle; all stages work from start-of-cycle latches.
+
+    What the cycle did shows in the state it leaves: the latches, pc,
+    crypt mode and the statistics (see format_trace_line).
+    """
     st = state.stats
     st.cycles += 1
     ifid, idex, exmem, memwb = state.ifid, state.idex, state.exmem, state.memwb
-    ev = CycleEvents(cycle=st.cycles, pc=state.pc, id_slot=ifid, ex_slot=idex,
-                     mem_slot=exmem, wb_slot=memwb)
 
     # WB: commit to the register file first so ID reads see it (internal
     # write-before-read forwarding).
@@ -304,7 +260,7 @@ def step(state: CpuState) -> CycleEvents:
         if kind is not None:
             try:
                 out = mem_stage(instr, exmem.alu, exmem.store_data,
-                                exmem.crypt_mode, state.sched,
+                                exmem.crypt_mode, state.keyreg,
                                 state.dmem, state.decrypt_loads)
             except machine.MachineError as exc:
                 raise Fault(exc, exmem.pc, st.cycles) from exc
@@ -314,7 +270,6 @@ def step(state: CpuState) -> CycleEvents:
                 pending_key = (kind, out)
             elif exmem.crypt_mode:
                 st.encrypted_stores += 1
-                ev.enc_store = True
         next_memwb: LatchValue = WbSlot(exmem.pc, instr, value)
     else:
         next_memwb = exmem
@@ -344,7 +299,6 @@ def step(state: CpuState) -> CycleEvents:
             raise Fault(exc, ifid.pc, st.cycles) from exc
         stall = detect_hazards(instr, idex, exmem)
         if stall:
-            ev.stall = True
             next_idex: LatchValue = Bubble(STALL)
         else:
             spec = instr.spec
@@ -359,7 +313,6 @@ def step(state: CpuState) -> CycleEvents:
                 enable = instr.target != 0
                 if enable != state.crypt_mode:
                     state.crypt_mode = enable
-                    ev.crypt_change = enable
                     if state.crypt_fetch:
                         # the slot fetched this cycle went through the wrong
                         # path; squash it and refetch at the same pc
@@ -375,14 +328,12 @@ def step(state: CpuState) -> CycleEvents:
         next_ifid = ifid
         next_pc = state.pc
     elif redirect is not None:
-        ev.flush = True
         next_ifid = Bubble(FLUSH)
         next_pc = redirect
     else:
         decrypt = state.crypt_mode and state.crypt_fetch
         try:
-            word = fetch_word(state.imem, state.pc, decrypt, state.sched,
-                              state.fetch_memo)
+            word = fetch_word(state.imem, state.pc, decrypt, state.keyreg)
         except machine.KeyNotLoaded as exc:
             raise Fault(exc, state.pc, st.cycles) from exc
         if word is None:
@@ -391,7 +342,6 @@ def step(state: CpuState) -> CycleEvents:
         else:
             if decrypt:
                 st.crypt_fetches += 1
-                ev.dec_fetch = True
             next_ifid = IfSlot(state.pc, word)
             next_pc = state.pc + 8
 
@@ -399,10 +349,8 @@ def step(state: CpuState) -> CycleEvents:
     state.exmem, state.memwb = next_exmem, next_memwb
     state.pc = next_pc
     if pending_key is not None:
-        state.load_key_half(*pending_key)
+        _load_key_half(state.keyreg, *pending_key)
     state.halted = isinstance(next_memwb, Bubble) and next_memwb.kind == END
-    ev.if_slot = next_ifid
-    return ev
 
 
 def run(state: CpuState, max_cycles: int = 100_000,
@@ -417,9 +365,14 @@ def run(state: CpuState, max_cycles: int = 100_000,
     while not state.halted:
         if state.stats.cycles >= max_cycles:
             raise CycleLimitExceeded(state, max_cycles)
-        ev = step(state)
-        if trace is not None:
-            trace(format_trace_line(ev))
+        if trace is None:
+            step(state)
+            continue
+        st = state.stats
+        before = (state.pc, state.ifid, state.idex, state.exmem, state.memwb,
+                  state.crypt_mode, st.crypt_fetches, st.encrypted_stores)
+        step(state)
+        trace(format_trace_line(before, state))
     return state, state.stats
 
 
@@ -431,21 +384,30 @@ def _slot_text(slot: LatchValue) -> str:
     return isa.disassemble(slot.instr)
 
 
-def format_trace_line(ev: CycleEvents) -> str:
+def format_trace_line(before: tuple, state: CpuState) -> str:
+    """The trace line of the cycle step just ran. `before` holds pc, the
+    four latches, crypt mode, crypt_fetches and encrypted_stores as they
+    were before it, and the events are read from what changed. Only this
+    cycle's ID puts a stall bubble in IDEX and only its IF a flush bubble in
+    IFID; CRYPT_ON/OFF is a change of mode; DEC_FETCH and ENC_STORE are
+    steps of the two counters.
+    """
+    pc, ifid, idex, exmem, memwb, crypt_mode, crypt_fetches, encrypted_stores = before
+    st = state.stats
     events = []
-    if ev.stall:
+    if isinstance(state.idex, Bubble) and state.idex.kind == STALL:
         events.append("STALL")
-    if ev.flush:
+    if isinstance(state.ifid, Bubble) and state.ifid.kind == FLUSH:
         events.append("FLUSH")
-    if ev.crypt_change is not None:
-        events.append("CRYPT_ON" if ev.crypt_change else "CRYPT_OFF")
-    if ev.dec_fetch:
+    if state.crypt_mode != crypt_mode:
+        events.append("CRYPT_ON" if state.crypt_mode else "CRYPT_OFF")
+    if st.crypt_fetches != crypt_fetches:
         events.append("DEC_FETCH")
-    if ev.enc_store:
+    if st.encrypted_stores != encrypted_stores:
         events.append("ENC_STORE")
-    return (f"{ev.cycle} | {ev.pc:x} | IF:{_slot_text(ev.if_slot)} "
-            f"ID:{_slot_text(ev.id_slot)} EX:{_slot_text(ev.ex_slot)} "
-            f"MEM:{_slot_text(ev.mem_slot)} WB:{_slot_text(ev.wb_slot)} "
+    return (f"{st.cycles} | {pc:x} | IF:{_slot_text(state.ifid)} "
+            f"ID:{_slot_text(ifid)} EX:{_slot_text(idex)} "
+            f"MEM:{_slot_text(exmem)} WB:{_slot_text(memwb)} "
             f"| events: {' '.join(events)}")
 
 
@@ -474,8 +436,6 @@ def reference_interpret(imem: machine.Memory, dmem: machine.Memory, *,
     s = InterpState(dmem=dmem)
     if record_retired:
         s.retired_log = []
-    sched: Optional[des.KeySchedule] = None
-    sched_for = None
     pc = 0
     while pc < imem.extent:
         if s.executed >= max_steps:
@@ -492,14 +452,7 @@ def reference_interpret(imem: machine.Memory, dmem: machine.Memory, *,
             b = s.regs.read(instr.rt) if spec.reads_rt else 0
             value = spec.alu(a, b, instr) if spec.alu is not None else 0
             if spec.mem is not None:
-                if s.keyreg.loaded:
-                    key = s.keyreg.key_value()
-                    if key != sched_for:
-                        sched_for = key
-                        sched = des.key_schedule(key)
-                else:
-                    sched = None
-                out = mem_stage(instr, value, b, s.crypt_mode, sched, s.dmem,
+                out = mem_stage(instr, value, b, s.crypt_mode, s.keyreg, s.dmem,
                                 decrypt_loads)
                 if spec.mem == isa.LOAD:
                     value = out

@@ -54,6 +54,51 @@ def test_key_register_reload_half():
     assert kr.key_value() == 0x2222222233333333
 
 
+def test_key_register_schedule_waits_for_both_halves():
+    kr = machine.KeyRegister()
+    assert kr.sched is None
+    kr.set_upper(0x4B495241)
+    assert kr.sched is None
+    kr.set_lower(0x5450414C)
+    assert kr.sched == des.key_schedule(0x4B4952415450414C)
+
+
+def test_key_register_same_value_reload_keeps_schedule_and_memo():
+    kr = machine.KeyRegister()
+    kr.set_lower(0x5450414C)
+    kr.set_upper(0x4B495241)
+    sched = kr.sched
+    plain = kr.decrypt(0x10539160018D5FF7, "unused")
+    assert plain == des.pad_word(0xCB97F7EE)
+    kr.set_lower(0x5450414C)
+    kr.set_upper(0x4B495241)
+    assert kr.sched is sched
+    assert kr.memo == {0x10539160018D5FF7: plain}
+
+
+def test_key_register_changed_value_rekeys_and_empties_memo():
+    kr = machine.KeyRegister()
+    kr.set_lower(0x5450414C)
+    kr.set_upper(0x4B495241)
+    kr.decrypt(0x10539160018D5FF7, "unused")
+    kr.set_lower(0x11111111)
+    assert kr.sched == des.key_schedule(0x4B49524111111111)
+    assert kr.memo == {}
+    block = des.encrypt_block(des.pad_word(7), des.key_schedule(0x4B49524111111111))
+    assert kr.decrypt(block, "unused") == des.pad_word(7)
+    assert kr.encrypt(des.pad_word(7), "unused") == block
+
+
+def test_key_register_crypt_before_key_names_the_caller():
+    kr = machine.KeyRegister()
+    kr.set_lower(0x5450414C)
+    with pytest.raises(machine.KeyNotLoaded, match="^decrypting fetch before key loaded$"):
+        kr.decrypt(0x10539160018D5FF7, "decrypting fetch before key loaded")
+    with pytest.raises(machine.KeyNotLoaded, match="^encrypted store before key loaded$"):
+        kr.encrypt(des.pad_word(1), "encrypted store before key loaded")
+    assert kr.memo == {}
+
+
 def test_memory_reads_zero_when_empty():
     mem = machine.Memory()
     assert mem.read_block(0) == 0

@@ -408,6 +408,73 @@ def test_worked_example_traced_run():
     assert stats.encrypted_stores == 1
 
 
+# Every trace event once or more: a load-use STALL (cycle 10), a
+# branch-after-load double STALL (13, 14), a taken-branch FLUSH (15), a jump
+# FLUSH (18), CRYPT_ON and CRYPT_OFF with their flushes (7, 20), DEC_FETCH
+# and ENC_STORE. The block after `crypt 0` stays plaintext in the image.
+GOLDEN_SOURCE = """\
+addi $r1, $r0, 104
+lklw 0($r1)
+lkuw 8($r1)
+nop
+nop
+crypt 1
+lw $r2, 0($r0)
+add $r3, $r2, $r2
+lw $r4, 8($r0)
+bne $r4, $r0, Skip
+addi $r5, $r0, 1
+Skip: sw $r3, 16($r0)
+j Off
+addi $r6, $r0, 1
+Off: crypt 0
+addi $r7, $r0, 7
+"""
+
+GOLDEN_TRACE = [
+    "1 | 0 | IF:addi $r1, $r0, 104 ID:bubble EX:bubble MEM:bubble WB:bubble | events: ",
+    "2 | 8 | IF:lklw 0($r1) ID:addi $r1, $r0, 104 EX:bubble MEM:bubble WB:bubble | events: ",
+    "3 | 10 | IF:lkuw 8($r1) ID:lklw 0($r1) EX:addi $r1, $r0, 104 MEM:bubble WB:bubble | events: ",
+    "4 | 18 | IF:nop ID:lkuw 8($r1) EX:lklw 0($r1) MEM:addi $r1, $r0, 104 WB:bubble | events: ",
+    "5 | 20 | IF:nop ID:nop EX:lkuw 8($r1) MEM:lklw 0($r1) WB:addi $r1, $r0, 104 | events: ",
+    "6 | 28 | IF:crypt 1 ID:nop EX:nop MEM:lkuw 8($r1) WB:lklw 0($r1) | events: ",
+    "7 | 30 | IF:bubble ID:crypt 1 EX:nop MEM:nop WB:lkuw 8($r1) | events: FLUSH CRYPT_ON",
+    "8 | 30 | IF:lw $r2, 0($r0) ID:bubble EX:crypt 1 MEM:nop WB:nop | events: DEC_FETCH",
+    "9 | 38 | IF:add $r3, $r2, $r2 ID:lw $r2, 0($r0) EX:bubble MEM:crypt 1 WB:nop | events: DEC_FETCH",
+    "10 | 40 | IF:add $r3, $r2, $r2 ID:add $r3, $r2, $r2 EX:lw $r2, 0($r0) MEM:bubble WB:crypt 1 | events: STALL",
+    "11 | 40 | IF:lw $r4, 8($r0) ID:add $r3, $r2, $r2 EX:bubble MEM:lw $r2, 0($r0) WB:bubble | events: DEC_FETCH",
+    "12 | 48 | IF:bne $r4, $r0, 1 ID:lw $r4, 8($r0) EX:add $r3, $r2, $r2 MEM:bubble WB:lw $r2, 0($r0) | events: DEC_FETCH",
+    "13 | 50 | IF:bne $r4, $r0, 1 ID:bne $r4, $r0, 1 EX:lw $r4, 8($r0) MEM:add $r3, $r2, $r2 WB:bubble | events: STALL",
+    "14 | 50 | IF:bne $r4, $r0, 1 ID:bne $r4, $r0, 1 EX:bubble MEM:lw $r4, 8($r0) WB:add $r3, $r2, $r2 | events: STALL",
+    "15 | 50 | IF:bubble ID:bne $r4, $r0, 1 EX:bubble MEM:bubble WB:lw $r4, 8($r0) | events: FLUSH",
+    "16 | 58 | IF:sw $r3, 16($r0) ID:bubble EX:bne $r4, $r0, 1 MEM:bubble WB:bubble | events: DEC_FETCH",
+    "17 | 60 | IF:j 14 ID:sw $r3, 16($r0) EX:bubble MEM:bne $r4, $r0, 1 WB:bubble | events: DEC_FETCH",
+    "18 | 68 | IF:bubble ID:j 14 EX:sw $r3, 16($r0) MEM:bubble WB:bne $r4, $r0, 1 | events: FLUSH",
+    "19 | 70 | IF:crypt 0 ID:bubble EX:j 14 MEM:sw $r3, 16($r0) WB:bubble | events: DEC_FETCH ENC_STORE",
+    "20 | 78 | IF:bubble ID:crypt 0 EX:bubble MEM:j 14 WB:sw $r3, 16($r0) | events: FLUSH CRYPT_OFF",
+    "21 | 78 | IF:addi $r7, $r0, 7 ID:bubble EX:crypt 0 MEM:bubble WB:j 14 | events: ",
+    "22 | 80 | IF:bubble ID:addi $r7, $r0, 7 EX:bubble MEM:crypt 0 WB:bubble | events: ",
+    "23 | 80 | IF:bubble ID:bubble EX:addi $r7, $r0, 7 MEM:bubble WB:crypt 0 | events: ",
+    "24 | 80 | IF:bubble ID:bubble EX:bubble MEM:addi $r7, $r0, 7 WB:bubble | events: ",
+    "25 | 80 | IF:bubble ID:bubble EX:bubble MEM:bubble WB:addi $r7, $r0, 7 | events: ",
+]
+
+
+def test_golden_trace_every_event():
+    image = asm.build_image(GOLDEN_SOURCE)
+    imem = machine.Memory()
+    machine.load_image(imem, asm.encrypt_image(image, worked.KEY, boundary=6))
+    addr, block = image.entries[-1]
+    imem.write_block(addr, block)
+    lines = []
+    state, stats = pipeline.run(pipeline.CpuState(imem, worked.data_memory()),
+                                trace=lines.append)
+    assert lines == GOLDEN_TRACE
+    assert (stats.cycles, stats.retired, stats.stalls, stats.flushes,
+            stats.crypt_fetches, stats.encrypted_stores) == (25, 14, 3, 4, 7, 1)
+    assert state.regs.read(7) == 7 and not state.crypt_mode
+
+
 def test_worked_example_verbatim_never_halts():
     with pytest.raises(pipeline.CycleLimitExceeded):
         run_asm(worked.VERBATIM, worked.data_memory(),
@@ -416,29 +483,38 @@ def test_worked_example_verbatim_never_halts():
 
 # ----------------------------------------------------------- stage functions
 
+def loaded_keyreg(key=worked.KEY):
+    keyreg = machine.KeyRegister()
+    keyreg.set_lower(key & 0xFFFFFFFF)
+    keyreg.set_upper(key >> 32)
+    return keyreg
+
+
 def test_fetch_word_paths():
     imem = machine.Memory()
     imem.write_block(0, des.pad_word(0x20010068))
     sched = des.key_schedule(worked.KEY)
     imem.write_block(8, des.encrypt_block(des.pad_word(0x20010068), sched))
-    assert pipeline.fetch_word(imem, 0, False, None) == 0x20010068
-    assert pipeline.fetch_word(imem, 8, True, sched) == 0x20010068
-    assert pipeline.fetch_word(imem, 16, False, None) is None  # past extent
+    empty = machine.KeyRegister()
+    assert pipeline.fetch_word(imem, 0, False, empty) == 0x20010068
+    assert pipeline.fetch_word(imem, 8, True, loaded_keyreg()) == 0x20010068
+    assert pipeline.fetch_word(imem, 16, False, empty) is None  # past extent
     with pytest.raises(machine.KeyNotLoaded):
-        pipeline.fetch_word(imem, 8, True, None)
+        pipeline.fetch_word(imem, 8, True, empty)
 
 
 def test_mem_stage_store_paths():
     sched = des.key_schedule(worked.KEY)
+    keyreg = loaded_keyreg()
     dmem = machine.Memory()
     sw = isa.IType("sw", rs=0, rt=4, imm=56)
     # published known-answer triple for this key and store value
-    pipeline.mem_stage(sw, 56, 0xCB97F7EE, True, sched, dmem)
+    pipeline.mem_stage(sw, 56, 0xCB97F7EE, True, keyreg, dmem)
     assert dmem.read_block(56) == 0x10539160018D5FF7
     # the stated array sum encrypts consistently: it decrypts back
-    pipeline.mem_stage(sw, 56, 0xCBA767EE, True, sched, dmem)
+    pipeline.mem_stage(sw, 56, 0xCBA767EE, True, keyreg, dmem)
     assert des.decrypt_block(dmem.read_block(56), sched) == des.pad_word(0xCBA767EE)
-    pipeline.mem_stage(sw, 0, 0xDEAD, False, None, dmem)
+    pipeline.mem_stage(sw, 0, 0xDEAD, False, machine.KeyRegister(), dmem)
     assert dmem.read_block(0) == des.pad_word(0xDEAD)
 
 
@@ -446,9 +522,8 @@ def test_mem_stage_load_ignores_crypt_mode():
     dmem = machine.Memory()
     dmem.write_block(8, 0xFFFFFFFF12345678)
     lw = isa.IType("lw", rs=0, rt=1, imm=8)
-    assert pipeline.mem_stage(lw, 8, 0, False, None, dmem) == 0x12345678
-    sched = des.key_schedule(worked.KEY)
-    assert pipeline.mem_stage(lw, 8, 0, True, sched, dmem) == 0x12345678
+    assert pipeline.mem_stage(lw, 8, 0, False, machine.KeyRegister(), dmem) == 0x12345678
+    assert pipeline.mem_stage(lw, 8, 0, True, loaded_keyreg(), dmem) == 0x12345678
 
 
 def test_forward_value_priority():
