@@ -8,10 +8,13 @@ stall; branches resolve in ID (write-before-read register file + EXMEM
 forwarding) and squash one fetch slot when taken, as does a crypt-mode
 change.
 
-Bubbles in the latches are tagged with why they exist (pipeline fill,
-stall, flush, end of program). A stall or flush is charged to the
-statistics when its bubble drains past WB, and the run halts when the
-first end-of-program bubble reaches the WB latch. Under that accounting
+Each fetched instruction is one Slot record that rides the latches from
+IFID to MEMWB; every stage fills in the fields it computes, and the
+latches shift by reference. An empty latch holds one of four shared
+bubbles, tagged with why it exists (pipeline fill, stall, flush, end of
+program). A stall or flush is charged to the statistics when its bubble
+drains past WB, and the run halts when the end-of-program bubble reaches
+the WB latch. Under that accounting
     cycles == retired + stalls + flushes + 4
 holds exactly for every halting run, even when a squashed slot falls
 inside the final drain.
@@ -57,43 +60,43 @@ class CycleLimitExceeded(Exception):
         super().__init__(f"no halt within {limit} cycles")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Bubble:
     kind: str
 
 
-@dataclass
-class IfSlot:
-    pc: int
-    word: int
+# The pipeline uses only these four bubbles and tells them apart by identity.
+FILL_BUBBLE = Bubble(FILL)
+STALL_BUBBLE = Bubble(STALL)
+FLUSH_BUBBLE = Bubble(FLUSH)
+END_BUBBLE = Bubble(END)
 
 
-@dataclass
-class IdSlot:
-    pc: int
-    instr: isa.Instruction
-    a: int           # rs value at decode time
-    b: int           # rt value at decode time
-    crypt_mode: bool  # mode snapshot at decode, used by MEM
+class Slot:
+    """One in-flight instruction, created by IF and passed by reference
+    from latch to latch until WB retires it.
+
+    IF sets pc and word. ID sets instr, a and b (the rs and rt values read
+    from the register file) and crypt_mode (the mode MEM will use). EX
+    overwrites a and b with their forwarded values and sets alu; the
+    forwarded b is a store's data. MEM sets value, the result WB writes.
+
+    Filling slots in place is safe because step() runs WB, MEM, EX, ID,
+    IF in that order, each stage writes only fields of its own slot, and
+    no stage reads a field that a stage run before it in the same step
+    has written, so every stage sees its inputs as the last cycle left
+    them. pc and word never change after IF, and they are the only
+    fields the trace reads from the latches as they were before a cycle.
+    """
+
+    __slots__ = ("pc", "word", "instr", "a", "b", "crypt_mode", "alu", "value")
+
+    def __init__(self, pc: int, word: int):
+        self.pc = pc
+        self.word = word
 
 
-@dataclass
-class ExSlot:
-    pc: int
-    instr: isa.Instruction
-    alu: int
-    store_data: int
-    crypt_mode: bool
-
-
-@dataclass
-class WbSlot:
-    pc: int
-    instr: isa.Instruction
-    value: int
-
-
-LatchValue = Union[Bubble, IfSlot, IdSlot, ExSlot, WbSlot]
+LatchValue = Union[Bubble, Slot]
 
 
 @dataclass
@@ -128,10 +131,10 @@ class CpuState:
         # decryptor disabled (store encryption still applies); used to
         # check that instruction encryption is timing-transparent.
         self.crypt_fetch = crypt_fetch
-        self.ifid: LatchValue = Bubble(FILL)
-        self.idex: LatchValue = Bubble(FILL)
-        self.exmem: LatchValue = Bubble(FILL)
-        self.memwb: LatchValue = Bubble(FILL)
+        self.ifid: LatchValue = FILL_BUBBLE
+        self.idex: LatchValue = FILL_BUBBLE
+        self.exmem: LatchValue = FILL_BUBBLE
+        self.memwb: LatchValue = FILL_BUBBLE
         self.stats = Stats()
         self.halted = False
         self.retired_log: Optional[List[Tuple[int, int]]] = \
@@ -142,9 +145,9 @@ def forward_value(reg: int, fallback: int,
                   exmem: LatchValue, memwb: LatchValue) -> int:
     """Pick the freshest available value for a register: EXMEM result,
     else MEMWB writeback, else the value read from the register file."""
-    if isinstance(exmem, ExSlot) and exmem.instr.dest == reg:
+    if isinstance(exmem, Slot) and exmem.instr.dest == reg:
         return exmem.alu
-    if isinstance(memwb, WbSlot) and memwb.instr.dest == reg:
+    if isinstance(memwb, Slot) and memwb.instr.dest == reg:
         return memwb.value
     return fallback
 
@@ -163,21 +166,22 @@ def detect_hazards(instr: isa.Instruction,
     if not sources:
         return False
     branch = instr.spec.control in isa.BRANCHES
-    if isinstance(idex, IdSlot) and idex.instr.dest in sources:
+    if isinstance(idex, Slot) and idex.instr.dest in sources:
         if branch or idex.instr.spec.mem == isa.LOAD:
             return True
-    if branch and isinstance(exmem, ExSlot) and exmem.instr.dest in sources:
+    if branch and isinstance(exmem, Slot) and exmem.instr.dest in sources:
         return exmem.instr.spec.mem == isa.LOAD
     return False
 
 
 def resolve_branch(instr: isa.IType, pc: int, regs: machine.RegisterFile,
                    exmem: LatchValue) -> Tuple[bool, int]:
-    """Compare in ID and produce (taken, target byte address)."""
+    """Compare in ID and produce (taken, target byte address); the target
+    wraps to 32 bits like every pc."""
     a = forward_value(instr.rs, regs.read(instr.rs), exmem, None)
     b = forward_value(instr.rt, regs.read(instr.rt), exmem, None)
     taken = (a == b) if instr.spec.control == isa.BRANCH_EQ else (a != b)
-    return taken, pc + 8 + instr.imm * 8
+    return taken, (pc + 8 + instr.imm * 8) & isa.WORD_MASK
 
 
 def fetch_word(imem: machine.Memory, pc: int, decrypt: bool,
@@ -229,8 +233,11 @@ _decode = functools.lru_cache(maxsize=4096)(isa.decode)
 def step(state: CpuState) -> None:
     """Advance one clock cycle; all stages work from start-of-cycle latches.
 
-    What the cycle did shows in the state it leaves: the latches, pc,
-    crypt mode and the statistics (see format_trace_line).
+    The stages run back to front, WB first, each filling in the slot it
+    passes on, and the latches shift by reference at the end; see Slot
+    for why that leaves every stage its start-of-cycle inputs. What the
+    cycle did shows in the state it leaves: the latches, pc, crypt mode
+    and the statistics (see format_trace_line).
     """
     st = state.stats
     st.cycles += 1
@@ -238,68 +245,59 @@ def step(state: CpuState) -> None:
 
     # WB: commit to the register file first so ID reads see it (internal
     # write-before-read forwarding).
-    if isinstance(memwb, WbSlot):
+    if isinstance(memwb, Slot):
         if memwb.instr.dest is not None:
             state.regs.write(memwb.instr.dest, memwb.value)
         st.retired += 1
         if state.retired_log is not None:
-            state.retired_log.append((memwb.pc, isa.encode(memwb.instr)))
-    elif isinstance(memwb, Bubble):
-        if memwb.kind == STALL:
-            st.stalls += 1
-        elif memwb.kind == FLUSH:
-            st.flushes += 1
+            state.retired_log.append((memwb.pc, memwb.word))
+    elif memwb is STALL_BUBBLE:
+        st.stalls += 1
+    elif memwb is FLUSH_BUBBLE:
+        st.flushes += 1
 
     # MEM. Key-register halves commit at the end of the cycle, after IF has
     # sampled the old value (the hardware latches the half on the clock edge).
     pending_key: Optional[Tuple[str, int]] = None
-    if isinstance(exmem, ExSlot):
-        instr = exmem.instr
-        value = exmem.alu
-        kind = instr.spec.mem
+    if isinstance(exmem, Slot):
+        exmem.value = exmem.alu
+        kind = exmem.instr.spec.mem
         if kind is not None:
             try:
-                out = mem_stage(instr, exmem.alu, exmem.store_data,
+                out = mem_stage(exmem.instr, exmem.alu, exmem.b,
                                 exmem.crypt_mode, state.keyreg,
                                 state.dmem, state.decrypt_loads)
             except machine.MachineError as exc:
                 raise Fault(exc, exmem.pc, st.cycles) from exc
             if kind == isa.LOAD:
-                value = out
+                exmem.value = out
             elif kind != isa.STORE:
                 pending_key = (kind, out)
             elif exmem.crypt_mode:
                 st.encrypted_stores += 1
-        next_memwb: LatchValue = WbSlot(exmem.pc, instr, value)
-    else:
-        next_memwb = exmem
 
     # EX
-    if isinstance(idex, IdSlot):
+    if isinstance(idex, Slot):
         instr = idex.instr
         spec = instr.spec
-        a, b = idex.a, idex.b
         if spec.reads_rs:
-            a = forward_value(instr.rs, a, exmem, memwb)
+            idex.a = forward_value(instr.rs, idex.a, exmem, memwb)
         if spec.reads_rt:
-            b = forward_value(instr.rt, b, exmem, memwb)
-        next_exmem: LatchValue = ExSlot(
-            idex.pc, instr, spec.alu(a, b, instr) if spec.alu is not None else 0,
-            b if spec.mem == isa.STORE else 0, idex.crypt_mode)
-    else:
-        next_exmem = idex
+            idex.b = forward_value(instr.rt, idex.b, exmem, memwb)
+        idex.alu = spec.alu(idex.a, idex.b, instr) if spec.alu is not None else 0
 
     # ID: decode, hazard detection, branch resolution, crypt-mode switch.
     stall = False
     redirect: Optional[int] = None
-    if isinstance(ifid, IfSlot):
+    next_idex = ifid
+    if isinstance(ifid, Slot):
         try:
             instr = _decode(ifid.word)
         except isa.UnknownInstruction as exc:
             raise Fault(exc, ifid.pc, st.cycles) from exc
         stall = detect_hazards(instr, idex, exmem)
         if stall:
-            next_idex: LatchValue = Bubble(STALL)
+            next_idex = STALL_BUBBLE
         else:
             spec = instr.spec
             control = spec.control
@@ -317,18 +315,17 @@ def step(state: CpuState) -> None:
                         # the slot fetched this cycle went through the wrong
                         # path; squash it and refetch at the same pc
                         redirect = state.pc
-            a = state.regs.read(instr.rs) if spec.reads_rs else 0
-            b = state.regs.read(instr.rt) if spec.reads_rt else 0
-            next_idex = IdSlot(ifid.pc, instr, a, b, state.crypt_mode)
-    else:
-        next_idex = ifid
+            ifid.instr = instr
+            ifid.a = state.regs.read(instr.rs) if spec.reads_rs else 0
+            ifid.b = state.regs.read(instr.rt) if spec.reads_rt else 0
+            ifid.crypt_mode = state.crypt_mode
 
     # IF
     if stall:
         next_ifid = ifid
         next_pc = state.pc
     elif redirect is not None:
-        next_ifid = Bubble(FLUSH)
+        next_ifid = FLUSH_BUBBLE
         next_pc = redirect
     else:
         decrypt = state.crypt_mode and state.crypt_fetch
@@ -337,20 +334,20 @@ def step(state: CpuState) -> None:
         except machine.KeyNotLoaded as exc:
             raise Fault(exc, state.pc, st.cycles) from exc
         if word is None:
-            next_ifid = Bubble(END)
+            next_ifid = END_BUBBLE
             next_pc = state.pc
         else:
             if decrypt:
                 st.crypt_fetches += 1
-            next_ifid = IfSlot(state.pc, word)
+            next_ifid = Slot(state.pc, word)
             next_pc = state.pc + 8
 
     state.ifid, state.idex = next_ifid, next_idex
-    state.exmem, state.memwb = next_exmem, next_memwb
+    state.exmem, state.memwb = idex, exmem
     state.pc = next_pc
     if pending_key is not None:
         _load_key_half(state.keyreg, *pending_key)
-    state.halted = isinstance(next_memwb, Bubble) and next_memwb.kind == END
+    state.halted = exmem is END_BUBBLE
 
 
 def run(state: CpuState, max_cycles: int = 100_000,
@@ -376,12 +373,11 @@ def run(state: CpuState, max_cycles: int = 100_000,
     return state, state.stats
 
 
+_disasm_word = functools.lru_cache(maxsize=4096)(isa.disasm_word)
+
+
 def _slot_text(slot: LatchValue) -> str:
-    if isinstance(slot, Bubble):
-        return "bubble"
-    if isinstance(slot, IfSlot):
-        return isa.disasm_word(slot.word)
-    return isa.disassemble(slot.instr)
+    return "bubble" if isinstance(slot, Bubble) else _disasm_word(slot.word)
 
 
 def format_trace_line(before: tuple, state: CpuState) -> str:
@@ -395,9 +391,9 @@ def format_trace_line(before: tuple, state: CpuState) -> str:
     pc, ifid, idex, exmem, memwb, crypt_mode, crypt_fetches, encrypted_stores = before
     st = state.stats
     events = []
-    if isinstance(state.idex, Bubble) and state.idex.kind == STALL:
+    if state.idex is STALL_BUBBLE:
         events.append("STALL")
-    if isinstance(state.ifid, Bubble) and state.ifid.kind == FLUSH:
+    if state.ifid is FLUSH_BUBBLE:
         events.append("FLUSH")
     if state.crypt_mode != crypt_mode:
         events.append("CRYPT_ON" if state.crypt_mode else "CRYPT_OFF")
@@ -463,7 +459,7 @@ def reference_interpret(imem: machine.Memory, dmem: machine.Memory, *,
             if spec.control in isa.BRANCHES:
                 taken = (a == b) if spec.control == isa.BRANCH_EQ else (a != b)
                 if taken:
-                    next_pc = pc + 8 + instr.imm * 8
+                    next_pc = (pc + 8 + instr.imm * 8) & isa.WORD_MASK
             elif spec.control == isa.JUMP:
                 next_pc = instr.target * 8
             elif spec.control == isa.SET_CRYPT:

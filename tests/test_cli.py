@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import pytest
 
 import worked
 from encmips import cli
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _write_inputs(tmp_path, source=None):
@@ -119,6 +123,19 @@ def test_run_trace_goes_to_stderr(tmp_path, capsys):
     assert traced.out == plain.out
     assert "IF:" in traced.err and "CRYPT_ON" in traced.err
     assert len(traced.err.splitlines()) == 100
+
+
+def test_run_trace_matches_golden(tmp_path, capsys):
+    # README's worked example, traced; the file is the trace byte for byte
+    programs = ROOT / "demos" / "programs"
+    image = tmp_path / "sum.hex"
+    assert cli.main(["asm", str(programs / "sum_array.asm"), "-o", str(image),
+                     "--encrypt", "--key", "4b4952415450414c"]) == 0
+    capsys.readouterr()
+    assert cli.main(["run", str(image), "--dmem", str(programs / "sum_array_data.hex"),
+                     "--dump-regs", "r4", "--dump-mem", "56:64", "--trace"]) == 0
+    golden = (ROOT / "tests" / "golden" / "worked_trace.txt").read_text()
+    assert capsys.readouterr().err == golden
 
 
 def test_des_known_answer(capsys):

@@ -207,6 +207,18 @@ def test_backward_loop():
     assert_accounting(stats)
 
 
+def test_branch_below_zero_wraps_and_halts():
+    # 8 + 8 - 5*8 wraps to 0xffffffe8, past the end of imem, in both models
+    source = "addi $r1, $r0, 1\nbeq $r0, $r0, -5\naddi $r2, $r0, 2\n"
+    state, stats = run_asm(source)
+    assert state.pc == 0xFFFFFFE8
+    assert (stats.cycles, stats.retired, stats.flushes) == (7, 2, 1)
+    ref = interp_asm(source)
+    assert ref.executed == 2
+    assert pipeline.architectural_state(state) == pipeline.architectural_state(ref)
+    assert state.regs.read(1) == 1 and state.regs.read(2) == 0
+
+
 def test_infinite_loop_hits_cycle_limit():
     with pytest.raises(pipeline.CycleLimitExceeded):
         run_asm("L: j L", max_cycles=500)
@@ -380,6 +392,21 @@ def test_unaligned_access_faults():
     assert isinstance(exc.value.cause, machine.UnalignedAccess)
 
 
+def test_pipeline_reports_faults_in_cycle_order():
+    # sw $r1, 4($r0) would fault in MEM at cycle 4, but the unknown word two
+    # slots behind it faults in ID at cycle 3; the oracle goes in program order
+    imem = machine.Memory()
+    machine.load_image(imem, "00000000ac010004\n00000000fc000000\n0000000000000000\n")
+    with pytest.raises(pipeline.Fault) as exc:
+        pipeline.run(pipeline.CpuState(imem, machine.Memory()))
+    assert str(exc.value) == ("fault at pc 0x8 (cycle 3): unknown instruction word "
+                              "0xfc000000 (opcode 0x3f, funct 0x00)")
+    with pytest.raises(pipeline.Fault) as exc:
+        pipeline.reference_interpret(imem, machine.Memory())
+    assert str(exc.value) == ("fault at pc 0x0 (cycle 0): "
+                              "unaligned 64-bit access at address 0x4")
+
+
 # ------------------------------------------------------------ worked example
 
 def test_worked_example_end_to_end():
@@ -526,24 +553,33 @@ def test_mem_stage_load_ignores_crypt_mode():
     assert pipeline.mem_stage(lw, 8, 0, True, loaded_keyreg(), dmem) == 0x12345678
 
 
+def _slot(instr, **fields):
+    """An in-flight slot holding instr, with the given stage fields set."""
+    slot = pipeline.Slot(0, isa.encode(instr))
+    slot.instr = instr
+    for name, value in fields.items():
+        setattr(slot, name, value)
+    return slot
+
+
 def test_forward_value_priority():
     add = isa.RType("add", rs=1, rt=2, rd=3)
-    exmem = pipeline.ExSlot(0, add, alu=111, store_data=0, crypt_mode=False)
-    memwb = pipeline.WbSlot(0, isa.IType("addi", rs=0, rt=3, imm=0), value=222)
+    exmem = _slot(add, alu=111)
+    memwb = _slot(isa.IType("addi", rs=0, rt=3, imm=0), value=222)
     assert pipeline.forward_value(3, 999, exmem, memwb) == 111
     assert pipeline.forward_value(3, 999, pipeline.Bubble(pipeline.FILL), memwb) == 222
     assert pipeline.forward_value(4, 999, exmem, memwb) == 999
 
 
 def test_forward_value_ignores_r0_and_stores():
-    zero_dest = pipeline.ExSlot(0, isa.RType("add", rs=1, rt=2, rd=0), 5, 0, False)
+    zero_dest = _slot(isa.RType("add", rs=1, rt=2, rd=0), alu=5)
     assert pipeline.forward_value(0, 42, zero_dest, None) == 42
-    store = pipeline.ExSlot(0, isa.IType("sw", rs=0, rt=3, imm=0), 5, 9, False)
+    store = _slot(isa.IType("sw", rs=0, rt=3, imm=0), alu=5, b=9)
     assert pipeline.forward_value(3, 42, store, None) == 42
 
 
 def test_detect_hazards_load_use():
-    lw = pipeline.IdSlot(0, isa.IType("lw", rs=0, rt=6, imm=0), 0, 0, False)
+    lw = _slot(isa.IType("lw", rs=0, rt=6, imm=0))
     user = isa.RType("add", rs=4, rt=6, rd=4)
     other = isa.RType("add", rs=4, rt=5, rd=4)
     bubble = pipeline.Bubble(pipeline.FILL)
@@ -552,7 +588,7 @@ def test_detect_hazards_load_use():
 
 
 def test_detect_hazards_key_loads_never_stall_crypt():
-    lkuw = pipeline.IdSlot(0, isa.IType("lkuw", rs=1, rt=0, imm=0), 0, 0, False)
+    lkuw = _slot(isa.IType("lkuw", rs=1, rt=0, imm=0))
     crypt = isa.JType("crypt", target=1)
     assert not pipeline.detect_hazards(crypt, lkuw, pipeline.Bubble(pipeline.FILL))
 
@@ -561,7 +597,7 @@ def test_resolve_branch_uses_exmem_forward():
     regs = machine.RegisterFile()
     regs.write(1, 0)  # stale
     beq = isa.IType("beq", rs=1, rt=0, imm=3)
-    fresh = pipeline.ExSlot(0, isa.IType("addi", rs=0, rt=1, imm=5), 5, 0, False)
+    fresh = _slot(isa.IType("addi", rs=0, rt=1, imm=5), alu=5)
     taken, target = pipeline.resolve_branch(beq, 16, regs, fresh)
     assert not taken  # forwarded 5 != 0
     taken, target = pipeline.resolve_branch(beq, 16, regs, pipeline.Bubble(pipeline.FILL))
@@ -579,11 +615,14 @@ def test_randomized_differential_small():
         image = asm.build_image(source)
         imem = machine.Memory()
         machine.load_image(imem, image)
-        state = pipeline.CpuState(imem, progen.mem_from_entries(entries))
+        state = pipeline.CpuState(imem, progen.mem_from_entries(entries),
+                                  record_retired=True)
         state, stats = pipeline.run(state)
-        ref = pipeline.reference_interpret(imem, progen.mem_from_entries(entries))
+        ref = pipeline.reference_interpret(imem, progen.mem_from_entries(entries),
+                                           record_retired=True)
         assert pipeline.architectural_state(state) == pipeline.architectural_state(ref), \
             f"program {i} diverged:\n{source}"
+        assert state.retired_log == ref.retired_log, f"program {i}:\n{source}"
         assert_accounting(stats)
 
 
