@@ -336,6 +336,8 @@ def encrypt_image(image: ProgramImage, key: int,
 
 
 _HEX_LINE_RE = re.compile(r"^[0-9a-fA-F]{16}$")
+# int(..., 16) alone would also take a sign, underscores, spaces or 0x
+_HEX_ADDR_RE = re.compile(r"^[0-9a-fA-F]+$")
 
 
 def write_hex(image: ProgramImage) -> str:
@@ -359,11 +361,10 @@ def read_hex(text: str) -> ProgramImage:
         if not line:
             continue
         if line.startswith("@"):
-            try:
-                addr = int(line[1:], 16)
-            except ValueError:
+            if not _HEX_ADDR_RE.match(line[1:]):
                 raise UnalignedAddressDirective(
-                    f"bad address directive '{line}'", lineno) from None
+                    f"bad address directive '{line}'", lineno)
+            addr = int(line[1:], 16)
             if addr % 8 != 0:
                 raise UnalignedAddressDirective(
                     f"address directive '{line}' not 8-aligned", lineno)

@@ -84,6 +84,7 @@ class InstrSpec:
     template: str = field(init=False)
     reads_rs: bool = field(init=False)
     reads_rt: bool = field(init=False)
+    is_branch: bool = field(init=False)
     # derived: an instruction's source register numbers and its dest field
     read_sources: Callable[[Instruction], Tuple[int, ...]] = field(
         init=False, repr=False, compare=False)
@@ -96,6 +97,7 @@ class InstrSpec:
         object.__setattr__(self, "template", f"{self.mnemonic} {text}")
         object.__setattr__(self, "reads_rs", "rs" in self.sources)
         object.__setattr__(self, "reads_rt", "rt" in self.sources)
+        object.__setattr__(self, "is_branch", self.control in BRANCHES)
         object.__setattr__(self, "read_sources", _tuple_reader(self.sources))
         object.__setattr__(self, "read_dest", attrgetter(self.dest) if self.dest
                            else lambda instr: None)
@@ -145,6 +147,8 @@ class IsaError(Exception):
 
 class UnknownInstruction(IsaError):
     """Raised when a word's (opcode, funct) pair is not in the opcode table."""
+
+    spec = None    # the word has no table row
 
     def __init__(self, word: int):
         self.word = word & WORD_MASK

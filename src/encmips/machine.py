@@ -31,20 +31,25 @@ class KeyNotLoaded(MachineError):
 
 
 class RegisterFile:
-    """32 general registers; register 0 is hardwired to zero."""
+    """32 general registers; register 0 is hardwired to zero.
+
+    `values` is the register list itself. The pipeline reads and writes it
+    directly, so a direct write must skip register 0 and keep 32 bits, as
+    write() does.
+    """
 
     def __init__(self):
-        self._regs: List[int] = [0] * 32
+        self.values: List[int] = [0] * 32
 
     def read(self, index: int) -> int:
-        return self._regs[index]
+        return self.values[index]
 
     def write(self, index: int, value: int) -> None:
         if index != 0:
-            self._regs[index] = value & WORD_MASK
+            self.values[index] = value & WORD_MASK
 
     def snapshot(self) -> Tuple[int, ...]:
-        return tuple(self._regs)
+        return tuple(self.values)
 
 
 class KeyRegister:
@@ -115,10 +120,13 @@ class KeyRegister:
 class Memory:
     """Sparse block store. Unwritten aligned addresses read as zero;
     extent (highest loaded address + 8) marks where instruction fetch stops.
+
+    `blocks` maps each written aligned address to its block; instruction
+    fetch reads it directly after its own alignment check.
     """
 
     def __init__(self):
-        self._blocks: dict[int, int] = {}
+        self.blocks: dict[int, int] = {}
         self.extent = 0
 
     @staticmethod
@@ -128,15 +136,15 @@ class Memory:
         return addr
 
     def read_block(self, addr: int) -> int:
-        return self._blocks.get(self._aligned(addr), 0)
+        return self.blocks.get(self._aligned(addr), 0)
 
     def write_block(self, addr: int, block: int) -> None:
-        self._blocks[self._aligned(addr)] = block & BLOCK_MASK
+        self.blocks[self._aligned(addr)] = block & BLOCK_MASK
         if addr + 8 > self.extent:
             self.extent = addr + 8
 
     def items(self) -> List[Tuple[int, int]]:
-        return sorted(self._blocks.items())
+        return sorted(self.blocks.items())
 
 
 def load_image(mem: Memory, image) -> None:

@@ -63,6 +63,7 @@ class CycleLimitExceeded(Exception):
 @dataclass(frozen=True)
 class Bubble:
     kind: str
+    dest = None    # a bubble writes no register, so nothing forwards from it
 
 
 # The pipeline uses only these four bubbles and tells them apart by identity.
@@ -76,10 +77,14 @@ class Slot:
     """One in-flight instruction, created by IF and passed by reference
     from latch to latch until WB retires it.
 
-    IF sets pc and word. ID sets instr, a and b (the rs and rt values read
-    from the register file) and crypt_mode (the mode MEM will use). EX
-    overwrites a and b with their forwarded values and sets alu; the
-    forwarded b is a store's data. MEM sets value, the result WB writes.
+    IF sets pc, word and instr: the decoded instruction, or for a word no
+    table row decodes the isa.UnknownInstruction, which ID raises as a
+    Fault in its own cycle, so a slot squashed before ID never faults. ID
+    sets dest (the register WB writes, None for none or $r0), a and b (the
+    rs and rt values read from the register file) and crypt_mode (the mode
+    MEM will use). EX overwrites a and b with their forwarded values and
+    sets alu; the forwarded b is a store's data. MEM sets value, the
+    result WB writes.
 
     Filling slots in place is safe because step() runs WB, MEM, EX, ID,
     IF in that order, each stage writes only fields of its own slot, and
@@ -89,11 +94,10 @@ class Slot:
     fields the trace reads from the latches as they were before a cycle.
     """
 
-    __slots__ = ("pc", "word", "instr", "a", "b", "crypt_mode", "alu", "value")
-
-    def __init__(self, pc: int, word: int):
-        self.pc = pc
-        self.word = word
+    __slots__ = ("pc", "word", "instr", "dest", "a", "b", "crypt_mode", "alu",
+                 "value")
+    # No __init__: IF sets the fields of an empty Slot(), which costs about
+    # half as much as a Python __init__ call, once every cycle.
 
 
 LatchValue = Union[Bubble, Slot]
@@ -141,49 +145,6 @@ class CpuState:
             [] if record_retired else None
 
 
-def forward_value(reg: int, fallback: int,
-                  exmem: LatchValue, memwb: LatchValue) -> int:
-    """Pick the freshest available value for a register: EXMEM result,
-    else MEMWB writeback, else the value read from the register file."""
-    if isinstance(exmem, Slot) and exmem.instr.dest == reg:
-        return exmem.alu
-    if isinstance(memwb, Slot) and memwb.instr.dest == reg:
-        return memwb.value
-    return fallback
-
-
-def detect_hazards(instr: isa.Instruction,
-                   idex: LatchValue, exmem: LatchValue) -> bool:
-    """Stall decision for the instruction currently in ID.
-
-    Load-use: a memory read in EX whose destination this instruction needs.
-    Branches additionally wait for any producer still in EX (its result
-    lands in EXMEM next cycle, in reach of the compare's forwarding) and
-    for a load still in MEM (its data lands in the register file via the
-    write-before-read port one cycle later).
-    """
-    sources = instr.sources
-    if not sources:
-        return False
-    branch = instr.spec.control in isa.BRANCHES
-    if isinstance(idex, Slot) and idex.instr.dest in sources:
-        if branch or idex.instr.spec.mem == isa.LOAD:
-            return True
-    if branch and isinstance(exmem, Slot) and exmem.instr.dest in sources:
-        return exmem.instr.spec.mem == isa.LOAD
-    return False
-
-
-def resolve_branch(instr: isa.IType, pc: int, regs: machine.RegisterFile,
-                   exmem: LatchValue) -> Tuple[bool, int]:
-    """Compare in ID and produce (taken, target byte address); the target
-    wraps to 32 bits like every pc."""
-    a = forward_value(instr.rs, regs.read(instr.rs), exmem, None)
-    b = forward_value(instr.rt, regs.read(instr.rt), exmem, None)
-    taken = (a == b) if instr.spec.control == isa.BRANCH_EQ else (a != b)
-    return taken, (pc + 8 + instr.imm * 8) & isa.WORD_MASK
-
-
 def fetch_word(imem: machine.Memory, pc: int, decrypt: bool,
                keyreg: machine.KeyRegister) -> Optional[int]:
     """IF-stage read: the 32-bit payload at pc, decrypted by the key register
@@ -191,10 +152,12 @@ def fetch_word(imem: machine.Memory, pc: int, decrypt: bool,
     imem's extent."""
     if pc >= imem.extent:
         return None
-    block = imem.read_block(pc)
+    if pc % 8:
+        raise machine.UnalignedAccess(pc)
+    block = imem.blocks.get(pc, 0)
     if decrypt:
         block = keyreg.decrypt(block, "decrypting fetch before key loaded")
-    return des.extract_word(block)
+    return block & isa.WORD_MASK
 
 
 def mem_stage(instr: isa.Instruction, addr: int, store_data: int,
@@ -238,16 +201,23 @@ def step(state: CpuState) -> None:
     for why that leaves every stage its start-of-cycle inputs. What the
     cycle did shows in the state it leaves: the latches, pc, crypt mode
     and the statistics (see format_trace_line).
+
+    Forwarding, hazard detection and the branch compare test the dest of
+    the latches, which a bubble answers as None, so they need no test of
+    whether a latch holds a slot.
     """
     st = state.stats
     st.cycles += 1
     ifid, idex, exmem, memwb = state.ifid, state.idex, state.exmem, state.memwb
+    regs = state.regs.values
 
     # WB: commit to the register file first so ID reads see it (internal
-    # write-before-read forwarding).
-    if isinstance(memwb, Slot):
-        if memwb.instr.dest is not None:
-            state.regs.write(memwb.instr.dest, memwb.value)
+    # write-before-read forwarding). dest is never $r0 and every result is
+    # 32 bits already, so the write needs neither RegisterFile.write check.
+    if memwb.__class__ is Slot:
+        dest = memwb.dest
+        if dest is not None:
+            regs[dest] = memwb.value
         st.retired += 1
         if state.retired_log is not None:
             state.retired_log.append((memwb.pc, memwb.word))
@@ -259,7 +229,7 @@ def step(state: CpuState) -> None:
     # MEM. Key-register halves commit at the end of the cycle, after IF has
     # sampled the old value (the hardware latches the half on the clock edge).
     pending_key: Optional[Tuple[str, int]] = None
-    if isinstance(exmem, Slot):
+    if exmem.__class__ is Slot:
         exmem.value = exmem.alu
         kind = exmem.instr.spec.mem
         if kind is not None:
@@ -276,51 +246,72 @@ def step(state: CpuState) -> None:
             elif exmem.crypt_mode:
                 st.encrypted_stores += 1
 
-    # EX
-    if isinstance(idex, Slot):
+    # EX: each source takes the freshest value, the EXMEM result before the
+    # MEMWB writeback before the register read in ID.
+    if idex.__class__ is Slot:
         instr = idex.instr
         spec = instr.spec
         if spec.reads_rs:
-            idex.a = forward_value(instr.rs, idex.a, exmem, memwb)
+            if exmem.dest == instr.rs:
+                idex.a = exmem.alu
+            elif memwb.dest == instr.rs:
+                idex.a = memwb.value
         if spec.reads_rt:
-            idex.b = forward_value(instr.rt, idex.b, exmem, memwb)
-        idex.alu = spec.alu(idex.a, idex.b, instr) if spec.alu is not None else 0
+            if exmem.dest == instr.rt:
+                idex.b = exmem.alu
+            elif memwb.dest == instr.rt:
+                idex.b = memwb.value
+        alu = spec.alu
+        idex.alu = alu(idex.a, idex.b, instr) if alu is not None else 0
 
-    # ID: decode, hazard detection, branch resolution, crypt-mode switch.
+    # ID: fault on an unknown word, hazard detection, branch resolution,
+    # crypt-mode switch.
     stall = False
     redirect: Optional[int] = None
     next_idex = ifid
-    if isinstance(ifid, Slot):
-        try:
-            instr = _decode(ifid.word)
-        except isa.UnknownInstruction as exc:
-            raise Fault(exc, ifid.pc, st.cycles) from exc
-        stall = detect_hazards(instr, idex, exmem)
+    if ifid.__class__ is Slot:
+        instr = ifid.instr
+        spec = instr.spec
+        if spec is None:    # an isa.UnknownInstruction
+            raise Fault(instr, ifid.pc, st.cycles) from instr
+        branch = spec.is_branch
+        # Load-use: a load in EX whose destination this instruction reads.
+        # A branch also waits for any producer in EX (its result reaches
+        # EXMEM, in the compare's forwarding reach, next cycle) and for a
+        # load in MEM (its data reaches the register file one cycle later).
+        sources = instr.sources
+        if idex.dest in sources:
+            stall = branch or idex.instr.spec.mem == isa.LOAD
+        if branch and not stall and exmem.dest in sources:
+            stall = exmem.instr.spec.mem == isa.LOAD
         if stall:
             next_idex = STALL_BUBBLE
         else:
-            spec = instr.spec
             control = spec.control
-            if control in isa.BRANCHES:
-                taken, target = resolve_branch(instr, ifid.pc, state.regs, exmem)
-                if taken:
-                    redirect = target
-            elif control == isa.JUMP:
-                redirect = instr.target * 8
-            elif control == isa.SET_CRYPT:
-                enable = instr.target != 0
-                if enable != state.crypt_mode:
-                    state.crypt_mode = enable
-                    if state.crypt_fetch:
-                        # the slot fetched this cycle went through the wrong
-                        # path; squash it and refetch at the same pc
-                        redirect = state.pc
-            ifid.instr = instr
-            ifid.a = state.regs.read(instr.rs) if spec.reads_rs else 0
-            ifid.b = state.regs.read(instr.rt) if spec.reads_rt else 0
+            if control is not None:
+                if branch:
+                    # the compare forwards from EXMEM; a target wraps like
+                    # every pc
+                    a = exmem.alu if exmem.dest == instr.rs else regs[instr.rs]
+                    b = exmem.alu if exmem.dest == instr.rt else regs[instr.rt]
+                    if (a == b) == (control == isa.BRANCH_EQ):
+                        redirect = (ifid.pc + 8 + instr.imm * 8) & isa.WORD_MASK
+                elif control == isa.JUMP:
+                    redirect = instr.target * 8
+                elif control == isa.SET_CRYPT:
+                    enable = instr.target != 0
+                    if enable != state.crypt_mode:
+                        state.crypt_mode = enable
+                        if state.crypt_fetch:
+                            # the slot fetched this cycle went through the
+                            # wrong path; squash it and refetch at the same pc
+                            redirect = state.pc
+            ifid.dest = instr.dest
+            ifid.a = regs[instr.rs] if spec.reads_rs else 0
+            ifid.b = regs[instr.rt] if spec.reads_rt else 0
             ifid.crypt_mode = state.crypt_mode
 
-    # IF
+    # IF: fetch and decode; an unknown word rides to ID, which faults on it.
     if stall:
         next_ifid = ifid
         next_pc = state.pc
@@ -339,7 +330,14 @@ def step(state: CpuState) -> None:
         else:
             if decrypt:
                 st.crypt_fetches += 1
-            next_ifid = Slot(state.pc, word)
+            try:
+                instr = _decode(word)
+            except isa.UnknownInstruction as exc:
+                instr = exc
+            next_ifid = Slot()
+            next_ifid.pc = state.pc
+            next_ifid.word = word
+            next_ifid.instr = instr
             next_pc = state.pc + 8
 
     state.ifid, state.idex = next_ifid, next_idex
@@ -456,7 +454,7 @@ def reference_interpret(imem: machine.Memory, dmem: machine.Memory, *,
                     _load_key_half(s.keyreg, spec.mem, out)
             if instr.dest is not None:
                 s.regs.write(instr.dest, value)
-            if spec.control in isa.BRANCHES:
+            if spec.is_branch:
                 taken = (a == b) if spec.control == isa.BRANCH_EQ else (a != b)
                 if taken:
                     next_pc = (pc + 8 + instr.imm * 8) & isa.WORD_MASK

@@ -3,12 +3,18 @@
 Every generated program halts: loops are counted down in a reserved
 register the body never touches, and all other branches go forward.
 Memory operands stay 8-aligned and inside a small data window.
+
+With `extras`, the generators also reach the corners the golden-result
+corpus pins: unaligned accesses, mid-program key reloads of the same and
+of a different value, a `crypt 0` with plaintext fetch after it, key
+loads too close to `crypt`, and unknown instruction words planted in the
+image. Such programs may fault; they still never run unbounded.
 """
 
 import random
 from typing import List, Tuple
 
-from encmips import des, machine
+from encmips import asm, des, isa, machine
 
 DATA_REGS = list(range(1, 10))
 BASE_REG = 10   # holds a small 8-aligned base address
@@ -19,13 +25,19 @@ ARITH = ("add", "sub", "and", "or", "slt")
 
 KEY = 0x4B4952415450414C
 KEY_ADDR = 104
+ALT_KEY = 0x0123456789ABCDEF    # a second key, for reloads of a different value
+ALT_KEY_ADDR = 128
+
+# words no table row decodes: opcode 0x3f, and an R-type funct 0x3f
+UNKNOWN_WORDS = (0xFC000000, 0x0000003F, 0xFC0F1234)
 
 
 class _Gen:
-    def __init__(self, rng: random.Random):
+    def __init__(self, rng: random.Random, extras: bool = False):
         self.rng = rng
         self.lines: List[str] = []
         self.labels = 0
+        self.extras = extras
 
     def fresh_label(self, stem: str) -> str:
         self.labels += 1
@@ -44,6 +56,16 @@ class _Gen:
         return f"{8 * self.rng.randrange(8)}($r{BASE_REG})"
 
     def plain_instr(self) -> str:
+        if self.extras:
+            r = self.rng.random()
+            if r < 0.015:   # an unaligned access, which faults in MEM
+                mn = self.rng.choice(("lw", "sw", "lklw"))
+                operand = f"{8 * self.rng.randrange(8) + self.rng.randrange(1, 8)}($r0)"
+                return f"lklw {operand}" if mn == "lklw" else f"{mn} $r1, {operand}"
+            if r < 0.035:   # reload a key half with KEY's or ALT_KEY's value
+                mn = self.rng.choice(("lklw", "lkuw"))
+                base = self.rng.choice((KEY_ADDR, ALT_KEY_ADDR))
+                return f"{mn} {base + (8 if mn == 'lkuw' else 0)}($r0)"
         r = self.rng.random()
         if r < 0.45:
             mn = self.rng.choice(ARITH)
@@ -83,9 +105,8 @@ class _Gen:
         self.lines.append(f"bne $r{LOOP_REG}, $r0, {label}")
 
 
-def gen_program(rng: random.Random, allow_loops: bool = True) -> str:
-    """Arith + memory + branch program with no key instructions."""
-    g = _Gen(rng)
+def _body(g: _Gen, allow_loops: bool = True) -> None:
+    rng = g.rng
     for reg in DATA_REGS[:4]:
         g.lines.append(f"addi $r{reg}, $r0, {rng.randrange(-100, 100)}")
     g.lines.append(f"addi $r{BASE_REG}, $r0, {8 * rng.randrange(8)}")
@@ -96,28 +117,76 @@ def gen_program(rng: random.Random, allow_loops: bool = True) -> str:
             g.straight_block()
     # keep the last hazard out of the drain shadow
     g.lines.append("addi $r1, $r1, 1")
+
+
+def gen_program(rng: random.Random, allow_loops: bool = True,
+                extras: bool = False) -> str:
+    """Arith + memory + branch program; with extras it may reload key
+    halves and make unaligned accesses."""
+    g = _Gen(rng, extras)
+    _body(g, allow_loops)
     return "\n".join(g.lines) + "\n"
 
 
-def gen_crypt_program(rng: random.Random) -> str:
-    """A random body behind the key-load / crypt prologue."""
-    prolog = "\n".join([
-        f"addi $r{KEY_REG}, $r0, {KEY_ADDR}",
-        f"lklw 0($r{KEY_REG})",
-        f"lkuw 8($r{KEY_REG})",
-        "nop",
-        "nop",
-        "crypt 1",
-    ])
-    return prolog + "\n" + gen_program(rng)
+def gen_crypt_program(rng: random.Random, extras: bool = False) -> str:
+    """A random body behind the key-load / crypt prologue. With extras the
+    prologue may leave fewer than the one spacer `crypt` needs, and a
+    `crypt 0` may end the crypt region before a second, plaintext body."""
+    spacers = rng.choice((0, 1, 2, 2, 2, 2)) if extras else 2
+    g = _Gen(rng, extras)
+    g.lines += [f"addi $r{KEY_REG}, $r0, {KEY_ADDR}",
+                f"lklw 0($r{KEY_REG})",
+                f"lkuw 8($r{KEY_REG})"] + ["nop"] * spacers + ["crypt 1"]
+    _body(g)
+    if extras and rng.random() < 0.4:
+        g.lines.append("crypt 0")
+        _body(g)
+    return "\n".join(g.lines) + "\n"
 
 
-def gen_dmem_entries(rng: random.Random, with_key: bool = False) -> List[Tuple[int, int]]:
-    """Initial data blocks at 0..120, plus the key halves when asked."""
+def _crypt_positions(image: asm.ProgramImage) -> List[int]:
+    return [i for i, (_, block) in enumerate(image.entries)
+            if (spec := isa.spec_of(des.extract_word(block))) is not None
+            and spec.control == isa.SET_CRYPT]
+
+
+def encrypt_crypt_region(image: asm.ProgramImage, key: int) -> asm.ProgramImage:
+    """Encrypt the blocks fetched in crypt mode: those after the first
+    `crypt` up to and including a second one, if any."""
+    flags = _crypt_positions(image)
+    start = flags[0] + 1
+    stop = flags[1] + 1 if len(flags) > 1 else len(image.entries)
+    head = asm.ProgramImage(entries=image.entries[:stop])
+    encrypted = asm.encrypt_image(head, key, boundary=start)
+    return asm.ProgramImage(entries=encrypted.entries + image.entries[stop:])
+
+
+def plant_unknown_word(rng: random.Random,
+                       image: asm.ProgramImage) -> asm.ProgramImage:
+    """The image with, at times, one block other than a `crypt` replaced
+    by an unknown word."""
+    if rng.random() >= 0.3:
+        return image
+    flags = _crypt_positions(image)
+    entries = list(image.entries)
+    i = rng.choice([i for i in range(len(entries)) if i not in flags])
+    entries[i] = (entries[i][0], des.pad_word(rng.choice(UNKNOWN_WORDS)))
+    return asm.ProgramImage(entries=entries)
+
+
+def gen_dmem_entries(rng: random.Random, with_key: bool = False,
+                     alt_key: bool = False) -> List[Tuple[int, int]]:
+    """Initial data blocks at 0..120, plus the key halves when asked and
+    the halves of ALT_KEY at ALT_KEY_ADDR with alt_key."""
     entries = [(8 * i, des.pad_word(rng.getrandbits(32))) for i in range(16)]
+    keys: List[Tuple[int, int]] = []
     if with_key:
-        entries.append((KEY_ADDR, des.pad_word(KEY & 0xFFFFFFFF)))
-        entries.append((KEY_ADDR + 8, des.pad_word(KEY >> 32)))
+        keys.append((KEY_ADDR, KEY))
+    if alt_key:
+        keys.append((ALT_KEY_ADDR, ALT_KEY))
+    for addr, key in keys:
+        entries.append((addr, des.pad_word(key & 0xFFFFFFFF)))
+        entries.append((addr + 8, des.pad_word(key >> 32)))
     return entries
 
 

@@ -177,6 +177,10 @@ def test_read_hex_errors():
     assert exc.value.line == 1
     with pytest.raises(asm.UnalignedAddressDirective):
         asm.read_hex("@6b\n0000000000000000\n")
+    for directive in ("@-8", "@+10", "@ 1_0", "@0x10", "@"):
+        with pytest.raises(asm.UnalignedAddressDirective) as exc:
+            asm.read_hex(f"0000000000000000\n{directive}\n0000000000000000\n")
+        assert exc.value.line == 2
 
 
 def test_write_hex_emits_gap_directive():

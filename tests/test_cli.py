@@ -175,6 +175,7 @@ def test_dump_disasm(tmp_path, capsys):
     (["dump", "{missing}"], None),
     (["run", "{bad_hex}"], None),
     (["run", "{image}", "--dmem", "{bad_directive}"], None),
+    (["run", "{signed_directive}"], "bad address directive '@-8'"),
     (["run", "{image}", "--max-cycles", "0"], None),
     (["run", "{image}", "--dump-mem", "3:9"], None),
     (["run", "{image}", "--dump-regs", "r40"], "--dump-regs: no such register r40"),
@@ -186,16 +187,19 @@ def test_dump_disasm(tmp_path, capsys):
     (["run", "{image}", "--dump-mem", "16:16"], "stop must be above start"),
 ], ids=["run-missing-image", "run-missing-dmem", "asm-missing-source",
         "dump-missing-image", "run-bad-hex-line", "run-dmem-unaligned-directive",
+        "run-signed-address-directive",
         "run-max-cycles-0", "run-unaligned-dump-mem", "run-no-such-register",
         "run-register-not-a-number", "run-max-cycles-not-a-number",
         "run-dump-mem-not-a-number", "run-dump-mem-no-colon",
         "run-dump-mem-stop-before-start", "run-dump-mem-empty-range"])
 def test_bad_input_is_one_line_error(tmp_path, capsys, argv, reason):
     paths = {"missing": tmp_path / "missing.hex", "image": tmp_path / "image.hex",
-             "bad_hex": tmp_path / "bad.hex", "bad_directive": tmp_path / "bad_dir.hex"}
+             "bad_hex": tmp_path / "bad.hex", "bad_directive": tmp_path / "bad_dir.hex",
+             "signed_directive": tmp_path / "signed_dir.hex"}
     paths["image"].write_text("0000000020010068\n")
     paths["bad_hex"].write_text("0000000020010068\nzz\n")
     paths["bad_directive"].write_text("@6b\n0000000000000000\n")
+    paths["signed_directive"].write_text("@-8\n0000000000000000\n")
     code = cli.main([arg.format(**paths) for arg in argv])
     cap = capsys.readouterr()
     assert code == 1

@@ -101,6 +101,7 @@ def test_unknown_opcode():
         isa.decode(0xFC000000)  # opcode 0x3F
     assert exc.value.word == 0xFC000000
     assert exc.value.fields.opcode == 0x3F
+    assert exc.value.spec is None   # no table row, which the pipeline's ID tests
 
 
 def test_unknown_funct():
@@ -160,6 +161,7 @@ def test_table_row_semantics(mnemonic):
     assert instr.dest == dest
     assert instr.spec.mem == mem
     assert instr.spec.control == control
+    assert instr.spec.is_branch == (control in (isa.BRANCH_EQ, isa.BRANCH_NE))
     alu = instr.spec.alu
     assert (alu(a, b, instr) if alu is not None else None) == result
 

@@ -336,11 +336,35 @@ def test_decrypt_loads_path():
 # -------------------------------------------------------------------- faults
 
 def test_unknown_instruction_faults():
+    # IF fetches the word in cycle 1 and ID raises its fault in cycle 2
     imem = machine.Memory()
     imem.write_block(0, des.pad_word(0xFC000000))
+    with pytest.raises(pipeline.CycleLimitExceeded):
+        pipeline.run(pipeline.CpuState(imem, machine.Memory()), max_cycles=1)
     with pytest.raises(pipeline.Fault) as exc:
-        pipeline.run(pipeline.CpuState(imem, machine.Memory()))
+        pipeline.run(pipeline.CpuState(imem, machine.Memory()), max_cycles=2)
+    assert (exc.value.pc, exc.value.cycle) == (0x0, 2)
     assert isinstance(exc.value.cause, isa.UnknownInstruction)
+
+
+def test_unknown_word_behind_load_use_stall():
+    # the stall holds the consumer in ID a cycle longer, so the unknown word
+    # behind it reaches ID, and faults, one cycle later
+    dmem = machine.Memory()
+    imem = machine.Memory()
+    machine.load_image(imem, "000000008c060000\n0000000000862020\n00000000fc000000\n")
+    with pytest.raises(pipeline.Fault) as exc:
+        pipeline.run(pipeline.CpuState(imem, dmem))
+    assert (exc.value.pc, exc.value.cycle) == (0x10, 5)
+    assert isinstance(exc.value.cause, isa.UnknownInstruction)
+
+
+def test_squashed_unknown_word_never_faults():
+    # j 2 squashes the slot fetched behind it; that slot never reaches ID
+    imem = machine.Memory()
+    machine.load_image(imem, "0000000008000002\n00000000fc000000\n0000000000000000\n")
+    state, stats = pipeline.run(pipeline.CpuState(imem, machine.Memory()))
+    assert (stats.retired, stats.flushes) == (2, 1)
 
 
 def test_wrong_key_fails_loudly():
@@ -526,6 +550,8 @@ def test_fetch_word_paths():
     assert pipeline.fetch_word(imem, 0, False, empty) == 0x20010068
     assert pipeline.fetch_word(imem, 8, True, loaded_keyreg()) == 0x20010068
     assert pipeline.fetch_word(imem, 16, False, empty) is None  # past extent
+    with pytest.raises(machine.UnalignedAccess):
+        pipeline.fetch_word(imem, 4, False, empty)
     with pytest.raises(machine.KeyNotLoaded):
         pipeline.fetch_word(imem, 8, True, empty)
 
@@ -553,56 +579,83 @@ def test_mem_stage_load_ignores_crypt_mode():
     assert pipeline.mem_stage(lw, 8, 0, True, loaded_keyreg(), dmem) == 0x12345678
 
 
-def _slot(instr, **fields):
-    """An in-flight slot holding instr, with the given stage fields set."""
-    slot = pipeline.Slot(0, isa.encode(instr))
-    slot.instr = instr
+def _slot(instr, pc=0, **fields):
+    """An in-flight slot holding instr as ID leaves it, with the given
+    later-stage fields set."""
+    slot = pipeline.Slot()
+    slot.pc, slot.word, slot.instr = pc, isa.encode(instr), instr
+    slot.dest = instr.dest
+    slot.a = slot.b = 0
+    slot.crypt_mode = False
     for name, value in fields.items():
         setattr(slot, name, value)
     return slot
+
+
+def _step_latches(ifid=pipeline.FILL_BUBBLE, idex=pipeline.FILL_BUBBLE,
+                  exmem=pipeline.FILL_BUBBLE, memwb=pipeline.FILL_BUBBLE,
+                  pc=0, regs=()):
+    """One step over hand-built latches, an empty imem and registers set
+    from (index, value) pairs; returns the state after it."""
+    state = pipeline.CpuState()
+    state.ifid, state.idex, state.exmem, state.memwb = ifid, idex, exmem, memwb
+    state.pc = pc
+    for index, value in regs:
+        state.regs.write(index, value)
+    pipeline.step(state)
+    return state
+
+
+def _forwarded_a(reg, exmem, memwb):
+    """The rs value EX takes for `add $r5, $reg, $r0` that read 999 in ID."""
+    user = _slot(isa.RType("add", rs=reg, rt=0, rd=5), a=999)
+    state = _step_latches(idex=user, exmem=exmem, memwb=memwb)
+    assert state.exmem is user
+    return user.a
 
 
 def test_forward_value_priority():
     add = isa.RType("add", rs=1, rt=2, rd=3)
     exmem = _slot(add, alu=111)
     memwb = _slot(isa.IType("addi", rs=0, rt=3, imm=0), value=222)
-    assert pipeline.forward_value(3, 999, exmem, memwb) == 111
-    assert pipeline.forward_value(3, 999, pipeline.Bubble(pipeline.FILL), memwb) == 222
-    assert pipeline.forward_value(4, 999, exmem, memwb) == 999
+    assert _forwarded_a(3, exmem, memwb) == 111
+    assert _forwarded_a(3, pipeline.FILL_BUBBLE, memwb) == 222
+    assert _forwarded_a(4, exmem, memwb) == 999
 
 
 def test_forward_value_ignores_r0_and_stores():
     zero_dest = _slot(isa.RType("add", rs=1, rt=2, rd=0), alu=5)
-    assert pipeline.forward_value(0, 42, zero_dest, None) == 42
-    store = _slot(isa.IType("sw", rs=0, rt=3, imm=0), alu=5, b=9)
-    assert pipeline.forward_value(3, 42, store, None) == 42
+    assert _forwarded_a(0, zero_dest, pipeline.FILL_BUBBLE) == 999
+    store = _slot(isa.IType("sw", rs=0, rt=3, imm=8), alu=8, b=9)
+    assert _forwarded_a(3, store, pipeline.FILL_BUBBLE) == 999
 
 
 def test_detect_hazards_load_use():
-    lw = _slot(isa.IType("lw", rs=0, rt=6, imm=0))
-    user = isa.RType("add", rs=4, rt=6, rd=4)
-    other = isa.RType("add", rs=4, rt=5, rd=4)
-    bubble = pipeline.Bubble(pipeline.FILL)
-    assert pipeline.detect_hazards(user, lw, bubble)
-    assert not pipeline.detect_hazards(other, lw, bubble)
+    lw = isa.IType("lw", rs=0, rt=6, imm=0)
+    user = _slot(isa.RType("add", rs=4, rt=6, rd=4))
+    state = _step_latches(ifid=user, idex=_slot(lw))
+    assert state.idex is pipeline.STALL_BUBBLE and state.ifid is user
+    other = _slot(isa.RType("add", rs=4, rt=5, rd=4))
+    state = _step_latches(ifid=other, idex=_slot(lw))
+    assert state.idex is other
 
 
 def test_detect_hazards_key_loads_never_stall_crypt():
     lkuw = _slot(isa.IType("lkuw", rs=1, rt=0, imm=0))
-    crypt = isa.JType("crypt", target=1)
-    assert not pipeline.detect_hazards(crypt, lkuw, pipeline.Bubble(pipeline.FILL))
+    crypt = _slot(isa.JType("crypt", target=1))
+    state = _step_latches(ifid=crypt, idex=lkuw)
+    assert state.idex is crypt and state.crypt_mode
 
 
 def test_resolve_branch_uses_exmem_forward():
-    regs = machine.RegisterFile()
-    regs.write(1, 0)  # stale
+    # r1 reads 0 from the register file, but EXMEM holds its fresh value 5
     beq = isa.IType("beq", rs=1, rt=0, imm=3)
     fresh = _slot(isa.IType("addi", rs=0, rt=1, imm=5), alu=5)
-    taken, target = pipeline.resolve_branch(beq, 16, regs, fresh)
-    assert not taken  # forwarded 5 != 0
-    taken, target = pipeline.resolve_branch(beq, 16, regs, pipeline.Bubble(pipeline.FILL))
-    assert taken      # register file value 0 == 0
-    assert target == 16 + 8 + 3 * 8
+    state = _step_latches(ifid=_slot(beq, pc=16), exmem=fresh, pc=24)
+    assert state.ifid is pipeline.END_BUBBLE and state.pc == 24    # not taken
+    state = _step_latches(ifid=_slot(beq, pc=16), pc=24)
+    assert state.ifid is pipeline.FLUSH_BUBBLE                     # taken
+    assert state.pc == 16 + 8 + 3 * 8
 
 
 # ------------------------------------------------------------- differential
