@@ -5,12 +5,16 @@ comments, registers `$r0..$r31` (or `$0..$31`), decimal or 0x-hex
 immediates, `offset($reg)` memory operands, label or raw-number branch and
 jump targets. Instruction words sit 8 bytes apart (one per 64-bit block),
 so jump targets and branch displacements are counted in 8-byte slots.
+
+`parse` reads each operand, by its row's shape, straight into the
+instruction field it fills. `assemble` places the labels of the whole
+file, then resolves label targets and range-checks immediates line by line.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import des, isa
@@ -59,35 +63,16 @@ class UnalignedAddressDirective(AsmError):
     pass
 
 
-@dataclass(frozen=True)
-class Reg:
-    index: int
-
-
-@dataclass(frozen=True)
-class Imm:
-    value: int
-
-
-@dataclass(frozen=True)
-class MemRef:
-    offset: int
-    base: int
-
-
-@dataclass(frozen=True)
-class LabelRef:
-    name: str
-
-
-Operand = Union[Reg, Imm, MemRef, LabelRef]
-
-
 @dataclass
 class Statement:
+    """One source line: its label, and the table row it names with the value
+    of each field its operands fill. A `t` operand's field holds a number or
+    a label name, which assemble resolves; an `m` operand fills imm and rs.
+    Immediates are range-checked by assemble, not here."""
+
     label: Optional[str]
     mnemonic: Optional[str]  # None for a label-only line
-    operands: List[Operand]
+    fields: Dict[str, Union[int, str]]
     line: int
 
 
@@ -120,34 +105,37 @@ _MNEMONICS = {name: spec for spec in isa.SPECS.values()
               for name in (spec.mnemonic, *spec.aliases)}
 
 
-def _parse_reg(text: str, line: int) -> Reg:
+def _parse_reg(text: str, line: int) -> int:
     m = _REG_RE.match(text)
     if not m:
         raise AsmSyntaxError(f"expected register, got '{text}'", line)
     index = int(m.group(1))
     if index > 31:
         raise AsmSyntaxError(f"no such register '{text}'", line)
-    return Reg(index)
+    return index
 
 
-def _parse_operand(text: str, kind: str, line: int) -> Operand:
-    if kind == "r":
-        return _parse_reg(text, line)
-    if kind == "m":
-        m = _MEM_RE.match(text)
-        if not m:
-            raise AsmSyntaxError(f"expected offset($reg), got '{text}'", line)
-        return MemRef(int(m.group(1), 0), _parse_reg(m.group(2), line).index)
-    if kind == "i":
-        if not _NUM_RE.match(text):
+def _parse_fields(spec: isa.InstrSpec, texts: List[str],
+                  line: int) -> Dict[str, Union[int, str]]:
+    """Each operand's value under the field it fills, read by its shape."""
+    fields: Dict[str, Union[int, str]] = {}
+    for text, kind, name in zip(texts, spec.shape, spec.operands):
+        if kind == "r":
+            fields[name] = _parse_reg(text, line)
+        elif kind == "m":
+            m = _MEM_RE.match(text)
+            if not m:
+                raise AsmSyntaxError(f"expected offset($reg), got '{text}'", line)
+            fields["imm"], fields["rs"] = int(m.group(1), 0), _parse_reg(m.group(2), line)
+        elif _NUM_RE.match(text):
+            fields[name] = int(text, 0)
+        elif kind == "i":
             raise AsmSyntaxError(f"expected number, got '{text}'", line)
-        return Imm(int(text, 0))
-    # kind == "t": label or raw slot number
-    if _NUM_RE.match(text):
-        return Imm(int(text, 0))
-    if _IDENT_RE.match(text):
-        return LabelRef(text)
-    raise AsmSyntaxError(f"expected label or number, got '{text}'", line)
+        elif _IDENT_RE.match(text):  # kind == "t": a label
+            fields[name] = text
+        else:
+            raise AsmSyntaxError(f"expected label or number, got '{text}'", line)
+    return fields
 
 
 def parse(source: str) -> List[Statement]:
@@ -163,7 +151,7 @@ def parse(source: str) -> List[Statement]:
             label = m.group(1)
             text = text[m.end():].strip()
         if not text:
-            statements.append(Statement(label, None, [], lineno))
+            statements.append(Statement(label, None, {}, lineno))
             continue
         parts = text.split(None, 1)
         if parts[0].lower() == "nop":
@@ -174,23 +162,22 @@ def parse(source: str) -> List[Statement]:
         spec = _MNEMONICS.get(parts[0].lower())
         if spec is None:
             raise AsmSyntaxError(f"unknown mnemonic '{parts[0]}'", lineno)
-        shape = spec.shape
-        fields = [f.strip() for f in parts[1].split(",")] if len(parts) > 1 else []
-        if len(fields) != len(shape):
+        texts = [t.strip() for t in parts[1].split(",")] if len(parts) > 1 else []
+        if len(texts) != len(spec.shape):
             raise AsmSyntaxError(
-                f"'{spec.mnemonic}' takes {len(shape)} operand(s), got {len(fields)}",
+                f"'{spec.mnemonic}' takes {len(spec.shape)} operand(s), got {len(texts)}",
                 lineno)
-        operands = [_parse_operand(f, k, lineno) for f, k in zip(fields, shape)]
-        statements.append(Statement(label, spec.mnemonic, operands, lineno))
+        statements.append(
+            Statement(label, spec.mnemonic, _parse_fields(spec, texts, lineno), lineno))
     return statements
 
 
-# what `nop` stands for: isa.NOP written with its row's own operands
-(_NOP,) = parse(isa.NOP.spec.template.format(i=isa.NOP))
+# what `nop` stands for: isa.NOP's row with its own operand fields
+_NOP_FIELDS = {name: getattr(isa.NOP, name) for name in isa.NOP.spec.operands}
 
 
 def _nop(label: Optional[str], line: int) -> Statement:
-    return Statement(label, _NOP.mnemonic, list(_NOP.operands), line)
+    return Statement(label, isa.NOP.mnemonic, dict(_NOP_FIELDS), line)
 
 
 def _signed_imm(value: int, line: int) -> int:
@@ -210,12 +197,12 @@ def _ensure_key_load_guards(statements: List[Statement]) -> List[Statement]:
         spec = isa.SPECS.get(stmt.mnemonic)  # None for a label-only line
         is_crypt = spec is not None and spec.control == isa.SET_CRYPT
         if is_crypt and since_key_load is not None:
-            missing = 2 - since_key_load
-            label, stmt.label = stmt.label, None
-            for k in range(missing):
-                out.append(_nop(label if k == 0 else None, stmt.line))
+            # the first guard nop takes crypt's label, in a copy of crypt
+            label = stmt.label
+            for _ in range(2 - since_key_load):
+                out.append(_nop(label, stmt.line))
                 label = None
-            stmt.label = label
+            stmt = replace(stmt, label=label)
         out.append(stmt)
         if spec is not None and spec.mem in (isa.KEY_LOWER, isa.KEY_UPPER):
             since_key_load = 0
@@ -253,19 +240,17 @@ def assemble(statements: List[Statement],
     return words, symbols
 
 
-def _target(name: str, op: Operand, addr: int, symbols: Dict[str, int],
-            line: int) -> int:
-    """A `t` operand's field value. A label gives a byte address, which
-    becomes a slot displacement from the next instruction when the operand
-    fills imm (a branch) and a slot index when it fills target (a jump); a
-    number is already the raw field value."""
-    if isinstance(op, LabelRef):
-        if op.name not in symbols:
-            raise UndefinedLabel(f"undefined label '{op.name}'", line)
-        value = symbols[op.name]
+def _target(name: str, value: Union[int, str], addr: int,
+            symbols: Dict[str, int], line: int) -> int:
+    """A `t` field's value. A label gives a byte address, which becomes a
+    slot displacement from the next instruction when it fills imm (a branch)
+    and a slot index when it fills target (a jump); a number is already the
+    raw field value."""
+    if isinstance(value, str):
+        if value not in symbols:
+            raise UndefinedLabel(f"undefined label '{value}'", line)
+        value = symbols[value]
         value = (value - (addr + 8)) // 8 if name == "imm" else value // 8
-    else:
-        value = op.value
     if name == "imm" and not -32768 <= value <= 32767:
         raise BranchOutOfRange(f"branch displacement {value} "
                                "does not fit 16 bits", line)
@@ -277,18 +262,13 @@ def _target(name: str, op: Operand, addr: int, symbols: Dict[str, int],
 
 def _encode_statement(stmt: Statement, addr: int, symbols: Dict[str, int]) -> int:
     spec, line = isa.SPECS[stmt.mnemonic], stmt.line
-    fields: Dict[str, int] = {}
-    for kind, name, op in zip(spec.shape, spec.operands, stmt.operands):
-        if kind == "r":
-            fields[name] = op.index
-        elif kind == "m":
-            fields["imm"], fields["rs"] = _signed_imm(op.offset, line), op.base
-        elif kind == "t":
-            fields[name] = _target(name, op, addr, symbols, line)
-        elif name == "imm":
-            fields[name] = _signed_imm(op.value, line)
-        else:  # shamt or target: isa.encode checks the field width
-            fields[name] = op.value
+    fields = dict(stmt.fields)
+    if "t" in spec.shape:
+        name = spec.operands[spec.shape.index("t")]
+        fields[name] = _target(name, fields[name], addr, symbols, line)
+    elif "imm" in fields:
+        fields["imm"] = _signed_imm(fields["imm"], line)
+    # isa.encode checks the width of every other field
     try:
         return isa.encode(isa.build(spec.mnemonic, **fields))
     except isa.FieldOverflow as exc:
@@ -362,8 +342,7 @@ def read_hex(text: str) -> ProgramImage:
             continue
         if line.startswith("@"):
             if not _HEX_ADDR_RE.match(line[1:]):
-                raise UnalignedAddressDirective(
-                    f"bad address directive '{line}'", lineno)
+                raise BadHexLine(f"bad address directive '{line}'", lineno)
             addr = int(line[1:], 16)
             if addr % 8 != 0:
                 raise UnalignedAddressDirective(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 WORD_MASK = 0xFFFFFFFF
 NOP_WORD = 0x00000000
@@ -152,9 +152,8 @@ class UnknownInstruction(IsaError):
 
     def __init__(self, word: int):
         self.word = word & WORD_MASK
-        self.fields = raw_fields(word)
         super().__init__(f"unknown instruction word 0x{self.word:08x} "
-                         f"(opcode 0x{self.fields.opcode:02x}, funct 0x{self.fields.funct:02x})")
+                         f"(opcode 0x{self.word >> 26:02x}, funct 0x{self.word & 0x3F:02x})")
 
 
 class FieldOverflow(IsaError):
@@ -164,32 +163,6 @@ class FieldOverflow(IsaError):
         self.field = field
         self.value = value
         super().__init__(f"field {field} cannot hold {value}")
-
-
-class RawFields(NamedTuple):
-    opcode: int
-    rs: int
-    rt: int
-    rd: int
-    shamt: int
-    funct: int
-    imm: int
-    target: int
-
-
-def raw_fields(word: int) -> RawFields:
-    """Split a 32-bit word into every possible field, no validity check."""
-    word &= WORD_MASK
-    return RawFields(
-        opcode=(word >> 26) & 0x3F,
-        rs=(word >> 21) & 0x1F,
-        rt=(word >> 16) & 0x1F,
-        rd=(word >> 11) & 0x1F,
-        shamt=(word >> 6) & 0x1F,
-        funct=word & 0x3F,
-        imm=word & 0xFFFF,
-        target=word & 0x3FFFFFF,
-    )
 
 
 def sign_extend_16(value: int) -> int:

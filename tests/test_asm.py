@@ -9,20 +9,20 @@ from encmips import asm, des, isa
 def test_parse_nop_canonicalizes():
     (stmt,) = asm.parse("nop")
     assert stmt.mnemonic == "sll"
-    assert stmt.operands == [asm.Reg(0), asm.Reg(0), asm.Imm(0)]
+    assert stmt.fields == {"rd": 0, "rt": 0, "shamt": 0}
 
 
 def test_parse_label_with_instruction():
     (stmt,) = asm.parse("Exit:  sw  $r4, 56($r0)")
     assert stmt.label == "Exit"
     assert stmt.mnemonic == "sw"
-    assert stmt.operands == [asm.Reg(4), asm.MemRef(56, 0)]
+    assert stmt.fields == {"rt": 4, "imm": 56, "rs": 0}
 
 
 def test_parse_crypt():
     (stmt,) = asm.parse("crypt 1")
     assert stmt.mnemonic == "crypt"
-    assert stmt.operands == [asm.Imm(1)]
+    assert stmt.fields == {"target": 1}
 
 
 def test_parse_comments_and_blanks():
@@ -35,13 +35,13 @@ def test_parse_comments_and_blanks():
 def test_parse_lkw_alias_and_bare_register_numbers():
     stmts = asm.parse("lkw 0($1)\nlkuw 8($r1)")
     assert stmts[0].mnemonic == "lklw"
-    assert stmts[0].operands == [asm.MemRef(0, 1)]
-    assert stmts[1].operands == [asm.MemRef(8, 1)]
+    assert stmts[0].fields == {"imm": 0, "rs": 1}
+    assert stmts[1].fields == {"imm": 8, "rs": 1}
 
 
 def test_parse_hex_immediate():
     (stmt,) = asm.parse("addi $r1, $r0, 0x68")
-    assert stmt.operands[2] == asm.Imm(104)
+    assert stmt.fields == {"rt": 1, "rs": 0, "imm": 104}
 
 
 def test_parse_errors_carry_line_numbers():
@@ -54,6 +54,40 @@ def test_parse_errors_carry_line_numbers():
         asm.parse("add $r1, $r2, 17")  # wrong operand kind
     with pytest.raises(asm.AsmSyntaxError):
         asm.parse("lw $r1, 0($r32)")  # no such register
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("add $r1, $r2", (asm.AsmSyntaxError, 1, "'add' takes 3 operand(s), got 2")),
+    ("addi $r1, $r0, L", (asm.AsmSyntaxError, 1, "expected number, got 'L'")),
+    ("beq $r1, $r2, $r3",
+     (asm.AsmSyntaxError, 1, "expected label or number, got '$r3'")),
+    ("beq $r0, $r0, 40000",
+     (asm.BranchOutOfRange, 1, "branch displacement 40000 does not fit 16 bits")),
+    ("j 67108864",
+     (asm.BranchOutOfRange, 1, "jump target 67108864 does not fit 26 bits")),
+    ("j -1", (asm.BranchOutOfRange, 1, "jump target -1 does not fit 26 bits")),
+    ("sll $r1, $r2, 32", (asm.AsmError, 1, "field shamt cannot hold 32")),
+    ("crypt 67108864", (asm.AsmError, 1, "field target cannot hold 67108864")),
+    ("j Nowhere", (asm.UndefinedLabel, 1, "undefined label 'Nowhere'")),
+    # the whole file parses before any label or range is checked
+    ("addi $r1, $r0, 99999\nadd $r1, $r2\n",
+     (asm.AsmSyntaxError, 2, "'add' takes 3 operand(s), got 2")),
+    ("addi $r1, $r0, 99999\nL: nop\nL: nop\n",
+     (asm.DuplicateLabel, 3, "duplicate label 'L'")),
+    # 0x8000..0xFFFF fold into the signed range (docs/isa.md)
+    ("lw $r1, 40000($r2)", [0x8C419C40]),
+    ("addi $r1, $r0, 0xFFFF", [0x2001FFFF]),
+])
+def test_assembler_diagnostics(source, expected):
+    if isinstance(expected, list):
+        assert asm.assemble(asm.parse(source))[0] == expected
+        return
+    cls, line, reason = expected
+    with pytest.raises(asm.AsmError) as exc:
+        asm.assemble(asm.parse(source))
+    assert type(exc.value) is cls
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {reason}"
 
 
 def test_assemble_worked_example_layout():
@@ -177,8 +211,8 @@ def test_read_hex_errors():
     assert exc.value.line == 1
     with pytest.raises(asm.UnalignedAddressDirective):
         asm.read_hex("@6b\n0000000000000000\n")
-    for directive in ("@-8", "@+10", "@ 1_0", "@0x10", "@"):
-        with pytest.raises(asm.UnalignedAddressDirective) as exc:
+    for directive in ("@zz", "@-8", "@+10", "@ 1_0", "@0x10", "@"):
+        with pytest.raises(asm.BadHexLine) as exc:
             asm.read_hex(f"0000000000000000\n{directive}\n0000000000000000\n")
         assert exc.value.line == 2
 
@@ -200,6 +234,16 @@ def test_auto_nop_partial_gap():
     source = "lkuw 0($r1)\nnop\ncrypt 1"
     words, _ = asm.assemble(asm.parse(source), auto_nop=True)
     assert len(words) == 4
+
+
+def test_auto_nop_leaves_its_input_alone():
+    # the guard nop takes crypt's label in a copy, not in the caller's list
+    stmts = asm.parse("lkuw 0($r1)\nC: crypt 1\nj C\n")
+    guarded, symbols = asm.assemble(stmts, auto_nop=True)
+    assert symbols == {"C": 8}
+    words, symbols = asm.assemble(stmts)
+    assert symbols == {"C": 8}
+    assert len(guarded) == 5 and len(words) == 3
 
 
 def test_auto_nop_leaves_guarded_code_alone():

@@ -91,16 +91,21 @@ def test_field_widths_partition_word():
     assert 6 + 5 + 5 + 5 + 5 + 6 == 32  # R
     assert 6 + 5 + 5 + 16 == 32         # I
     assert 6 + 26 == 32                 # J
-    f = isa.raw_fields(0xFFFFFFFF)
-    assert (f.opcode, f.rs, f.rt, f.rd, f.shamt, f.funct) == (63, 31, 31, 31, 31, 63)
-    assert f.imm == 0xFFFF and f.target == 0x3FFFFFF
+    # every field but the opcode (and funct) all ones decodes to each
+    # field's maximum, and encodes back to the same word
+    words = {0x03FFFFE0: isa.RType("add", rs=31, rt=31, rd=31, shamt=31),
+             0x23FFFFFF: isa.IType("addi", rs=31, rt=31, imm=-1),
+             0x0BFFFFFF: isa.JType("j", target=0x3FFFFFF)}
+    for word, instr in words.items():
+        assert isa.decode(word) == instr
+        assert isa.encode(instr) == word
 
 
 def test_unknown_opcode():
     with pytest.raises(isa.UnknownInstruction) as exc:
         isa.decode(0xFC000000)  # opcode 0x3F
     assert exc.value.word == 0xFC000000
-    assert exc.value.fields.opcode == 0x3F
+    assert str(exc.value) == "unknown instruction word 0xfc000000 (opcode 0x3f, funct 0x00)"
     assert exc.value.spec is None   # no table row, which the pipeline's ID tests
 
 
