@@ -6,8 +6,7 @@ from .asm import (ProgramImage, assemble, build_image, encrypt_image, pack,
                   parse, read_hex, write_hex)
 from .des import (decrypt_block, encrypt_block, extract_word, feistel_f,
                   key_schedule, pad_word)
-from .isa import (Instruction, IType, JType, RType, decode, disassemble,
-                  encode)
+from .isa import Instruction, decode, disassemble, encode
 from .machine import (KeyRegister, Memory, RegisterFile, load_image)
 from .pipeline import (CpuState, CycleLimitExceeded, Fault, Stats,
                        architectural_state, reference_interpret, run, step)
@@ -17,8 +16,7 @@ __all__ = [
     "parse", "read_hex", "write_hex",
     "decrypt_block", "encrypt_block", "extract_word", "feistel_f",
     "key_schedule", "pad_word",
-    "Instruction", "IType", "JType", "RType", "decode", "disassemble",
-    "encode",
+    "Instruction", "decode", "disassemble", "encode",
     "KeyRegister", "Memory", "RegisterFile", "load_image",
     "CpuState", "CycleLimitExceeded", "Fault", "Stats",
     "architectural_state", "reference_interpret", "run", "step",

@@ -177,7 +177,7 @@ _NOP_FIELDS = {name: getattr(isa.NOP, name) for name in isa.NOP.spec.operands}
 
 
 def _nop(label: Optional[str], line: int) -> Statement:
-    return Statement(label, isa.NOP.mnemonic, dict(_NOP_FIELDS), line)
+    return Statement(label, isa.NOP.spec.mnemonic, dict(_NOP_FIELDS), line)
 
 
 def _signed_imm(value: int, line: int) -> int:
@@ -270,7 +270,7 @@ def _encode_statement(stmt: Statement, addr: int, symbols: Dict[str, int]) -> in
         fields["imm"] = _signed_imm(fields["imm"], line)
     # isa.encode checks the width of every other field
     try:
-        return isa.encode(isa.build(spec.mnemonic, **fields))
+        return isa.encode(isa.Instruction(spec.mnemonic, **fields))
     except isa.FieldOverflow as exc:
         raise AsmError(str(exc), line) from exc
 
@@ -315,8 +315,8 @@ def encrypt_image(image: ProgramImage, key: int,
                         crypt_boundary=boundary)
 
 
-_HEX_LINE_RE = re.compile(r"^[0-9a-fA-F]{16}$")
 # int(..., 16) alone would also take a sign, underscores, spaces or 0x
+HEX16_RE = re.compile(r"[0-9a-fA-F]{16}")
 _HEX_ADDR_RE = re.compile(r"^[0-9a-fA-F]+$")
 
 
@@ -348,7 +348,7 @@ def read_hex(text: str) -> ProgramImage:
                 raise UnalignedAddressDirective(
                     f"address directive '{line}' not 8-aligned", lineno)
             continue
-        if not _HEX_LINE_RE.match(line):
+        if not HEX16_RE.fullmatch(line):
             raise BadHexLine(f"expected 16 hex digits, got '{line}'", lineno)
         entries.append((addr, int(line, 16)))
         addr += 8

@@ -17,7 +17,7 @@ from . import asm, des, isa, machine, pipeline
 
 def _parse_hex16(text: str) -> int:
     value = text[2:] if text.lower().startswith("0x") else text
-    if len(value) != 16:
+    if not asm.HEX16_RE.fullmatch(value):
         raise ValueError(f"expected 16 hex digits, got '{text}'")
     return int(value, 16)
 
@@ -52,6 +52,8 @@ def _parse_mem_ranges(text: str) -> List[Tuple[int, int]]:
             raise ValueError(f"--dump-mem: expected START:STOP, got '{part.strip()}'")
         start = _parse_int(start_text.strip(), "--dump-mem")
         stop = _parse_int(stop_text.strip(), "--dump-mem")
+        if start < 0:
+            raise ValueError(f"--dump-mem start {start:#x} is negative")
         if start % 8 != 0:
             raise ValueError(f"--dump-mem start {start:#x} is not 8-aligned")
         if stop <= start:

@@ -1,6 +1,7 @@
 """Instruction formats, the instruction table, and word-level encode/decode.
 
-Field layout (32-bit word, bit 31 on the left):
+Field layout (32-bit word, bit 31 on the left). A decoded `Instruction`
+holds all six fields, with 0 in each one its format lacks:
     R-type: opcode(6) | rs(5) | rt(5) | rd(5) | shamt(5) | funct(6)
     I-type: opcode(6) | rs(5) | rt(5) | imm(16, two's complement)
     J-type: opcode(6) | target(26)
@@ -16,8 +17,7 @@ values; the three key-handling instructions take otherwise unused opcodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple
 
 WORD_MASK = 0xFFFFFFFF
 NOP_WORD = 0x00000000
@@ -50,16 +50,6 @@ _OPERAND_TEXT = {"r": "$r{{i.{}}}", "i": "{{i.{}}}", "t": "{{i.{}}}",
                  "m": "{{i.imm}}($r{{i.rs}})"}
 
 
-def _tuple_reader(names: Tuple[str, ...]) -> Callable[[Instruction], Tuple[int, ...]]:
-    """A function giving an instruction's fields `names` as a tuple."""
-    if len(names) > 1:
-        return attrgetter(*names)
-    if names:
-        read = attrgetter(*names)
-        return lambda instr: (read(instr),)
-    return lambda instr: ()
-
-
 @dataclass(frozen=True)
 class InstrSpec:
     """One instruction's row in the table."""
@@ -82,25 +72,13 @@ class InstrSpec:
     aliases: Tuple[str, ...] = ()  # other names the assembler accepts
     # derived: disassembly as a str.format template over the instruction `i`
     template: str = field(init=False)
-    reads_rs: bool = field(init=False)
-    reads_rt: bool = field(init=False)
     is_branch: bool = field(init=False)
-    # derived: an instruction's source register numbers and its dest field
-    read_sources: Callable[[Instruction], Tuple[int, ...]] = field(
-        init=False, repr=False, compare=False)
-    read_dest: Callable[[Instruction], Optional[int]] = field(
-        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         text = ", ".join(_OPERAND_TEXT[kind].format(name)
                          for kind, name in zip(self.shape, self.operands))
         object.__setattr__(self, "template", f"{self.mnemonic} {text}")
-        object.__setattr__(self, "reads_rs", "rs" in self.sources)
-        object.__setattr__(self, "reads_rt", "rt" in self.sources)
         object.__setattr__(self, "is_branch", self.control in BRANCHES)
-        object.__setattr__(self, "read_sources", _tuple_reader(self.sources))
-        object.__setattr__(self, "read_dest", attrgetter(self.dest) if self.dest
-                           else lambda instr: None)
 
 
 SPECS: Dict[str, InstrSpec] = {spec.mnemonic: spec for spec in (
@@ -176,63 +154,47 @@ def _check(field: str, value: int, lo: int, hi: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class _Resolved:
-    """The instruction's table row and the registers it reads and writes,
-    looked up once when the instruction is built."""
+class Instruction:
+    """One decoded instruction: its table row `spec` and all six fields.
+    The constructor keeps the fields of the row's format and sets the rest
+    to 0, so every stage can read rs and rt unguarded: an absent one names
+    $r0, and each ALU row ignores the operand it does not read. `sources`
+    holds the source register numbers and `dest` the register written back
+    (None for none or $r0).
 
-    spec: InstrSpec = field(init=False, repr=False, compare=False)
-    sources: Tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # the register written back; None when there is none or it is $r0
-    dest: Optional[int] = field(init=False, repr=False, compare=False)
+    Instances are shared through the pipeline's decode cache, so nothing
+    may write to one after construction.
+    """
 
-    def __post_init__(self):
-        # Not through self.__dict__, though that is cheaper here: on CPython
-        # 3.11 it turns the instance's inline attribute values into a dict,
-        # and every later attribute read, which the pipeline makes each
-        # cycle, is then about three times slower.
-        spec = SPECS[self.mnemonic]
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "sources", spec.read_sources(self))
-        object.__setattr__(self, "dest", spec.read_dest(self) or None)
+    __slots__ = ("spec", "rs", "rt", "rd", "shamt", "imm", "target",
+                 "sources", "dest")
 
+    def __init__(self, mnemonic: str, rs: int = 0, rt: int = 0, rd: int = 0,
+                 shamt: int = 0, imm: int = 0, target: int = 0):
+        spec = SPECS[mnemonic]
+        fmt = spec.fmt
+        self.spec = spec
+        self.rs = rs if fmt != "J" else 0
+        self.rt = rt if fmt != "J" else 0
+        self.rd = rd if fmt == "R" else 0
+        self.shamt = shamt if fmt == "R" else 0
+        self.imm = imm if fmt == "I" else 0     # canonical signed form
+        self.target = target if fmt == "J" else 0
+        self.sources = tuple([getattr(self, name) for name in spec.sources])
+        self.dest = (getattr(self, spec.dest) or None) if spec.dest else None
 
-@dataclass(frozen=True)
-class RType(_Resolved):
-    mnemonic: str
-    rs: int
-    rt: int
-    rd: int
-    shamt: int = 0
+    def _key(self) -> tuple:
+        return (self.spec.mnemonic, self.rs, self.rt, self.rd, self.shamt,
+                self.imm, self.target)
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Instruction:
+            return NotImplemented
+        return self._key() == other._key()
 
-@dataclass(frozen=True)
-class IType(_Resolved):
-    mnemonic: str
-    rs: int
-    rt: int
-    imm: int  # canonical signed form, -32768..32767
-
-
-@dataclass(frozen=True)
-class JType(_Resolved):
-    mnemonic: str
-    target: int
-
-
-Instruction = Union[RType, IType, JType]
-
-
-def build(mnemonic: str, rs: int = 0, rt: int = 0, rd: int = 0, shamt: int = 0,
-          imm: int = 0, target: int = 0) -> Instruction:
-    """The instruction `mnemonic` with these field values; fields its format
-    lacks are dropped."""
-    fmt = SPECS[mnemonic].fmt
-    if fmt == "R":
-        return RType(mnemonic, rs, rt, rd, shamt)
-    if fmt == "I":
-        return IType(mnemonic, rs, rt, imm)
-    return JType(mnemonic, target)
+    def __repr__(self) -> str:
+        return ("Instruction({!r}, rs={}, rt={}, rd={}, shamt={}, imm={}, "
+                "target={})".format(*self._key()))
 
 
 def spec_of(word: int) -> Optional[InstrSpec]:
@@ -246,38 +208,29 @@ def decode(word: int) -> Instruction:
     spec = spec_of(word)
     if spec is None:
         raise UnknownInstruction(word)
-    if spec.fmt == "J":
-        return JType(spec.mnemonic, word & 0x3FFFFFF)
-    rs, rt = (word >> 21) & 0x1F, (word >> 16) & 0x1F
-    if spec.fmt == "I":
-        return IType(spec.mnemonic, rs, rt, sign_extend_16(word))
-    return RType(spec.mnemonic, rs, rt, (word >> 11) & 0x1F, (word >> 6) & 0x1F)
+    # every field's bits; the constructor keeps those of the row's format
+    return Instruction(spec.mnemonic, (word >> 21) & 0x1F, (word >> 16) & 0x1F,
+                       (word >> 11) & 0x1F, (word >> 6) & 0x1F,
+                       sign_extend_16(word), word & 0x3FFFFFF)
 
 
 def encode(instr: Instruction) -> int:
-    """Bit-exact inverse of decode; raises FieldOverflow on out-of-width fields."""
+    """Bit-exact inverse of decode; raises FieldOverflow on out-of-width fields.
+
+    A field the format lacks is 0, so every field can be ORed in."""
     spec = instr.spec
-    if spec.fmt == "R":
-        return (spec.opcode << 26
-                | _check("rs", instr.rs, 0, 31) << 21
-                | _check("rt", instr.rt, 0, 31) << 16
-                | _check("rd", instr.rd, 0, 31) << 11
-                | _check("shamt", instr.shamt, 0, 31) << 6
-                | spec.funct)
-    if spec.fmt == "I":
-        _check("imm", instr.imm, -32768, 32767)
-        return (spec.opcode << 26
-                | _check("rs", instr.rs, 0, 31) << 21
-                | _check("rt", instr.rt, 0, 31) << 16
-                | (instr.imm & 0xFFFF))
-    return spec.opcode << 26 | _check("target", instr.target, 0, 0x3FFFFFF)
+    _check("imm", instr.imm, -32768, 32767)
+    return (spec.opcode << 26
+            | _check("rs", instr.rs, 0, 31) << 21
+            | _check("rt", instr.rt, 0, 31) << 16
+            | _check("rd", instr.rd, 0, 31) << 11
+            | _check("shamt", instr.shamt, 0, 31) << 6
+            | (spec.funct or 0)
+            | (instr.imm & 0xFFFF)
+            | _check("target", instr.target, 0, 0x3FFFFFF))
 
 
 NOP = decode(NOP_WORD)
-
-
-def is_nop(instr: Instruction) -> bool:
-    return instr == NOP
 
 
 def disassemble(instr: Instruction) -> str:

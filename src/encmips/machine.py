@@ -10,9 +10,8 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import asm, des
-
-WORD_MASK = 0xFFFFFFFF
-BLOCK_MASK = 0xFFFFFFFFFFFFFFFF
+from .des import BLOCK_MASK
+from .isa import WORD_MASK
 
 
 class MachineError(Exception):

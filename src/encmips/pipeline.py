@@ -81,10 +81,10 @@ class Slot:
     table row decodes the isa.UnknownInstruction, which ID raises as a
     Fault in its own cycle, so a slot squashed before ID never faults. ID
     sets dest (the register WB writes, None for none or $r0), a and b (the
-    rs and rt values read from the register file) and crypt_mode (the mode
-    MEM will use). EX overwrites a and b with their forwarded values and
-    sets alu; the forwarded b is a store's data. MEM sets value, the
-    result WB writes.
+    rs and rt values read from the register file, whether or not the row
+    reads them) and crypt_mode (the mode MEM will use). EX overwrites a
+    and b with their forwarded values and sets alu; the forwarded b is a
+    store's data. MEM sets value, the result WB writes.
 
     Filling slots in place is safe because step() runs WB, MEM, EX, ID,
     IF in that order, each stage writes only fields of its own slot, and
@@ -246,22 +246,20 @@ def step(state: CpuState) -> None:
             elif exmem.crypt_mode:
                 st.encrypted_stores += 1
 
-    # EX: each source takes the freshest value, the EXMEM result before the
-    # MEMWB writeback before the register read in ID.
+    # EX: rs and rt each take the freshest value, the EXMEM result before
+    # the MEMWB writeback before the register read in ID; an operand the
+    # row does not read is ignored, so forwarding tests dest alone.
     if idex.__class__ is Slot:
         instr = idex.instr
-        spec = instr.spec
-        if spec.reads_rs:
-            if exmem.dest == instr.rs:
-                idex.a = exmem.alu
-            elif memwb.dest == instr.rs:
-                idex.a = memwb.value
-        if spec.reads_rt:
-            if exmem.dest == instr.rt:
-                idex.b = exmem.alu
-            elif memwb.dest == instr.rt:
-                idex.b = memwb.value
-        alu = spec.alu
+        if exmem.dest == instr.rs:
+            idex.a = exmem.alu
+        elif memwb.dest == instr.rs:
+            idex.a = memwb.value
+        if exmem.dest == instr.rt:
+            idex.b = exmem.alu
+        elif memwb.dest == instr.rt:
+            idex.b = memwb.value
+        alu = instr.spec.alu
         idex.alu = alu(idex.a, idex.b, instr) if alu is not None else 0
 
     # ID: fault on an unknown word, hazard detection, branch resolution,
@@ -307,8 +305,8 @@ def step(state: CpuState) -> None:
                             # wrong path; squash it and refetch at the same pc
                             redirect = state.pc
             ifid.dest = instr.dest
-            ifid.a = regs[instr.rs] if spec.reads_rs else 0
-            ifid.b = regs[instr.rt] if spec.reads_rt else 0
+            ifid.a = regs[instr.rs]
+            ifid.b = regs[instr.rt]
             ifid.crypt_mode = state.crypt_mode
 
     # IF: fetch and decode; an unknown word rides to ID, which faults on it.
@@ -442,8 +440,8 @@ def reference_interpret(imem: machine.Memory, dmem: machine.Memory, *,
         spec = instr.spec
         next_pc = pc + 8
         try:
-            a = s.regs.read(instr.rs) if spec.reads_rs else 0
-            b = s.regs.read(instr.rt) if spec.reads_rt else 0
+            a = s.regs.read(instr.rs)
+            b = s.regs.read(instr.rt)
             value = spec.alu(a, b, instr) if spec.alu is not None else 0
             if spec.mem is not None:
                 out = mem_stage(instr, value, b, s.crypt_mode, s.keyreg, s.dmem,

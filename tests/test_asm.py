@@ -227,7 +227,7 @@ def test_auto_nop_inserts_guards():
     words, _ = asm.assemble(asm.parse(source), auto_nop=True)
     assert len(words) == 4
     assert words[1] == 0 and words[2] == 0
-    assert isa.decode(words[3]).mnemonic == "crypt"
+    assert isa.decode(words[3]).spec.mnemonic == "crypt"
 
 
 def test_auto_nop_partial_gap():
@@ -258,7 +258,7 @@ def test_disassemble_parse_round_trip():
     seen = set()
     for _ in range(300):
         word = _random_word(rng, mnemos)
-        seen.add(isa.decode(word).mnemonic)
+        seen.add(isa.decode(word).spec.mnemonic)
         listing = isa.disassemble(isa.decode(word))
         words, _ = asm.assemble(asm.parse(listing))
         assert words == [word]
@@ -281,7 +281,7 @@ def _random_word(rng, mnemos):
             fields[name] = rng.randrange(32)
         else:
             fields[name] = rng.randrange(1 << 26)
-    return isa.encode(isa.build(spec.mnemonic, **fields))
+    return isa.encode(isa.Instruction(spec.mnemonic, **fields))
 
 
 def test_full_toolchain_round_trip():

@@ -185,21 +185,34 @@ def test_dump_disasm(tmp_path, capsys):
     (["run", "{image}", "--dump-mem", "16"], "--dump-mem: expected START:STOP, got '16'"),
     (["run", "{image}", "--dump-mem", "16:0"], "stop must be above start"),
     (["run", "{image}", "--dump-mem", "16:16"], "stop must be above start"),
+    (["run", "{image}", "--dump-mem=-16:8"], "--dump-mem start -0x10 is negative"),
+    (["des", "encrypt", "--key=-b4952415450414c", "--block", "00000000cb97f7ee"],
+     "expected 16 hex digits, got '-b4952415450414c'"),
+    (["des", "decrypt", "--key", "4b4952415450_41c", "--block", "00000000cb97f7ee"],
+     "expected 16 hex digits, got '4b4952415450_41c'"),
+    (["des", "encrypt", "--key", "4b4952415450414c", "--block", "0x+0000000cb97f7ee"],
+     "expected 16 hex digits, got '0x+0000000cb97f7ee'"),
+    (["asm", "{source}", "--encrypt", "--key=-b4952415450414c"],
+     "expected 16 hex digits, got '-b4952415450414c'"),
 ], ids=["run-missing-image", "run-missing-dmem", "asm-missing-source",
         "dump-missing-image", "run-bad-hex-line", "run-dmem-unaligned-directive",
         "run-signed-address-directive",
         "run-max-cycles-0", "run-unaligned-dump-mem", "run-no-such-register",
         "run-register-not-a-number", "run-max-cycles-not-a-number",
         "run-dump-mem-not-a-number", "run-dump-mem-no-colon",
-        "run-dump-mem-stop-before-start", "run-dump-mem-empty-range"])
+        "run-dump-mem-stop-before-start", "run-dump-mem-empty-range",
+        "run-dump-mem-negative-start", "des-signed-key", "des-underscore-key",
+        "des-signed-block-after-0x", "asm-signed-key"])
 def test_bad_input_is_one_line_error(tmp_path, capsys, argv, reason):
     paths = {"missing": tmp_path / "missing.hex", "image": tmp_path / "image.hex",
              "bad_hex": tmp_path / "bad.hex", "bad_directive": tmp_path / "bad_dir.hex",
-             "signed_directive": tmp_path / "signed_dir.hex"}
+             "signed_directive": tmp_path / "signed_dir.hex",
+             "source": tmp_path / "prog.asm"}
     paths["image"].write_text("0000000020010068\n")
     paths["bad_hex"].write_text("0000000020010068\nzz\n")
     paths["bad_directive"].write_text("@6b\n0000000000000000\n")
     paths["signed_directive"].write_text("@-8\n0000000000000000\n")
+    paths["source"].write_text("crypt 1\n")
     code = cli.main([arg.format(**paths) for arg in argv])
     cap = capsys.readouterr()
     assert code == 1

@@ -8,32 +8,31 @@ from encmips import isa
 
 def test_decode_nop_word():
     instr = isa.decode(0x00000000)
-    assert instr == isa.RType("sll", rs=0, rt=0, rd=0, shamt=0)
-    assert isa.is_nop(instr)
+    assert instr == isa.Instruction("sll", rs=0, rt=0, rd=0, shamt=0)
 
 
 def test_decode_addi():
     # hand-assembled: 0x08<<26 | 1<<16 | 0x0068
-    assert isa.decode(0x20010068) == isa.IType("addi", rs=0, rt=1, imm=104)
+    assert isa.decode(0x20010068) == isa.Instruction("addi", rs=0, rt=1, imm=104)
 
 
 def test_decode_crypt():
     # hand-assembled: 0x1C<<26 | 1
-    assert isa.decode(0x70000001) == isa.JType("crypt", target=1)
+    assert isa.decode(0x70000001) == isa.Instruction("crypt", target=1)
 
 
 def test_encode_nop():
-    assert isa.encode(isa.RType("sll", 0, 0, 0, 0)) == 0x00000000
+    assert isa.encode(isa.Instruction("sll", 0, 0, 0, 0)) == 0x00000000
 
 
 def test_encode_lw():
     # 0x23<<26 | 5<<21 | 6<<16
-    assert isa.encode(isa.IType("lw", rs=5, rt=6, imm=0)) == 0x8CA60000
+    assert isa.encode(isa.Instruction("lw", rs=5, rt=6, imm=0)) == 0x8CA60000
 
 
 def test_encode_slt():
     # 2<<21 | 1<<16 | 7<<11 | 0x2A
-    assert isa.encode(isa.RType("slt", rs=2, rt=1, rd=7)) == 0x0041382A
+    assert isa.encode(isa.Instruction("slt", rs=2, rt=1, rd=7)) == 0x0041382A
 
 
 def test_disassemble_examples():
@@ -44,7 +43,7 @@ def test_disassemble_examples():
 
 
 def test_negative_immediate_round_trip():
-    word = isa.encode(isa.IType("beq", rs=0, rt=0, imm=-1))
+    word = isa.encode(isa.Instruction("beq", rs=0, rt=0, imm=-1))
     assert word & 0xFFFF == 0xFFFF
     assert isa.decode(word).imm == -1
 
@@ -83,7 +82,7 @@ def test_opcode_table_is_bijective():
     for s in specs:
         assert (s.funct is not None) == (s.fmt == "R")
         assert s.fmt == "R" or s.opcode not in r_opcodes
-        assert isa.spec_of(isa.encode(isa.build(s.mnemonic))) is s
+        assert isa.spec_of(isa.encode(isa.Instruction(s.mnemonic))) is s
 
 
 def test_field_widths_partition_word():
@@ -93,9 +92,9 @@ def test_field_widths_partition_word():
     assert 6 + 26 == 32                 # J
     # every field but the opcode (and funct) all ones decodes to each
     # field's maximum, and encodes back to the same word
-    words = {0x03FFFFE0: isa.RType("add", rs=31, rt=31, rd=31, shamt=31),
-             0x23FFFFFF: isa.IType("addi", rs=31, rt=31, imm=-1),
-             0x0BFFFFFF: isa.JType("j", target=0x3FFFFFF)}
+    words = {0x03FFFFE0: isa.Instruction("add", rs=31, rt=31, rd=31, shamt=31),
+             0x23FFFFFF: isa.Instruction("addi", rs=31, rt=31, imm=-1),
+             0x0BFFFFFF: isa.Instruction("j", target=0x3FFFFFF)}
     for word, instr in words.items():
         assert isa.decode(word) == instr
         assert isa.encode(instr) == word
@@ -116,11 +115,11 @@ def test_unknown_funct():
 
 def test_field_overflow():
     with pytest.raises(isa.FieldOverflow):
-        isa.encode(isa.RType("add", rs=32, rt=0, rd=0))
+        isa.encode(isa.Instruction("add", rs=32, rt=0, rd=0))
     with pytest.raises(isa.FieldOverflow):
-        isa.encode(isa.IType("addi", rs=0, rt=0, imm=40000))
+        isa.encode(isa.Instruction("addi", rs=0, rt=0, imm=40000))
     with pytest.raises(isa.FieldOverflow):
-        isa.encode(isa.JType("j", target=1 << 26))
+        isa.encode(isa.Instruction("j", target=1 << 26))
 
 
 def test_disasm_word_never_raises():
@@ -132,26 +131,26 @@ def test_disasm_word_never_raises():
 # mnemonic, the registers it reads, the register it writes back, its memory
 # and control kinds, and its ALU result for a = rs value, b = rt value.
 PINNED = {
-    "add": (isa.RType("add", rs=1, rt=2, rd=3), (1, 2), 3, None, None, 5, 7, 12),
-    "sub": (isa.RType("sub", rs=1, rt=2, rd=3), (1, 2), 3, None, None, 5, 7, 0xFFFFFFFE),
-    "and": (isa.RType("and", rs=1, rt=2, rd=3), (1, 2), 3, None, None, 0b1100, 0b1010, 0b1000),
-    "or": (isa.RType("or", rs=1, rt=2, rd=3), (1, 2), 3, None, None, 0b1100, 0b1010, 0b1110),
-    "slt": (isa.RType("slt", rs=1, rt=2, rd=3), (1, 2), 3, None, None, 0xFFFFFFFF, 1, 1),
-    "sll": (isa.RType("sll", rs=0, rt=2, rd=3, shamt=4), (2,), 3, None, None,
+    "add": (isa.Instruction("add", rs=1, rt=2, rd=3), (1, 2), 3, None, None, 5, 7, 12),
+    "sub": (isa.Instruction("sub", rs=1, rt=2, rd=3), (1, 2), 3, None, None, 5, 7, 0xFFFFFFFE),
+    "and": (isa.Instruction("and", rs=1, rt=2, rd=3), (1, 2), 3, None, None, 0b1100, 0b1010, 0b1000),
+    "or": (isa.Instruction("or", rs=1, rt=2, rd=3), (1, 2), 3, None, None, 0b1100, 0b1010, 0b1110),
+    "slt": (isa.Instruction("slt", rs=1, rt=2, rd=3), (1, 2), 3, None, None, 0xFFFFFFFF, 1, 1),
+    "sll": (isa.Instruction("sll", rs=0, rt=2, rd=3, shamt=4), (2,), 3, None, None,
             0, 0x80000001, 0x10),
-    "addi": (isa.IType("addi", rs=1, rt=2, imm=-1), (1,), 2, None, None, 5, 0, 4),
-    "lw": (isa.IType("lw", rs=1, rt=2, imm=8), (1,), 2, isa.LOAD, None, 16, 99, 24),
-    "sw": (isa.IType("sw", rs=1, rt=2, imm=-8), (1, 2), None, isa.STORE, None, 16, 99, 8),
-    "beq": (isa.IType("beq", rs=1, rt=2, imm=3), (1, 2), None, None, isa.BRANCH_EQ,
+    "addi": (isa.Instruction("addi", rs=1, rt=2, imm=-1), (1,), 2, None, None, 5, 0, 4),
+    "lw": (isa.Instruction("lw", rs=1, rt=2, imm=8), (1,), 2, isa.LOAD, None, 16, 99, 24),
+    "sw": (isa.Instruction("sw", rs=1, rt=2, imm=-8), (1, 2), None, isa.STORE, None, 16, 99, 8),
+    "beq": (isa.Instruction("beq", rs=1, rt=2, imm=3), (1, 2), None, None, isa.BRANCH_EQ,
             5, 5, None),
-    "bne": (isa.IType("bne", rs=1, rt=2, imm=3), (1, 2), None, None, isa.BRANCH_NE,
+    "bne": (isa.Instruction("bne", rs=1, rt=2, imm=3), (1, 2), None, None, isa.BRANCH_NE,
             5, 6, None),
-    "j": (isa.JType("j", target=5), (), None, None, isa.JUMP, 0, 0, None),
-    "lklw": (isa.IType("lklw", rs=1, rt=0, imm=8), (1,), None, isa.KEY_LOWER, None,
+    "j": (isa.Instruction("j", target=5), (), None, None, isa.JUMP, 0, 0, None),
+    "lklw": (isa.Instruction("lklw", rs=1, rt=0, imm=8), (1,), None, isa.KEY_LOWER, None,
              16, 0, 24),
-    "lkuw": (isa.IType("lkuw", rs=1, rt=0, imm=-8), (1,), None, isa.KEY_UPPER, None,
+    "lkuw": (isa.Instruction("lkuw", rs=1, rt=0, imm=-8), (1,), None, isa.KEY_UPPER, None,
              16, 0, 8),
-    "crypt": (isa.JType("crypt", target=1), (), None, None, isa.SET_CRYPT, 0, 0, None),
+    "crypt": (isa.Instruction("crypt", target=1), (), None, None, isa.SET_CRYPT, 0, 0, None),
 }
 
 
@@ -169,11 +168,30 @@ def test_table_row_semantics(mnemonic):
     assert instr.spec.is_branch == (control in (isa.BRANCH_EQ, isa.BRANCH_NE))
     alu = instr.spec.alu
     assert (alu(a, b, instr) if alu is not None else None) == result
+    # every stage reads both rs and rt; the operand whose field the row
+    # does not read must not change the result
+    if "rs" not in instr.spec.sources:
+        a = 0xDEADBEEF
+    if "rt" not in instr.spec.sources:
+        b = 0xDEADBEEF
+    assert (alu(a, b, instr) if alu is not None else None) == result
+
+
+def test_fields_a_format_lacks_read_zero():
+    # the pipeline and the oracle read rs and rt of every instruction, so a
+    # field outside the format must name $r0, whatever the word's bits
+    jump = isa.decode(0x0BFFFFFF)     # j 0x3ffffff: rs and rt bits all ones
+    assert (jump.rs, jump.rt, jump.rd, jump.shamt, jump.imm) == (0, 0, 0, 0, 0)
+    add = isa.decode(0x03FFFFE0)      # add with every field all ones
+    assert (add.imm, add.target) == (0, 0)
+    addi = isa.decode(0x23FFFFFF)
+    assert (addi.rd, addi.shamt, addi.target) == (0, 0, 0)
+    assert isa.Instruction("crypt", rs=3, rt=4, target=1) == isa.decode(0x70000001)
 
 
 def test_dest_r0_writes_nothing():
-    assert isa.RType("add", rs=1, rt=2, rd=0).dest is None
-    assert isa.IType("lw", rs=1, rt=0, imm=0).dest is None
+    assert isa.Instruction("add", rs=1, rt=2, rd=0).dest is None
+    assert isa.Instruction("lw", rs=1, rt=0, imm=0).dest is None
 
 
 def test_docs_opcode_table_matches_isa():

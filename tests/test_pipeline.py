@@ -560,7 +560,7 @@ def test_mem_stage_store_paths():
     sched = des.key_schedule(worked.KEY)
     keyreg = loaded_keyreg()
     dmem = machine.Memory()
-    sw = isa.IType("sw", rs=0, rt=4, imm=56)
+    sw = isa.Instruction("sw", rs=0, rt=4, imm=56)
     # published known-answer triple for this key and store value
     pipeline.mem_stage(sw, 56, 0xCB97F7EE, True, keyreg, dmem)
     assert dmem.read_block(56) == 0x10539160018D5FF7
@@ -574,7 +574,7 @@ def test_mem_stage_store_paths():
 def test_mem_stage_load_ignores_crypt_mode():
     dmem = machine.Memory()
     dmem.write_block(8, 0xFFFFFFFF12345678)
-    lw = isa.IType("lw", rs=0, rt=1, imm=8)
+    lw = isa.Instruction("lw", rs=0, rt=1, imm=8)
     assert pipeline.mem_stage(lw, 8, 0, False, machine.KeyRegister(), dmem) == 0x12345678
     assert pipeline.mem_stage(lw, 8, 0, True, loaded_keyreg(), dmem) == 0x12345678
 
@@ -608,49 +608,49 @@ def _step_latches(ifid=pipeline.FILL_BUBBLE, idex=pipeline.FILL_BUBBLE,
 
 def _forwarded_a(reg, exmem, memwb):
     """The rs value EX takes for `add $r5, $reg, $r0` that read 999 in ID."""
-    user = _slot(isa.RType("add", rs=reg, rt=0, rd=5), a=999)
+    user = _slot(isa.Instruction("add", rs=reg, rt=0, rd=5), a=999)
     state = _step_latches(idex=user, exmem=exmem, memwb=memwb)
     assert state.exmem is user
     return user.a
 
 
 def test_forward_value_priority():
-    add = isa.RType("add", rs=1, rt=2, rd=3)
+    add = isa.Instruction("add", rs=1, rt=2, rd=3)
     exmem = _slot(add, alu=111)
-    memwb = _slot(isa.IType("addi", rs=0, rt=3, imm=0), value=222)
+    memwb = _slot(isa.Instruction("addi", rs=0, rt=3, imm=0), value=222)
     assert _forwarded_a(3, exmem, memwb) == 111
     assert _forwarded_a(3, pipeline.FILL_BUBBLE, memwb) == 222
     assert _forwarded_a(4, exmem, memwb) == 999
 
 
 def test_forward_value_ignores_r0_and_stores():
-    zero_dest = _slot(isa.RType("add", rs=1, rt=2, rd=0), alu=5)
+    zero_dest = _slot(isa.Instruction("add", rs=1, rt=2, rd=0), alu=5)
     assert _forwarded_a(0, zero_dest, pipeline.FILL_BUBBLE) == 999
-    store = _slot(isa.IType("sw", rs=0, rt=3, imm=8), alu=8, b=9)
+    store = _slot(isa.Instruction("sw", rs=0, rt=3, imm=8), alu=8, b=9)
     assert _forwarded_a(3, store, pipeline.FILL_BUBBLE) == 999
 
 
 def test_detect_hazards_load_use():
-    lw = isa.IType("lw", rs=0, rt=6, imm=0)
-    user = _slot(isa.RType("add", rs=4, rt=6, rd=4))
+    lw = isa.Instruction("lw", rs=0, rt=6, imm=0)
+    user = _slot(isa.Instruction("add", rs=4, rt=6, rd=4))
     state = _step_latches(ifid=user, idex=_slot(lw))
     assert state.idex is pipeline.STALL_BUBBLE and state.ifid is user
-    other = _slot(isa.RType("add", rs=4, rt=5, rd=4))
+    other = _slot(isa.Instruction("add", rs=4, rt=5, rd=4))
     state = _step_latches(ifid=other, idex=_slot(lw))
     assert state.idex is other
 
 
 def test_detect_hazards_key_loads_never_stall_crypt():
-    lkuw = _slot(isa.IType("lkuw", rs=1, rt=0, imm=0))
-    crypt = _slot(isa.JType("crypt", target=1))
+    lkuw = _slot(isa.Instruction("lkuw", rs=1, rt=0, imm=0))
+    crypt = _slot(isa.Instruction("crypt", target=1))
     state = _step_latches(ifid=crypt, idex=lkuw)
     assert state.idex is crypt and state.crypt_mode
 
 
 def test_resolve_branch_uses_exmem_forward():
     # r1 reads 0 from the register file, but EXMEM holds its fresh value 5
-    beq = isa.IType("beq", rs=1, rt=0, imm=3)
-    fresh = _slot(isa.IType("addi", rs=0, rt=1, imm=5), alu=5)
+    beq = isa.Instruction("beq", rs=1, rt=0, imm=3)
+    fresh = _slot(isa.Instruction("addi", rs=0, rt=1, imm=5), alu=5)
     state = _step_latches(ifid=_slot(beq, pc=16), exmem=fresh, pc=24)
     assert state.ifid is pipeline.END_BUBBLE and state.pc == 24    # not taken
     state = _step_latches(ifid=_slot(beq, pc=16), pc=24)
