@@ -19,7 +19,8 @@ image = asm.encrypt_image(asm.build_image(source), key=0x4B4952415450414C)
 imem = machine.Memory()
 machine.load_image(imem, image)
 dmem = machine.Memory()
-machine.load_image(dmem, (PROGRAMS / "sum_array_data.hex").read_text())
+data = asm.read_hex((PROGRAMS / "sum_array_data.hex").read_text())
+machine.load_image(dmem, data)
 
 ###############################################################################
 # Run with a trace hook. Every line is one clock cycle; watch the crypt
@@ -50,10 +51,12 @@ assert stats.cycles == stats.retired + stats.stalls + stats.flushes + 4
 # Architectural results: the register sum and the ciphertext block the
 # final store left at byte address 56.
 
-print(f"\n{machine.format_registers(state.regs, [2, 4, 7])}")
-print(machine.format_memory(state.dmem, [(56, 64)]))
+print()
+for r in (2, 4, 7):
+    print(f"r{r} = 0x{state.regs.read(r):08x}")
+stored = state.dmem.read_block(56)
+print(f"38: {stored:016x}")
 
 sched = des.key_schedule(0x4B4952415450414C)
-stored = state.dmem.read_block(56)
 print(f"stored block decrypts to {des.decrypt_block(stored, sched):016x} "
       f"(sum = {state.regs.read(4):08x})")

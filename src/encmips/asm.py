@@ -350,6 +350,9 @@ def read_hex(text: str) -> ProgramImage:
             continue
         if not HEX16_RE.fullmatch(line):
             raise BadHexLine(f"expected 16 hex digits, got '{line}'", lineno)
+        if addr > 0xFFFFFFF8:
+            raise BadHexLine(f"block address {addr:#x} is past the 32-bit "
+                             "address space", lineno)
         entries.append((addr, int(line, 16)))
         addr += 8
     return ProgramImage(entries=entries)

@@ -59,6 +59,9 @@ def _parse_mem_ranges(text: str) -> List[Tuple[int, int]]:
         if stop <= start:
             raise ValueError(f"--dump-mem range {start:#x}:{stop:#x} selects no "
                              "block: stop must be above start")
+        if stop > 1 << 32:
+            raise ValueError(f"--dump-mem stop {stop:#x} is past the 32-bit "
+                             "address space")
         ranges.append((start, stop))
     return ranges
 
@@ -78,12 +81,9 @@ def _parse_run_options(args) -> None:
 def cmd_asm(args) -> int:
     source = Path(args.source).read_text()
     try:
-        if args.encrypt and args.key is None:
-            print("error: --encrypt requires --key", file=sys.stderr)
-            return 1
         key = _parse_hex16(args.key) if args.key is not None else None
         image = asm.build_image(source, auto_nop=args.auto_nop)
-        if args.encrypt:
+        if key is not None:
             image = asm.encrypt_image(image, key)
     except (asm.AsmError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -106,11 +106,18 @@ def _print_stats(stats: pipeline.Stats) -> None:
     print(f"cpi = {cpi:.4f}" if cpi is not None else "cpi = n/a")
 
 
+def _block_line(addr: int, block: int) -> str:
+    return f"{addr:x}: {block:016x}"
+
+
 def _print_dumps(state: pipeline.CpuState, args) -> None:
-    if args.dump_regs:
-        print(machine.format_registers(state.regs, args.dump_regs))
-    if args.dump_mem:
-        print(machine.format_memory(state.dmem, args.dump_mem))
+    """One line per register, then one per block, each printed as it is
+    read: a range is never held in memory."""
+    for index in args.dump_regs or ():
+        print(f"r{index} = 0x{state.regs.read(index):08x}")
+    for start, stop in args.dump_mem or ():
+        for addr in range(start, stop, 8):
+            print(_block_line(addr, state.dmem.read_block(addr)))
 
 
 def cmd_run(args) -> int:
@@ -120,10 +127,10 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     imem = machine.Memory()
-    machine.load_image(imem, Path(args.image).read_text())
+    machine.load_image(imem, asm.read_hex(Path(args.image).read_text()))
     dmem = machine.Memory()
     if args.dmem:
-        machine.load_image(dmem, Path(args.dmem).read_text())
+        machine.load_image(dmem, asm.read_hex(Path(args.dmem).read_text()))
     state = pipeline.CpuState(imem, dmem, decrypt_loads=args.decrypt_loads)
     trace = (lambda line: print(line, file=sys.stderr)) if args.trace else None
     code = 0
@@ -156,7 +163,7 @@ def cmd_des(args) -> int:
 def cmd_dump(args) -> int:
     image = asm.read_hex(Path(args.image).read_text())
     for addr, block in image.entries:
-        line = f"{addr:x}: {block:016x}"
+        line = _block_line(addr, block)
         if args.disasm:
             line += f"  {isa.disasm_word(des.extract_word(block))}"
         print(line)
@@ -173,9 +180,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("asm", help="assemble a source file into a hex image")
     p.add_argument("source")
     p.add_argument("-o", "--output", help="output path (default: source with .hex)")
-    p.add_argument("--encrypt", action="store_true",
-                   help="DES-encrypt every block after the crypt instruction")
-    p.add_argument("--key", type=str, default=None, help="16-hex-digit DES key")
+    p.add_argument("--key", type=str, default=None,
+                   help="16-hex-digit DES key: encrypt every block after the "
+                        "crypt instruction under it")
     p.add_argument("--auto-nop", action="store_true",
                    help="insert the two guard nops between key load and crypt")
     p.set_defaults(func=cmd_asm)

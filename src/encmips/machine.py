@@ -7,9 +7,9 @@ i.e. little-endian for byte-level inspection.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from . import asm, des
+from . import des
 from .des import BLOCK_MASK
 from .isa import WORD_MASK
 
@@ -147,29 +147,7 @@ class Memory:
 
 
 def load_image(mem: Memory, image) -> None:
-    """Place an image's blocks at their byte addresses (later blocks win).
-
-    Accepts a ProgramImage or hex image text.
-    """
-    if isinstance(image, str):
-        image = asm.read_hex(image)
+    """Place a ProgramImage's blocks at their byte addresses (later blocks
+    win)."""
     for addr, block in image.entries:
         mem.write_block(addr, block)
-
-
-def format_registers(rf: RegisterFile, indices: Optional[Iterable[int]] = None) -> str:
-    """One register per line: `r4 = 0xcba767ee`."""
-    if indices is None:
-        indices = range(32)
-    return "\n".join(f"r{i} = 0x{rf.read(i):08x}" for i in indices)
-
-
-def format_memory(mem: Memory, ranges: Iterable[Tuple[int, int]]) -> str:
-    """One block per line: `38: 10539160018d5ff7` (addresses in hex)."""
-    lines = []
-    for start, stop in ranges:
-        if start % 8 != 0:
-            raise UnalignedAccess(start)
-        for addr in range(start, stop, 8):
-            lines.append(f"{addr:x}: {mem.read_block(addr):016x}")
-    return "\n".join(lines)

@@ -336,7 +336,8 @@ def step(state: CpuState) -> None:
             next_ifid.pc = state.pc
             next_ifid.word = word
             next_ifid.instr = instr
-            next_pc = state.pc + 8
+            # wraps like every pc; a literal saves a global lookup per cycle
+            next_pc = (state.pc + 8) & 0xFFFFFFFF
 
     state.ifid, state.idex = next_ifid, next_idex
     state.exmem, state.memwb = idex, exmem
@@ -438,7 +439,7 @@ def reference_interpret(imem: machine.Memory, dmem: machine.Memory, *,
         except isa.UnknownInstruction as exc:
             raise Fault(exc, pc, s.executed) from exc
         spec = instr.spec
-        next_pc = pc + 8
+        next_pc = (pc + 8) & 0xFFFFFFFF
         try:
             a = s.regs.read(instr.rs)
             b = s.regs.read(instr.rt)

@@ -98,7 +98,7 @@ def test_criterion_3_worked_example(tmp_path, capsys):
     image = tmp_path / "sum.hex"
 
     assert cli.main(["asm", str(prog), "-o", str(image),
-                     "--encrypt", "--key", "4b4952415450414c"]) == 0
+                     "--key", "4b4952415450414c"]) == 0
     assert cli.main(["run", str(image), "--dmem", str(data),
                      "--dump-regs", "r4", "--dump-mem", "56:64"]) == 0
     out = capsys.readouterr().out
@@ -110,7 +110,7 @@ def test_criterion_3_worked_example(tmp_path, capsys):
 
     # the same run at library level, checked exactly
     imem = machine.Memory()
-    machine.load_image(imem, image.read_text())
+    machine.load_image(imem, asm.read_hex(image.read_text()))
     state = pipeline.CpuState(imem, worked.data_memory())
     pipeline.run(state)
     assert state.regs.read(4) == 0xCBA767EE

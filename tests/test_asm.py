@@ -77,6 +77,10 @@ def test_parse_errors_carry_line_numbers():
     # 0x8000..0xFFFF fold into the signed range (docs/isa.md)
     ("lw $r1, 40000($r2)", [0x8C419C40]),
     ("addi $r1, $r0, 0xFFFF", [0x2001FFFF]),
+    # errors no case above reaches
+    ("lw $r1, $r2", (asm.AsmSyntaxError, 1, "expected offset($reg), got '$r2'")),
+    ("nop $r1", (asm.AsmSyntaxError, 1, "nop takes no operands")),
+    ("addi $r1, $r0, 99999", (asm.AsmError, 1, "immediate 99999 does not fit 16 bits")),
 ])
 def test_assembler_diagnostics(source, expected):
     if isinstance(expected, list):
@@ -215,6 +219,14 @@ def test_read_hex_errors():
         with pytest.raises(asm.BadHexLine) as exc:
             asm.read_hex(f"0000000000000000\n{directive}\n0000000000000000\n")
         assert exc.value.line == 2
+    # a block at 0xfffffff8 is the last one 32-bit addresses reach
+    assert asm.read_hex("@fffffff8\n0000000000000000\n").entries == [(0xFFFFFFF8, 0)]
+    for text, line in (("@fffffff8\n0000000000000000\n000000002005004d\n", 3),
+                       ("@100000000\n0000000000000000\n", 2)):
+        with pytest.raises(asm.BadHexLine) as exc:
+            asm.read_hex(text)
+        assert exc.value.line == line
+        assert "past the 32-bit address space" in str(exc.value)
 
 
 def test_write_hex_emits_gap_directive():

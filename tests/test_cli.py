@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ def _asm(tmp_path, capsys, source=None, extra=()):
     prog, data = _write_inputs(tmp_path, source)
     out = tmp_path / "prog.hex"
     code = cli.main(["asm", str(prog), "-o", str(out),
-                     "--encrypt", "--key", "4b4952415450414c", *extra])
+                     "--key", "4b4952415450414c", *extra])
     return code, out, data, capsys.readouterr()
 
 
@@ -46,7 +47,7 @@ def test_asm_plain_nop(tmp_path, capsys):
 def test_asm_without_crypt_fails(tmp_path, capsys):
     prog = tmp_path / "p.asm"
     prog.write_text("nop\n")
-    code = cli.main(["asm", str(prog), "--encrypt", "--key", "4b4952415450414c"])
+    code = cli.main(["asm", str(prog), "--key", "4b4952415450414c"])
     assert code == 1
     assert "crypt" in capsys.readouterr().err
 
@@ -72,6 +73,55 @@ def test_run_worked_example(tmp_path, capsys):
                        "cpi = 1.3333\n"
                        "r4 = 0xcba767ee\n"
                        "38: 1875a64fa44f1439\n")
+
+
+def test_run_dumps_in_the_order_given(tmp_path, capsys):
+    # registers and ranges print in the order named; 0x40 was never written
+    code, out, data, _ = _asm(tmp_path, capsys)
+    assert cli.main(["run", str(out), "--dmem", str(data),
+                     "--dump-regs", "r7,r2,r4", "--dump-mem", "48:72,0:8"]) == 0
+    assert capsys.readouterr().out == ("cycles = 100\n"
+                                       "retired = 75\n"
+                                       "stalls = 14\n"
+                                       "flushes = 7\n"
+                                       "cpi = 1.3333\n"
+                                       "r7 = 0x00000000\n"
+                                       "r2 = 0x00000007\n"
+                                       "r4 = 0xcba767ee\n"
+                                       "30: 0000000065410188\n"
+                                       "38: 1875a64fa44f1439\n"
+                                       "40: 0000000000000000\n"
+                                       "0: 0000000011111111\n")
+
+
+class _ClosingPipe:
+    """Standard output whose reader goes away after `lines` lines."""
+
+    def __init__(self, lines):
+        self.lines = lines
+
+    def write(self, text):
+        if self.lines == 0:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.lines -= text.count("\n")
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_run_dump_streams_its_lines(tmp_path, capsys, monkeypatch):
+    # a dump of all 2^29 blocks ends at the first write the reader refuses:
+    # 5 stats lines and 45 blocks, with no range built in memory first
+    code, out, data, _ = _asm(tmp_path, capsys)
+    pipe = _ClosingPipe(50)
+    monkeypatch.setattr(sys, "stdout", pipe)
+    code = cli.main(["run", str(out), "--dmem", str(data),
+                     "--dump-mem", "0:0x100000000"])
+    monkeypatch.undo()
+    assert code == 1
+    assert pipe.lines == 0
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_run_is_deterministic(tmp_path, capsys):
@@ -130,7 +180,7 @@ def test_run_trace_matches_golden(tmp_path, capsys):
     programs = ROOT / "demos" / "programs"
     image = tmp_path / "sum.hex"
     assert cli.main(["asm", str(programs / "sum_array.asm"), "-o", str(image),
-                     "--encrypt", "--key", "4b4952415450414c"]) == 0
+                     "--key", "4b4952415450414c"]) == 0
     capsys.readouterr()
     assert cli.main(["run", str(image), "--dmem", str(programs / "sum_array_data.hex"),
                      "--dump-regs", "r4", "--dump-mem", "56:64", "--trace"]) == 0
@@ -186,13 +236,15 @@ def test_dump_disasm(tmp_path, capsys):
     (["run", "{image}", "--dump-mem", "16:0"], "stop must be above start"),
     (["run", "{image}", "--dump-mem", "16:16"], "stop must be above start"),
     (["run", "{image}", "--dump-mem=-16:8"], "--dump-mem start -0x10 is negative"),
+    (["run", "{image}", "--dump-mem", "0:0x100000008"],
+     "--dump-mem stop 0x100000008 is past the 32-bit address space"),
     (["des", "encrypt", "--key=-b4952415450414c", "--block", "00000000cb97f7ee"],
      "expected 16 hex digits, got '-b4952415450414c'"),
     (["des", "decrypt", "--key", "4b4952415450_41c", "--block", "00000000cb97f7ee"],
      "expected 16 hex digits, got '4b4952415450_41c'"),
     (["des", "encrypt", "--key", "4b4952415450414c", "--block", "0x+0000000cb97f7ee"],
      "expected 16 hex digits, got '0x+0000000cb97f7ee'"),
-    (["asm", "{source}", "--encrypt", "--key=-b4952415450414c"],
+    (["asm", "{source}", "--key=-b4952415450414c"],
      "expected 16 hex digits, got '-b4952415450414c'"),
 ], ids=["run-missing-image", "run-missing-dmem", "asm-missing-source",
         "dump-missing-image", "run-bad-hex-line", "run-dmem-unaligned-directive",
@@ -201,8 +253,8 @@ def test_dump_disasm(tmp_path, capsys):
         "run-register-not-a-number", "run-max-cycles-not-a-number",
         "run-dump-mem-not-a-number", "run-dump-mem-no-colon",
         "run-dump-mem-stop-before-start", "run-dump-mem-empty-range",
-        "run-dump-mem-negative-start", "des-signed-key", "des-underscore-key",
-        "des-signed-block-after-0x", "asm-signed-key"])
+        "run-dump-mem-negative-start", "run-dump-mem-past-32-bits", "des-signed-key",
+        "des-underscore-key", "des-signed-block-after-0x", "asm-signed-key"])
 def test_bad_input_is_one_line_error(tmp_path, capsys, argv, reason):
     paths = {"missing": tmp_path / "missing.hex", "image": tmp_path / "image.hex",
              "bad_hex": tmp_path / "bad.hex", "bad_directive": tmp_path / "bad_dir.hex",

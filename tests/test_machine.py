@@ -132,7 +132,7 @@ def test_load_image_paper_data_layout():
     mem = machine.Memory()
     text = "\n".join(f"{des.pad_word(i + 1):016x}" for i in range(7))
     text += "\n@68\n000000005450414c\n000000004b495241\n"
-    machine.load_image(mem, text)
+    machine.load_image(mem, asm.read_hex(text))
     for i in range(7):
         assert mem.read_block(8 * i) == i + 1
     assert mem.read_block(104) == 0x5450414C
@@ -142,7 +142,7 @@ def test_load_image_paper_data_layout():
 
 def test_load_image_empty():
     mem = machine.Memory()
-    machine.load_image(mem, "")
+    machine.load_image(mem, asm.read_hex(""))
     assert mem.items() == []
 
 
@@ -151,17 +151,3 @@ def test_load_image_overlap_later_wins():
     image = asm.ProgramImage(entries=[(0, 1), (0, 2)])
     machine.load_image(mem, image)
     assert mem.read_block(0) == 2
-
-
-def test_format_registers():
-    rf = machine.RegisterFile()
-    rf.write(4, 0xCBA767EE)
-    assert machine.format_registers(rf, [4]) == "r4 = 0xcba767ee"
-
-
-def test_format_memory():
-    mem = machine.Memory()
-    mem.write_block(56, 0x10539160018D5FF7)
-    assert machine.format_memory(mem, [(56, 64)]) == "38: 10539160018d5ff7"
-    assert machine.format_memory(mem, [(48, 64)]) == (
-        "30: 0000000000000000\n38: 10539160018d5ff7")

@@ -222,6 +222,30 @@ def test_branch_below_zero_wraps_and_halts():
 def test_infinite_loop_hits_cycle_limit():
     with pytest.raises(pipeline.CycleLimitExceeded):
         run_asm("L: j L", max_cycles=500)
+    with pytest.raises(pipeline.CycleLimitExceeded):
+        interp_asm("L: j L", max_steps=500)
+
+
+def test_sequential_pc_wraps_past_the_top_block():
+    # nop; beq $r0, $r0, -3 at 0x8 branches to 0xfffffff8, whose nop falls
+    # through to pc 0 again: both models loop to their limit, and no pc
+    # leaves 32 bits
+    imem = machine.Memory()
+    machine.load_image(imem, asm.read_hex(
+        "0000000000000000\n000000001000fffd\n@fffffff8\n0000000000000000\n"))
+    trace = []
+    with pytest.raises(pipeline.CycleLimitExceeded) as exc:
+        pipeline.run(pipeline.CpuState(imem, machine.Memory(), record_retired=True),
+                     max_cycles=40, trace=trace.append)
+    pcs = [int(line.split(" | ")[1], 16) for line in trace]
+    assert 0xFFFFFFF8 in pcs and max(pcs) == 0xFFFFFFF8
+    retired = [pc for pc, _ in exc.value.state.retired_log]
+    with pytest.raises(pipeline.CycleLimitExceeded) as exc:
+        pipeline.reference_interpret(imem, machine.Memory(), max_steps=40,
+                                     record_retired=True)
+    ref = [pc for pc, _ in exc.value.state.retired_log]
+    assert retired == ref[:len(retired)]
+    assert retired[:4] == [0x0, 0x8, 0xFFFFFFF8, 0x0]
 
 
 # ------------------------------------------------------------ crypt behavior
@@ -352,7 +376,8 @@ def test_unknown_word_behind_load_use_stall():
     # behind it reaches ID, and faults, one cycle later
     dmem = machine.Memory()
     imem = machine.Memory()
-    machine.load_image(imem, "000000008c060000\n0000000000862020\n00000000fc000000\n")
+    machine.load_image(imem, asm.read_hex(
+        "000000008c060000\n0000000000862020\n00000000fc000000\n"))
     with pytest.raises(pipeline.Fault) as exc:
         pipeline.run(pipeline.CpuState(imem, dmem))
     assert (exc.value.pc, exc.value.cycle) == (0x10, 5)
@@ -362,7 +387,8 @@ def test_unknown_word_behind_load_use_stall():
 def test_squashed_unknown_word_never_faults():
     # j 2 squashes the slot fetched behind it; that slot never reaches ID
     imem = machine.Memory()
-    machine.load_image(imem, "0000000008000002\n00000000fc000000\n0000000000000000\n")
+    machine.load_image(imem, asm.read_hex(
+        "0000000008000002\n00000000fc000000\n0000000000000000\n"))
     state, stats = pipeline.run(pipeline.CpuState(imem, machine.Memory()))
     assert (stats.retired, stats.flushes) == (2, 1)
 
@@ -410,6 +436,21 @@ def test_same_key_reload_keeps_running():
     assert (stats.crypt_fetches, stats.encrypted_stores) == (11, 1)
 
 
+def test_unknown_word_faults_at_its_pc_in_both_models():
+    # addi $r1, $r0, 1 then the word 0xfc000000
+    imem = machine.Memory()
+    machine.load_image(imem, asm.read_hex(
+        "0000000020010001\n00000000fc000000\n"))
+    with pytest.raises(pipeline.Fault) as exc:
+        pipeline.run(pipeline.CpuState(imem, machine.Memory()))
+    assert exc.value.pc == 0x8
+    assert isinstance(exc.value.cause, isa.UnknownInstruction)
+    with pytest.raises(pipeline.Fault) as exc:
+        pipeline.reference_interpret(imem, machine.Memory())
+    assert exc.value.pc == 0x8
+    assert isinstance(exc.value.cause, isa.UnknownInstruction)
+
+
 def test_unaligned_access_faults():
     with pytest.raises(pipeline.Fault) as exc:
         run_asm("lw $r1, 4($r0)\naddi $r9, $r0, 0\n")
@@ -420,7 +461,8 @@ def test_pipeline_reports_faults_in_cycle_order():
     # sw $r1, 4($r0) would fault in MEM at cycle 4, but the unknown word two
     # slots behind it faults in ID at cycle 3; the oracle goes in program order
     imem = machine.Memory()
-    machine.load_image(imem, "00000000ac010004\n00000000fc000000\n0000000000000000\n")
+    machine.load_image(imem, asm.read_hex(
+        "00000000ac010004\n00000000fc000000\n0000000000000000\n"))
     with pytest.raises(pipeline.Fault) as exc:
         pipeline.run(pipeline.CpuState(imem, machine.Memory()))
     assert str(exc.value) == ("fault at pc 0x8 (cycle 3): unknown instruction word "
