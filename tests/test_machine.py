@@ -1,6 +1,8 @@
+from types import SimpleNamespace
+
 import pytest
 
-from encmips import asm, des, machine
+from encmips import asm, cli, des, machine, pipeline
 
 
 def test_r0_reads_zero():
@@ -151,3 +153,23 @@ def test_load_image_overlap_later_wins():
     image = asm.ProgramImage(entries=[(0, 1), (0, 2)])
     machine.load_image(mem, image)
     assert mem.read_block(0) == 2
+
+
+def _dump(capsys, state, regs=None, mem=None):
+    args = SimpleNamespace(dump_regs=regs, dump_mem=mem)
+    cli._print_dumps(state, args)
+    return capsys.readouterr().out
+
+
+def test_format_registers(capsys):
+    state = pipeline.CpuState()
+    state.regs.write(4, 0xCBA767EE)
+    assert _dump(capsys, state, regs=[4]) == "r4 = 0xcba767ee\n"
+
+
+def test_format_memory(capsys):
+    state = pipeline.CpuState()
+    state.dmem.write_block(56, 0x10539160018D5FF7)
+    assert _dump(capsys, state, mem=[(56, 64)]) == "38: 10539160018d5ff7\n"
+    assert _dump(capsys, state, mem=[(48, 64)]) == (
+        "30: 0000000000000000\n38: 10539160018d5ff7\n")
