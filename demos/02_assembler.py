@@ -1,5 +1,5 @@
 """From assembly text to an encrypted 64-bit-block image: parse, assemble,
-pack, encrypt everything after the crypt instruction, write hex.
+pack, encrypt the blocks fetched in crypt mode, write hex.
 
 Run:  python demos/02_assembler.py
 """
@@ -27,8 +27,9 @@ for i, word in enumerate(words):
 
 ###############################################################################
 # Packing zero-pads each word into the low half of its block. Encryption
-# then replaces every block strictly after the crypt instruction with its
-# DES ciphertext; the boundary is recorded in the image.
+# then replaces every block that fetch reads in crypt mode with its DES
+# ciphertext: here every block strictly after `crypt 1`, as no `crypt 0`
+# turns the mode off again. The boundary is recorded in the image.
 
 image = asm.build_image(source)
 encrypted = asm.encrypt_image(image, key=0x4B4952415450414C)

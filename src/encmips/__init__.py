@@ -4,8 +4,8 @@ cycle-accurate 5-stage simulator, and reference interpreter."""
 
 from .asm import (ProgramImage, assemble, build_image, encrypt_image, pack,
                   parse, read_hex, write_hex)
-from .des import (decrypt_block, encrypt_block, extract_word, feistel_f,
-                  key_schedule, pad_word)
+from .des import (decrypt_block, encrypt_block, extract_word, key_schedule,
+                  pad_word)
 from .isa import Instruction, decode, disassemble, encode
 from .machine import (KeyRegister, Memory, RegisterFile, load_image)
 from .pipeline import (CpuState, CycleLimitExceeded, Fault, Stats,
@@ -14,8 +14,8 @@ from .pipeline import (CpuState, CycleLimitExceeded, Fault, Stats,
 __all__ = [
     "ProgramImage", "assemble", "build_image", "encrypt_image", "pack",
     "parse", "read_hex", "write_hex",
-    "decrypt_block", "encrypt_block", "extract_word", "feistel_f",
-    "key_schedule", "pad_word",
+    "decrypt_block", "encrypt_block", "extract_word", "key_schedule",
+    "pad_word",
     "Instruction", "decode", "disassemble", "encode",
     "KeyRegister", "Memory", "RegisterFile", "load_image",
     "CpuState", "CycleLimitExceeded", "Fault", "Stats",

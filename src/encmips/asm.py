@@ -47,12 +47,7 @@ class BranchOutOfRange(AsmError):
 
 class NoCryptInstruction(AsmError):
     def __init__(self):
-        super().__init__("image contains no crypt instruction")
-
-
-class MultipleCryptInstructions(AsmError):
-    def __init__(self):
-        super().__init__("image contains more than one crypt instruction")
+        super().__init__("no crypt instruction turns crypt mode on")
 
 
 class BadHexLine(AsmError):
@@ -288,29 +283,26 @@ def build_image(source: str, auto_nop: bool = False) -> ProgramImage:
                         symbols=dict(symbols))
 
 
-def encrypt_image(image: ProgramImage, key: int,
-                  boundary: Optional[int] = None) -> ProgramImage:
-    """Encrypt every block strictly after the crypt instruction's block.
+def encrypt_image(image: ProgramImage, key: int) -> ProgramImage:
+    """Encrypt the blocks that straight-line fetch reads in crypt mode.
 
-    With no explicit boundary the single crypt instruction in the image is
-    located by its opcode; its own block stays plaintext.
+    The walk starts with the mode off and encrypts a block when the mode is
+    on as it reaches it; a `crypt` block, fetched through the old path, then
+    sets the mode to flag != 0. crypt_boundary is the block after the first
+    `crypt` that turns the mode on.
     """
-    if boundary is None:
-        crypt_positions = [
-            i for i, (_, block) in enumerate(image.entries)
-            if (spec := isa.spec_of(des.extract_word(block))) is not None
-            and spec.control == isa.SET_CRYPT
-        ]
-        if not crypt_positions:
-            raise NoCryptInstruction()
-        if len(crypt_positions) > 1:
-            raise MultipleCryptInstructions()
-        boundary = crypt_positions[0] + 1
     sched = des.key_schedule(key)
-    entries = [
-        (addr, des.encrypt_block(block, sched) if i >= boundary else block)
-        for i, (addr, block) in enumerate(image.entries)
-    ]
+    entries, on, boundary = [], False, None
+    for i, (addr, block) in enumerate(image.entries):
+        entries.append((addr, des.encrypt_block(block, sched) if on else block))
+        word = des.extract_word(block)
+        spec = isa.spec_of(word)
+        if spec is not None and spec.control == isa.SET_CRYPT:
+            on = isa.decode(word).target != 0
+            if on and boundary is None:
+                boundary = i + 1
+    if boundary is None:
+        raise NoCryptInstruction()
     return ProgramImage(entries=entries, symbols=dict(image.symbols),
                         crypt_boundary=boundary)
 

@@ -8,6 +8,7 @@ goes to standard error so machine-readable standard output stays stable.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -29,16 +30,18 @@ def _parse_int(text: str, option: str) -> int:
         raise ValueError(f"{option}: expected an integer, got '{text}'") from None
 
 
+# a --dump-regs entry: r4, $r4, R4 or 4, in ASCII decimal digits only
+_DUMP_REG_RE = re.compile(r"\$?[rR]?([0-9]+)")
+
+
 def _parse_reg_list(text: str) -> List[int]:
     regs = []
     for part in text.split(","):
-        name = part.strip().lstrip("$")
-        digits = name[1:] if name.lower().startswith("r") else name
-        try:
-            index = int(digits, 0)
-        except ValueError:
-            raise ValueError(f"--dump-regs: no such register '{part.strip()}'") from None
-        if not 0 <= index <= 31:
+        m = _DUMP_REG_RE.fullmatch(part.strip())
+        if not m:
+            raise ValueError(f"--dump-regs: no such register '{part.strip()}'")
+        index = int(m.group(1))
+        if index > 31:
             raise ValueError(f"--dump-regs: no such register r{index}")
         regs.append(index)
     return regs

@@ -196,15 +196,6 @@ def key_schedule(key: int) -> KeySchedule:
     return tuple(subkeys)
 
 
-def feistel_f(half: int, subkey: int) -> int:
-    """Round function: expand the 32-bit half, mix the subkey, substitute."""
-    half &= 0xFFFFFFFF
-    x = (_E0[half >> 24] | _E1[(half >> 16) & 0xFF] | _E2[(half >> 8) & 0xFF]
-         | _E3[half & 0xFF]) ^ subkey
-    return (_SP01[x >> 36] | _SP23[(x >> 24) & 0xFFF]
-            | _SP45[(x >> 12) & 0xFFF] | _SP67[x & 0xFFF])
-
-
 def _ip(block: int) -> int:
     """Initial permutation as five swaps of masked bit groups between halves."""
     left, right = (block >> 32) & 0xFFFFFFFF, block & 0xFFFFFFFF

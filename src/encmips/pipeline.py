@@ -52,12 +52,13 @@ class Fault(Exception):
 
 
 class CycleLimitExceeded(Exception):
-    """The run hit max_cycles without draining; distinct from a clean halt."""
+    """The run hit its limit without draining; distinct from a clean halt.
+    The pipeline counts the limit in cycles, the oracle in instructions."""
 
-    def __init__(self, state, limit: int):
+    def __init__(self, state, limit: int, unit: str = "cycles"):
         self.state = state
         self.limit = limit
-        super().__init__(f"no halt within {limit} cycles")
+        super().__init__(f"no halt within {limit} {unit}")
 
 
 @dataclass(frozen=True)
@@ -426,13 +427,15 @@ def reference_interpret(imem: machine.Memory, dmem: machine.Memory, *,
     the mode flag (stores encrypt from then on; fetches read the image
     as-is since it is already plaintext), lklw/lkuw load key halves.
     """
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
     s = InterpState(dmem=dmem)
     if record_retired:
         s.retired_log = []
     pc = 0
     while pc < imem.extent:
         if s.executed >= max_steps:
-            raise CycleLimitExceeded(s, max_steps)
+            raise CycleLimitExceeded(s, max_steps, "instructions")
         word = des.extract_word(imem.read_block(pc))
         try:
             instr = _decode(word)

@@ -150,17 +150,6 @@ def _crypt_positions(image: asm.ProgramImage) -> List[int]:
             and spec.control == isa.SET_CRYPT]
 
 
-def encrypt_crypt_region(image: asm.ProgramImage, key: int) -> asm.ProgramImage:
-    """Encrypt the blocks fetched in crypt mode: those after the first
-    `crypt` up to and including a second one, if any."""
-    flags = _crypt_positions(image)
-    start = flags[0] + 1
-    stop = flags[1] + 1 if len(flags) > 1 else len(image.entries)
-    head = asm.ProgramImage(entries=image.entries[:stop])
-    encrypted = asm.encrypt_image(head, key, boundary=start)
-    return asm.ProgramImage(entries=encrypted.entries + image.entries[stop:])
-
-
 def plant_unknown_word(rng: random.Random,
                        image: asm.ProgramImage) -> asm.ProgramImage:
     """The image with, at times, one block other than a `crypt` replaced

@@ -176,19 +176,34 @@ def test_encrypt_image_no_tail():
     assert enc.blocks == image.blocks
 
 
-def test_encrypt_image_requires_single_crypt():
+def test_encrypt_image_requires_crypt_that_turns_mode_on():
     with pytest.raises(asm.NoCryptInstruction):
         asm.encrypt_image(asm.build_image("nop"), worked.KEY)
-    with pytest.raises(asm.MultipleCryptInstructions):
-        asm.encrypt_image(asm.build_image("crypt 1\nnop\ncrypt 0"), worked.KEY)
+    # a crypt 0 alone leaves crypt mode off, so no block is fetched decrypted
+    with pytest.raises(asm.NoCryptInstruction):
+        asm.encrypt_image(asm.build_image("nop\ncrypt 0\naddi $r1, $r0, 5"),
+                          worked.KEY)
 
 
-def test_encrypt_image_explicit_boundary():
-    image = asm.build_image("crypt 1\nnop\ncrypt 0")
-    enc = asm.encrypt_image(image, worked.KEY, boundary=1)
-    assert enc.crypt_boundary == 1
-    assert enc.blocks[0] == image.blocks[0]
-    assert enc.blocks[1] != image.blocks[1]
+def test_encrypt_image_region_rule():
+    # (source, which blocks are encrypted, crypt_boundary)
+    cases = [
+        # two regions: each crypt comes through the path that fetches it
+        ("crypt 1\nnop\ncrypt 0\nnop\ncrypt 1\nnop", [0, 1, 1, 0, 0, 1], 1),
+        # a redundant crypt 1 while the mode is on changes nothing
+        ("crypt 1\ncrypt 1\nnop", [0, 1, 1], 1),
+        # any non-zero flag turns the mode on
+        ("nop\ncrypt 3\nnop", [0, 0, 1], 2),
+        # a crypt 0 while the mode is off changes nothing
+        ("crypt 0\nnop\ncrypt 1\nnop", [0, 0, 0, 1], 3),
+    ]
+    sched = des.key_schedule(worked.KEY)
+    for source, encrypted, boundary in cases:
+        image = asm.build_image(source)
+        enc = asm.encrypt_image(image, worked.KEY)
+        assert enc.crypt_boundary == boundary, source
+        assert enc.blocks == [des.encrypt_block(block, sched) if flag else block
+                              for flag, block in zip(encrypted, image.blocks)], source
 
 
 def test_hex_round_trip():

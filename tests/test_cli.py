@@ -5,6 +5,7 @@ import pytest
 
 import worked
 from encmips import cli
+from test_pipeline import GOLDEN_TRACE
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -52,6 +53,32 @@ def test_asm_without_crypt_fails(tmp_path, capsys):
     assert "crypt" in capsys.readouterr().err
 
 
+def test_asm_crypt_0_alone_fails(tmp_path, capsys):
+    # crypt mode never turns on, so no image would run encrypted
+    prog = tmp_path / "p.asm"
+    prog.write_text("nop\ncrypt 0\naddi $r1, $r0, 5\n")
+    code = cli.main(["asm", str(prog), "--key", "4b4952415450414c"])
+    cap = capsys.readouterr()
+    assert code == 1
+    assert cap.out == ""
+    assert cap.err == "error: no crypt instruction turns crypt mode on\n"
+    assert not prog.with_suffix(".hex").exists()
+
+
+def test_asm_crypt_toggle_runs_to_golden_trace(tmp_path, capsys):
+    # crypt 1 ... crypt 0 with a plaintext tail, encrypted by asm --key alone
+    programs = ROOT / "demos" / "programs"
+    image = tmp_path / "toggle.hex"
+    assert cli.main(["asm", str(programs / "crypt_toggle.asm"), "-o", str(image),
+                     "--key", "4b4952415450414c"]) == 0
+    assert capsys.readouterr().out == "Skip = 58\nOff = 70\ncrypt boundary = 6\n"
+    assert cli.main(["run", str(image), "--dmem", str(programs / "sum_array_data.hex"),
+                     "--dump-regs", "r7", "--trace"]) == 0
+    cap = capsys.readouterr()
+    assert cap.err.splitlines() == GOLDEN_TRACE
+    assert cap.out.endswith("r7 = 0x00000007\n")
+
+
 def test_asm_syntax_error_diagnostic(tmp_path, capsys):
     prog = tmp_path / "p.asm"
     prog.write_text("nop\nbogus $r1\n")
@@ -92,6 +119,14 @@ def test_run_dumps_in_the_order_given(tmp_path, capsys):
                                        "38: 1875a64fa44f1439\n"
                                        "40: 0000000000000000\n"
                                        "0: 0000000011111111\n")
+
+
+def test_dump_regs_spellings():
+    # an optional $, an optional r or R, then ASCII decimal digits
+    assert cli._parse_reg_list("r4,$r4,R4,4, $R31 ,$7,r07") == [4, 4, 4, 4, 31, 7, 7]
+    for bad in ("r0x4", "r-0", "r\u0664", "$", "r", "4r"):
+        with pytest.raises(ValueError, match="no such register"):
+            cli._parse_reg_list(bad)
 
 
 class _ClosingPipe:
@@ -230,6 +265,9 @@ def test_dump_disasm(tmp_path, capsys):
     (["run", "{image}", "--dump-mem", "3:9"], None),
     (["run", "{image}", "--dump-regs", "r40"], "--dump-regs: no such register r40"),
     (["run", "{image}", "--dump-regs", "rx"], "--dump-regs: no such register 'rx'"),
+    (["run", "{image}", "--dump-regs", "r1_0"], "--dump-regs: no such register 'r1_0'"),
+    (["run", "{image}", "--dump-regs", "r+4"], "--dump-regs: no such register 'r+4'"),
+    (["run", "{image}", "--dump-regs", "$$r4"], "--dump-regs: no such register '$$r4'"),
     (["run", "{image}", "--max-cycles", "x"], "--max-cycles: expected an integer, got 'x'"),
     (["run", "{image}", "--dump-mem", "16:x"], "--dump-mem: expected an integer, got 'x'"),
     (["run", "{image}", "--dump-mem", "16"], "--dump-mem: expected START:STOP, got '16'"),
@@ -250,7 +288,8 @@ def test_dump_disasm(tmp_path, capsys):
         "dump-missing-image", "run-bad-hex-line", "run-dmem-unaligned-directive",
         "run-signed-address-directive",
         "run-max-cycles-0", "run-unaligned-dump-mem", "run-no-such-register",
-        "run-register-not-a-number", "run-max-cycles-not-a-number",
+        "run-register-not-a-number", "run-register-underscore",
+        "run-register-signed", "run-register-two-dollars", "run-max-cycles-not-a-number",
         "run-dump-mem-not-a-number", "run-dump-mem-no-colon",
         "run-dump-mem-stop-before-start", "run-dump-mem-empty-range",
         "run-dump-mem-negative-start", "run-dump-mem-past-32-bits", "des-signed-key",

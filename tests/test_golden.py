@@ -72,14 +72,13 @@ def seed_records(seed: int) -> dict:
     crypt = progen.plant_unknown_word(
         rng, asm.build_image(progen.gen_crypt_program(rng, extras=True)))
     entries = progen.gen_dmem_entries(rng, with_key=True, alt_key=True)
-    encrypted = progen.encrypt_crypt_region(crypt, progen.KEY)
+    encrypted = asm.encrypt_image(crypt, progen.KEY)
     runs = {
         "plain": run_record(plain, entries),
         "encrypted": run_record(encrypted, entries),
         "decrypt_loads": run_record(encrypted, entries, decrypt_loads=True),
         "crypt_fetch_off": run_record(crypt, entries, crypt_fetch=False),
-        "wrong_key": run_record(progen.encrypt_crypt_region(crypt, WRONG_KEY),
-                                entries),
+        "wrong_key": run_record(asm.encrypt_image(crypt, WRONG_KEY), entries),
     }
     return {f"{mode}/{seed}": runs[mode] for mode in MODES}
 

@@ -1,10 +1,13 @@
 import random
+from pathlib import Path
 
 import pytest
 
 import progen
 import worked
 from encmips import asm, des, isa, machine, pipeline
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def build_state(source, dmem=None, *, encrypt_key=None, **kwargs):
@@ -220,10 +223,18 @@ def test_branch_below_zero_wraps_and_halts():
 
 
 def test_infinite_loop_hits_cycle_limit():
-    with pytest.raises(pipeline.CycleLimitExceeded):
+    # the pipeline's text is encmips run's exit-3 diagnostic; the oracle
+    # counts instructions
+    with pytest.raises(pipeline.CycleLimitExceeded,
+                       match=r"^no halt within 500 cycles$"):
         run_asm("L: j L", max_cycles=500)
-    with pytest.raises(pipeline.CycleLimitExceeded):
+    with pytest.raises(pipeline.CycleLimitExceeded,
+                       match=r"^no halt within 500 instructions$"):
         interp_asm("L: j L", max_steps=500)
+    with pytest.raises(ValueError, match="max_cycles must be >= 1"):
+        run_asm("nop", max_cycles=0)
+    with pytest.raises(ValueError, match="max_steps must be >= 1"):
+        interp_asm("nop", max_steps=0)
 
 
 def test_sequential_pc_wraps_past_the_top_block():
@@ -505,24 +516,7 @@ def test_worked_example_traced_run():
 # branch-after-load double STALL (13, 14), a taken-branch FLUSH (15), a jump
 # FLUSH (18), CRYPT_ON and CRYPT_OFF with their flushes (7, 20), DEC_FETCH
 # and ENC_STORE. The block after `crypt 0` stays plaintext in the image.
-GOLDEN_SOURCE = """\
-addi $r1, $r0, 104
-lklw 0($r1)
-lkuw 8($r1)
-nop
-nop
-crypt 1
-lw $r2, 0($r0)
-add $r3, $r2, $r2
-lw $r4, 8($r0)
-bne $r4, $r0, Skip
-addi $r5, $r0, 1
-Skip: sw $r3, 16($r0)
-j Off
-addi $r6, $r0, 1
-Off: crypt 0
-addi $r7, $r0, 7
-"""
+GOLDEN_SOURCE = (ROOT / "demos" / "programs" / "crypt_toggle.asm").read_text()
 
 GOLDEN_TRACE = [
     "1 | 0 | IF:addi $r1, $r0, 104 ID:bubble EX:bubble MEM:bubble WB:bubble | events: ",
@@ -556,9 +550,7 @@ GOLDEN_TRACE = [
 def test_golden_trace_every_event():
     image = asm.build_image(GOLDEN_SOURCE)
     imem = machine.Memory()
-    machine.load_image(imem, asm.encrypt_image(image, worked.KEY, boundary=6))
-    addr, block = image.entries[-1]
-    imem.write_block(addr, block)
+    machine.load_image(imem, asm.encrypt_image(image, worked.KEY))
     lines = []
     state, stats = pipeline.run(pipeline.CpuState(imem, worked.data_memory()),
                                 trace=lines.append)
