@@ -90,9 +90,11 @@ class ProgramImage:
 
 
 _LABEL_RE = re.compile(r"^([A-Za-z_]\w*)\s*:")
-_REG_RE = re.compile(r"^\$[rR]?(\d+)$")
-_MEM_RE = re.compile(r"^([+-]?(?:0[xX][0-9a-fA-F]+|\d+))\(\s*(\$[rR]?\d+)\s*\)$")
-_NUM_RE = re.compile(r"^[+-]?(?:0[xX][0-9a-fA-F]+|\d+)$")
+# the one number grammar of the assembler and the CLI: ASCII digits only,
+# and exactly the decimal or 0x-prefixed hex that int(text, 0) reads
+NUM_RE = re.compile(r"[+-]?(?:0[xX][0-9a-fA-F]+|0+|[1-9][0-9]*)")
+_REG_RE = re.compile(r"^\$[rR]?([0-9]+)$")
+_MEM_RE = re.compile(rf"^({NUM_RE.pattern})\(\s*(\$[rR]?[0-9]+)\s*\)$")
 _IDENT_RE = re.compile(r"^[A-Za-z_]\w*$")
 
 # every name the assembler accepts for a table row
@@ -122,7 +124,7 @@ def _parse_fields(spec: isa.InstrSpec, texts: List[str],
             if not m:
                 raise AsmSyntaxError(f"expected offset($reg), got '{text}'", line)
             fields["imm"], fields["rs"] = int(m.group(1), 0), _parse_reg(m.group(2), line)
-        elif _NUM_RE.match(text):
+        elif NUM_RE.fullmatch(text):
             fields[name] = int(text, 0)
         elif kind == "i":
             raise AsmSyntaxError(f"expected number, got '{text}'", line)

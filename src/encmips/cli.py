@@ -24,10 +24,9 @@ def _parse_hex16(text: str) -> int:
 
 
 def _parse_int(text: str, option: str) -> int:
-    try:
-        return int(text, 0)
-    except ValueError:
-        raise ValueError(f"{option}: expected an integer, got '{text}'") from None
+    if not asm.NUM_RE.fullmatch(text):
+        raise ValueError(f"{option}: expected an integer, got '{text}'")
+    return int(text, 0)
 
 
 # a --dump-regs entry: r4, $r4, R4 or 4, in ASCII decimal digits only

@@ -1,4 +1,6 @@
-"""Random bounded assembly programs for differential testing.
+"""Random bounded assembly programs for differential testing, and the one
+check that runs a program in both the pipeline and the reference
+interpreter.
 
 Every generated program halts: loops are counted down in a reserved
 register the body never touches, and all other branches go forward.
@@ -12,9 +14,9 @@ image. Such programs may fault; they still never run unbounded.
 """
 
 import random
-from typing import List, Tuple
+from typing import Iterable, List, Optional, Tuple
 
-from encmips import asm, des, isa, machine
+from encmips import asm, des, isa, machine, pipeline
 
 DATA_REGS = list(range(1, 10))
 BASE_REG = 10   # holds a small 8-aligned base address
@@ -179,8 +181,34 @@ def gen_dmem_entries(rng: random.Random, with_key: bool = False,
     return entries
 
 
-def mem_from_entries(entries: List[Tuple[int, int]]) -> machine.Memory:
+def memory(entries: Iterable[Tuple[int, int]]) -> machine.Memory:
+    """A memory holding each (address, block) entry; pass `image.entries`
+    for a ProgramImage."""
     mem = machine.Memory()
     for addr, block in entries:
         mem.write_block(addr, block)
     return mem
+
+
+def check_against_oracle(source: str, entries: List[Tuple[int, int]],
+                         key: Optional[int] = None,
+                         decrypt_loads: bool = False) -> pipeline.CpuState:
+    """Run source in the pipeline, its image encrypted under key when one
+    is given, and its plaintext image in the reference interpreter, each on
+    a fresh data memory of entries; assert that both end in the same
+    architectural state after the same retired log, and that the pipeline's
+    cycles obey the accounting identity. Returns the pipeline's state."""
+    image = asm.build_image(source)
+    loaded = asm.encrypt_image(image, key) if key is not None else image
+    state = pipeline.CpuState(memory(loaded.entries), memory(entries),
+                              decrypt_loads=decrypt_loads, record_retired=True)
+    _, stats = pipeline.run(state)
+    ref = pipeline.reference_interpret(memory(image.entries), memory(entries),
+                                       decrypt_loads=decrypt_loads,
+                                       record_retired=True)
+    assert (pipeline.architectural_state(state)
+            == pipeline.architectural_state(ref)), f"state differs:\n{source}"
+    assert state.retired_log == ref.retired_log, f"retired log differs:\n{source}"
+    assert stats.cycles == stats.retired + stats.stalls + stats.flushes + 4, \
+        f"cycle identity fails:\n{source}"
+    return state

@@ -9,7 +9,7 @@ import time
 
 import progen
 import worked
-from encmips import asm, cli, des, machine, pipeline
+from encmips import asm, cli, des, pipeline
 
 
 def criterion(number, name):
@@ -109,9 +109,8 @@ def test_criterion_3_worked_example(tmp_path, capsys):
     assert f"38: {expected_block:016x}" in out
 
     # the same run at library level, checked exactly
-    imem = machine.Memory()
-    machine.load_image(imem, asm.read_hex(image.read_text()))
-    state = pipeline.CpuState(imem, worked.data_memory())
+    state = pipeline.CpuState(progen.memory(asm.read_hex(image.read_text()).entries),
+                              worked.data_memory())
     pipeline.run(state)
     assert state.regs.read(4) == 0xCBA767EE
     assert state.dmem.read_block(56) == expected_block
@@ -122,30 +121,19 @@ def test_criterion_3_worked_example(tmp_path, capsys):
 def test_criterion_4_oracle_equivalence():
     start = time.monotonic()
     rng = random.Random(0xACC4)
-    for i in range(1_000):
+    for _ in range(1_000):
         source = progen.gen_program(rng)
-        image = asm.build_image(source)
-        assert len(image.entries) <= 40
-        entries = progen.gen_dmem_entries(rng)
-        imem = machine.Memory()
-        machine.load_image(imem, image)
-        state = pipeline.CpuState(imem, progen.mem_from_entries(entries))
-        pipeline.run(state, max_cycles=100_000)
-        ref = pipeline.reference_interpret(imem, progen.mem_from_entries(entries))
-        assert (pipeline.architectural_state(state)
-                == pipeline.architectural_state(ref)), f"program {i}:\n{source}"
+        state = progen.check_against_oracle(source, progen.gen_dmem_entries(rng))
+        assert len(state.imem.blocks) <= 40
     assert time.monotonic() - start < 30.0
 
 
-def _stats_for(source, dmem=None, encrypt_key=None):
+def _stats_for(source, entries=(), encrypt_key=None):
     image = asm.build_image(source)
     if encrypt_key is not None:
         image = asm.encrypt_image(image, encrypt_key)
-    imem = machine.Memory()
-    machine.load_image(imem, image)
-    state = pipeline.CpuState(imem, dmem if dmem is not None else machine.Memory())
-    _, stats = pipeline.run(state, max_cycles=100_000)
-    return stats
+    state = pipeline.CpuState(progen.memory(image.entries), progen.memory(entries))
+    return pipeline.run(state, max_cycles=100_000)[1]
 
 
 @criterion(5, "cycle accounting is exact on hazard micro-benchmarks")
@@ -162,17 +150,16 @@ def test_criterion_5_cycle_accounting():
     for _ in range(25):
         a, b = rng.sample(range(1, 10), 2)
         off = 8 * rng.randrange(8)
-        dmem = machine.Memory()
-        dmem.write_block(off, des.pad_word(rng.getrandbits(32)))
+        data = [(off, des.pad_word(rng.getrandbits(32)))]
 
         # load-use pair costs exactly 1 stall
         check(_stats_for(f"lw $r{a}, {off}($r0)\n"
                          f"add $r{b}, $r{a}, $r{a}\n"
-                         "addi $r9, $r0, 0\n", dmem), stalls=1, flushes=0)
+                         "addi $r9, $r0, 0\n", data), stalls=1, flushes=0)
         # independent consumer costs nothing
         check(_stats_for(f"lw $r{a}, {off}($r0)\n"
                          f"add $r{b}, $r{b}, $r{b}\n"
-                         "addi $r9, $r0, 0\n", dmem), stalls=0, flushes=0)
+                         "addi $r9, $r0, 0\n", data), stalls=0, flushes=0)
         # taken branch costs exactly 1 flush
         gap = "\n".join("addi $r9, $r9, 1" for _ in range(rng.randrange(1, 4)))
         check(_stats_for(f"beq $r0, $r0, Over\n{gap}\n"
@@ -190,15 +177,13 @@ def test_criterion_5_cycle_accounting():
                          "crypt 1\n"
                          f"addi $r{a}, $r0, {rng.randrange(64)}\n"
                          f"sw $r{a}, 32($r0)\n",
-                         progen.mem_from_entries(
-                             progen.gen_dmem_entries(rng, with_key=True)),
+                         progen.gen_dmem_entries(rng, with_key=True),
                          encrypt_key=progen.KEY), stalls=0, flushes=1)
 
     # the identity also holds across randomized programs
     for _ in range(100):
         source = progen.gen_program(rng)
-        dmem = progen.mem_from_entries(progen.gen_dmem_entries(rng))
-        check(_stats_for(source, dmem))
+        check(_stats_for(source, progen.gen_dmem_entries(rng)))
 
 
 @criterion(6, "instruction encryption is transparent up to the crypt flush")
@@ -210,15 +195,12 @@ def test_criterion_6_transparency():
         image = asm.build_image(source)
         encrypted = asm.encrypt_image(image, progen.KEY)
 
-        im_enc = machine.Memory()
-        machine.load_image(im_enc, encrypted)
-        s_enc = pipeline.CpuState(im_enc, progen.mem_from_entries(entries),
-                                  record_retired=True)
+        s_enc = pipeline.CpuState(progen.memory(encrypted.entries),
+                                  progen.memory(entries), record_retired=True)
         pipeline.run(s_enc, max_cycles=100_000)
 
-        im_plain = machine.Memory()
-        machine.load_image(im_plain, image)
-        s_plain = pipeline.CpuState(im_plain, progen.mem_from_entries(entries),
+        s_plain = pipeline.CpuState(progen.memory(image.entries),
+                                    progen.memory(entries),
                                     crypt_fetch=False, record_retired=True)
         pipeline.run(s_plain, max_cycles=100_000)
 

@@ -81,6 +81,17 @@ def test_parse_errors_carry_line_numbers():
     ("lw $r1, $r2", (asm.AsmSyntaxError, 1, "expected offset($reg), got '$r2'")),
     ("nop $r1", (asm.AsmSyntaxError, 1, "nop takes no operands")),
     ("addi $r1, $r0, 99999", (asm.AsmError, 1, "immediate 99999 does not fit 16 bits")),
+    # numbers and register indices are ASCII digits, and a decimal number
+    # has no leading zero, which int(text, 0) rejects
+    ("addi $r\u0664, $r0, 5", (asm.AsmSyntaxError, 1, "expected register, got '$r\u0664'")),
+    ("j \u0661", (asm.AsmSyntaxError, 1, "expected label or number, got '\u0661'")),
+    ("lw $r1, \u0668($r0)",
+     (asm.AsmSyntaxError, 1, "expected offset($reg), got '\u0668($r0)'")),
+    ("nop\naddi $r1, $r0, 010", (asm.AsmSyntaxError, 2, "expected number, got '010'")),
+    ("lw $r1, 08($r0)", (asm.AsmSyntaxError, 1, "expected offset($reg), got '08($r0)'")),
+    ("beq $r0, $r0, 07", (asm.AsmSyntaxError, 1, "expected label or number, got '07'")),
+    ("j 00", [0x08000000]),
+    ("addi $r01, $r0, 1", [0x20010001]),
 ])
 def test_assembler_diagnostics(source, expected):
     if isinstance(expected, list):

@@ -270,6 +270,10 @@ def test_dump_disasm(tmp_path, capsys):
     (["run", "{image}", "--dump-regs", "$$r4"], "--dump-regs: no such register '$$r4'"),
     (["run", "{image}", "--max-cycles", "x"], "--max-cycles: expected an integer, got 'x'"),
     (["run", "{image}", "--dump-mem", "16:x"], "--dump-mem: expected an integer, got 'x'"),
+    (["run", "{image}", "--max-cycles", "+1_00"],
+     "--max-cycles: expected an integer, got '+1_00'"),
+    (["run", "{image}", "--dump-mem", "\u0660:\u0661\u0666"],
+     "--dump-mem: expected an integer, got '\u0660'"),
     (["run", "{image}", "--dump-mem", "16"], "--dump-mem: expected START:STOP, got '16'"),
     (["run", "{image}", "--dump-mem", "16:0"], "stop must be above start"),
     (["run", "{image}", "--dump-mem", "16:16"], "stop must be above start"),
@@ -290,7 +294,8 @@ def test_dump_disasm(tmp_path, capsys):
         "run-max-cycles-0", "run-unaligned-dump-mem", "run-no-such-register",
         "run-register-not-a-number", "run-register-underscore",
         "run-register-signed", "run-register-two-dollars", "run-max-cycles-not-a-number",
-        "run-dump-mem-not-a-number", "run-dump-mem-no-colon",
+        "run-dump-mem-not-a-number", "run-max-cycles-underscore",
+        "run-dump-mem-non-ascii-digits", "run-dump-mem-no-colon",
         "run-dump-mem-stop-before-start", "run-dump-mem-empty-range",
         "run-dump-mem-negative-start", "run-dump-mem-past-32-bits", "des-signed-key",
         "des-underscore-key", "des-signed-block-after-0x", "asm-signed-key"])

@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 import progen
-from encmips import asm, machine, pipeline
+from encmips import asm, pipeline
 
 RESULTS = Path(__file__).parent / "golden" / "results.json"
 SEEDS = range(400)
@@ -35,15 +35,9 @@ def _hash(value) -> str:
     return hashlib.blake2b(repr(value).encode(), digest_size=8).hexdigest()
 
 
-def _imem(image):
-    mem = machine.Memory()
-    machine.load_image(mem, image)
-    return mem
-
-
 def run_record(image, entries, **kwargs) -> dict:
     """One run's record; the state is the one the run halted or faulted in."""
-    state = pipeline.CpuState(_imem(image), progen.mem_from_entries(entries),
+    state = pipeline.CpuState(progen.memory(image.entries), progen.memory(entries),
                               record_retired=True, **kwargs)
     lines = []
     fault = None

@@ -14,10 +14,7 @@ def build_state(source, dmem=None, *, encrypt_key=None, **kwargs):
     image = asm.build_image(source)
     if encrypt_key is not None:
         image = asm.encrypt_image(image, encrypt_key)
-    imem = machine.Memory()
-    machine.load_image(imem, image)
-    return pipeline.CpuState(imem, dmem if dmem is not None else machine.Memory(),
-                             **kwargs)
+    return pipeline.CpuState(progen.memory(image.entries), dmem, **kwargs)
 
 
 def run_asm(source, dmem=None, max_cycles=10_000, **kwargs):
@@ -30,10 +27,9 @@ def assert_accounting(stats):
 
 
 def interp_asm(source, dmem=None, **kwargs):
-    imem = machine.Memory()
-    machine.load_image(imem, asm.build_image(source))
     return pipeline.reference_interpret(
-        imem, dmem if dmem is not None else machine.Memory(), **kwargs)
+        progen.memory(asm.build_image(source).entries),
+        dmem if dmem is not None else machine.Memory(), **kwargs)
 
 
 # ---------------------------------------------------------------- basic runs
@@ -73,8 +69,7 @@ def test_pc_stays_8_aligned():
 # ------------------------------------------------------------------- hazards
 
 def test_load_use_stalls_once():
-    dmem = machine.Memory()
-    dmem.write_block(0, des.pad_word(5))
+    dmem = progen.memory([(0, des.pad_word(5))])
     state, stats = run_asm(
         "lw $r6, 0($r0)\nadd $r4, $r4, $r6\naddi $r9, $r0, 0", dmem)
     assert state.regs.read(4) == 5
@@ -83,8 +78,7 @@ def test_load_use_stalls_once():
 
 
 def test_independent_instruction_after_load_no_stall():
-    dmem = machine.Memory()
-    dmem.write_block(0, des.pad_word(5))
+    dmem = progen.memory([(0, des.pad_word(5))])
     _, stats = run_asm("lw $r6, 0($r0)\nadd $r4, $r3, $r3\naddi $r9, $r0, 0", dmem)
     assert stats.stalls == 0
 
@@ -109,8 +103,7 @@ def test_forwarding_distance_two_uses_memwb():
 
 
 def test_load_feeding_store_data():
-    dmem = machine.Memory()
-    dmem.write_block(0, des.pad_word(0xABCD))
+    dmem = progen.memory([(0, des.pad_word(0xABCD))])
     state, stats = run_asm(
         "lw $r1, 0($r0)\nsw $r1, 8($r0)\naddi $r9, $r0, 0", dmem)
     assert state.dmem.read_block(8) == des.pad_word(0xABCD)
@@ -118,8 +111,7 @@ def test_load_feeding_store_data():
 
 
 def test_r0_never_forwards_or_stalls():
-    dmem = machine.Memory()
-    dmem.write_block(0, des.pad_word(123))
+    dmem = progen.memory([(0, des.pad_word(123))])
     state, stats = run_asm(
         "lw $r0, 0($r0)\nadd $r2, $r0, $r0\naddi $r9, $r0, 0", dmem)
     assert state.regs.read(0) == 0
@@ -186,8 +178,7 @@ def test_branch_waits_for_producer_in_ex():
 
 
 def test_branch_after_load_stalls_twice():
-    dmem = machine.Memory()
-    dmem.write_block(0, des.pad_word(1))
+    dmem = progen.memory([(0, des.pad_word(1))])
     state, stats = run_asm(
         "lw $r1, 0($r0)\n"
         "beq $r1, $r0, Skip\n"
@@ -241,12 +232,11 @@ def test_sequential_pc_wraps_past_the_top_block():
     # nop; beq $r0, $r0, -3 at 0x8 branches to 0xfffffff8, whose nop falls
     # through to pc 0 again: both models loop to their limit, and no pc
     # leaves 32 bits
-    imem = machine.Memory()
-    machine.load_image(imem, asm.read_hex(
-        "0000000000000000\n000000001000fffd\n@fffffff8\n0000000000000000\n"))
+    imem = progen.memory(asm.read_hex(
+        "0000000000000000\n000000001000fffd\n@fffffff8\n0000000000000000\n").entries)
     trace = []
     with pytest.raises(pipeline.CycleLimitExceeded) as exc:
-        pipeline.run(pipeline.CpuState(imem, machine.Memory(), record_retired=True),
+        pipeline.run(pipeline.CpuState(imem, record_retired=True),
                      max_cycles=40, trace=trace.append)
     pcs = [int(line.split(" | ")[1], 16) for line in trace]
     assert 0xFFFFFFF8 in pcs and max(pcs) == 0xFFFFFFF8
@@ -267,10 +257,8 @@ KEY_PROLOG = ("addi $r1, $r0, 104\n"
 
 
 def key_dmem():
-    dmem = machine.Memory()
-    dmem.write_block(104, des.pad_word(worked.KEY_LOWER))
-    dmem.write_block(112, des.pad_word(worked.KEY_UPPER))
-    return dmem
+    return progen.memory([(104, des.pad_word(worked.KEY_LOWER)),
+                          (112, des.pad_word(worked.KEY_UPPER))])
 
 
 def test_crypt_transition_flush_and_refetch():
@@ -372,12 +360,11 @@ def test_decrypt_loads_path():
 
 def test_unknown_instruction_faults():
     # IF fetches the word in cycle 1 and ID raises its fault in cycle 2
-    imem = machine.Memory()
-    imem.write_block(0, des.pad_word(0xFC000000))
+    imem = progen.memory([(0, des.pad_word(0xFC000000))])
     with pytest.raises(pipeline.CycleLimitExceeded):
-        pipeline.run(pipeline.CpuState(imem, machine.Memory()), max_cycles=1)
+        pipeline.run(pipeline.CpuState(imem), max_cycles=1)
     with pytest.raises(pipeline.Fault) as exc:
-        pipeline.run(pipeline.CpuState(imem, machine.Memory()), max_cycles=2)
+        pipeline.run(pipeline.CpuState(imem), max_cycles=2)
     assert (exc.value.pc, exc.value.cycle) == (0x0, 2)
     assert isinstance(exc.value.cause, isa.UnknownInstruction)
 
@@ -385,22 +372,19 @@ def test_unknown_instruction_faults():
 def test_unknown_word_behind_load_use_stall():
     # the stall holds the consumer in ID a cycle longer, so the unknown word
     # behind it reaches ID, and faults, one cycle later
-    dmem = machine.Memory()
-    imem = machine.Memory()
-    machine.load_image(imem, asm.read_hex(
-        "000000008c060000\n0000000000862020\n00000000fc000000\n"))
+    imem = progen.memory(asm.read_hex(
+        "000000008c060000\n0000000000862020\n00000000fc000000\n").entries)
     with pytest.raises(pipeline.Fault) as exc:
-        pipeline.run(pipeline.CpuState(imem, dmem))
+        pipeline.run(pipeline.CpuState(imem))
     assert (exc.value.pc, exc.value.cycle) == (0x10, 5)
     assert isinstance(exc.value.cause, isa.UnknownInstruction)
 
 
 def test_squashed_unknown_word_never_faults():
     # j 2 squashes the slot fetched behind it; that slot never reaches ID
-    imem = machine.Memory()
-    machine.load_image(imem, asm.read_hex(
-        "0000000008000002\n00000000fc000000\n0000000000000000\n"))
-    state, stats = pipeline.run(pipeline.CpuState(imem, machine.Memory()))
+    imem = progen.memory(asm.read_hex(
+        "0000000008000002\n00000000fc000000\n0000000000000000\n").entries)
+    state, stats = pipeline.run(pipeline.CpuState(imem))
     assert (stats.retired, stats.flushes) == (2, 1)
 
 
@@ -449,11 +433,10 @@ def test_same_key_reload_keeps_running():
 
 def test_unknown_word_faults_at_its_pc_in_both_models():
     # addi $r1, $r0, 1 then the word 0xfc000000
-    imem = machine.Memory()
-    machine.load_image(imem, asm.read_hex(
-        "0000000020010001\n00000000fc000000\n"))
+    imem = progen.memory(asm.read_hex(
+        "0000000020010001\n00000000fc000000\n").entries)
     with pytest.raises(pipeline.Fault) as exc:
-        pipeline.run(pipeline.CpuState(imem, machine.Memory()))
+        pipeline.run(pipeline.CpuState(imem))
     assert exc.value.pc == 0x8
     assert isinstance(exc.value.cause, isa.UnknownInstruction)
     with pytest.raises(pipeline.Fault) as exc:
@@ -471,11 +454,10 @@ def test_unaligned_access_faults():
 def test_pipeline_reports_faults_in_cycle_order():
     # sw $r1, 4($r0) would fault in MEM at cycle 4, but the unknown word two
     # slots behind it faults in ID at cycle 3; the oracle goes in program order
-    imem = machine.Memory()
-    machine.load_image(imem, asm.read_hex(
-        "00000000ac010004\n00000000fc000000\n0000000000000000\n"))
+    imem = progen.memory(asm.read_hex(
+        "00000000ac010004\n00000000fc000000\n0000000000000000\n").entries)
     with pytest.raises(pipeline.Fault) as exc:
-        pipeline.run(pipeline.CpuState(imem, machine.Memory()))
+        pipeline.run(pipeline.CpuState(imem))
     assert str(exc.value) == ("fault at pc 0x8 (cycle 3): unknown instruction word "
                               "0xfc000000 (opcode 0x3f, funct 0x00)")
     with pytest.raises(pipeline.Fault) as exc:
@@ -548,12 +530,10 @@ GOLDEN_TRACE = [
 
 
 def test_golden_trace_every_event():
-    image = asm.build_image(GOLDEN_SOURCE)
-    imem = machine.Memory()
-    machine.load_image(imem, asm.encrypt_image(image, worked.KEY))
     lines = []
-    state, stats = pipeline.run(pipeline.CpuState(imem, worked.data_memory()),
-                                trace=lines.append)
+    state, stats = pipeline.run(
+        build_state(GOLDEN_SOURCE, worked.data_memory(), encrypt_key=worked.KEY),
+        trace=lines.append)
     assert lines == GOLDEN_TRACE
     assert (stats.cycles, stats.retired, stats.stalls, stats.flushes,
             stats.crypt_fetches, stats.encrypted_stores) == (25, 14, 3, 4, 7, 1)
@@ -694,66 +674,12 @@ def test_resolve_branch_uses_exmem_forward():
 
 # ------------------------------------------------------------- differential
 
-def test_randomized_differential_small():
-    rng = random.Random(4242)
-    for i in range(100):
-        source = progen.gen_program(rng)
-        entries = progen.gen_dmem_entries(rng)
-        image = asm.build_image(source)
-        imem = machine.Memory()
-        machine.load_image(imem, image)
-        state = pipeline.CpuState(imem, progen.mem_from_entries(entries),
-                                  record_retired=True)
-        state, stats = pipeline.run(state)
-        ref = pipeline.reference_interpret(imem, progen.mem_from_entries(entries),
-                                           record_retired=True)
-        assert pipeline.architectural_state(state) == pipeline.architectural_state(ref), \
-            f"program {i} diverged:\n{source}"
-        assert state.retired_log == ref.retired_log, f"program {i}:\n{source}"
-        assert_accounting(stats)
-
-
-def test_transparency_sample():
-    rng = random.Random(31337)
-    for i in range(20):
-        source = progen.gen_crypt_program(rng)
-        entries = progen.gen_dmem_entries(rng, with_key=True)
-        image = asm.build_image(source)
-        encrypted = asm.encrypt_image(image, progen.KEY)
-        im_enc = machine.Memory()
-        machine.load_image(im_enc, encrypted)
-        im_plain = machine.Memory()
-        machine.load_image(im_plain, image)
-        s_enc = pipeline.CpuState(im_enc, progen.mem_from_entries(entries),
-                                  record_retired=True)
-        s_plain = pipeline.CpuState(im_plain, progen.mem_from_entries(entries),
-                                    crypt_fetch=False, record_retired=True)
-        pipeline.run(s_enc)
-        pipeline.run(s_plain)
-        assert s_enc.retired_log == s_plain.retired_log, f"program {i}:\n{source}"
-        assert (pipeline.architectural_state(s_enc)
-                == pipeline.architectural_state(s_plain))
-        assert s_enc.stats.flushes == s_plain.stats.flushes + 1
-        assert s_enc.stats.stalls == s_plain.stats.stalls
-        assert s_enc.stats.cycles == s_plain.stats.cycles + 1
-
-
 def test_store_path_correctness_invariant():
-    # every block stored under crypt mode decrypts to its padded word
+    # encrypted runs match the oracle on the plaintext image, stored blocks
+    # included, with loads read raw and through the decryption core
     rng = random.Random(777)
-    sched = des.key_schedule(progen.KEY)
-    for _ in range(10):
+    for _ in range(60):
         source = progen.gen_crypt_program(rng)
         entries = progen.gen_dmem_entries(rng, with_key=True)
-        state, _ = run_asm(source, progen.mem_from_entries(entries),
-                           encrypt_key=progen.KEY)
-        ref = pipeline.reference_interpret(
-            _plain_imem(source), progen.mem_from_entries(entries))
-        for addr, block in state.dmem.items():
-            assert block == ref.dmem.read_block(addr)
-
-
-def _plain_imem(source):
-    imem = machine.Memory()
-    machine.load_image(imem, asm.build_image(source))
-    return imem
+        for decrypt_loads in (False, True):
+            progen.check_against_oracle(source, entries, progen.KEY, decrypt_loads)

@@ -6,7 +6,8 @@ VERBATIM ends the loop with an unconditional jump and therefore never
 terminates; CORRECTED replaces it with the intended conditional branch.
 """
 
-from encmips import des, machine
+import progen
+from encmips import asm, des, machine
 
 KEY = 0x4B4952415450414C        # "KIRATPAL"
 KEY_LOWER = KEY & 0xFFFFFFFF    # "TPAL", at byte address 104
@@ -44,16 +45,11 @@ VERBATIM = _BODY.format(loop_end="j  Loop")
 CORRECTED = _BODY.format(loop_end="bne $r7, $r0, Loop")
 
 
-def data_memory() -> machine.Memory:
-    mem = machine.Memory()
-    for i, value in enumerate(DATA):
-        mem.write_block(8 * i, des.pad_word(value))
-    mem.write_block(104, des.pad_word(KEY_LOWER))
-    mem.write_block(112, des.pad_word(KEY_UPPER))
-    return mem
-
-
 def data_hex() -> str:
     lines = [f"{des.pad_word(v):016x}" for v in DATA]
     lines += ["@68", f"{des.pad_word(KEY_LOWER):016x}", f"{des.pad_word(KEY_UPPER):016x}"]
     return "\n".join(lines) + "\n"
+
+
+def data_memory() -> machine.Memory:
+    return progen.memory(asm.read_hex(data_hex()).entries)
