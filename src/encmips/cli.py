@@ -11,22 +11,40 @@ import argparse
 import re
 import sys
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, NoReturn, Optional, Tuple
 
 from . import asm, des, isa, machine, pipeline
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error for `main` to report, instead of exiting 2, the
+    status `run` gives a fault; subcommand parsers inherit the class."""
+
+    def error(self, message: str) -> NoReturn:
+        raise argparse.ArgumentError(None, message)
+
+
+# The converters below raise ArgumentTypeError, whose text argparse
+# prefixes with the argument's name: `argument --key: expected ...`.
+
 def _parse_hex16(text: str) -> int:
     value = text[2:] if text.lower().startswith("0x") else text
     if not asm.HEX16_RE.fullmatch(value):
-        raise ValueError(f"expected 16 hex digits, got '{text}'")
+        raise argparse.ArgumentTypeError(f"expected 16 hex digits, got '{text}'")
     return int(value, 16)
 
 
-def _parse_int(text: str, option: str) -> int:
+def _parse_int(text: str) -> int:
     if not asm.NUM_RE.fullmatch(text):
-        raise ValueError(f"{option}: expected an integer, got '{text}'")
+        raise argparse.ArgumentTypeError(f"expected an integer, got '{text}'")
     return int(text, 0)
+
+
+def _parse_cycle_limit(text: str) -> int:
+    limit = _parse_int(text)
+    if limit < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return limit
 
 
 # a --dump-regs entry: r4, $r4, R4 or 4, in ASCII decimal digits only
@@ -38,10 +56,10 @@ def _parse_reg_list(text: str) -> List[int]:
     for part in text.split(","):
         m = _DUMP_REG_RE.fullmatch(part.strip())
         if not m:
-            raise ValueError(f"--dump-regs: no such register '{part.strip()}'")
+            raise argparse.ArgumentTypeError(f"no such register '{part.strip()}'")
         index = int(m.group(1))
         if index > 31:
-            raise ValueError(f"--dump-regs: no such register r{index}")
+            raise argparse.ArgumentTypeError(f"no such register r{index}")
         regs.append(index)
     return regs
 
@@ -51,45 +69,35 @@ def _parse_mem_ranges(text: str) -> List[Tuple[int, int]]:
     for part in text.split(","):
         start_text, colon, stop_text = part.partition(":")
         if not colon:
-            raise ValueError(f"--dump-mem: expected START:STOP, got '{part.strip()}'")
-        start = _parse_int(start_text.strip(), "--dump-mem")
-        stop = _parse_int(stop_text.strip(), "--dump-mem")
+            raise argparse.ArgumentTypeError(f"expected START:STOP, got '{part.strip()}'")
+        start = _parse_int(start_text.strip())
+        stop = _parse_int(stop_text.strip())
         if start < 0:
-            raise ValueError(f"--dump-mem start {start:#x} is negative")
+            raise argparse.ArgumentTypeError(f"start {start:#x} is negative")
         if start % 8 != 0:
-            raise ValueError(f"--dump-mem start {start:#x} is not 8-aligned")
+            raise argparse.ArgumentTypeError(f"start {start:#x} is not 8-aligned")
         if stop <= start:
-            raise ValueError(f"--dump-mem range {start:#x}:{stop:#x} selects no "
-                             "block: stop must be above start")
+            raise argparse.ArgumentTypeError(f"range {start:#x}:{stop:#x} selects no "
+                                             "block: stop must be above start")
         if stop > 1 << 32:
-            raise ValueError(f"--dump-mem stop {stop:#x} is past the 32-bit "
-                             "address space")
+            raise argparse.ArgumentTypeError(f"stop {stop:#x} is past the 32-bit "
+                                             "address space")
         ranges.append((start, stop))
     return ranges
 
 
-def _parse_run_options(args) -> None:
-    """Turn run's numeric options from text into values, before anything is
-    loaded; a ValueError names the option and the reason."""
-    args.max_cycles = _parse_int(args.max_cycles, "--max-cycles")
-    if args.max_cycles < 1:
-        raise ValueError("--max-cycles must be >= 1")
-    if args.dump_regs is not None:
-        args.dump_regs = _parse_reg_list(args.dump_regs)
-    if args.dump_mem is not None:
-        args.dump_mem = _parse_mem_ranges(args.dump_mem)
+def _read_image(path: str) -> asm.ProgramImage:
+    """A hex image file, read by asm.read_hex."""
+    try:
+        return asm.read_hex(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, asm.AsmError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def cmd_asm(args) -> int:
-    source = Path(args.source).read_text()
-    try:
-        key = _parse_hex16(args.key) if args.key is not None else None
-        image = asm.build_image(source, auto_nop=args.auto_nop)
-        if key is not None:
-            image = asm.encrypt_image(image, key)
-    except (asm.AsmError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    image = asm.build_image(Path(args.source).read_text(), auto_nop=args.auto_nop)
+    if args.key is not None:
+        image = asm.encrypt_image(image, args.key)
     out = Path(args.output) if args.output else Path(args.source).with_suffix(".hex")
     out.write_text(asm.write_hex(image))
     for name, addr in sorted(image.symbols.items(), key=lambda kv: kv[1]):
@@ -123,16 +131,10 @@ def _print_dumps(state: pipeline.CpuState, args) -> None:
 
 
 def cmd_run(args) -> int:
-    try:
-        _parse_run_options(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    imem = machine.Memory()
-    machine.load_image(imem, asm.read_hex(Path(args.image).read_text()))
-    dmem = machine.Memory()
-    if args.dmem:
-        machine.load_image(dmem, asm.read_hex(Path(args.dmem).read_text()))
+    imem, dmem = machine.Memory(), machine.Memory()
+    machine.load_image(imem, args.image)
+    if args.dmem is not None:
+        machine.load_image(dmem, args.dmem)
     state = pipeline.CpuState(imem, dmem, decrypt_loads=args.decrypt_loads)
     trace = (lambda line: print(line, file=sys.stderr)) if args.trace else None
     code = 0
@@ -150,21 +152,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_des(args) -> int:
-    try:
-        key = _parse_hex16(args.key)
-        block = _parse_hex16(args.block)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    sched = des.key_schedule(key)
     op = des.encrypt_block if args.operation == "encrypt" else des.decrypt_block
-    print(f"{op(block, sched):016x}")
+    print(f"{op(args.block, des.key_schedule(args.key)):016x}")
     return 0
 
 
 def cmd_dump(args) -> int:
-    image = asm.read_hex(Path(args.image).read_text())
-    for addr, block in image.entries:
+    for addr, block in args.image.entries:
         line = _block_line(addr, block)
         if args.disasm:
             line += f"  {isa.disasm_word(des.extract_word(block))}"
@@ -173,7 +167,7 @@ def cmd_dump(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="encmips",
         description="assembler and pipeline simulator for the encrypted "
                     "MIPS instruction set")
@@ -182,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("asm", help="assemble a source file into a hex image")
     p.add_argument("source")
     p.add_argument("-o", "--output", help="output path (default: source with .hex)")
-    p.add_argument("--key", type=str, default=None,
+    p.add_argument("--key", type=_parse_hex16,
                    help="16-hex-digit DES key: encrypt every block after the "
                         "crypt instruction under it")
     p.add_argument("--auto-nop", action="store_true",
@@ -190,27 +184,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_asm)
 
     p = sub.add_parser("run", help="run an instruction image to completion")
-    p.add_argument("image", help="instruction memory hex image")
-    p.add_argument("--dmem", help="data memory hex image")
-    p.add_argument("--max-cycles", default="100000", metavar="N")
+    p.add_argument("image", type=_read_image, help="instruction memory hex image")
+    p.add_argument("--dmem", type=_read_image, help="data memory hex image")
+    p.add_argument("--max-cycles", type=_parse_cycle_limit, default=100000,
+                   metavar="N")
     p.add_argument("--trace", action="store_true",
                    help="per-cycle pipeline trace on standard error")
     p.add_argument("--decrypt-loads", action="store_true",
                    help="route lw data through the decryption core in crypt mode")
-    p.add_argument("--dump-regs", default=None,
-                   metavar="LIST", help="registers to dump, e.g. r4,r7")
-    p.add_argument("--dump-mem", default=None,
-                   metavar="RANGES", help="byte ranges to dump, e.g. 56:64")
+    p.add_argument("--dump-regs", type=_parse_reg_list, metavar="LIST",
+                   help="registers to dump, e.g. r4,r7")
+    p.add_argument("--dump-mem", type=_parse_mem_ranges, metavar="RANGES",
+                   help="byte ranges to dump, e.g. 56:64")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("des", help="encrypt or decrypt one 64-bit block")
     p.add_argument("operation", choices=("encrypt", "decrypt"))
-    p.add_argument("--key", required=True, help="16-hex-digit DES key")
-    p.add_argument("--block", required=True, help="16-hex-digit block")
+    p.add_argument("--key", type=_parse_hex16, required=True,
+                   help="16-hex-digit DES key")
+    p.add_argument("--block", type=_parse_hex16, required=True,
+                   help="16-hex-digit block")
     p.set_defaults(func=cmd_des)
 
     p = sub.add_parser("dump", help="pretty-print a hex image")
-    p.add_argument("image")
+    p.add_argument("image", type=_read_image)
     p.add_argument("--disasm", action="store_true",
                    help="disassemble each block's payload word")
     p.set_defaults(func=cmd_dump)
@@ -219,11 +216,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (OSError, UnicodeDecodeError, asm.AsmError) as exc:
-        # an input file that is missing, unreadable or malformed
+    except (argparse.ArgumentError, OSError, UnicodeDecodeError, asm.AsmError) as exc:
+        # a command line the parser rejects, an assembly source that is
+        # missing, unreadable or malformed, or a standard output closed by
+        # its reader
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -94,7 +94,7 @@ def test_criterion_3_worked_example(tmp_path, capsys):
     prog = tmp_path / "sum.asm"
     prog.write_text(worked.CORRECTED)
     data = tmp_path / "sum_data.hex"
-    data.write_text(worked.data_hex())
+    data.write_text(worked.DATA_HEX)
     image = tmp_path / "sum.hex"
 
     assert cli.main(["asm", str(prog), "-o", str(image),

@@ -1,3 +1,4 @@
+import argparse
 import sys
 from pathlib import Path
 
@@ -14,7 +15,7 @@ def _write_inputs(tmp_path, source=None):
     prog = tmp_path / "prog.asm"
     prog.write_text(source if source is not None else worked.CORRECTED)
     data = tmp_path / "data.hex"
-    data.write_text(worked.data_hex())
+    data.write_text(worked.DATA_HEX)
     return prog, data
 
 
@@ -125,7 +126,7 @@ def test_dump_regs_spellings():
     # an optional $, an optional r or R, then ASCII decimal digits
     assert cli._parse_reg_list("r4,$r4,R4,4, $R31 ,$7,r07") == [4, 4, 4, 4, 31, 7, 7]
     for bad in ("r0x4", "r-0", "r\u0664", "$", "r", "4r"):
-        with pytest.raises(ValueError, match="no such register"):
+        with pytest.raises(argparse.ArgumentTypeError, match="no such register"):
             cli._parse_reg_list(bad)
 
 
@@ -254,14 +255,18 @@ def test_dump_disasm(tmp_path, capsys):
 
 # (argv, a part of the error line or None)
 @pytest.mark.parametrize("argv, reason", [
-    (["run", "{missing}"], None),
-    (["run", "{image}", "--dmem", "{missing}"], None),
+    (["run", "{missing}"], "argument image: [Errno 2] No such file or directory"),
+    (["run", "{image}", "--dmem", "{missing}"],
+     "argument --dmem: [Errno 2] No such file or directory"),
     (["asm", "{missing}"], None),
-    (["dump", "{missing}"], None),
-    (["run", "{bad_hex}"], None),
-    (["run", "{image}", "--dmem", "{bad_directive}"], None),
-    (["run", "{signed_directive}"], "bad address directive '@-8'"),
-    (["run", "{image}", "--max-cycles", "0"], None),
+    (["dump", "{missing}"], "argument image: [Errno 2] No such file or directory"),
+    (["run", "{bad_hex}"], "argument image: line 2: expected 16 hex digits, got 'zz'"),
+    (["run", "{image}", "--dmem", "{bad_hex}"],
+     "argument --dmem: line 2: expected 16 hex digits, got 'zz'"),
+    (["run", "{image}", "--dmem", "{bad_directive}"],
+     "argument --dmem: line 1: address directive '@6b' not 8-aligned"),
+    (["run", "{signed_directive}"], "argument image: line 1: bad address directive '@-8'"),
+    (["run", "{image}", "--max-cycles", "0"], "argument --max-cycles: must be >= 1"),
     (["run", "{image}", "--dump-mem", "3:9"], None),
     (["run", "{image}", "--dump-regs", "r40"], "--dump-regs: no such register r40"),
     (["run", "{image}", "--dump-regs", "rx"], "--dump-regs: no such register 'rx'"),
@@ -277,9 +282,9 @@ def test_dump_disasm(tmp_path, capsys):
     (["run", "{image}", "--dump-mem", "16"], "--dump-mem: expected START:STOP, got '16'"),
     (["run", "{image}", "--dump-mem", "16:0"], "stop must be above start"),
     (["run", "{image}", "--dump-mem", "16:16"], "stop must be above start"),
-    (["run", "{image}", "--dump-mem=-16:8"], "--dump-mem start -0x10 is negative"),
+    (["run", "{image}", "--dump-mem=-16:8"], "argument --dump-mem: start -0x10 is negative"),
     (["run", "{image}", "--dump-mem", "0:0x100000008"],
-     "--dump-mem stop 0x100000008 is past the 32-bit address space"),
+     "argument --dump-mem: stop 0x100000008 is past the 32-bit address space"),
     (["des", "encrypt", "--key=-b4952415450414c", "--block", "00000000cb97f7ee"],
      "expected 16 hex digits, got '-b4952415450414c'"),
     (["des", "decrypt", "--key", "4b4952415450_41c", "--block", "00000000cb97f7ee"],
@@ -288,9 +293,13 @@ def test_dump_disasm(tmp_path, capsys):
      "expected 16 hex digits, got '0x+0000000cb97f7ee'"),
     (["asm", "{source}", "--key=-b4952415450414c"],
      "expected 16 hex digits, got '-b4952415450414c'"),
+    (["run"], "the following arguments are required: image"),
+    (["run", "{image}", "--bogus"], "unrecognized arguments: --bogus"),
+    (["frob"], "invalid choice: 'frob'"),
+    (["des", "encrypt"], "the following arguments are required: --key, --block"),
 ], ids=["run-missing-image", "run-missing-dmem", "asm-missing-source",
-        "dump-missing-image", "run-bad-hex-line", "run-dmem-unaligned-directive",
-        "run-signed-address-directive",
+        "dump-missing-image", "run-bad-hex-line", "run-dmem-bad-hex-line",
+        "run-dmem-unaligned-directive", "run-signed-address-directive",
         "run-max-cycles-0", "run-unaligned-dump-mem", "run-no-such-register",
         "run-register-not-a-number", "run-register-underscore",
         "run-register-signed", "run-register-two-dollars", "run-max-cycles-not-a-number",
@@ -298,7 +307,8 @@ def test_dump_disasm(tmp_path, capsys):
         "run-dump-mem-non-ascii-digits", "run-dump-mem-no-colon",
         "run-dump-mem-stop-before-start", "run-dump-mem-empty-range",
         "run-dump-mem-negative-start", "run-dump-mem-past-32-bits", "des-signed-key",
-        "des-underscore-key", "des-signed-block-after-0x", "asm-signed-key"])
+        "des-underscore-key", "des-signed-block-after-0x", "asm-signed-key",
+        "run-no-image", "run-unknown-option", "unknown-command", "des-no-key-or-block"])
 def test_bad_input_is_one_line_error(tmp_path, capsys, argv, reason):
     paths = {"missing": tmp_path / "missing.hex", "image": tmp_path / "image.hex",
              "bad_hex": tmp_path / "bad.hex", "bad_directive": tmp_path / "bad_dir.hex",
@@ -316,3 +326,11 @@ def test_bad_input_is_one_line_error(tmp_path, capsys, argv, reason):
     assert cap.err.startswith("error: ") and cap.err.count("\n") == 1
     if reason is not None:
         assert reason in cap.err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["run", "-h"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ")
