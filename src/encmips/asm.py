@@ -192,7 +192,7 @@ def _ensure_key_load_guards(statements: List[Statement]) -> List[Statement]:
     since_key_load: Optional[int] = None
     for stmt in statements:
         spec = isa.SPECS.get(stmt.mnemonic)  # None for a label-only line
-        is_crypt = spec is not None and spec.control == isa.SET_CRYPT
+        is_crypt = spec is not None and spec.mode is not None
         if is_crypt and since_key_load is not None:
             # the first guard nop takes crypt's label, in a copy of crypt
             label = stmt.label
@@ -201,7 +201,7 @@ def _ensure_key_load_guards(statements: List[Statement]) -> List[Statement]:
                 label = None
             stmt = replace(stmt, label=label)
         out.append(stmt)
-        if spec is not None and spec.mem in (isa.KEY_LOWER, isa.KEY_UPPER):
+        if spec is not None and spec.load_key is not None:
             since_key_load = 0
         elif spec is not None:
             if since_key_load is not None:
@@ -290,7 +290,7 @@ def encrypt_image(image: ProgramImage, key: int) -> ProgramImage:
 
     The walk starts with the mode off and encrypts a block when the mode is
     on as it reaches it; a `crypt` block, fetched through the old path, then
-    sets the mode to flag != 0. crypt_boundary is the block after the first
+    sets the mode its row's `mode` gives (flag != 0). crypt_boundary is the block after the first
     `crypt` that turns the mode on.
     """
     sched = des.key_schedule(key)
@@ -299,8 +299,8 @@ def encrypt_image(image: ProgramImage, key: int) -> ProgramImage:
         entries.append((addr, des.encrypt_block(block, sched) if on else block))
         word = des.extract_word(block)
         spec = isa.spec_of(word)
-        if spec is not None and spec.control == isa.SET_CRYPT:
-            on = isa.decode(word).target != 0
+        if spec is not None and spec.mode is not None:
+            on = spec.mode(isa.decode(word))
             if on and boundary is None:
                 boundary = i + 1
     if boundary is None:

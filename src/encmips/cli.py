@@ -177,8 +177,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("source")
     p.add_argument("-o", "--output", help="output path (default: source with .hex)")
     p.add_argument("--key", type=_parse_hex16,
-                   help="16-hex-digit DES key: encrypt every block after the "
-                        "crypt instruction under it")
+                   help="16-hex-digit DES key: encrypt under it every block "
+                        "from after a crypt that turns crypt mode on up to "
+                        "and including the next crypt 0")
     p.add_argument("--auto-nop", action="store_true",
                    help="insert the two guard nops between key load and crypt")
     p.set_defaults(func=cmd_asm)

@@ -8,14 +8,17 @@ holds all six fields, with 0 in each one its format lacks:
 
 `SPECS` is the one place an instruction is defined: its row for a mnemonic
 gives the encoding, the assembler operands, the registers read and written,
-the ALU operation, the memory and control behaviour, and the disassembly.
-The assembler, the pipeline and the reference interpreter read the row and
-name no mnemonic. The standard MIPS subset keeps its classic opcode/funct
-values; the three key-handling instructions take otherwise unused opcodes.
+the ALU operation, the memory kind, the key-register load, the branch or
+jump target, the crypt mode it sets, and the disassembly. The assembler,
+the pipeline and the reference interpreter call the row's functions and
+name no mnemonic, so a new ALU operation, branch or jump is one row. The
+standard MIPS subset keeps its classic opcode/funct values; the three
+key-handling instructions take otherwise unused opcodes.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
@@ -23,17 +26,9 @@ WORD_MASK = 0xFFFFFFFF
 NOP_WORD = 0x00000000
 
 # Memory kinds: what MEM does at the address the ALU computed.
-LOAD = "load"            # rt = low 32 bits of the block
-STORE = "store"          # block = zero-padded rt, encrypted in crypt mode
-KEY_LOWER = "key-lower"  # key register lower half = low 32 bits of the block
-KEY_UPPER = "key-upper"  # key register upper half = low 32 bits of the block
-
-# Control kinds, resolved in ID.
-BRANCH_EQ = "branch-eq"  # if rs == rt: pc = pc + 8 + imm*8
-BRANCH_NE = "branch-ne"  # if rs != rt: pc = pc + 8 + imm*8
-JUMP = "jump"            # pc = target*8
-SET_CRYPT = "set-crypt"  # crypt mode = (target != 0)
-BRANCHES = (BRANCH_EQ, BRANCH_NE)
+LOAD = "load"    # rt = low 32 bits of the block
+STORE = "store"  # block = zero-padded rt, encrypted in crypt mode
+KEY = "key"      # the row's load_key takes the low 32 bits of the block
 
 
 def _signed(value: int) -> int:
@@ -43,6 +38,14 @@ def _signed(value: int) -> int:
 def _add_imm(a: int, b: int, instr: Instruction) -> int:
     """rs + imm: the result of addi and the address of every memory access."""
     return (a + instr.imm) & WORD_MASK
+
+
+def _branch(taken: Callable[[int, int], bool]):
+    """A compare branch's redirect: pc + 8 + imm*8, wrapped like every pc,
+    when taken(rs value, rt value) holds, else None."""
+    def redirect(pc: int, a: int, b: int, instr: Instruction) -> Optional[int]:
+        return (pc + 8 + instr.imm * 8) & WORD_MASK if taken(a, b) else None
+    return redirect
 
 
 # How the disassembly writes each operand shape; an `m` operand is imm(rs).
@@ -68,17 +71,21 @@ class InstrSpec:
     # None when the instruction has no result
     alu: Optional[Callable[[int, int, Instruction], int]] = None
     mem: Optional[str] = None      # memory kind
-    control: Optional[str] = None  # control kind
+    # KEY rows: (machine.KeyRegister, loaded word) -> None, sets one half
+    load_key: Optional[Callable[[object, int], None]] = None
+    # branches and jumps, resolved in ID: (pc, rs value, rt value,
+    # instruction) -> the next pc, or None when a branch falls through
+    redirect: Optional[Callable[[int, int, int, Instruction], Optional[int]]] = None
+    # crypt, resolved in ID: instruction -> the crypt mode it sets
+    mode: Optional[Callable[[Instruction], bool]] = None
     aliases: Tuple[str, ...] = ()  # other names the assembler accepts
     # derived: disassembly as a str.format template over the instruction `i`
     template: str = field(init=False)
-    is_branch: bool = field(init=False)
 
     def __post_init__(self):
         text = ", ".join(_OPERAND_TEXT[kind].format(name)
                          for kind, name in zip(self.shape, self.operands))
         object.__setattr__(self, "template", f"{self.mnemonic} {text}")
-        object.__setattr__(self, "is_branch", self.control in BRANCHES)
 
 
 SPECS: Dict[str, InstrSpec] = {spec.mnemonic: spec for spec in (
@@ -102,17 +109,19 @@ SPECS: Dict[str, InstrSpec] = {spec.mnemonic: spec for spec in (
     InstrSpec("sw",    "I", 0x2B, None, "rm",  ("rt", "imm(rs)"),
               sources=("rs", "rt"), alu=_add_imm, mem=STORE),
     InstrSpec("beq",   "I", 0x04, None, "rrt", ("rs", "rt", "imm"),
-              sources=("rs", "rt"), control=BRANCH_EQ),
+              sources=("rs", "rt"), redirect=_branch(operator.eq)),
     InstrSpec("bne",   "I", 0x05, None, "rrt", ("rs", "rt", "imm"),
-              sources=("rs", "rt"), control=BRANCH_NE),
+              sources=("rs", "rt"), redirect=_branch(operator.ne)),
     InstrSpec("j",     "J", 0x02, None, "t",   ("target",),
-              control=JUMP),
+              redirect=lambda pc, a, b, i: i.target * 8),
     InstrSpec("lklw",  "I", 0x1A, None, "m",   ("imm(rs)",),
-              sources=("rs",), alu=_add_imm, mem=KEY_LOWER, aliases=("lkw",)),
+              sources=("rs",), alu=_add_imm, mem=KEY, aliases=("lkw",),
+              load_key=lambda keyreg, word: keyreg.set_lower(word)),
     InstrSpec("lkuw",  "I", 0x1B, None, "m",   ("imm(rs)",),
-              sources=("rs",), alu=_add_imm, mem=KEY_UPPER),
+              sources=("rs",), alu=_add_imm, mem=KEY,
+              load_key=lambda keyreg, word: keyreg.set_upper(word)),
     InstrSpec("crypt", "J", 0x1C, None, "i",   ("target",),
-              control=SET_CRYPT),
+              mode=lambda i: i.target != 0),
 )}
 
 # funct is None outside the R format, so I and J rows key on the opcode alone

@@ -164,8 +164,8 @@ def fetch_word(imem: machine.Memory, pc: int, decrypt: bool,
 def mem_stage(instr: isa.Instruction, addr: int, store_data: int,
               crypt_mode: bool, keyreg: machine.KeyRegister,
               dmem: machine.Memory, decrypt_loads: bool = False) -> Optional[int]:
-    """MEM-stage access. Returns lw's loaded word, the 32-bit half for
-    lklw/lkuw (the caller routes it into the key register), else None.
+    """MEM-stage access. Returns the loaded word of a LOAD or KEY row (the
+    caller passes a KEY row's word to its load_key), else None.
 
     Stores under crypt mode write the DES encryption of the zero-padded
     word. Loads return the low 32 bits of the block as-is unless the
@@ -182,13 +182,6 @@ def mem_stage(instr: isa.Instruction, addr: int, store_data: int,
     if kind == isa.LOAD and decrypt_loads and crypt_mode:
         block = keyreg.decrypt(block, "decrypting load before key loaded")
     return des.extract_word(block)
-
-
-def _load_key_half(keyreg: machine.KeyRegister, kind: str, value: int) -> None:
-    if kind == isa.KEY_LOWER:
-        keyreg.set_lower(value)
-    else:
-        keyreg.set_upper(value)
 
 
 _decode = functools.lru_cache(maxsize=4096)(isa.decode)
@@ -229,7 +222,7 @@ def step(state: CpuState) -> None:
 
     # MEM. Key-register halves commit at the end of the cycle, after IF has
     # sampled the old value (the hardware latches the half on the clock edge).
-    pending_key: Optional[Tuple[str, int]] = None
+    pending_key: Optional[Tuple[Callable, int]] = None
     if exmem.__class__ is Slot:
         exmem.value = exmem.alu
         kind = exmem.instr.spec.mem
@@ -243,7 +236,7 @@ def step(state: CpuState) -> None:
             if kind == isa.LOAD:
                 exmem.value = out
             elif kind != isa.STORE:
-                pending_key = (kind, out)
+                pending_key = (exmem.instr.spec.load_key, out)
             elif exmem.crypt_mode:
                 st.encrypted_stores += 1
 
@@ -273,38 +266,33 @@ def step(state: CpuState) -> None:
         spec = instr.spec
         if spec is None:    # an isa.UnknownInstruction
             raise Fault(instr, ifid.pc, st.cycles) from instr
-        branch = spec.is_branch
+        resolve = spec.redirect
         # Load-use: a load in EX whose destination this instruction reads.
         # A branch also waits for any producer in EX (its result reaches
         # EXMEM, in the compare's forwarding reach, next cycle) and for a
         # load in MEM (its data reaches the register file one cycle later).
+        # A jump reads no register, so it never waits.
         sources = instr.sources
         if idex.dest in sources:
-            stall = branch or idex.instr.spec.mem == isa.LOAD
-        if branch and not stall and exmem.dest in sources:
+            stall = resolve is not None or idex.instr.spec.mem == isa.LOAD
+        if resolve is not None and not stall and exmem.dest in sources:
             stall = exmem.instr.spec.mem == isa.LOAD
         if stall:
             next_idex = STALL_BUBBLE
         else:
-            control = spec.control
-            if control is not None:
-                if branch:
-                    # the compare forwards from EXMEM; a target wraps like
-                    # every pc
-                    a = exmem.alu if exmem.dest == instr.rs else regs[instr.rs]
-                    b = exmem.alu if exmem.dest == instr.rt else regs[instr.rt]
-                    if (a == b) == (control == isa.BRANCH_EQ):
-                        redirect = (ifid.pc + 8 + instr.imm * 8) & isa.WORD_MASK
-                elif control == isa.JUMP:
-                    redirect = instr.target * 8
-                elif control == isa.SET_CRYPT:
-                    enable = instr.target != 0
-                    if enable != state.crypt_mode:
-                        state.crypt_mode = enable
-                        if state.crypt_fetch:
-                            # the slot fetched this cycle went through the
-                            # wrong path; squash it and refetch at the same pc
-                            redirect = state.pc
+            if resolve is not None:
+                # the compare forwards from EXMEM
+                a = exmem.alu if exmem.dest == instr.rs else regs[instr.rs]
+                b = exmem.alu if exmem.dest == instr.rt else regs[instr.rt]
+                redirect = resolve(ifid.pc, a, b, instr)
+            elif spec.mode is not None:
+                enable = spec.mode(instr)
+                if enable != state.crypt_mode:
+                    state.crypt_mode = enable
+                    if state.crypt_fetch:
+                        # the slot fetched this cycle went through the
+                        # wrong path; squash it and refetch at the same pc
+                        redirect = state.pc
             ifid.dest = instr.dest
             ifid.a = regs[instr.rs]
             ifid.b = regs[instr.rt]
@@ -344,7 +332,8 @@ def step(state: CpuState) -> None:
     state.exmem, state.memwb = idex, exmem
     state.pc = next_pc
     if pending_key is not None:
-        _load_key_half(state.keyreg, *pending_key)
+        load_key, word = pending_key
+        load_key(state.keyreg, word)
     state.halted = exmem is END_BUBBLE
 
 
@@ -453,17 +442,16 @@ def reference_interpret(imem: machine.Memory, dmem: machine.Memory, *,
                 if spec.mem == isa.LOAD:
                     value = out
                 elif spec.mem != isa.STORE:
-                    _load_key_half(s.keyreg, spec.mem, out)
+                    spec.load_key(s.keyreg, out)
             if instr.dest is not None:
                 s.regs.write(instr.dest, value)
-            if spec.is_branch:
-                taken = (a == b) if spec.control == isa.BRANCH_EQ else (a != b)
-                if taken:
-                    next_pc = (pc + 8 + instr.imm * 8) & isa.WORD_MASK
-            elif spec.control == isa.JUMP:
-                next_pc = instr.target * 8
-            elif spec.control == isa.SET_CRYPT:
-                s.crypt_mode = instr.target != 0
+            if spec.redirect is not None:
+                # a target of 0 is falsy, so test it against None
+                target = spec.redirect(pc, a, b, instr)
+                if target is not None:
+                    next_pc = target
+            elif spec.mode is not None:
+                s.crypt_mode = spec.mode(instr)
         except machine.MachineError as exc:
             raise Fault(exc, pc, s.executed) from exc
         s.executed += 1

@@ -149,7 +149,7 @@ def gen_crypt_program(rng: random.Random, extras: bool = False) -> str:
 def _crypt_positions(image: asm.ProgramImage) -> List[int]:
     return [i for i, (_, block) in enumerate(image.entries)
             if (spec := isa.spec_of(des.extract_word(block))) is not None
-            and spec.control == isa.SET_CRYPT]
+            and spec.mode is not None]
 
 
 def plant_unknown_word(rng: random.Random,

@@ -187,6 +187,17 @@ def test_run_fault_exit_code(tmp_path, capsys):
     assert code == 2
     assert "fault" in cap.err
     assert "cycles" in cap.out
+    # a store in crypt mode before the key is loaded: the refetch after
+    # `crypt 1` needs the key first, so IF faults, not the store's MEM
+    # (docs/isa.md, Faults)
+    code, out, _, _ = _asm(tmp_path, capsys, source="crypt 1\nsw $r0, 0($r0)\n")
+    assert code == 0
+    code = cli.main(["run", str(out)])
+    cap = capsys.readouterr()
+    assert code == 2
+    assert cap.err == ("error: fault at pc 0x8 (cycle 3): "
+                       "decrypting fetch before key loaded\n")
+    assert "cycles = 3" in cap.out
 
 
 def test_run_empty_image(tmp_path, capsys):
@@ -328,9 +339,13 @@ def test_bad_input_is_one_line_error(tmp_path, capsys, argv, reason):
         assert reason in cap.err
 
 
-@pytest.mark.parametrize("argv", [["-h"], ["run", "-h"]])
+@pytest.mark.parametrize("argv", [["-h"], ["run", "-h"], ["asm", "-h"]])
 def test_help_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as exit_info:
         cli.main(argv)
     assert exit_info.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: ")
+    out = capsys.readouterr().out
+    assert out.startswith("usage: ")
+    if argv[0] == "asm":
+        # --key states where encryption ends (docs/isa.md, Encrypted images)
+        assert "crypt 0" in " ".join(out.split())

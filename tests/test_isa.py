@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from encmips import isa
+from encmips import isa, machine
 
 
 def test_decode_nop_word():
@@ -129,29 +129,48 @@ def test_disasm_word_never_raises():
 
 # Written out by hand, not read from isa.SPECS: for one instance of every
 # mnemonic, the registers it reads, the register it writes back, its memory
-# and control kinds, and its ALU result for a = rs value, b = rt value.
+# kind, its ALU result for a = rs value, b = rt value, and its effect (see
+# _effect): for a branch or jump the next pc at pc 16 with the same a and b,
+# for crypt the mode it sets, for a key load the key register's
+# (lower_loaded, upper_loaded, lower, upper) after it loads KEY_WORD.
+KEY_WORD = 0x12345678
 PINNED = {
-    "add": (isa.Instruction("add", rs=1, rt=2, rd=3), (1, 2), 3, None, None, 5, 7, 12),
-    "sub": (isa.Instruction("sub", rs=1, rt=2, rd=3), (1, 2), 3, None, None, 5, 7, 0xFFFFFFFE),
-    "and": (isa.Instruction("and", rs=1, rt=2, rd=3), (1, 2), 3, None, None, 0b1100, 0b1010, 0b1000),
-    "or": (isa.Instruction("or", rs=1, rt=2, rd=3), (1, 2), 3, None, None, 0b1100, 0b1010, 0b1110),
-    "slt": (isa.Instruction("slt", rs=1, rt=2, rd=3), (1, 2), 3, None, None, 0xFFFFFFFF, 1, 1),
-    "sll": (isa.Instruction("sll", rs=0, rt=2, rd=3, shamt=4), (2,), 3, None, None,
-            0, 0x80000001, 0x10),
-    "addi": (isa.Instruction("addi", rs=1, rt=2, imm=-1), (1,), 2, None, None, 5, 0, 4),
-    "lw": (isa.Instruction("lw", rs=1, rt=2, imm=8), (1,), 2, isa.LOAD, None, 16, 99, 24),
-    "sw": (isa.Instruction("sw", rs=1, rt=2, imm=-8), (1, 2), None, isa.STORE, None, 16, 99, 8),
-    "beq": (isa.Instruction("beq", rs=1, rt=2, imm=3), (1, 2), None, None, isa.BRANCH_EQ,
-            5, 5, None),
-    "bne": (isa.Instruction("bne", rs=1, rt=2, imm=3), (1, 2), None, None, isa.BRANCH_NE,
-            5, 6, None),
-    "j": (isa.Instruction("j", target=5), (), None, None, isa.JUMP, 0, 0, None),
-    "lklw": (isa.Instruction("lklw", rs=1, rt=0, imm=8), (1,), None, isa.KEY_LOWER, None,
-             16, 0, 24),
-    "lkuw": (isa.Instruction("lkuw", rs=1, rt=0, imm=-8), (1,), None, isa.KEY_UPPER, None,
-             16, 0, 8),
-    "crypt": (isa.Instruction("crypt", target=1), (), None, None, isa.SET_CRYPT, 0, 0, None),
+    "add": (isa.Instruction("add", rs=1, rt=2, rd=3), (1, 2), 3, None, 5, 7, 12, None),
+    "sub": (isa.Instruction("sub", rs=1, rt=2, rd=3), (1, 2), 3, None, 5, 7, 0xFFFFFFFE, None),
+    "and": (isa.Instruction("and", rs=1, rt=2, rd=3), (1, 2), 3, None, 0b1100, 0b1010, 0b1000,
+            None),
+    "or": (isa.Instruction("or", rs=1, rt=2, rd=3), (1, 2), 3, None, 0b1100, 0b1010, 0b1110,
+           None),
+    "slt": (isa.Instruction("slt", rs=1, rt=2, rd=3), (1, 2), 3, None, 0xFFFFFFFF, 1, 1, None),
+    "sll": (isa.Instruction("sll", rs=0, rt=2, rd=3, shamt=4), (2,), 3, None,
+            0, 0x80000001, 0x10, None),
+    "addi": (isa.Instruction("addi", rs=1, rt=2, imm=-1), (1,), 2, None, 5, 0, 4, None),
+    "lw": (isa.Instruction("lw", rs=1, rt=2, imm=8), (1,), 2, isa.LOAD, 16, 99, 24, None),
+    "sw": (isa.Instruction("sw", rs=1, rt=2, imm=-8), (1, 2), None, isa.STORE, 16, 99, 8, None),
+    "beq": (isa.Instruction("beq", rs=1, rt=2, imm=3), (1, 2), None, None, 5, 5, None, 48),
+    "bne": (isa.Instruction("bne", rs=1, rt=2, imm=3), (1, 2), None, None, 5, 6, None, 48),
+    "j": (isa.Instruction("j", target=5), (), None, None, 0, 0, None, 40),
+    "lklw": (isa.Instruction("lklw", rs=1, rt=0, imm=8), (1,), None, isa.KEY, 16, 0, 24,
+             (True, False, KEY_WORD, 0)),
+    "lkuw": (isa.Instruction("lkuw", rs=1, rt=0, imm=-8), (1,), None, isa.KEY, 16, 0, 8,
+             (False, True, 0, KEY_WORD)),
+    "crypt": (isa.Instruction("crypt", target=1), (), None, None, 0, 0, None, True),
 }
+
+
+def _effect(instr, a, b, pc=16):
+    """What the row's redirect, mode or load_key gives; None for a row with
+    none of them."""
+    spec = instr.spec
+    if spec.redirect is not None:
+        return spec.redirect(pc, a, b, instr)
+    if spec.mode is not None:
+        return spec.mode(instr)
+    if spec.load_key is not None:
+        keyreg = machine.KeyRegister()
+        spec.load_key(keyreg, KEY_WORD)
+        return (keyreg.lower_loaded, keyreg.upper_loaded, keyreg.lower, keyreg.upper)
+    return None
 
 
 def test_every_mnemonic_is_pinned():
@@ -160,21 +179,51 @@ def test_every_mnemonic_is_pinned():
 
 @pytest.mark.parametrize("mnemonic", sorted(PINNED))
 def test_table_row_semantics(mnemonic):
-    instr, sources, dest, mem, control, a, b, result = PINNED[mnemonic]
+    instr, sources, dest, mem, a, b, result, effect = PINNED[mnemonic]
+    spec = instr.spec
     assert instr.sources == sources
     assert instr.dest == dest
-    assert instr.spec.mem == mem
-    assert instr.spec.control == control
-    assert instr.spec.is_branch == (control in (isa.BRANCH_EQ, isa.BRANCH_NE))
-    alu = instr.spec.alu
+    assert spec.mem == mem
+    # the pipeline and the oracle act on at most one of these hooks, and a
+    # key load is the KEY memory kind
+    hooks = (spec.redirect, spec.mode, spec.load_key)
+    assert sum(hook is not None for hook in hooks) <= 1
+    assert (spec.load_key is not None) == (mem == isa.KEY)
+    alu = spec.alu
     assert (alu(a, b, instr) if alu is not None else None) == result
+    assert _effect(instr, a, b) == effect
     # every stage reads both rs and rt; the operand whose field the row
     # does not read must not change the result
-    if "rs" not in instr.spec.sources:
+    if "rs" not in spec.sources:
         a = 0xDEADBEEF
-    if "rt" not in instr.spec.sources:
+    if "rt" not in spec.sources:
         b = 0xDEADBEEF
     assert (alu(a, b, instr) if alu is not None else None) == result
+    assert _effect(instr, a, b) == effect
+
+
+# Effects beyond PINNED's one instance per row: (instruction, pc, rs value,
+# rt value, effect as in PINNED; None when a branch falls through)
+EFFECTS = [
+    (isa.Instruction("beq", rs=1, rt=2, imm=3), 16, 5, 6, None),
+    (isa.Instruction("bne", rs=1, rt=2, imm=3), 16, 5, 5, None),
+    (isa.Instruction("beq", rs=1, rt=2, imm=-2), 16, 0, 0, 8),
+    # a target wraps like every pc, and 0 is a target, not a fall-through
+    (isa.Instruction("beq", rs=1, rt=2, imm=-1), 0, 7, 7, 0),
+    (isa.Instruction("beq", rs=1, rt=2, imm=-2), 0, 7, 7, 0xFFFFFFF8),
+    (isa.Instruction("bne", rs=1, rt=2, imm=0), 0xFFFFFFF8, 7, 0, 0),
+    (isa.Instruction("j", target=5), 0x100, 9, 9, 40),
+    (isa.Instruction("j", target=0x3FFFFFF), 0, 0, 0, 0x1FFFFFF8),
+    # crypt mode = flag != 0
+    (isa.Instruction("crypt", target=0), 16, 0, 0, False),
+    (isa.Instruction("crypt", target=5), 16, 0, 0, True),
+    (isa.Instruction("crypt", target=0x3FFFFFF), 16, 0, 0, True),
+]
+
+
+@pytest.mark.parametrize("instr, pc, a, b, effect", EFFECTS)
+def test_row_effect(instr, pc, a, b, effect):
+    assert _effect(instr, a, b, pc) == effect
 
 
 def test_fields_a_format_lacks_read_zero():

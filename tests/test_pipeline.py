@@ -257,8 +257,8 @@ KEY_PROLOG = ("addi $r1, $r0, 104\n"
 
 
 def key_dmem():
-    return progen.memory([(104, des.pad_word(worked.KEY_LOWER)),
-                          (112, des.pad_word(worked.KEY_UPPER))])
+    return progen.memory([(104, des.pad_word(worked.KEY_LO)),
+                          (112, des.pad_word(worked.KEY_HI))])
 
 
 def test_crypt_transition_flush_and_refetch():
@@ -304,7 +304,7 @@ def test_key_half_reload():
     dmem.write_block(0, des.pad_word(0xAAAA5555))
     source = KEY_PROLOG + "lklw 0($r0)\naddi $r9, $r0, 0\n"
     state, _ = run_asm(source, dmem)
-    assert state.keyreg.key_value() == (worked.KEY_UPPER << 32) | 0xAAAA5555
+    assert state.keyreg.key_value() == (worked.KEY_HI << 32) | 0xAAAA5555
 
 
 def test_crypt_toggle_off():
@@ -423,7 +423,7 @@ def test_key_change_refetch_decrypts_under_new_key():
 
 def test_same_key_reload_keeps_running():
     dmem = key_dmem()
-    dmem.write_block(120, des.pad_word(worked.KEY_LOWER))
+    dmem.write_block(120, des.pad_word(worked.KEY_LO))
     state, stats = run_asm(KEY_SWITCH, dmem, encrypt_key=worked.KEY, max_cycles=1000)
     assert state.regs.read(2) == 2
     assert state.dmem.read_block(0) == 0xCEE91D0BED9C2077   # sw of 2 under KEY

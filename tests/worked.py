@@ -16,8 +16,8 @@ from encmips import asm, machine
 PROGRAMS = Path(__file__).resolve().parent.parent / "demos" / "programs"
 
 KEY = 0x4B4952415450414C        # "KIRATPAL"
-KEY_LOWER = KEY & 0xFFFFFFFF    # "TPAL", at byte address 104
-KEY_UPPER = KEY >> 32           # "KIRA", at byte address 112
+KEY_LO = KEY & 0xFFFFFFFF       # "TPAL", at byte address 104
+KEY_HI = KEY >> 32              # "KIRA", at byte address 112
 SUM = 0xCBA767EE                # the seven array elements' sum mod 2^32
 
 VERBATIM = (PROGRAMS / "sum_array_verbatim.asm").read_text()
