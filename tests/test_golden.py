@@ -2,10 +2,11 @@
 once and compared on every run, so a change that moves any result fails.
 
 Each seed gives one plain program and one crypt program (tests/progen.py,
-with extras). The plain program runs as is; the crypt program runs in four
+with extras). The plain program runs as is; the crypt program runs in five
 modes: encrypted, encrypted with --decrypt-loads, as a plaintext image with
-the fetch decryptor off, and encrypted under a key other than the one it
-loads. Every run stores the six statistics, a hash of the architectural
+the fetch decryptor off, encrypted under a key other than the one it loads,
+and encrypted with a limit of 5 + seed % 40 cycles, which most runs hit
+mid-flight. Every run stores the six statistics, a hash of the architectural
 state, the fault (pc, cycle, cause class and text) or null, and hashes of
 the retired log and of the full trace.
 
@@ -28,21 +29,23 @@ RESULTS = Path(__file__).parent / "golden" / "results.json"
 SEEDS = range(400)
 MAX_CYCLES = 2000
 WRONG_KEY = 0x1F2E3D4C5B6A7988
-MODES = ("plain", "encrypted", "decrypt_loads", "crypt_fetch_off", "wrong_key")
+MODES = ("plain", "encrypted", "decrypt_loads", "crypt_fetch_off", "wrong_key",
+         "cycle_limit")
 
 
 def _hash(value) -> str:
     return hashlib.blake2b(repr(value).encode(), digest_size=8).hexdigest()
 
 
-def run_record(image, entries, **kwargs) -> dict:
-    """One run's record; the state is the one the run halted or faulted in."""
+def run_record(image, entries, max_cycles=MAX_CYCLES, **kwargs) -> dict:
+    """One run's record; the state is the one the run halted, faulted or hit
+    its cycle limit in."""
     state = pipeline.CpuState(progen.memory(image.entries), progen.memory(entries),
                               record_retired=True, **kwargs)
     lines = []
     fault = None
     try:
-        pipeline.run(state, max_cycles=MAX_CYCLES, trace=lines.append)
+        pipeline.run(state, max_cycles=max_cycles, trace=lines.append)
     except pipeline.Fault as exc:
         fault = [exc.pc, exc.cycle, type(exc.cause).__name__, str(exc.cause)]
     except pipeline.CycleLimitExceeded:
@@ -73,6 +76,7 @@ def seed_records(seed: int) -> dict:
         "decrypt_loads": run_record(encrypted, entries, decrypt_loads=True),
         "crypt_fetch_off": run_record(crypt, entries, crypt_fetch=False),
         "wrong_key": run_record(asm.encrypt_image(crypt, WRONG_KEY), entries),
+        "cycle_limit": run_record(encrypted, entries, max_cycles=5 + seed % 40),
     }
     return {f"{mode}/{seed}": runs[mode] for mode in MODES}
 
@@ -99,7 +103,8 @@ def test_golden_corpus_reaches_its_corners():
     expected = json.loads(RESULTS.read_text())
     faults = [r["fault"] for r in expected.values() if r["fault"] is not None]
     causes = {fault[2] for fault in faults}
-    assert {"UnknownInstruction", "UnalignedAccess", "KeyNotLoaded"} <= causes
+    assert {"UnknownInstruction", "UnalignedAccess", "KeyNotLoaded",
+            "CycleLimitExceeded"} <= causes
     for mode in MODES:
         runs = [r for key, r in expected.items() if key.startswith(mode + "/")]
         assert len(runs) >= 300
