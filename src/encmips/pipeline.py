@@ -2,10 +2,12 @@
 
 Fetch decrypts instruction blocks while crypt mode is on; stores encrypt
 their data block. The key register does both and keeps the key schedule
-and the decryptions made under it. Data hazards are handled by EX
-forwarding from the EXMEM and MEMWB latches plus a one-cycle load-use
-stall; branches resolve in ID (write-before-read register file + EXMEM
-forwarding) and squash one fetch slot when taken, as does a crypt-mode
+and the decryptions made under it. WB writes the register file first in
+every cycle, so an operand is EXMEM's ALU result when EXMEM writes its
+register, else the register file. EX and the ID branch compare read
+their operands so, and a store reads its data from the register file in
+MEM. A load's consumer directly behind it stalls one cycle. Branches
+resolve in ID and squash one fetch slot when taken, as does a crypt-mode
 change.
 
 Each fetched instruction is one Slot record that rides the latches from
@@ -81,11 +83,9 @@ class Slot:
     IF sets pc, word and instr: the decoded instruction, or for a word no
     table row decodes the isa.UnknownInstruction, which ID raises as a
     Fault in its own cycle, so a slot squashed before ID never faults. ID
-    sets dest (the register WB writes, None for none or $r0), a and b (the
-    rs and rt values read from the register file, whether or not the row
-    reads them) and crypt_mode (the mode MEM will use). EX overwrites a
-    and b with their forwarded values and sets alu; the forwarded b is a
-    store's data. MEM sets value, the result WB writes.
+    sets dest (the register WB writes, None for none or $r0) and
+    crypt_mode (the mode MEM will use). EX sets alu, the ALU result or a
+    memory address. MEM sets value, the result WB writes.
 
     Filling slots in place is safe because step() runs WB, MEM, EX, ID,
     IF in that order, each stage writes only fields of its own slot, and
@@ -95,8 +95,7 @@ class Slot:
     fields the trace reads from the latches as they were before a cycle.
     """
 
-    __slots__ = ("pc", "word", "instr", "dest", "a", "b", "crypt_mode", "alu",
-                 "value")
+    __slots__ = ("pc", "word", "instr", "dest", "crypt_mode", "alu", "value")
     # No __init__: IF sets the fields of an empty Slot(), which costs about
     # half as much as a Python __init__ call, once every cycle.
 
@@ -196,17 +195,17 @@ def step(state: CpuState) -> None:
     cycle did shows in the state it leaves: the latches, pc, crypt mode
     and the statistics (see format_trace_line).
 
-    Forwarding, hazard detection and the branch compare test the dest of
-    the latches, which a bubble answers as None, so they need no test of
-    whether a latch holds a slot.
+    Operand reads and hazard detection test the dest of the latches,
+    which a bubble answers as None, so they need no test of whether a
+    latch holds a slot.
     """
     st = state.stats
     st.cycles += 1
     ifid, idex, exmem, memwb = state.ifid, state.idex, state.exmem, state.memwb
     regs = state.regs.values
 
-    # WB: commit to the register file first so ID reads see it (internal
-    # write-before-read forwarding). dest is never $r0 and every result is
+    # WB: commit to the register file first, so every later stage of this
+    # cycle reads the result there. dest is never $r0 and every result is
     # 32 bits already, so the write needs neither RegisterFile.write check.
     if memwb.__class__ is Slot:
         dest = memwb.dest
@@ -225,10 +224,13 @@ def step(state: CpuState) -> None:
     pending_key: Optional[Tuple[Callable, int]] = None
     if exmem.__class__ is Slot:
         exmem.value = exmem.alu
-        kind = exmem.instr.spec.mem
+        instr = exmem.instr
+        kind = instr.spec.mem
         if kind is not None:
+            # a store reads its data from the register file: every older
+            # instruction has written back, the one directly ahead in WB above
             try:
-                out = mem_stage(exmem.instr, exmem.alu, exmem.b,
+                out = mem_stage(instr, exmem.alu, regs[instr.rt],
                                 exmem.crypt_mode, state.keyreg,
                                 state.dmem, state.decrypt_loads)
             except machine.MachineError as exc:
@@ -236,28 +238,22 @@ def step(state: CpuState) -> None:
             if kind == isa.LOAD:
                 exmem.value = out
             elif kind != isa.STORE:
-                pending_key = (exmem.instr.spec.load_key, out)
+                pending_key = (instr.spec.load_key, out)
             elif exmem.crypt_mode:
                 st.encrypted_stores += 1
 
-    # EX: rs and rt each take the freshest value, the EXMEM result before
-    # the MEMWB writeback before the register read in ID; an operand the
-    # row does not read is ignored, so forwarding tests dest alone.
+    # EX: rs and rt are each EXMEM's result when EXMEM writes the register,
+    # else the register file, which WB has brought up to date above; an
+    # operand the row does not read is ignored, so the test is of dest alone.
     if idex.__class__ is Slot:
         instr = idex.instr
-        if exmem.dest == instr.rs:
-            idex.a = exmem.alu
-        elif memwb.dest == instr.rs:
-            idex.a = memwb.value
-        if exmem.dest == instr.rt:
-            idex.b = exmem.alu
-        elif memwb.dest == instr.rt:
-            idex.b = memwb.value
+        a = exmem.alu if exmem.dest == instr.rs else regs[instr.rs]
+        b = exmem.alu if exmem.dest == instr.rt else regs[instr.rt]
         alu = instr.spec.alu
-        idex.alu = alu(idex.a, idex.b, instr) if alu is not None else 0
+        idex.alu = alu(a, b, instr) if alu is not None else 0
 
     # ID: fault on an unknown word, hazard detection, branch resolution,
-    # crypt-mode switch.
+    # crypt-mode switch. Only the branch compare reads registers here.
     stall = False
     redirect: Optional[int] = None
     next_idex = ifid
@@ -281,7 +277,7 @@ def step(state: CpuState) -> None:
             next_idex = STALL_BUBBLE
         else:
             if resolve is not None:
-                # the compare forwards from EXMEM
+                # the compare reads its operands as EX does
                 a = exmem.alu if exmem.dest == instr.rs else regs[instr.rs]
                 b = exmem.alu if exmem.dest == instr.rt else regs[instr.rt]
                 redirect = resolve(ifid.pc, a, b, instr)
@@ -294,8 +290,6 @@ def step(state: CpuState) -> None:
                         # wrong path; squash it and refetch at the same pc
                         redirect = state.pc
             ifid.dest = instr.dest
-            ifid.a = regs[instr.rs]
-            ifid.b = regs[instr.rt]
             ifid.crypt_mode = state.crypt_mode
 
     # IF: fetch and decode; an unknown word rides to ID, which faults on it.

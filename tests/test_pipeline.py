@@ -94,6 +94,8 @@ def test_back_to_back_forwarding():
 
 
 def test_forwarding_distance_two_uses_memwb():
+    # the addi is in MEMWB when the add is in EX; WB writes it to the
+    # register file before EX reads there
     state, stats = run_asm(
         "addi $r2, $r0, 7\n"
         "nop\n"
@@ -102,12 +104,19 @@ def test_forwarding_distance_two_uses_memwb():
     assert stats.stalls == 0
 
 
-def test_load_feeding_store_data():
-    dmem = progen.memory([(0, des.pad_word(0xABCD))])
+@pytest.mark.parametrize("producer, distance", [
+    (producer, distance) for producer in ("addi", "lw") for distance in (1, 2, 3)])
+def test_load_feeding_store_data(producer, distance):
+    # sw's data producer is `distance` slots ahead of it; the store reads
+    # its data in MEM, after the producer has written back
+    dmem = progen.memory([(0, des.pad_word(0x1234))])
+    first = "lw $r1, 0($r0)" if producer == "lw" else "addi $r1, $r0, 0x1234"
     state, stats = run_asm(
-        "lw $r1, 0($r0)\nsw $r1, 8($r0)\naddi $r9, $r0, 0", dmem)
-    assert state.dmem.read_block(8) == des.pad_word(0xABCD)
-    assert stats.stalls == 1  # sw's rt counts as a source
+        "\n".join([first] + ["nop"] * (distance - 1)
+                  + ["sw $r1, 8($r0)", "addi $r9, $r0, 0"]), dmem)
+    assert state.dmem.read_block(8) == des.pad_word(0x1234)
+    # sw's rt counts as a source, so only a load directly ahead stalls it
+    assert stats.stalls == (producer == "lw" and distance == 1)
 
 
 def test_r0_never_forwards_or_stalls():
@@ -599,7 +608,6 @@ def _slot(instr, pc=0, **fields):
     slot = pipeline.Slot()
     slot.pc, slot.word, slot.instr = pc, isa.encode(instr), instr
     slot.dest = instr.dest
-    slot.a = slot.b = 0
     slot.crypt_mode = False
     for name, value in fields.items():
         setattr(slot, name, value)
@@ -621,11 +629,13 @@ def _step_latches(ifid=pipeline.FILL_BUBBLE, idex=pipeline.FILL_BUBBLE,
 
 
 def _forwarded_a(reg, exmem, memwb):
-    """The rs value EX takes for `add $r5, $reg, $r0` that read 999 in ID."""
-    user = _slot(isa.Instruction("add", rs=reg, rt=0, rd=5), a=999)
-    state = _step_latches(idex=user, exmem=exmem, memwb=memwb)
+    """The rs value EX takes for `add $r5, $reg, $r0` with 999 in $r1..$r31
+    before the cycle's WB."""
+    user = _slot(isa.Instruction("add", rs=reg, rt=0, rd=5))
+    state = _step_latches(idex=user, exmem=exmem, memwb=memwb,
+                          regs=[(index, 999) for index in range(1, 32)])
     assert state.exmem is user
-    return user.a
+    return user.alu
 
 
 def test_forward_value_priority():
@@ -639,8 +649,8 @@ def test_forward_value_priority():
 
 def test_forward_value_ignores_r0_and_stores():
     zero_dest = _slot(isa.Instruction("add", rs=1, rt=2, rd=0), alu=5)
-    assert _forwarded_a(0, zero_dest, pipeline.FILL_BUBBLE) == 999
-    store = _slot(isa.Instruction("sw", rs=0, rt=3, imm=8), alu=8, b=9)
+    assert _forwarded_a(0, zero_dest, pipeline.FILL_BUBBLE) == 0
+    store = _slot(isa.Instruction("sw", rs=0, rt=3, imm=8), alu=8)
     assert _forwarded_a(3, store, pipeline.FILL_BUBBLE) == 999
 
 
