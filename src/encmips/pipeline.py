@@ -21,9 +21,9 @@ the WB latch. Under that accounting
 holds exactly for every halting run, even when a squashed slot falls
 inside the final drain.
 
-step() records nothing beyond the state; with a trace sink, run() keeps
-a few values from before each cycle and format_trace_line() reads the
-cycle's events from them and the state after it.
+One loop, _cycles(), clocks the pipeline for run() and step(), with the
+latches, pc, crypt mode, halted and the statistics in locals that it writes
+back where it stops and, with a trace sink, before each cycle's trace line.
 
 A single-cycle reference interpreter with identical architectural
 semantics serves as the correctness oracle.
@@ -87,12 +87,13 @@ class Slot:
     crypt_mode (the mode MEM will use). EX sets alu, the ALU result or a
     memory address. MEM sets value, the result WB writes.
 
-    Filling slots in place is safe because step() runs WB, MEM, EX, ID,
-    IF in that order, each stage writes only fields of its own slot, and
-    no stage reads a field that a stage run before it in the same step
-    has written, so every stage sees its inputs as the last cycle left
-    them. pc and word never change after IF, and they are the only
-    fields the trace reads from the latches as they were before a cycle.
+    The latches are locals of the cycle loop while it runs. Filling slots
+    in place is safe because it runs WB, MEM, EX, ID, IF in that order,
+    each stage writes only fields of its own slot, and no stage reads a
+    field that a stage run before it in the same cycle has written, so
+    every stage sees its inputs as the last cycle left them. pc and word
+    never change after IF, and they are the only fields the trace reads
+    from the latches as they were before a cycle.
     """
 
     __slots__ = ("pc", "word", "instr", "dest", "crypt_mode", "alu", "value")
@@ -186,171 +187,168 @@ def mem_stage(instr: isa.Instruction, addr: int, store_data: int,
 _decode = functools.lru_cache(maxsize=4096)(isa.decode)
 
 
-def step(state: CpuState) -> None:
-    """Advance one clock cycle; all stages work from start-of-cycle latches.
+def _cycles(state: CpuState, limit: int,
+            trace: Optional[Callable[[str], None]] = None) -> None:
+    """Clock the pipeline until it halts or its cycle count reaches limit.
 
-    The stages run back to front, WB first, each filling in the slot it
-    passes on, and the latches shift by reference at the end; see Slot
-    for why that leaves every stage its start-of-cycle inputs. What the
-    cycle did shows in the state it leaves: the latches, pc, crypt mode
-    and the statistics (see format_trace_line).
-
-    Operand reads and hazard detection test the dest of the latches,
-    which a bubble answers as None, so they need no test of whether a
-    latch holds a slot.
+    The latches, pc, crypt mode, halted and the statistics are locals that
+    the finally writes back, so a Fault (carrying the cycle count), the
+    limit or a raising trace sink leaves the state the last cycle left.
+    fetch_word and mem_stage go through the module, so wrappers see each call.
     """
-    st = state.stats
-    st.cycles += 1
     ifid, idex, exmem, memwb = state.ifid, state.idex, state.exmem, state.memwb
-    regs = state.regs.values
+    pc, crypt_mode, halted, st = state.pc, state.crypt_mode, state.halted, state.stats
+    cycles, retired, stalls, flushes = st.cycles, st.retired, st.stalls, st.flushes
+    crypt_fetches, encrypted_stores = st.crypt_fetches, st.encrypted_stores
+    regs, keyreg, imem, dmem = state.regs.values, state.keyreg, state.imem, state.dmem
+    crypt_fetch, decrypt_loads, retired_log = \
+        state.crypt_fetch, state.decrypt_loads, state.retired_log
+    stall_bubble, flush_bubble, end_bubble = STALL_BUBBLE, FLUSH_BUBBLE, END_BUBBLE
+    slot_class, decode, LOAD, STORE = Slot, _decode, isa.LOAD, isa.STORE
+    try:
+        # CPython 3.11 specializes code only after 8 calls or unconditional
+        # jumps back: a `while cond` loop would leave the first 8 runs slow
+        while True:
+            if halted or cycles >= limit:
+                break
+            if trace is not None:
+                before = (pc, ifid, idex, exmem, memwb, crypt_mode,
+                          crypt_fetches, encrypted_stores)
+            cycles += 1
 
-    # WB: commit to the register file first, so every later stage of this
-    # cycle reads the result there. dest is never $r0 and every result is
-    # 32 bits already, so the write needs neither RegisterFile.write check.
-    if memwb.__class__ is Slot:
-        dest = memwb.dest
-        if dest is not None:
-            regs[dest] = memwb.value
-        st.retired += 1
-        if state.retired_log is not None:
-            state.retired_log.append((memwb.pc, memwb.word))
-    elif memwb is STALL_BUBBLE:
-        st.stalls += 1
-    elif memwb is FLUSH_BUBBLE:
-        st.flushes += 1
+            # WB first, so later stages read its result in the register file;
+            # dest is never $r0 and every result is 32 bits, so write directly.
+            if memwb.__class__ is slot_class:
+                if memwb.dest is not None:
+                    regs[memwb.dest] = memwb.value
+                retired += 1
+                if retired_log is not None:
+                    retired_log.append((memwb.pc, memwb.word))
+            elif memwb is stall_bubble:
+                stalls += 1
+            elif memwb is flush_bubble:
+                flushes += 1
 
-    # MEM. Key-register halves commit at the end of the cycle, after IF has
-    # sampled the old value (the hardware latches the half on the clock edge).
-    pending_key: Optional[Tuple[Callable, int]] = None
-    if exmem.__class__ is Slot:
-        exmem.value = exmem.alu
-        instr = exmem.instr
-        kind = instr.spec.mem
-        if kind is not None:
-            # a store reads its data from the register file: every older
-            # instruction has written back, the one directly ahead in WB above
-            try:
-                out = mem_stage(instr, exmem.alu, regs[instr.rt],
-                                exmem.crypt_mode, state.keyreg,
-                                state.dmem, state.decrypt_loads)
-            except machine.MachineError as exc:
-                raise Fault(exc, exmem.pc, st.cycles) from exc
-            if kind == isa.LOAD:
-                exmem.value = out
-            elif kind != isa.STORE:
-                pending_key = (instr.spec.load_key, out)
-            elif exmem.crypt_mode:
-                st.encrypted_stores += 1
+            # MEM: a key half commits at the cycle's end, after IF used the old
+            load_key = None
+            if exmem.__class__ is slot_class:
+                exmem.value = exmem.alu
+                instr = exmem.instr
+                kind = instr.spec.mem
+                if kind is not None:
+                    # a store's data: every older instruction has written back
+                    try:
+                        out = mem_stage(instr, exmem.alu, regs[instr.rt], exmem.crypt_mode,
+                                        keyreg, dmem, decrypt_loads)
+                    except machine.MachineError as exc:
+                        raise Fault(exc, exmem.pc, cycles) from exc
+                    if kind == LOAD:
+                        exmem.value = out
+                    elif kind != STORE:
+                        load_key, key_word = instr.spec.load_key, out
+                    elif exmem.crypt_mode:
+                        encrypted_stores += 1
 
-    # EX: rs and rt are each EXMEM's result when EXMEM writes the register,
-    # else the register file, which WB has brought up to date above; an
-    # operand the row does not read is ignored, so the test is of dest alone.
-    if idex.__class__ is Slot:
-        instr = idex.instr
-        a = exmem.alu if exmem.dest == instr.rs else regs[instr.rs]
-        b = exmem.alu if exmem.dest == instr.rt else regs[instr.rt]
-        alu = instr.spec.alu
-        idex.alu = alu(a, b, instr) if alu is not None else 0
-
-    # ID: fault on an unknown word, hazard detection, branch resolution,
-    # crypt-mode switch. Only the branch compare reads registers here.
-    stall = False
-    redirect: Optional[int] = None
-    next_idex = ifid
-    if ifid.__class__ is Slot:
-        instr = ifid.instr
-        spec = instr.spec
-        if spec is None:    # an isa.UnknownInstruction
-            raise Fault(instr, ifid.pc, st.cycles) from instr
-        resolve = spec.redirect
-        # Load-use: a load in EX whose destination this instruction reads.
-        # A branch also waits for any producer in EX (its result reaches
-        # EXMEM, in the compare's forwarding reach, next cycle) and for a
-        # load in MEM (its data reaches the register file one cycle later).
-        # A jump reads no register, so it never waits.
-        sources = instr.sources
-        if idex.dest in sources:
-            stall = resolve is not None or idex.instr.spec.mem == isa.LOAD
-        if resolve is not None and not stall and exmem.dest in sources:
-            stall = exmem.instr.spec.mem == isa.LOAD
-        if stall:
-            next_idex = STALL_BUBBLE
-        else:
-            if resolve is not None:
-                # the compare reads its operands as EX does
+            # EX: an operand is EXMEM's result when EXMEM writes its register,
+            # else the register file; the row ignores an operand it does not read.
+            if idex.__class__ is slot_class:
+                instr = idex.instr
                 a = exmem.alu if exmem.dest == instr.rs else regs[instr.rs]
                 b = exmem.alu if exmem.dest == instr.rt else regs[instr.rt]
-                redirect = resolve(ifid.pc, a, b, instr)
-            elif spec.mode is not None:
-                enable = spec.mode(instr)
-                if enable != state.crypt_mode:
-                    state.crypt_mode = enable
-                    if state.crypt_fetch:
-                        # the slot fetched this cycle went through the
-                        # wrong path; squash it and refetch at the same pc
-                        redirect = state.pc
-            ifid.dest = instr.dest
-            ifid.crypt_mode = state.crypt_mode
+                alu = instr.spec.alu
+                idex.alu = alu(a, b, instr) if alu is not None else 0
 
-    # IF: fetch and decode; an unknown word rides to ID, which faults on it.
-    if stall:
-        next_ifid = ifid
-        next_pc = state.pc
-    elif redirect is not None:
-        next_ifid = FLUSH_BUBBLE
-        next_pc = redirect
-    else:
-        decrypt = state.crypt_mode and state.crypt_fetch
-        try:
-            word = fetch_word(state.imem, state.pc, decrypt, state.keyreg)
-        except machine.KeyNotLoaded as exc:
-            raise Fault(exc, state.pc, st.cycles) from exc
-        if word is None:
-            next_ifid = END_BUBBLE
-            next_pc = state.pc
-        else:
-            if decrypt:
-                st.crypt_fetches += 1
-            try:
-                instr = _decode(word)
-            except isa.UnknownInstruction as exc:
-                instr = exc
-            next_ifid = Slot()
-            next_ifid.pc = state.pc
-            next_ifid.word = word
-            next_ifid.instr = instr
-            # wraps like every pc; a literal saves a global lookup per cycle
-            next_pc = (state.pc + 8) & 0xFFFFFFFF
+            # ID: fault on an unknown word, hazards, branch resolution and the
+            # crypt-mode switch. Only the branch compare reads registers here.
+            stall, redirect, next_idex = False, None, ifid
+            if ifid.__class__ is slot_class:
+                instr = ifid.instr
+                spec = instr.spec
+                if spec is None:    # an isa.UnknownInstruction
+                    raise Fault(instr, ifid.pc, cycles) from instr
+                resolve = spec.redirect
+                # Load-use: a load in EX whose dest this instruction reads. A branch
+                # also waits for any producer in EX (the compare forwards from EXMEM
+                # only) and for a load in MEM (its data is in the registers a cycle on).
+                sources = instr.sources
+                if idex.dest in sources:
+                    stall = resolve is not None or idex.instr.spec.mem == LOAD
+                if resolve is not None and not stall and exmem.dest in sources:
+                    stall = exmem.instr.spec.mem == LOAD
+                if stall:
+                    next_idex = stall_bubble
+                else:
+                    if resolve is not None:
+                        # the compare reads its operands as EX does
+                        a = exmem.alu if exmem.dest == instr.rs else regs[instr.rs]
+                        b = exmem.alu if exmem.dest == instr.rt else regs[instr.rt]
+                        redirect = resolve(ifid.pc, a, b, instr)
+                    elif spec.mode is not None and spec.mode(instr) != crypt_mode:
+                        crypt_mode = not crypt_mode
+                        if crypt_fetch:     # refetch what IF reads on the old path
+                            redirect = pc
+                    ifid.dest, ifid.crypt_mode = instr.dest, crypt_mode
 
-    state.ifid, state.idex = next_ifid, next_idex
-    state.exmem, state.memwb = idex, exmem
-    state.pc = next_pc
-    if pending_key is not None:
-        load_key, word = pending_key
-        load_key(state.keyreg, word)
-    state.halted = exmem is END_BUBBLE
+            # IF, unless stalled; an unknown word rides to ID, which faults.
+            if redirect is not None:
+                ifid, pc = flush_bubble, redirect
+            elif not stall:
+                decrypt = crypt_mode and crypt_fetch
+                try:
+                    word = fetch_word(imem, pc, decrypt, keyreg)
+                except machine.KeyNotLoaded as exc:
+                    raise Fault(exc, pc, cycles) from exc
+                if word is None:
+                    ifid = end_bubble
+                else:
+                    if decrypt:
+                        crypt_fetches += 1
+                    try:
+                        instr = decode(word)
+                    except isa.UnknownInstruction as exc:
+                        instr = exc
+                    ifid = slot_class()
+                    ifid.pc, ifid.word, ifid.instr = pc, word, instr
+                    pc = (pc + 8) & 0xFFFFFFFF      # wraps like every pc
+
+            # the latches shift one at a time: a tuple shift costs more
+            memwb = exmem
+            exmem = idex
+            idex = next_idex
+            if load_key is not None:
+                load_key(keyreg, key_word)
+            halted = memwb is end_bubble
+            if trace is not None:
+                state.ifid, state.idex, state.exmem, state.memwb = ifid, idex, exmem, memwb
+                state.pc, state.crypt_mode, state.halted = pc, crypt_mode, halted
+                st.cycles, st.retired, st.stalls, st.flushes = cycles, retired, stalls, flushes
+                st.crypt_fetches, st.encrypted_stores = crypt_fetches, encrypted_stores
+                trace(format_trace_line(before, state))
+    finally:
+        state.ifid, state.idex, state.exmem, state.memwb = ifid, idex, exmem, memwb
+        state.pc, state.crypt_mode, state.halted = pc, crypt_mode, halted
+        st.cycles, st.retired, st.stalls, st.flushes = cycles, retired, stalls, flushes
+        st.crypt_fetches, st.encrypted_stores = crypt_fetches, encrypted_stores
+
+
+def step(state: CpuState) -> None:
+    """Advance one clock cycle, none once halted: one cycle of run()'s loop."""
+    _cycles(state, state.stats.cycles + 1)
 
 
 def run(state: CpuState, max_cycles: int = 100_000,
         trace: Optional[Callable[[str], None]] = None) -> Tuple[CpuState, Stats]:
-    """Step until the pipeline drains past the end of instruction memory.
+    """Clock the pipeline, in one call of the cycle loop, until it drains past
+    the end of instruction memory; a trace sink gets each cycle's line.
 
     Raises Fault on an execution fault and CycleLimitExceeded when the
     program does not halt within max_cycles.
     """
     if max_cycles < 1:
         raise ValueError("max_cycles must be >= 1")
-    while not state.halted:
-        if state.stats.cycles >= max_cycles:
-            raise CycleLimitExceeded(state, max_cycles)
-        if trace is None:
-            step(state)
-            continue
-        st = state.stats
-        before = (state.pc, state.ifid, state.idex, state.exmem, state.memwb,
-                  state.crypt_mode, st.crypt_fetches, st.encrypted_stores)
-        step(state)
-        trace(format_trace_line(before, state))
+    _cycles(state, max_cycles, trace)
+    if not state.halted:
+        raise CycleLimitExceeded(state, max_cycles)
     return state, state.stats
 
 
@@ -362,12 +360,12 @@ def _slot_text(slot: LatchValue) -> str:
 
 
 def format_trace_line(before: tuple, state: CpuState) -> str:
-    """The trace line of the cycle step just ran. `before` holds pc, the
-    four latches, crypt mode, crypt_fetches and encrypted_stores as they
-    were before it, and the events are read from what changed. Only this
-    cycle's ID puts a stall bubble in IDEX and only its IF a flush bubble in
-    IFID; CRYPT_ON/OFF is a change of mode; DEC_FETCH and ENC_STORE are
-    steps of the two counters.
+    """The trace line of the cycle just run, whose state the cycle loop has
+    written back. `before` holds pc, the four latches, crypt mode,
+    crypt_fetches and encrypted_stores as they were before it, and the
+    events are read from what changed. Only this cycle's ID puts a stall
+    bubble in IDEX and only its IF a flush bubble in IFID; CRYPT_ON/OFF is
+    a change of mode; DEC_FETCH and ENC_STORE are steps of the counters.
     """
     pc, ifid, idex, exmem, memwb, crypt_mode, crypt_fetches, encrypted_stores = before
     st = state.stats
@@ -398,6 +396,7 @@ class InterpState:
     crypt_mode: bool = False
     executed: int = 0
     retired_log: Optional[List[Tuple[int, int]]] = None
+    taken: Optional[List[bool]] = None    # beside retired_log: redirected the fetch?
 
 
 def reference_interpret(imem: machine.Memory, dmem: machine.Memory, *,
@@ -414,7 +413,7 @@ def reference_interpret(imem: machine.Memory, dmem: machine.Memory, *,
         raise ValueError("max_steps must be >= 1")
     s = InterpState(dmem=dmem)
     if record_retired:
-        s.retired_log = []
+        s.retired_log, s.taken = [], []
     pc = 0
     while pc < imem.extent:
         if s.executed >= max_steps:
@@ -425,7 +424,7 @@ def reference_interpret(imem: machine.Memory, dmem: machine.Memory, *,
         except isa.UnknownInstruction as exc:
             raise Fault(exc, pc, s.executed) from exc
         spec = instr.spec
-        next_pc = (pc + 8) & 0xFFFFFFFF
+        next_pc, target = (pc + 8) & 0xFFFFFFFF, None
         try:
             a = s.regs.read(instr.rs)
             b = s.regs.read(instr.rt)
@@ -451,6 +450,7 @@ def reference_interpret(imem: machine.Memory, dmem: machine.Memory, *,
         s.executed += 1
         if s.retired_log is not None:
             s.retired_log.append((pc, word))
+            s.taken.append(target is not None)
         pc = next_pc
     return s
 

@@ -14,6 +14,7 @@ image. Such programs may fault; they still never run unbounded.
 """
 
 import random
+from collections import deque
 from typing import Iterable, List, Optional, Tuple
 
 from encmips import asm, des, isa, machine, pipeline
@@ -190,14 +191,67 @@ def memory(entries: Iterable[Tuple[int, int]]) -> machine.Memory:
     return mem
 
 
+def predict_timing(retired_log, crypt_fetch: bool = True) -> Tuple[int, int]:
+    """The (stalls, flushes) a halting pipeline run counts, predicted from
+    the oracle's retired log as ((pc, word), taken) entries, taken being the
+    oracle's InterpState.taken flag (zip(ref.retired_log, ref.taken)).
+
+    It rebuilds the pipeline order, each bubble taking a slot, by the rules
+    of docs/isa.md, Pipeline timing:
+    - 1 stall before a consumer when the slot directly ahead is a load
+      whose dest it reads;
+    - for a branch whose sources the slot directly ahead writes, 1 stall,
+      or 2 if that slot is a load;
+    - otherwise, for a branch, 1 stall when the slot two ahead is a load
+      whose dest it reads;
+    - 1 flush after each taken branch and each jump, and, with crypt_fetch,
+      after each `crypt` that changes the mode.
+    """
+    bubble = (None, False)
+    ahead = deque([bubble, bubble], maxlen=2)     # (dest, is a load) per slot
+    stalls = flushes = 0
+    mode = False
+    for (_, word), taken in retired_log:
+        instr = isa.decode(word)
+        spec, sources = instr.spec, instr.sources
+        (dest2, load2), (dest1, load1) = ahead
+        branch = spec.redirect is not None
+        if branch and dest1 in sources:
+            stall = 2 if load1 else 1
+        else:
+            stall = int(load1 and dest1 in sources
+                        or branch and load2 and dest2 in sources)
+        stalls += stall
+        ahead.extend([bubble] * stall + [(instr.dest, spec.mem == isa.LOAD)])
+        switch = spec.mode is not None and spec.mode(instr) != mode
+        if switch:
+            mode = not mode
+        if taken or switch and crypt_fetch:
+            flushes += 1
+            ahead.append(bubble)
+    return stalls, flushes
+
+
+def assert_timing(stats: pipeline.Stats, ref: pipeline.InterpState,
+                  crypt_fetch: bool = True, what: str = "") -> None:
+    """The pipeline's stalls and flushes are what predict_timing makes of
+    the oracle's run."""
+    predicted = predict_timing(zip(ref.retired_log, ref.taken), crypt_fetch)
+    assert predicted == (stats.stalls, stats.flushes), \
+        f"timing model predicts (stalls, flushes) {predicted}, " \
+        f"pipeline counted {(stats.stalls, stats.flushes)}:\n{what}"
+
+
 def check_against_oracle(source: str, entries: List[Tuple[int, int]],
                          key: Optional[int] = None,
                          decrypt_loads: bool = False) -> pipeline.CpuState:
     """Run source in the pipeline, its image encrypted under key when one
     is given, and its plaintext image in the reference interpreter, each on
     a fresh data memory of entries; assert that both end in the same
-    architectural state after the same retired log, and that the pipeline's
-    cycles obey the accounting identity. Returns the pipeline's state."""
+    architectural state after the same retired log, that the pipeline's
+    cycles obey the accounting identity, and that its stalls and flushes
+    are the ones predict_timing makes of the oracle's run. Returns the
+    pipeline's state."""
     image = asm.build_image(source)
     loaded = asm.encrypt_image(image, key) if key is not None else image
     state = pipeline.CpuState(memory(loaded.entries), memory(entries),
@@ -211,4 +265,5 @@ def check_against_oracle(source: str, entries: List[Tuple[int, int]],
     assert state.retired_log == ref.retired_log, f"retired log differs:\n{source}"
     assert stats.cycles == stats.retired + stats.stalls + stats.flushes + 4, \
         f"cycle identity fails:\n{source}"
+    assert_timing(stats, ref, what=source)
     return state

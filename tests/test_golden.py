@@ -8,7 +8,11 @@ the fetch decryptor off, encrypted under a key other than the one it loads,
 and encrypted with a limit of 5 + seed % 40 cycles, which most runs hit
 mid-flight. Every run stores the six statistics, a hash of the architectural
 state, the fault (pc, cycle, cause class and text) or null, and hashes of
-the retired log and of the full trace.
+the retired log and of the full trace. The records are recorded from traced
+runs; the same runs untraced must match them in every field but the trace,
+since the cycle loop writes its state back only where it stops. The halting
+runs that have a plaintext image also check the timing model of
+tests/progen.py against the reference interpreter.
 
 `tests/golden/results.json` may change only with a stated reason for each
 result that moved. To record it again:
@@ -37,18 +41,37 @@ def _hash(value) -> str:
     return hashlib.blake2b(repr(value).encode(), digest_size=8).hexdigest()
 
 
-def run_record(image, entries, max_cycles=MAX_CYCLES, **kwargs) -> dict:
-    """One run's record; the state is the one the run halted, faulted or hit
-    its cycle limit in."""
+def _run(image, entries, max_cycles=MAX_CYCLES, trace=None, stepped=False,
+         **kwargs):
+    """The state a pipeline run of image leaves, and the Fault or
+    CycleLimitExceeded it stopped with (None for a halt). stepped runs it
+    as a loop of pipeline.step, one call per cycle, instead of one call
+    of pipeline.run."""
     state = pipeline.CpuState(progen.memory(image.entries), progen.memory(entries),
                               record_retired=True, **kwargs)
-    lines = []
-    fault = None
     try:
-        pipeline.run(state, max_cycles=max_cycles, trace=lines.append)
-    except pipeline.Fault as exc:
-        fault = [exc.pc, exc.cycle, type(exc.cause).__name__, str(exc.cause)]
-    except pipeline.CycleLimitExceeded:
+        if stepped:
+            while not state.halted:
+                if state.stats.cycles >= max_cycles:
+                    raise pipeline.CycleLimitExceeded(state, max_cycles)
+                pipeline.step(state)
+        else:
+            pipeline.run(state, max_cycles=max_cycles, trace=trace)
+    except (pipeline.Fault, pipeline.CycleLimitExceeded) as exc:
+        return state, exc
+    return state, None
+
+
+def run_record(image, entries, max_cycles=MAX_CYCLES, traced=True, **kwargs) -> dict:
+    """One run's record; the state is the one the run halted, faulted or hit
+    its cycle limit in. An untraced run records no trace hash."""
+    lines = []
+    state, stop = _run(image, entries, max_cycles,
+                       lines.append if traced else None, **kwargs)
+    fault = None
+    if isinstance(stop, pipeline.Fault):
+        fault = [stop.pc, stop.cycle, type(stop.cause).__name__, str(stop.cause)]
+    elif stop is not None:
         fault = [state.pc, state.stats.cycles, "CycleLimitExceeded", ""]
     st = state.stats
     return {
@@ -57,12 +80,13 @@ def run_record(image, entries, max_cycles=MAX_CYCLES, **kwargs) -> dict:
         "state": _hash((pipeline.architectural_state(state), state.pc)),
         "fault": fault,
         "retired": _hash(state.retired_log),
-        "trace": _hash("\n".join(lines)),
+        "trace": _hash("\n".join(lines)) if traced else None,
     }
 
 
-def seed_records(seed: int) -> dict:
-    """The records of one seed's programs in every mode, keyed mode/seed."""
+def seed_runs(seed: int):
+    """One seed's runs, mode -> (image run, its plaintext image or None,
+    run options), and the data memory entries they all start from."""
     rng = random.Random(seed)
     plain = progen.plant_unknown_word(
         rng, asm.build_image(progen.gen_program(rng, extras=True)))
@@ -70,32 +94,110 @@ def seed_records(seed: int) -> dict:
         rng, asm.build_image(progen.gen_crypt_program(rng, extras=True)))
     entries = progen.gen_dmem_entries(rng, with_key=True, alt_key=True)
     encrypted = asm.encrypt_image(crypt, progen.KEY)
-    runs = {
-        "plain": run_record(plain, entries),
-        "encrypted": run_record(encrypted, entries),
-        "decrypt_loads": run_record(encrypted, entries, decrypt_loads=True),
-        "crypt_fetch_off": run_record(crypt, entries, crypt_fetch=False),
-        "wrong_key": run_record(asm.encrypt_image(crypt, WRONG_KEY), entries),
-        "cycle_limit": run_record(encrypted, entries, max_cycles=5 + seed % 40),
-    }
-    return {f"{mode}/{seed}": runs[mode] for mode in MODES}
+    return {
+        "plain": (plain, plain, {}),
+        "encrypted": (encrypted, crypt, {}),
+        "decrypt_loads": (encrypted, crypt, {"decrypt_loads": True}),
+        "crypt_fetch_off": (crypt, crypt, {"crypt_fetch": False}),
+        # the oracle cannot fetch what a wrong key decrypts
+        "wrong_key": (asm.encrypt_image(crypt, WRONG_KEY), None, {}),
+        "cycle_limit": (encrypted, crypt, {"max_cycles": 5 + seed % 40}),
+    }, entries
 
 
-def all_records() -> dict:
+def seed_records(seed: int, traced: bool = True) -> dict:
+    """The records of one seed's programs in every mode, keyed mode/seed."""
+    runs, entries = seed_runs(seed)
+    return {f"{mode}/{seed}": run_record(image, entries, traced=traced, **options)
+            for mode, (image, _, options) in runs.items()}
+
+
+def all_records(traced: bool = True) -> dict:
     records = {}
     for seed in SEEDS:
-        records.update(seed_records(seed))
+        records.update(seed_records(seed, traced))
     return records
 
 
-def test_golden_results_unchanged():
+def _assert_unmoved(actual: dict, skip=()) -> None:
     expected = json.loads(RESULTS.read_text())
-    actual = all_records()
     assert sorted(actual) == sorted(expected)
     moved = [f"{key} {field}: {expected[key][field]} -> {actual[key][field]}"
              for key in expected for field in expected[key]
-             if actual[key][field] != expected[key][field]]
+             if field not in skip and actual[key][field] != expected[key][field]]
     assert not moved, f"{len(moved)} results moved:\n" + "\n".join(moved[:20])
+
+
+def test_golden_results_unchanged():
+    _assert_unmoved(all_records())
+
+
+def test_golden_results_unchanged_untraced():
+    # the corpus is recorded traced, when the cycle loop writes its state
+    # back every cycle; untraced it does so only where the run stops
+    _assert_unmoved(all_records(traced=False), skip=("trace",))
+
+
+_BUBBLES = {id(bubble): bubble.kind for bubble in (
+    pipeline.FILL_BUBBLE, pipeline.STALL_BUBBLE, pipeline.FLUSH_BUBBLE,
+    pipeline.END_BUBBLE)}
+
+
+def _latch(value):
+    """A latch as a comparable value: the bubble's kind, by identity, or the
+    slot's fields, "unset" for one no stage has filled in yet."""
+    if value.__class__ is pipeline.Bubble:
+        return _BUBBLES[id(value)]
+    return tuple(getattr(value, name, "unset")
+                 for name in ("pc", "word", "dest", "crypt_mode", "alu", "value"))
+
+
+def _full_state(state, stop) -> tuple:
+    st = state.stats
+    return (tuple(_latch(latch) for latch in
+                  (state.ifid, state.idex, state.exmem, state.memwb)),
+            state.pc, state.crypt_mode, state.halted,
+            (st.cycles, st.retired, st.stalls, st.flushes, st.crypt_fetches,
+             st.encrypted_stores),
+            state.retired_log, pipeline.architectural_state(state),
+            type(stop).__name__, getattr(stop, "pc", None), getattr(stop, "cycle", None))
+
+
+def test_run_leaves_the_state_a_loop_of_step_leaves():
+    # run() keeps the latches, pc and counters in locals for the whole run
+    # and step() for one cycle; each writes them back where it stops
+    stops = set()
+    for seed in SEEDS[::4]:
+        runs, entries = seed_runs(seed)
+        for mode, (image, _, options) in runs.items():
+            state, stop = _run(image, entries, **options)
+            if stop is None:
+                continue
+            stops.add(type(getattr(stop, "cause", stop)).__name__)
+            assert (_full_state(state, stop)
+                    == _full_state(*_run(image, entries, stepped=True, **options))), \
+                f"{mode}/{seed}"
+    assert stops == {"UnknownInstruction", "UnalignedAccess", "KeyNotLoaded",
+                     "CycleLimitExceeded"}
+
+
+def test_timing_model_predicts_every_halting_run():
+    # the oracle runs the plaintext image; a wrong key's run has none
+    checked = 0
+    for seed in SEEDS:
+        runs, entries = seed_runs(seed)
+        for mode, (image, plaintext, options) in runs.items():
+            state, stop = _run(image, entries, **options)
+            if stop is not None or plaintext is None:
+                continue
+            ref = pipeline.reference_interpret(
+                progen.memory(plaintext.entries), progen.memory(entries),
+                decrypt_loads=options.get("decrypt_loads", False), record_retired=True)
+            assert ref.retired_log == state.retired_log, f"{mode}/{seed}"
+            progen.assert_timing(state.stats, ref, options.get("crypt_fetch", True),
+                                 f"{mode}/{seed}")
+            checked += 1
+    assert checked >= 900
 
 
 def test_golden_corpus_reaches_its_corners():

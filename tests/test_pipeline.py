@@ -198,6 +198,36 @@ def test_branch_after_load_stalls_twice():
     assert stats.flushes == 0
 
 
+@pytest.mark.parametrize("between", ["addi $r2, $r0, 2", "add $r2, $r1, $r0"])
+def test_branch_two_behind_a_load(between):
+    # one stall either way: after the addi, the branch waits for the load
+    # two slots ahead; the add's own load-use stall puts a bubble between
+    # the load and the branch, which then waits for nothing
+    dmem = progen.memory([(0, des.pad_word(1))])
+    source = f"lw $r1, 0($r0)\n{between}\nbeq $r1, $r0, 1\naddi $r3, $r0, 1\n"
+    _, stats = run_asm(source, dmem)
+    assert stats.stalls == 1
+    ref = interp_asm(source, dmem, record_retired=True)
+    assert progen.predict_timing(zip(ref.retired_log, ref.taken)) == (1, 0)
+
+
+def test_branch_taken_to_the_next_slot_flushes():
+    # displacement 0 leads to pc + 8 whether the branch is taken or not, so
+    # the retired log looks the same; the oracle's taken flag tells them
+    # apart, and only the taken branch flushes
+    pcs = set()
+    for mnemonic, taken in (("beq", True), ("bne", False)):
+        source = f"{mnemonic} $r0, $r0, 0\naddi $r1, $r0, 1\n"
+        state, stats = run_asm(source)
+        assert (stats.stalls, stats.flushes) == (0, int(taken))
+        assert state.regs.read(1) == 1
+        ref = interp_asm(source, record_retired=True)
+        assert ref.taken == [taken, False]
+        assert progen.predict_timing(zip(ref.retired_log, ref.taken)) == (0, int(taken))
+        pcs.add(tuple(pc for pc, _ in ref.retired_log))
+    assert pcs == {(0, 8)}
+
+
 def test_backward_loop():
     state, stats = run_asm(
         "addi $r1, $r0, 3\n"
