@@ -8,12 +8,12 @@ holds all six fields, with 0 in each one its format lacks:
 
 `SPECS` is the one place an instruction is defined: its row for a mnemonic
 gives the encoding, the assembler operands, the registers read and written,
-the ALU operation, the memory kind, the key-register load, the branch or
-jump target, the crypt mode it sets, and the disassembly. The assembler,
+the ALU operation, the memory direction, the key-register load, the branch
+or jump target, the crypt mode it sets, and the disassembly. The assembler,
 the pipeline and the reference interpreter call the row's functions and
-name no mnemonic, so a new ALU operation, branch or jump is one row. The
-standard MIPS subset keeps its classic opcode/funct values; the three
-key-handling instructions take otherwise unused opcodes.
+name no mnemonic, so a new ALU operation, branch, jump, read or write is
+one row. The standard MIPS subset keeps its classic opcode/funct values;
+the three key-handling instructions take otherwise unused opcodes.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ from typing import Callable, Dict, Optional, Tuple
 WORD_MASK = 0xFFFFFFFF
 NOP_WORD = 0x00000000
 
-# Memory kinds: what MEM does at the address the ALU computed.
-LOAD = "load"    # rt = low 32 bits of the block
-STORE = "store"  # block = zero-padded rt, encrypted in crypt mode
-KEY = "key"      # the row's load_key takes the low 32 bits of the block
+# Memory directions: what MEM does at the address the ALU computed. A read
+# takes the low 32 bits of the block to the row's load_key, else to its dest.
+READ = "read"
+WRITE = "write"  # block = zero-padded rt, encrypted in crypt mode
 
 
 def _signed(value: int) -> int:
@@ -70,8 +70,8 @@ class InstrSpec:
     # ALU operation: (rs value, rt value, instruction) -> 32-bit result;
     # None when the instruction has no result
     alu: Optional[Callable[[int, int, Instruction], int]] = None
-    mem: Optional[str] = None      # memory kind
-    # KEY rows: (machine.KeyRegister, loaded word) -> None, sets one half
+    mem: Optional[str] = None      # memory direction, READ or WRITE
+    # reads with no dest: (machine.KeyRegister, read word) -> None, sets one half
     load_key: Optional[Callable[[object, int], None]] = None
     # branches and jumps, resolved in ID: (pc, rs value, rt value,
     # instruction) -> the next pc, or None when a branch falls through
@@ -105,9 +105,9 @@ SPECS: Dict[str, InstrSpec] = {spec.mnemonic: spec for spec in (
     InstrSpec("addi",  "I", 0x08, None, "rri", ("rt", "rs", "imm"),
               sources=("rs",), dest="rt", alu=_add_imm),
     InstrSpec("lw",    "I", 0x23, None, "rm",  ("rt", "imm(rs)"),
-              sources=("rs",), dest="rt", alu=_add_imm, mem=LOAD),
+              sources=("rs",), dest="rt", alu=_add_imm, mem=READ),
     InstrSpec("sw",    "I", 0x2B, None, "rm",  ("rt", "imm(rs)"),
-              sources=("rs", "rt"), alu=_add_imm, mem=STORE),
+              sources=("rs", "rt"), alu=_add_imm, mem=WRITE),
     InstrSpec("beq",   "I", 0x04, None, "rrt", ("rs", "rt", "imm"),
               sources=("rs", "rt"), redirect=_branch(operator.eq)),
     InstrSpec("bne",   "I", 0x05, None, "rrt", ("rs", "rt", "imm"),
@@ -115,10 +115,10 @@ SPECS: Dict[str, InstrSpec] = {spec.mnemonic: spec for spec in (
     InstrSpec("j",     "J", 0x02, None, "t",   ("target",),
               redirect=lambda pc, a, b, i: i.target * 8),
     InstrSpec("lklw",  "I", 0x1A, None, "m",   ("imm(rs)",),
-              sources=("rs",), alu=_add_imm, mem=KEY, aliases=("lkw",),
+              sources=("rs",), alu=_add_imm, mem=READ, aliases=("lkw",),
               load_key=lambda keyreg, word: keyreg.set_lower(word)),
     InstrSpec("lkuw",  "I", 0x1B, None, "m",   ("imm(rs)",),
-              sources=("rs",), alu=_add_imm, mem=KEY,
+              sources=("rs",), alu=_add_imm, mem=READ,
               load_key=lambda keyreg, word: keyreg.set_upper(word)),
     InstrSpec("crypt", "J", 0x1C, None, "i",   ("target",),
               mode=lambda i: i.target != 0),

@@ -164,22 +164,21 @@ def fetch_word(imem: machine.Memory, pc: int, decrypt: bool,
 def mem_stage(instr: isa.Instruction, addr: int, store_data: int,
               crypt_mode: bool, keyreg: machine.KeyRegister,
               dmem: machine.Memory, decrypt_loads: bool = False) -> Optional[int]:
-    """MEM-stage access. Returns the loaded word of a LOAD or KEY row (the
-    caller passes a KEY row's word to its load_key), else None.
-
-    Stores under crypt mode write the DES encryption of the zero-padded
-    word. Loads return the low 32 bits of the block as-is unless the
-    decrypt_loads path is enabled.
+    """MEM-stage access. A read returns the low 32 bits of the block, which
+    the caller passes to the row's load_key, else to its dest; a write
+    returns None and stores the zero-padded word, DES-encrypted in crypt
+    mode. A read into a register field, $r0 included, goes through the
+    decryptor when decrypt_loads and crypt mode are on; a key load never does.
     """
-    kind = instr.spec.mem
-    if kind == isa.STORE:
+    spec = instr.spec
+    if spec.mem == isa.WRITE:
         block = des.pad_word(store_data)
         if crypt_mode:
             block = keyreg.encrypt(block, "encrypted store before key loaded")
         dmem.write_block(addr, block)
         return None
     block = dmem.read_block(addr)
-    if kind == isa.LOAD and decrypt_loads and crypt_mode:
+    if decrypt_loads and crypt_mode and spec.dest is not None:
         block = keyreg.decrypt(block, "decrypting load before key loaded")
     return des.extract_word(block)
 
@@ -204,7 +203,7 @@ def _cycles(state: CpuState, limit: int,
     crypt_fetch, decrypt_loads, retired_log = \
         state.crypt_fetch, state.decrypt_loads, state.retired_log
     stall_bubble, flush_bubble, end_bubble = STALL_BUBBLE, FLUSH_BUBBLE, END_BUBBLE
-    slot_class, decode, LOAD, STORE = Slot, _decode, isa.LOAD, isa.STORE
+    slot_class, decode = Slot, _decode
     try:
         # CPython 3.11 specializes code only after 8 calls or unconditional
         # jumps back: a `while cond` loop would leave the first 8 runs slow
@@ -234,18 +233,18 @@ def _cycles(state: CpuState, limit: int,
             if exmem.__class__ is slot_class:
                 exmem.value = exmem.alu
                 instr = exmem.instr
-                kind = instr.spec.mem
-                if kind is not None:
+                spec = instr.spec
+                if spec.mem is not None:
                     # a store's data: every older instruction has written back
                     try:
                         out = mem_stage(instr, exmem.alu, regs[instr.rt], exmem.crypt_mode,
                                         keyreg, dmem, decrypt_loads)
                     except machine.MachineError as exc:
                         raise Fault(exc, exmem.pc, cycles) from exc
-                    if kind == LOAD:
+                    if spec.load_key is not None:
+                        load_key, key_word = spec.load_key, out
+                    elif out is not None:   # a read: its word is the result
                         exmem.value = out
-                    elif kind != STORE:
-                        load_key, key_word = instr.spec.load_key, out
                     elif exmem.crypt_mode:
                         encrypted_stores += 1
 
@@ -267,14 +266,14 @@ def _cycles(state: CpuState, limit: int,
                 if spec is None:    # an isa.UnknownInstruction
                     raise Fault(instr, ifid.pc, cycles) from instr
                 resolve = spec.redirect
-                # Load-use: a load in EX whose dest this instruction reads. A branch
-                # also waits for any producer in EX (the compare forwards from EXMEM
-                # only) and for a load in MEM (its data is in the registers a cycle on).
+                # Load-use: a load (a memory row with a dest) in EX whose dest this reads.
+                # A branch also waits for any producer in EX (the compare forwards from
+                # EXMEM only) and for a load in MEM (its data is in the registers a cycle on).
                 sources = instr.sources
                 if idex.dest in sources:
-                    stall = resolve is not None or idex.instr.spec.mem == LOAD
+                    stall = resolve is not None or idex.instr.spec.mem is not None
                 if resolve is not None and not stall and exmem.dest in sources:
-                    stall = exmem.instr.spec.mem == LOAD
+                    stall = exmem.instr.spec.mem is not None
                 if stall:
                     next_idex = stall_bubble
                 else:
@@ -415,7 +414,9 @@ def reference_interpret(imem: machine.Memory, dmem: machine.Memory, *,
     if record_retired:
         s.retired_log, s.taken = [], []
     pc = 0
-    while pc < imem.extent:
+    while True:     # not `while cond`, for the reason the cycle loop gives
+        if pc >= imem.extent:
+            return s
         if s.executed >= max_steps:
             raise CycleLimitExceeded(s, max_steps, "instructions")
         word = des.extract_word(imem.read_block(pc))
@@ -432,10 +433,10 @@ def reference_interpret(imem: machine.Memory, dmem: machine.Memory, *,
             if spec.mem is not None:
                 out = mem_stage(instr, value, b, s.crypt_mode, s.keyreg, s.dmem,
                                 decrypt_loads)
-                if spec.mem == isa.LOAD:
-                    value = out
-                elif spec.mem != isa.STORE:
+                if spec.load_key is not None:
                     spec.load_key(s.keyreg, out)
+                elif out is not None:
+                    value = out
             if instr.dest is not None:
                 s.regs.write(instr.dest, value)
             if spec.redirect is not None:
@@ -452,7 +453,6 @@ def reference_interpret(imem: machine.Memory, dmem: machine.Memory, *,
             s.retired_log.append((pc, word))
             s.taken.append(target is not None)
         pc = next_pc
-    return s
 
 
 def architectural_state(state) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...],

@@ -222,7 +222,7 @@ def predict_timing(retired_log, crypt_fetch: bool = True) -> Tuple[int, int]:
             stall = int(load1 and dest1 in sources
                         or branch and load2 and dest2 in sources)
         stalls += stall
-        ahead.extend([bubble] * stall + [(instr.dest, spec.mem == isa.LOAD)])
+        ahead.extend([bubble] * stall + [(instr.dest, spec.mem is not None)])
         switch = spec.mode is not None and spec.mode(instr) != mode
         if switch:
             mode = not mode

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from encmips import isa, machine
+from encmips import isa, machine, pipeline
 
 
 def test_decode_nop_word():
@@ -129,11 +129,15 @@ def test_disasm_word_never_raises():
 
 # Written out by hand, not read from isa.SPECS: for one instance of every
 # mnemonic, the registers it reads, the register it writes back, its memory
-# kind, its ALU result for a = rs value, b = rt value, and its effect (see
-# _effect): for a branch or jump the next pc at pc 16 with the same a and b,
-# for crypt the mode it sets, for a key load the key register's
-# (lower_loaded, upper_loaded, lower, upper) after it loads KEY_WORD.
+# access (see _memory), its ALU result for a = rs value, b = rt value, and
+# its effect (see _effect): for a branch or jump the next pc at pc 16 with
+# the same a and b, for crypt the mode it sets, for a key load the key
+# register's (lower_loaded, upper_loaded, lower, upper) after it loads
+# KEY_WORD.
 KEY_WORD = 0x12345678
+# the published encryption of the padded word 0xCB97F7EE under PAPER_KEY
+PAPER_KEY = 0x4B4952415450414C      # "KIRATPAL"
+PAPER_BLOCK = 0x10539160018D5FF7
 PINNED = {
     "add": (isa.Instruction("add", rs=1, rt=2, rd=3), (1, 2), 3, None, 5, 7, 12, None),
     "sub": (isa.Instruction("sub", rs=1, rt=2, rd=3), (1, 2), 3, None, 5, 7, 0xFFFFFFFE, None),
@@ -145,17 +149,37 @@ PINNED = {
     "sll": (isa.Instruction("sll", rs=0, rt=2, rd=3, shamt=4), (2,), 3, None,
             0, 0x80000001, 0x10, None),
     "addi": (isa.Instruction("addi", rs=1, rt=2, imm=-1), (1,), 2, None, 5, 0, 4, None),
-    "lw": (isa.Instruction("lw", rs=1, rt=2, imm=8), (1,), 2, isa.LOAD, 16, 99, 24, None),
-    "sw": (isa.Instruction("sw", rs=1, rt=2, imm=-8), (1, 2), None, isa.STORE, 16, 99, 8, None),
+    # a read into a register decrypts; a write stores the encrypted pad(99)
+    "lw": (isa.Instruction("lw", rs=1, rt=2, imm=8), (1,), 2,
+           (isa.READ, 0xCB97F7EE, PAPER_BLOCK), 16, 99, 24, None),
+    "sw": (isa.Instruction("sw", rs=1, rt=2, imm=-8), (1, 2), None,
+           (isa.WRITE, None, 0xDA2F91900405B18D), 16, 99, 8, None),
     "beq": (isa.Instruction("beq", rs=1, rt=2, imm=3), (1, 2), None, None, 5, 5, None, 48),
     "bne": (isa.Instruction("bne", rs=1, rt=2, imm=3), (1, 2), None, None, 5, 6, None, 48),
     "j": (isa.Instruction("j", target=5), (), None, None, 0, 0, None, 40),
-    "lklw": (isa.Instruction("lklw", rs=1, rt=0, imm=8), (1,), None, isa.KEY, 16, 0, 24,
-             (True, False, KEY_WORD, 0)),
-    "lkuw": (isa.Instruction("lkuw", rs=1, rt=0, imm=-8), (1,), None, isa.KEY, 16, 0, 8,
-             (False, True, 0, KEY_WORD)),
+    # a key load reads the raw low word, never through the decryptor
+    "lklw": (isa.Instruction("lklw", rs=1, rt=0, imm=8), (1,), None,
+             (isa.READ, 0x018D5FF7, PAPER_BLOCK), 16, 0, 24, (True, False, KEY_WORD, 0)),
+    "lkuw": (isa.Instruction("lkuw", rs=1, rt=0, imm=-8), (1,), None,
+             (isa.READ, 0x018D5FF7, PAPER_BLOCK), 16, 0, 8, (False, True, 0, KEY_WORD)),
     "crypt": (isa.Instruction("crypt", target=1), (), None, None, 0, 0, None, True),
 }
+
+
+def _memory(instr, addr, b):
+    """(direction, the word pipeline.mem_stage returns, the block it leaves at
+    addr) for the row's access at addr with rt value b, on a fresh memory
+    holding PAPER_BLOCK at addr, in crypt mode under PAPER_KEY with
+    decrypt_loads on; None for a row with no memory direction."""
+    if instr.spec.mem is None:
+        return None
+    dmem = machine.Memory()
+    dmem.write_block(addr, PAPER_BLOCK)
+    keyreg = machine.KeyRegister()
+    keyreg.set_lower(PAPER_KEY & 0xFFFFFFFF)
+    keyreg.set_upper(PAPER_KEY >> 32)
+    word = pipeline.mem_stage(instr, addr, b, True, keyreg, dmem, decrypt_loads=True)
+    return instr.spec.mem, word, dmem.read_block(addr)
 
 
 def _effect(instr, a, b, pc=16):
@@ -179,18 +203,19 @@ def test_every_mnemonic_is_pinned():
 
 @pytest.mark.parametrize("mnemonic", sorted(PINNED))
 def test_table_row_semantics(mnemonic):
-    instr, sources, dest, mem, a, b, result, effect = PINNED[mnemonic]
+    instr, sources, dest, memory, a, b, result, effect = PINNED[mnemonic]
     spec = instr.spec
     assert instr.sources == sources
     assert instr.dest == dest
-    assert spec.mem == mem
     # the pipeline and the oracle act on at most one of these hooks, and a
-    # key load is the KEY memory kind
+    # load_key row is a read with no dest
     hooks = (spec.redirect, spec.mode, spec.load_key)
     assert sum(hook is not None for hook in hooks) <= 1
-    assert (spec.load_key is not None) == (mem == isa.KEY)
+    direction = memory[0] if memory is not None else None
+    assert (spec.load_key is not None) == (direction == isa.READ and spec.dest is None)
     alu = spec.alu
     assert (alu(a, b, instr) if alu is not None else None) == result
+    assert _memory(instr, result, b) == memory
     assert _effect(instr, a, b) == effect
     # every stage reads both rs and rt; the operand whose field the row
     # does not read must not change the result

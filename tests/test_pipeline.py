@@ -395,6 +395,25 @@ def test_decrypt_loads_path():
     assert pipeline.architectural_state(dec) == pipeline.architectural_state(ref)
 
 
+def test_decrypt_loads_covers_a_load_into_r0():
+    # the row's dest field decides, not the register it names: a load into
+    # $r0 still reads through the decryptor, which has no key yet
+    source = "crypt 1\nlw $r0, 0($r0)\n"
+    with pytest.raises(pipeline.Fault) as exc:
+        interp_asm(source, decrypt_loads=True)
+    assert isinstance(exc.value.cause, machine.KeyNotLoaded)
+    assert str(exc.value.cause) == "decrypting load before key loaded"
+    with pytest.raises(pipeline.Fault) as exc:
+        run_asm(source, decrypt_loads=True, crypt_fetch=False)
+    assert isinstance(exc.value.cause, machine.KeyNotLoaded)
+    assert str(exc.value.cause) == "decrypting load before key loaded"
+    # read raw, the same load needs no key
+    state, _ = run_asm(source, crypt_fetch=False)
+    ref = interp_asm(source)
+    assert state.halted and ref.executed == 2
+    assert pipeline.architectural_state(state) == pipeline.architectural_state(ref)
+
+
 # -------------------------------------------------------------------- faults
 
 def test_unknown_instruction_faults():
