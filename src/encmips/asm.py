@@ -189,25 +189,18 @@ def _signed_imm(value: int, line: int) -> int:
 def _ensure_key_load_guards(statements: List[Statement]) -> List[Statement]:
     """Guarantee at least two instructions between a key load and crypt."""
     out: List[Statement] = []
-    since_key_load: Optional[int] = None
+    owed = 0    # the guard nops a crypt here still needs
     for stmt in statements:
         spec = isa.SPECS.get(stmt.mnemonic)  # None for a label-only line
-        is_crypt = spec is not None and spec.mode is not None
-        if is_crypt and since_key_load is not None:
+        if spec is not None and spec.mode is not None:
             # the first guard nop takes crypt's label, in a copy of crypt
-            label = stmt.label
-            for _ in range(2 - since_key_load):
-                out.append(_nop(label, stmt.line))
-                label = None
-            stmt = replace(stmt, label=label)
+            for _ in range(owed):
+                out.append(_nop(stmt.label, stmt.line))
+                stmt = replace(stmt, label=None)
+            owed = 0
         out.append(stmt)
-        if spec is not None and spec.load_key is not None:
-            since_key_load = 0
-        elif spec is not None:
-            if since_key_load is not None:
-                since_key_load += 1
-            if is_crypt or (since_key_load or 0) >= 2:
-                since_key_load = None
+        if spec is not None:
+            owed = 2 if spec.load_key is not None else max(owed - 1, 0)
     return out
 
 

@@ -22,8 +22,8 @@ holds exactly for every halting run, even when a squashed slot falls
 inside the final drain.
 
 One loop, _cycles(), clocks the pipeline for run() and step(), with the
-latches, pc, crypt mode, halted and the statistics in locals that it writes
-back where it stops and, with a trace sink, before each cycle's trace line.
+latches, pc, crypt mode and the statistics in locals that it writes back in
+one place, where it stops; a trace line is made from those locals.
 
 A single-cycle reference interpreter with identical architectural
 semantics serves as the correctness oracle.
@@ -141,9 +141,13 @@ class CpuState:
         self.exmem: LatchValue = FILL_BUBBLE
         self.memwb: LatchValue = FILL_BUBBLE
         self.stats = Stats()
-        self.halted = False
         self.retired_log: Optional[List[Tuple[int, int]]] = \
             [] if record_retired else None
+
+    @property
+    def halted(self) -> bool:
+        """The end-of-program bubble has reached the WB latch."""
+        return self.memwb is END_BUBBLE
 
 
 def fetch_word(imem: machine.Memory, pc: int, decrypt: bool,
@@ -190,13 +194,13 @@ def _cycles(state: CpuState, limit: int,
             trace: Optional[Callable[[str], None]] = None) -> None:
     """Clock the pipeline until it halts or its cycle count reaches limit.
 
-    The latches, pc, crypt mode, halted and the statistics are locals that
-    the finally writes back, so a Fault (carrying the cycle count), the
-    limit or a raising trace sink leaves the state the last cycle left.
+    The latches, pc, crypt mode and the statistics are locals that only the
+    finally writes back, so a Fault (carrying the cycle count), the limit or
+    a raising trace sink leaves the state the last cycle left.
     fetch_word and mem_stage go through the module, so wrappers see each call.
     """
     ifid, idex, exmem, memwb = state.ifid, state.idex, state.exmem, state.memwb
-    pc, crypt_mode, halted, st = state.pc, state.crypt_mode, state.halted, state.stats
+    pc, crypt_mode, st = state.pc, state.crypt_mode, state.stats
     cycles, retired, stalls, flushes = st.cycles, st.retired, st.stalls, st.flushes
     crypt_fetches, encrypted_stores = st.crypt_fetches, st.encrypted_stores
     regs, keyreg, imem, dmem = state.regs.values, state.keyreg, state.imem, state.dmem
@@ -208,7 +212,7 @@ def _cycles(state: CpuState, limit: int,
         # CPython 3.11 specializes code only after 8 calls or unconditional
         # jumps back: a `while cond` loop would leave the first 8 runs slow
         while True:
-            if halted or cycles >= limit:
+            if memwb is end_bubble or cycles >= limit:
                 break
             if trace is not None:
                 before = (pc, ifid, idex, exmem, memwb, crypt_mode,
@@ -316,16 +320,12 @@ def _cycles(state: CpuState, limit: int,
             idex = next_idex
             if load_key is not None:
                 load_key(keyreg, key_word)
-            halted = memwb is end_bubble
             if trace is not None:
-                state.ifid, state.idex, state.exmem, state.memwb = ifid, idex, exmem, memwb
-                state.pc, state.crypt_mode, state.halted = pc, crypt_mode, halted
-                st.cycles, st.retired, st.stalls, st.flushes = cycles, retired, stalls, flushes
-                st.crypt_fetches, st.encrypted_stores = crypt_fetches, encrypted_stores
-                trace(format_trace_line(before, state))
+                trace(format_trace_line(cycles, before, (pc, ifid, idex, exmem, memwb,
+                                        crypt_mode, crypt_fetches, encrypted_stores)))
     finally:
         state.ifid, state.idex, state.exmem, state.memwb = ifid, idex, exmem, memwb
-        state.pc, state.crypt_mode, state.halted = pc, crypt_mode, halted
+        state.pc, state.crypt_mode = pc, crypt_mode
         st.cycles, st.retired, st.stalls, st.flushes = cycles, retired, stalls, flushes
         st.crypt_fetches, st.encrypted_stores = crypt_fetches, encrypted_stores
 
@@ -358,28 +358,28 @@ def _slot_text(slot: LatchValue) -> str:
     return "bubble" if isinstance(slot, Bubble) else _disasm_word(slot.word)
 
 
-def format_trace_line(before: tuple, state: CpuState) -> str:
-    """The trace line of the cycle just run, whose state the cycle loop has
-    written back. `before` holds pc, the four latches, crypt mode,
-    crypt_fetches and encrypted_stores as they were before it, and the
+def format_trace_line(cycle: int, before: tuple, after: tuple) -> str:
+    """The trace line of cycle, the one just run. `before` and `after` each
+    hold pc, the four latches, crypt mode, crypt_fetches and
+    encrypted_stores, as they were before the cycle and after it, and the
     events are read from what changed. Only this cycle's ID puts a stall
     bubble in IDEX and only its IF a flush bubble in IFID; CRYPT_ON/OFF is
     a change of mode; DEC_FETCH and ENC_STORE are steps of the counters.
     """
     pc, ifid, idex, exmem, memwb, crypt_mode, crypt_fetches, encrypted_stores = before
-    st = state.stats
+    _, new_ifid, new_idex, _, _, new_mode, new_fetches, new_stores = after
     events = []
-    if state.idex is STALL_BUBBLE:
+    if new_idex is STALL_BUBBLE:
         events.append("STALL")
-    if state.ifid is FLUSH_BUBBLE:
+    if new_ifid is FLUSH_BUBBLE:
         events.append("FLUSH")
-    if state.crypt_mode != crypt_mode:
-        events.append("CRYPT_ON" if state.crypt_mode else "CRYPT_OFF")
-    if st.crypt_fetches != crypt_fetches:
+    if new_mode != crypt_mode:
+        events.append("CRYPT_ON" if new_mode else "CRYPT_OFF")
+    if new_fetches != crypt_fetches:
         events.append("DEC_FETCH")
-    if st.encrypted_stores != encrypted_stores:
+    if new_stores != encrypted_stores:
         events.append("ENC_STORE")
-    return (f"{st.cycles} | {pc:x} | IF:{_slot_text(state.ifid)} "
+    return (f"{cycle} | {pc:x} | IF:{_slot_text(new_ifid)} "
             f"ID:{_slot_text(ifid)} EX:{_slot_text(idex)} "
             f"MEM:{_slot_text(exmem)} WB:{_slot_text(memwb)} "
             f"| events: {' '.join(events)}")

@@ -9,8 +9,9 @@ and encrypted with a limit of 5 + seed % 40 cycles, which most runs hit
 mid-flight. Every run stores the six statistics, a hash of the architectural
 state, the fault (pc, cycle, cause class and text) or null, and hashes of
 the retired log and of the full trace. The records are recorded from traced
-runs; the same runs untraced must match them in every field but the trace,
-since the cycle loop writes its state back only where it stops. The halting
+runs; the same runs untraced must match them in every field but the trace:
+traced or not, the cycle loop writes its state back only where it stops, and
+a trace line is made from the loop's locals. The halting
 runs that have a plaintext image also check the timing model of
 tests/progen.py against the reference interpreter.
 
@@ -41,14 +42,19 @@ def _hash(value) -> str:
     return hashlib.blake2b(repr(value).encode(), digest_size=8).hexdigest()
 
 
+def _state(image, entries, **kwargs):
+    """A fresh core with image in imem and entries in dmem."""
+    return pipeline.CpuState(progen.memory(image.entries), progen.memory(entries),
+                             record_retired=True, **kwargs)
+
+
 def _run(image, entries, max_cycles=MAX_CYCLES, trace=None, stepped=False,
          **kwargs):
     """The state a pipeline run of image leaves, and the Fault or
     CycleLimitExceeded it stopped with (None for a halt). stepped runs it
     as a loop of pipeline.step, one call per cycle, instead of one call
     of pipeline.run."""
-    state = pipeline.CpuState(progen.memory(image.entries), progen.memory(entries),
-                              record_retired=True, **kwargs)
+    state = _state(image, entries, **kwargs)
     try:
         if stepped:
             while not state.halted:
@@ -133,8 +139,8 @@ def test_golden_results_unchanged():
 
 
 def test_golden_results_unchanged_untraced():
-    # the corpus is recorded traced, when the cycle loop writes its state
-    # back every cycle; untraced it does so only where the run stops
+    # the corpus is recorded traced; untraced, the cycle loop must leave the
+    # same state where it stops, having made no trace line from its locals
     _assert_unmoved(all_records(traced=False), skip=("trace",))
 
 
@@ -179,6 +185,43 @@ def test_run_leaves_the_state_a_loop_of_step_leaves():
                 f"{mode}/{seed}"
     assert stops == {"UnknownInstruction", "UnalignedAccess", "KeyNotLoaded",
                      "CycleLimitExceeded"}
+
+
+class _SinkStop(Exception):
+    pass
+
+
+def test_a_raising_trace_sink_leaves_the_state_its_cycle_left():
+    # the cycle loop writes its state back only in its finally, so a sink
+    # that raises on cycle k's line leaves what k calls of step leave
+    checked = 0
+    for seed in SEEDS[::16]:
+        runs, entries = seed_runs(seed)
+        for mode, (image, _, options) in runs.items():
+            options = dict(options)
+            max_cycles = options.pop("max_cycles", MAX_CYCLES)
+            for k in (1, 7, 23):
+                lines = []
+
+                def sink(line):
+                    lines.append(line)
+                    if len(lines) == k:
+                        raise _SinkStop
+
+                state = _state(image, entries, **options)
+                try:
+                    pipeline.run(state, max_cycles=max_cycles, trace=sink)
+                except (_SinkStop, pipeline.Fault, pipeline.CycleLimitExceeded):
+                    pass
+                if len(lines) < k:
+                    continue    # the run stopped before line k
+                stepped = _state(image, entries, **options)
+                for _ in range(k):
+                    pipeline.step(stepped)
+                assert _full_state(state, None) == _full_state(stepped, None), \
+                    f"{mode}/{seed} k={k}"
+                checked += 1
+    assert checked >= 300
 
 
 def test_timing_model_predicts_every_halting_run():

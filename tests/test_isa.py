@@ -1,9 +1,10 @@
 import random
+import re
 from pathlib import Path
 
 import pytest
 
-from encmips import isa, machine, pipeline
+from encmips import asm, isa, machine, pipeline
 
 
 def test_decode_nop_word():
@@ -261,6 +262,41 @@ def test_fields_a_format_lacks_read_zero():
     addi = isa.decode(0x23FFFFFF)
     assert (addi.rd, addi.shamt, addi.target) == (0, 0, 0)
     assert isa.Instruction("crypt", rs=3, rt=4, target=1) == isa.decode(0x70000001)
+
+
+def _unused_fields(spec):
+    """The register and shamt fields of the row's format that no operand fills."""
+    fields = {"R": ("rs", "rt", "rd", "shamt"), "I": ("rs", "rt"), "J": ()}[spec.fmt]
+    filled = {part for operand in spec.operands for part in re.split(r"[()]", operand)}
+    return tuple(name for name in fields if name not in filled)
+
+
+def test_bits_outside_a_rows_operands_change_nothing_and_disassemble_away():
+    # decode keeps a known row whatever its unused fields hold; those bits
+    # change no result, and the disassembly drops them, so it reassembles to
+    # the word with them clear
+    shift = {"rs": 21, "rt": 16, "shamt": 6}
+    unused = {m: _unused_fields(isa.SPECS[m]) for m in PINNED}
+    assert {m: f for m, f in unused.items() if f} == {
+        "add": ("shamt",), "sub": ("shamt",), "and": ("shamt",), "or": ("shamt",),
+        "slt": ("shamt",), "sll": ("rs",), "lklw": ("rt",), "lkuw": ("rt",)}
+    for mnemonic, fields in unused.items():
+        if not fields:
+            continue
+        canonical, sources, dest, memory, a, b, result, effect = PINNED[mnemonic]
+        canonical_word = isa.encode(canonical)
+        word = canonical_word
+        for name in fields:
+            word |= 0x1F << shift[name]
+        assert word != canonical_word, mnemonic
+        instr = isa.decode(word)
+        assert (instr.spec, instr.sources, instr.dest) == (canonical.spec, sources, dest)
+        assert instr.spec.alu(a, b, instr) == result, mnemonic
+        assert _memory(instr, result, b) == memory, mnemonic
+        assert _effect(instr, a, b) == effect, mnemonic
+        words, _ = asm.assemble(asm.parse(isa.disassemble(instr)))
+        assert words == [canonical_word], mnemonic
+    assert isa.disasm_word(0x00221860) == "add $r3, $r1, $r2"
 
 
 def test_dest_r0_writes_nothing():
