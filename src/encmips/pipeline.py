@@ -37,12 +37,6 @@ from typing import Callable, List, Optional, Tuple, Union
 
 from . import des, isa, machine
 
-FILL = "fill"
-STALL = "stall"
-FLUSH = "flush"
-END = "end"
-
-
 class Fault(Exception):
     """An execution fault; halts the run with a diagnostic."""
 
@@ -70,10 +64,10 @@ class Bubble:
 
 
 # The pipeline uses only these four bubbles and tells them apart by identity.
-FILL_BUBBLE = Bubble(FILL)
-STALL_BUBBLE = Bubble(STALL)
-FLUSH_BUBBLE = Bubble(FLUSH)
-END_BUBBLE = Bubble(END)
+FILL_BUBBLE = Bubble("fill")
+STALL_BUBBLE = Bubble("stall")
+FLUSH_BUBBLE = Bubble("flush")
+END_BUBBLE = Bubble("end")
 
 
 class Slot:
@@ -85,7 +79,10 @@ class Slot:
     Fault in its own cycle, so a slot squashed before ID never faults. ID
     sets dest (the register WB writes, None for none or $r0) and
     crypt_mode (the mode MEM will use). EX sets alu, the ALU result or a
-    memory address. MEM sets value, the result WB writes.
+    memory address; MEM writes alu only for a read, replacing the address
+    with the word read; WB writes alu. EX and the ID branch compare read
+    EXMEM's alu only for a register EXMEM writes, and the load-use and
+    branch stalls keep a read's consumers out of both while it is in MEM.
 
     The latches are locals of the cycle loop while it runs. Filling slots
     in place is safe because it runs WB, MEM, EX, ID, IF in that order,
@@ -96,7 +93,7 @@ class Slot:
     from the latches as they were before a cycle.
     """
 
-    __slots__ = ("pc", "word", "instr", "dest", "crypt_mode", "alu", "value")
+    __slots__ = ("pc", "word", "instr", "dest", "crypt_mode", "alu")
     # No __init__: IF sets the fields of an empty Slot(), which costs about
     # half as much as a Python __init__ call, once every cycle.
 
@@ -196,7 +193,9 @@ def _cycles(state: CpuState, limit: int,
 
     The latches, pc, crypt mode and the statistics are locals that only the
     finally writes back, so a Fault (carrying the cycle count), the limit or
-    a raising trace sink leaves the state the last cycle left.
+    a raising trace sink leaves the state the last cycle left. A traced
+    cycle takes one snapshot of those locals after its work, and the
+    previous cycle's snapshot is its "before".
     fetch_word and mem_stage go through the module, so wrappers see each call.
     """
     ifid, idex, exmem, memwb = state.ifid, state.idex, state.exmem, state.memwb
@@ -208,22 +207,21 @@ def _cycles(state: CpuState, limit: int,
         state.crypt_fetch, state.decrypt_loads, state.retired_log
     stall_bubble, flush_bubble, end_bubble = STALL_BUBBLE, FLUSH_BUBBLE, END_BUBBLE
     slot_class, decode = Slot, _decode
+    if trace is not None:
+        after = (pc, ifid, idex, exmem, memwb, crypt_mode, crypt_fetches, encrypted_stores)
     try:
         # CPython 3.11 specializes code only after 8 calls or unconditional
         # jumps back: a `while cond` loop would leave the first 8 runs slow
         while True:
             if memwb is end_bubble or cycles >= limit:
                 break
-            if trace is not None:
-                before = (pc, ifid, idex, exmem, memwb, crypt_mode,
-                          crypt_fetches, encrypted_stores)
             cycles += 1
 
             # WB first, so later stages read its result in the register file;
             # dest is never $r0 and every result is 32 bits, so write directly.
             if memwb.__class__ is slot_class:
                 if memwb.dest is not None:
-                    regs[memwb.dest] = memwb.value
+                    regs[memwb.dest] = memwb.alu
                 retired += 1
                 if retired_log is not None:
                     retired_log.append((memwb.pc, memwb.word))
@@ -235,7 +233,6 @@ def _cycles(state: CpuState, limit: int,
             # MEM: a key half commits at the cycle's end, after IF used the old
             load_key = None
             if exmem.__class__ is slot_class:
-                exmem.value = exmem.alu
                 instr = exmem.instr
                 spec = instr.spec
                 if spec.mem is not None:
@@ -247,8 +244,8 @@ def _cycles(state: CpuState, limit: int,
                         raise Fault(exc, exmem.pc, cycles) from exc
                     if spec.load_key is not None:
                         load_key, key_word = spec.load_key, out
-                    elif out is not None:   # a read: its word is the result
-                        exmem.value = out
+                    elif out is not None:   # a read: its word replaces the address
+                        exmem.alu = out
                     elif exmem.crypt_mode:
                         encrypted_stores += 1
 
@@ -299,7 +296,7 @@ def _cycles(state: CpuState, limit: int,
                 decrypt = crypt_mode and crypt_fetch
                 try:
                     word = fetch_word(imem, pc, decrypt, keyreg)
-                except machine.KeyNotLoaded as exc:
+                except machine.MachineError as exc:
                     raise Fault(exc, pc, cycles) from exc
                 if word is None:
                     ifid = end_bubble
@@ -321,8 +318,9 @@ def _cycles(state: CpuState, limit: int,
             if load_key is not None:
                 load_key(keyreg, key_word)
             if trace is not None:
-                trace(format_trace_line(cycles, before, (pc, ifid, idex, exmem, memwb,
-                                        crypt_mode, crypt_fetches, encrypted_stores)))
+                before, after = after, (pc, ifid, idex, exmem, memwb, crypt_mode,
+                                        crypt_fetches, encrypted_stores)
+                trace(format_trace_line(cycles, before, after))
     finally:
         state.ifid, state.idex, state.exmem, state.memwb = ifid, idex, exmem, memwb
         state.pc, state.crypt_mode = pc, crypt_mode

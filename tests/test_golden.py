@@ -144,18 +144,13 @@ def test_golden_results_unchanged_untraced():
     _assert_unmoved(all_records(traced=False), skip=("trace",))
 
 
-_BUBBLES = {id(bubble): bubble.kind for bubble in (
-    pipeline.FILL_BUBBLE, pipeline.STALL_BUBBLE, pipeline.FLUSH_BUBBLE,
-    pipeline.END_BUBBLE)}
-
-
 def _latch(value):
-    """A latch as a comparable value: the bubble's kind, by identity, or the
-    slot's fields, "unset" for one no stage has filled in yet."""
+    """A latch as a comparable value: the bubble's kind, or the slot's
+    fields, "unset" for one no stage has filled in yet."""
     if value.__class__ is pipeline.Bubble:
-        return _BUBBLES[id(value)]
+        return value.kind
     return tuple(getattr(value, name, "unset")
-                 for name in ("pc", "word", "dest", "crypt_mode", "alu", "value"))
+                 for name in ("pc", "word", "dest", "crypt_mode", "alu"))
 
 
 def _full_state(state, stop) -> tuple:
@@ -220,6 +215,37 @@ def test_a_raising_trace_sink_leaves_the_state_its_cycle_left():
                     pipeline.step(stepped)
                 assert _full_state(state, None) == _full_state(stepped, None), \
                     f"{mode}/{seed} k={k}"
+                checked += 1
+    assert checked >= 300
+
+
+def _traced_lines(state, max_cycles):
+    """The trace lines a run of state prints up to where it stops."""
+    lines = []
+    try:
+        pipeline.run(state, max_cycles=max_cycles, trace=lines.append)
+    except (pipeline.Fault, pipeline.CycleLimitExceeded):
+        pass
+    return lines
+
+
+def test_a_traced_run_after_step_prints_the_rest_of_the_trace():
+    # a traced run's first "before" is the state it starts from, so after k
+    # calls of step it prints lines k+1 onwards of the run traced from cycle 1
+    checked = 0
+    for seed in SEEDS[::16]:
+        runs, entries = seed_runs(seed)
+        for mode, (image, _, options) in runs.items():
+            options = dict(options)
+            max_cycles = options.pop("max_cycles", MAX_CYCLES)
+            full = _traced_lines(_state(image, entries, **options), max_cycles)
+            for k in (1, 7, 23):
+                if len(full) <= k:
+                    continue    # the run stopped by cycle k
+                state = _state(image, entries, **options)
+                for _ in range(k):
+                    pipeline.step(state)
+                assert _traced_lines(state, max_cycles) == full[k:], f"{mode}/{seed} k={k}"
                 checked += 1
     assert checked >= 300
 

@@ -509,6 +509,17 @@ def test_unaligned_access_faults():
     assert isinstance(exc.value.cause, machine.UnalignedAccess)
 
 
+def test_an_unaligned_pc_faults_in_if():
+    # only a pc set by hand can be unaligned: every pc a program reaches is
+    # a multiple of 8
+    state = build_state("addi $r1, $r0, 1\naddi $r2, $r0, 2\n")
+    state.pc = 4
+    with pytest.raises(pipeline.Fault) as exc:
+        pipeline.run(state)
+    assert isinstance(exc.value.cause, machine.UnalignedAccess)
+    assert (exc.value.pc, exc.value.cycle) == (4, 1)
+
+
 def test_pipeline_reports_faults_in_cycle_order():
     # sw $r1, 4($r0) would fault in MEM at cycle 4, but the unknown word two
     # slots behind it faults in ID at cycle 3; the oracle goes in program order
@@ -690,7 +701,7 @@ def _forwarded_a(reg, exmem, memwb):
 def test_forward_value_priority():
     add = isa.Instruction("add", rs=1, rt=2, rd=3)
     exmem = _slot(add, alu=111)
-    memwb = _slot(isa.Instruction("addi", rs=0, rt=3, imm=0), value=222)
+    memwb = _slot(isa.Instruction("addi", rs=0, rt=3, imm=0), alu=222)
     assert _forwarded_a(3, exmem, memwb) == 111
     assert _forwarded_a(3, pipeline.FILL_BUBBLE, memwb) == 222
     assert _forwarded_a(4, exmem, memwb) == 999
