@@ -24,6 +24,10 @@ inside the final drain.
 One loop, _cycles(), clocks the pipeline for run() and step(), with the
 latches, pc, crypt mode and the statistics in locals that it writes back in
 one place, where it stops; a trace line is made from those locals.
+Inside one call, IF fetches each pc once per crypt mode and key: it keeps
+the word, the decoded instruction and whether the fetch decrypted in a
+local dict, which a crypt-mode flip and a key-half commit drop, so a
+wrapper of fetch_word sees each miss, not each fetch.
 
 A single-cycle reference interpreter with identical architectural
 semantics serves as the correctness oracle.
@@ -196,7 +200,16 @@ def _cycles(state: CpuState, limit: int,
     a raising trace sink leaves the state the last cycle left. A traced
     cycle takes one snapshot of those locals after its work, and the
     previous cycle's snapshot is its "before".
-    fetch_word and mem_stage go through the module, so wrappers see each call.
+
+    IF reads a dict local to this call first, which maps a pc to what IF
+    made of it: the word, the decoded instruction and whether the fetch
+    decrypted. A hit still counts a decrypting fetch. A miss goes through
+    fetch_word and decode and is kept unless it raised, decoded to no row
+    or was past imem's extent. ID's crypt-mode flip drops the dict before
+    IF runs in the same cycle, and a key-half commit drops it at the
+    cycle's end, after IF used the old key; stores write dmem, never imem.
+    fetch_word and mem_stage go through the module, so wrappers see each
+    call: each mem_stage, and each fetch that misses.
     """
     ifid, idex, exmem, memwb = state.ifid, state.idex, state.exmem, state.memwb
     pc, crypt_mode, st = state.pc, state.crypt_mode, state.stats
@@ -207,6 +220,7 @@ def _cycles(state: CpuState, limit: int,
         state.crypt_fetch, state.decrypt_loads, state.retired_log
     stall_bubble, flush_bubble, end_bubble = STALL_BUBBLE, FLUSH_BUBBLE, END_BUBBLE
     slot_class, decode = Slot, _decode
+    fetched = {}    # pc -> (word, instr, decrypted?): IF's cache, see above
     if trace is not None:
         after = (pc, ifid, idex, exmem, memwb, crypt_mode, crypt_fetches, encrypted_stores)
     try:
@@ -285,6 +299,7 @@ def _cycles(state: CpuState, limit: int,
                         redirect = resolve(ifid.pc, a, b, instr)
                     elif spec.mode is not None and spec.mode(instr) != crypt_mode:
                         crypt_mode = not crypt_mode
+                        fetched.clear()     # before IF reads it, this cycle
                         if crypt_fetch:     # refetch what IF reads on the old path
                             redirect = pc
                     ifid.dest, ifid.crypt_mode = instr.dest, crypt_mode
@@ -293,20 +308,27 @@ def _cycles(state: CpuState, limit: int,
             if redirect is not None:
                 ifid, pc = flush_bubble, redirect
             elif not stall:
-                decrypt = crypt_mode and crypt_fetch
-                try:
-                    word = fetch_word(imem, pc, decrypt, keyreg)
-                except machine.MachineError as exc:
-                    raise Fault(exc, pc, cycles) from exc
+                hit = fetched.get(pc)
+                if hit is not None:
+                    word, instr, decrypt = hit
+                else:
+                    decrypt = crypt_mode and crypt_fetch
+                    try:
+                        word = fetch_word(imem, pc, decrypt, keyreg)
+                    except machine.MachineError as exc:
+                        raise Fault(exc, pc, cycles) from exc
+                    if word is not None:
+                        try:
+                            instr = decode(word)
+                        except isa.UnknownInstruction as exc:
+                            instr = exc
+                        else:
+                            fetched[pc] = word, instr, decrypt
                 if word is None:
                     ifid = end_bubble
                 else:
                     if decrypt:
                         crypt_fetches += 1
-                    try:
-                        instr = decode(word)
-                    except isa.UnknownInstruction as exc:
-                        instr = exc
                     ifid = slot_class()
                     ifid.pc, ifid.word, ifid.instr = pc, word, instr
                     pc = (pc + 8) & 0xFFFFFFFF      # wraps like every pc
@@ -317,6 +339,7 @@ def _cycles(state: CpuState, limit: int,
             idex = next_idex
             if load_key is not None:
                 load_key(keyreg, key_word)
+                fetched.clear()     # after IF used the old key, this cycle
             if trace is not None:
                 before, after = after, (pc, ifid, idex, exmem, memwb, crypt_mode,
                                         crypt_fetches, encrypted_stores)
@@ -329,7 +352,8 @@ def _cycles(state: CpuState, limit: int,
 
 
 def step(state: CpuState) -> None:
-    """Advance one clock cycle, none once halted: one cycle of run()'s loop."""
+    """Advance one clock cycle, none once halted: one cycle of run()'s loop,
+    which starts with an empty fetch cache."""
     _cycles(state, state.stats.cycles + 1)
 
 

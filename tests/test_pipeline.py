@@ -1,4 +1,5 @@
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -489,6 +490,25 @@ def test_same_key_reload_keeps_running():
     assert (stats.crypt_fetches, stats.encrypted_stores) == (11, 1)
 
 
+def test_a_pc_fetched_in_both_modes_faults_on_its_decrypted_fetch():
+    # Top is fetched in plaintext, then again through the decryptor after
+    # the beq, which decodes to garbage. Four nops keep the key commit
+    # before Top's first fetch, so only the crypt-mode flip stands between
+    # the two fetches of Top.
+    source = (KEY_PROLOG + "nop\nnop\nnop\nnop\n"
+              "Top: addi $r2, $r2, 1\n"
+              "crypt 1\n"
+              "beq $r0, $r0, Top\n")
+    state = build_state(source, key_dmem(), encrypt_key=worked.KEY)
+    with pytest.raises(pipeline.Fault) as exc:
+        pipeline.run(state, max_cycles=1000)
+    assert (exc.value.pc, exc.value.cycle) == (0x38, 14)
+    assert isinstance(exc.value.cause, isa.UnknownInstruction)
+    st = state.stats
+    assert (st.cycles, st.retired, st.stalls, st.flushes,
+            st.crypt_fetches, st.encrypted_stores) == (14, 9, 0, 1, 2, 0)
+
+
 def test_unknown_word_faults_at_its_pc_in_both_models():
     # addi $r1, $r0, 1 then the word 0xfc000000
     imem = progen.memory(asm.read_hex(
@@ -753,3 +773,68 @@ def test_store_path_correctness_invariant():
         entries = progen.gen_dmem_entries(rng, with_key=True)
         for decrypt_loads in (False, True):
             progen.check_against_oracle(source, entries, progen.KEY, decrypt_loads)
+
+
+def _with_next_line_branches(rng, source):
+    """source with a beq or bne, taken or not as its registers say, to a
+    label on the very next line after about one instruction in five."""
+    regs = [0] + progen.DATA_REGS
+    *lines, last = source.splitlines()
+    out = []
+    for i, line in enumerate(lines):
+        out.append(line)
+        if not line.endswith(":") and rng.random() < 0.2:
+            mnemonic = rng.choice(("beq", "bne"))
+            out += [f"{mnemonic} $r{rng.choice(regs)}, $r{rng.choice(regs)}, next{i}",
+                    f"next{i}:"]
+    return "\n".join(out + [last]) + "\n"
+
+
+def _with_loads_into_r0(rng, source):
+    """source with about half of its loads turned into loads into $r0."""
+    return re.sub(r"^lw \$r\d+,",
+                  lambda m: "lw $r0," if rng.random() < 0.5 else m.group(),
+                  source, flags=re.MULTILINE)
+
+
+def test_differential_branches_to_the_next_slot():
+    # progen's branches skip at least one instruction; one with displacement
+    # 0 reaches pc + 8 taken or not, and must flush only when taken
+    rng = random.Random(2020)
+    for _ in range(100):
+        source = _with_next_line_branches(rng, progen.gen_program(rng))
+        progen.check_against_oracle(source, progen.gen_dmem_entries(rng))
+    for _ in range(20):
+        source = _with_next_line_branches(rng, progen.gen_crypt_program(rng))
+        progen.check_against_oracle(source, progen.gen_dmem_entries(rng, with_key=True),
+                                    progen.KEY)
+
+
+def test_differential_loads_into_r0_read_through_the_decryptor(monkeypatch):
+    # progen loads only into $r1-$r9. With the key loaded, a load into $r0
+    # leaves the same state whether or not it decrypts, so the decryptor's
+    # load calls are counted: under decrypt_loads each model makes one for
+    # every load its crypt-mode body retires, $r0's included
+    load_decrypts = []
+    decrypt = machine.KeyRegister.decrypt
+
+    def counting_decrypt(keyreg, block, what):
+        if what == "decrypting load before key loaded":
+            load_decrypts.append(block)
+        return decrypt(keyreg, block, what)
+
+    monkeypatch.setattr(machine.KeyRegister, "decrypt", counting_decrypt)
+    rng = random.Random(2021)
+    into_r0 = 0
+    for _ in range(40):
+        source = _with_loads_into_r0(
+            rng, _with_next_line_branches(rng, progen.gen_crypt_program(rng)))
+        load_decrypts.clear()
+        state = progen.check_against_oracle(
+            source, progen.gen_dmem_entries(rng, with_key=True), progen.KEY,
+            decrypt_loads=True)
+        loads = [instr for instr in (isa.decode(word) for _, word in state.retired_log)
+                 if instr.spec.mnemonic == "lw"]
+        assert len(load_decrypts) == 2 * len(loads), source
+        into_r0 += sum(instr.rt == 0 for instr in loads)
+    assert into_r0 >= 20    # retired loads into $r0
