@@ -31,10 +31,6 @@ READ = "read"
 WRITE = "write"  # block = zero-padded rt, encrypted in crypt mode
 
 
-def _signed(value: int) -> int:
-    return value - 0x100000000 if value & 0x80000000 else value
-
-
 def _add_imm(a: int, b: int, instr: Instruction) -> int:
     """rs + imm: the result of addi and the address of every memory access."""
     return (a + instr.imm) & WORD_MASK
@@ -99,7 +95,8 @@ SPECS: Dict[str, InstrSpec] = {spec.mnemonic: spec for spec in (
     InstrSpec("or",    "R", 0x00, 0x25, "rrr", ("rd", "rs", "rt"),
               sources=("rs", "rt"), dest="rd", alu=lambda a, b, i: a | b),
     InstrSpec("slt",   "R", 0x00, 0x2A, "rrr", ("rd", "rs", "rt"),
-              sources=("rs", "rt"), dest="rd", alu=lambda a, b, i: int(_signed(a) < _signed(b))),
+              sources=("rs", "rt"), dest="rd",    # a flipped sign bit orders as signed
+              alu=lambda a, b, i: int((a ^ 0x80000000) < (b ^ 0x80000000))),
     InstrSpec("sll",   "R", 0x00, 0x00, "rri", ("rd", "rt", "shamt"),
               sources=("rt",), dest="rd", alu=lambda a, b, i: (b << i.shamt) & WORD_MASK),
     InstrSpec("addi",  "I", 0x08, None, "rri", ("rt", "rs", "imm"),

@@ -148,6 +148,11 @@ class Memory:
 
 def load_image(mem: Memory, image) -> None:
     """Place a ProgramImage's blocks at their byte addresses (later blocks
-    win)."""
+    win); an unaligned entry raises after the ones before it are placed."""
+    blocks = mem.blocks
     for addr, block in image.entries:
-        mem.write_block(addr, block)
+        if addr % 8:
+            raise UnalignedAccess(addr)
+        blocks[addr] = block & BLOCK_MASK
+        if addr + 8 > mem.extent:
+            mem.extent = addr + 8

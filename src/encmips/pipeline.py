@@ -13,10 +13,10 @@ change.
 Each fetched instruction is one Slot record that rides the latches from
 IFID to MEMWB; every stage fills in the fields it computes, and the
 latches shift by reference. An empty latch holds one of four shared
-bubbles, tagged with why it exists (pipeline fill, stall, flush, end of
-program). A stall or flush is charged to the statistics when its bubble
-drains past WB, and the run halts when the end-of-program bubble reaches
-the WB latch. Under that accounting
+bubbles: Slots with no instruction, whose kind says why they exist (fill,
+stall, flush, end of program). A stall or flush is charged to the
+statistics when its bubble drains past WB, and the run halts when the
+end-of-program bubble reaches the WB latch. Under that accounting
     cycles == retired + stalls + flushes + 4
 holds exactly for every halting run, even when a squashed slot falls
 inside the final drain.
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
 from . import des, isa, machine
 
@@ -61,19 +61,6 @@ class CycleLimitExceeded(Exception):
         super().__init__(f"no halt within {limit} {unit}")
 
 
-@dataclass(frozen=True)
-class Bubble:
-    kind: str
-    dest = None    # a bubble writes no register, so nothing forwards from it
-
-
-# The pipeline uses only these four bubbles and tells them apart by identity.
-FILL_BUBBLE = Bubble("fill")
-STALL_BUBBLE = Bubble("stall")
-FLUSH_BUBBLE = Bubble("flush")
-END_BUBBLE = Bubble("end")
-
-
 class Slot:
     """One in-flight instruction, created by IF and passed by reference
     from latch to latch until WB retires it.
@@ -92,17 +79,33 @@ class Slot:
     in place is safe because it runs WB, MEM, EX, ID, IF in that order,
     each stage writes only fields of its own slot, and no stage reads a
     field that a stage run before it in the same cycle has written, so
-    every stage sees its inputs as the last cycle left them. pc and word
-    never change after IF, and they are the only fields the trace reads
-    from the latches as they were before a cycle.
+    every stage sees its inputs as the last cycle left them. pc, word and
+    instr never change after IF, and they are the only fields the trace
+    reads from the latches as they were before a cycle.
+
+    A bubble is a Slot with no instruction, whose kind names it; its other
+    fields are inert (None, alu 0, crypt_mode False), so a stage reads any
+    latch's dest or alu untested. No stage writes to the shared bubbles: a
+    stage fills in its own slot only when its instr is not None.
     """
 
-    __slots__ = ("pc", "word", "instr", "dest", "crypt_mode", "alu")
+    __slots__ = ("pc", "word", "instr", "dest", "crypt_mode", "alu", "kind")
     # No __init__: IF sets the fields of an empty Slot(), which costs about
     # half as much as a Python __init__ call, once every cycle.
 
 
-LatchValue = Union[Bubble, Slot]
+def _bubble(kind: str) -> Slot:
+    bubble = Slot()
+    bubble.pc = bubble.word = bubble.instr = bubble.dest = None
+    bubble.crypt_mode, bubble.alu, bubble.kind = False, 0, kind
+    return bubble
+
+
+# The pipeline uses only these four bubbles; nothing forwards from them.
+FILL_BUBBLE = _bubble("fill")
+STALL_BUBBLE = _bubble("stall")
+FLUSH_BUBBLE = _bubble("flush")
+END_BUBBLE = _bubble("end")
 
 
 @dataclass
@@ -137,10 +140,10 @@ class CpuState:
         # decryptor disabled (store encryption still applies); used to
         # check that instruction encryption is timing-transparent.
         self.crypt_fetch = crypt_fetch
-        self.ifid: LatchValue = FILL_BUBBLE
-        self.idex: LatchValue = FILL_BUBBLE
-        self.exmem: LatchValue = FILL_BUBBLE
-        self.memwb: LatchValue = FILL_BUBBLE
+        self.ifid: Slot = FILL_BUBBLE
+        self.idex: Slot = FILL_BUBBLE
+        self.exmem: Slot = FILL_BUBBLE
+        self.memwb: Slot = FILL_BUBBLE
         self.stats = Stats()
         self.retired_log: Optional[List[Tuple[int, int]]] = \
             [] if record_retired else None
@@ -233,7 +236,7 @@ def _cycles(state: CpuState, limit: int,
 
             # WB first, so later stages read its result in the register file;
             # dest is never $r0 and every result is 32 bits, so write directly.
-            if memwb.__class__ is slot_class:
+            if memwb.instr is not None:
                 if memwb.dest is not None:
                     regs[memwb.dest] = memwb.alu
                 retired += 1
@@ -246,8 +249,8 @@ def _cycles(state: CpuState, limit: int,
 
             # MEM: a key half commits at the cycle's end, after IF used the old
             load_key = None
-            if exmem.__class__ is slot_class:
-                instr = exmem.instr
+            instr = exmem.instr
+            if instr is not None:
                 spec = instr.spec
                 if spec.mem is not None:
                     # a store's data: every older instruction has written back
@@ -265,8 +268,8 @@ def _cycles(state: CpuState, limit: int,
 
             # EX: an operand is EXMEM's result when EXMEM writes its register,
             # else the register file; the row ignores an operand it does not read.
-            if idex.__class__ is slot_class:
-                instr = idex.instr
+            instr = idex.instr
+            if instr is not None:
                 a = exmem.alu if exmem.dest == instr.rs else regs[instr.rs]
                 b = exmem.alu if exmem.dest == instr.rt else regs[instr.rt]
                 alu = instr.spec.alu
@@ -275,8 +278,8 @@ def _cycles(state: CpuState, limit: int,
             # ID: fault on an unknown word, hazards, branch resolution and the
             # crypt-mode switch. Only the branch compare reads registers here.
             stall, redirect, next_idex = False, None, ifid
-            if ifid.__class__ is slot_class:
-                instr = ifid.instr
+            instr = ifid.instr
+            if instr is not None:
                 spec = instr.spec
                 if spec is None:    # an isa.UnknownInstruction
                     raise Fault(instr, ifid.pc, cycles) from instr
@@ -376,8 +379,8 @@ def run(state: CpuState, max_cycles: int = 100_000,
 _disasm_word = functools.lru_cache(maxsize=4096)(isa.disasm_word)
 
 
-def _slot_text(slot: LatchValue) -> str:
-    return "bubble" if isinstance(slot, Bubble) else _disasm_word(slot.word)
+def _slot_text(slot: Slot) -> str:
+    return "bubble" if slot.instr is None else _disasm_word(slot.word)
 
 
 def format_trace_line(cycle: int, before: tuple, after: tuple) -> str:

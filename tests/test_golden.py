@@ -147,7 +147,7 @@ def test_golden_results_unchanged_untraced():
 def _latch(value):
     """A latch as a comparable value: the bubble's kind, or the slot's
     fields, "unset" for one no stage has filled in yet."""
-    if value.__class__ is pipeline.Bubble:
+    if value.instr is None:
         return value.kind
     return tuple(getattr(value, name, "unset")
                  for name in ("pc", "word", "dest", "crypt_mode", "alu"))

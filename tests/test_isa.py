@@ -252,6 +252,16 @@ def test_row_effect(instr, pc, a, b, effect):
     assert _effect(instr, a, b, pc) == effect
 
 
+# slt beyond PINNED's -1 < 1: the signed corners, as (rs value, rt value, result)
+@pytest.mark.parametrize("a, b, result", [
+    (0x80000000, 0x7FFFFFFF, 1), (0x7FFFFFFF, 0x80000000, 0),
+    (0, 0xFFFFFFFF, 0), (0xFFFFFFFF, 0, 1),
+    (0x80000000, 0x80000000, 0), (0xFFFFFFFF, 0xFFFFFFFF, 0), (7, 7, 0)])
+def test_slt_compares_signed(a, b, result):
+    slt = isa.Instruction("slt", rs=1, rt=2, rd=3)
+    assert slt.spec.alu(a, b, slt) == result
+
+
 def test_fields_a_format_lacks_read_zero():
     # the pipeline and the oracle read rs and rt of every instruction, so a
     # field outside the format must name $r0, whatever the word's bits

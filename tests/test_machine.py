@@ -155,6 +155,17 @@ def test_load_image_overlap_later_wins():
     assert mem.read_block(0) == 2
 
 
+def test_load_image_unaligned_entry_raises_after_the_ones_before_it():
+    # as block-by-block writes would: the blocks before it placed and
+    # counted in extent, none after it
+    mem = machine.Memory()
+    image = asm.ProgramImage(entries=[(24, 2), (8, 1), (4, 3), (40, 4)])
+    with pytest.raises(machine.UnalignedAccess, match="0x4"):
+        machine.load_image(mem, image)
+    assert mem.items() == [(8, 1), (24, 2)]
+    assert mem.extent == 32
+
+
 def _dump(capsys, state, regs=None, mem=None):
     args = SimpleNamespace(dump_regs=regs, dump_mem=mem)
     cli._print_dumps(state, args)

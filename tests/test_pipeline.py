@@ -635,6 +635,38 @@ def test_worked_example_verbatim_never_halts():
                 encrypt_key=worked.KEY, max_cycles=10_000)
 
 
+# ------------------------------------------------------------------ latches
+
+def test_every_latch_holds_a_slot_and_no_stage_writes_a_bubble():
+    # the cycle loop reads every latch as one class: a bubble is a Slot with
+    # no instruction, and the four shared ones keep the fields they were
+    # built with through a halt, a fault and a cycle limit
+    def state(source):
+        return build_state(source, worked.data_memory(), encrypt_key=worked.KEY)
+    runs = [(state(worked.CORRECTED), "Halted"),
+            (state("crypt 1\nsw $r0, 0($r0)\n"), "Fault"),
+            (state(worked.VERBATIM), "Limit")]
+    for cpu, expected in runs:
+        stop = None
+        while stop is None:
+            try:
+                pipeline.step(cpu)
+            except pipeline.Fault:
+                stop = "Fault"
+            latches = (cpu.ifid, cpu.idex, cpu.exmem, cpu.memwb)
+            assert [type(latch) for latch in latches] == [pipeline.Slot] * 4
+            if cpu.halted:
+                stop = "Halted"
+            elif cpu.stats.cycles == 300:
+                stop = "Limit"
+        assert stop == expected
+    bubbles = (pipeline.FILL_BUBBLE, pipeline.STALL_BUBBLE, pipeline.FLUSH_BUBBLE,
+               pipeline.END_BUBBLE)
+    assert [(b.kind, b.pc, b.word, b.instr, b.dest, b.crypt_mode, b.alu)
+            for b in bubbles] == [(kind, None, None, None, None, False, 0)
+                                  for kind in ("fill", "stall", "flush", "end")]
+
+
 # ----------------------------------------------------------- stage functions
 
 def loaded_keyreg(key=worked.KEY):
