@@ -11,23 +11,25 @@ resolve in ID and squash one fetch slot when taken, as does a crypt-mode
 change.
 
 Each fetched instruction is one Slot record that rides the latches from
-IFID to MEMWB; every stage fills in the fields it computes, and the
-latches shift by reference. An empty latch holds one of four shared
-bubbles: Slots with no instruction, whose kind says why they exist (fill,
-stall, flush, end of program). A stall or flush is charged to the
-statistics when its bubble drains past WB, and the run halts when the
-end-of-program bubble reaches the WB latch. Under that accounting
+IFID to MEMWB by reference. IF sets all its fields and nothing writes them
+after; the values a stage computes in flight (the crypt mode MEM uses, the
+result WB writes) shift in locals beside the latches. An empty latch holds
+one of four shared bubbles: Slots with no instruction, whose kind says why
+they exist (fill, stall, flush, end of program). A stall or flush is
+charged to the statistics when its bubble drains past WB, and the run
+halts when the end-of-program bubble reaches the WB latch. Under that
+accounting
     cycles == retired + stalls + flushes + 4
 holds exactly for every halting run, even when a squashed slot falls
 inside the final drain.
 
 One loop, _cycles(), clocks the pipeline for run() and step(), with the
-latches, pc, crypt mode and the statistics in locals that it writes back in
-one place, where it stops; a trace line is made from those locals.
-Inside one call, IF fetches each pc once per crypt mode and key: it keeps
-the word, the decoded instruction and whether the fetch decrypted in a
-local dict, which a crypt-mode flip and a key-half commit drop, so a
-wrapper of fetch_word sees each miss, not each fetch.
+latches, the values beside them, pc, crypt mode and the statistics in
+locals that it writes back in one place, where it stops; a trace line is
+made from those locals. Inside one call, IF fetches each pc once per crypt
+mode and key: it keeps the Slot it made of the pc in a local dict, which a
+crypt-mode flip and a key-half commit drop, and hands out that slot on
+every later fetch, so a wrapper of fetch_word sees each miss, not each fetch.
 
 A single-cycle reference interpreter with identical architectural
 semantics serves as the correctness oracle.
@@ -62,50 +64,34 @@ class CycleLimitExceeded(Exception):
 
 
 class Slot:
-    """One in-flight instruction, created by IF and passed by reference
-    from latch to latch until WB retires it.
+    """What IF made of one pc: pc, word, instr, dest and kind, set when the
+    slot is built and never written after. It rides the latches by
+    reference from IFID to MEMWB until WB retires it.
 
-    IF sets pc, word and instr: the decoded instruction, or for a word no
-    table row decodes the isa.UnknownInstruction, which ID raises as a
-    Fault in its own cycle, so a slot squashed before ID never faults. ID
-    sets dest (the register WB writes, None for none or $r0) and
-    crypt_mode (the mode MEM will use). EX sets alu, the ALU result or a
-    memory address; MEM writes alu only for a read, replacing the address
-    with the word read; WB writes alu. EX and the ID branch compare read
-    EXMEM's alu only for a register EXMEM writes, and the load-use and
-    branch stalls keep a read's consumers out of both while it is in MEM.
+    instr is the decoded instruction, or for a word no table row decodes
+    the isa.UnknownInstruction, which ID raises as a Fault in its own cycle,
+    so a slot squashed before ID never faults. dest is the register WB
+    writes, None for none or $r0. The values a stage computes in flight are
+    not on the slot: the cycle loop keeps them beside the latches (see
+    _cycles), so IF may hand out one cached slot for every fetch of its pc,
+    and one slot may sit in two latches at once.
 
-    The latches are locals of the cycle loop while it runs. Filling slots
-    in place is safe because it runs WB, MEM, EX, ID, IF in that order,
-    each stage writes only fields of its own slot, and no stage reads a
-    field that a stage run before it in the same cycle has written, so
-    every stage sees its inputs as the last cycle left them. pc, word and
-    instr never change after IF, and they are the only fields the trace
-    reads from the latches as they were before a cycle.
-
-    A bubble is a Slot with no instruction, whose kind names it; its other
-    fields are inert (None, alu 0, crypt_mode False), so a stage reads any
-    latch's dest or alu untested. No stage writes to the shared bubbles: a
-    stage fills in its own slot only when its instr is not None.
+    A bubble is a Slot with no instruction, whose kind names it; pc, word
+    and dest are None, so a stage reads any latch's dest untested. A slot
+    with an instruction has kind None.
     """
 
-    __slots__ = ("pc", "word", "instr", "dest", "crypt_mode", "alu", "kind")
-    # No __init__: IF sets the fields of an empty Slot(), which costs about
-    # half as much as a Python __init__ call, once every cycle.
+    __slots__ = ("pc", "word", "instr", "dest", "kind")
 
-
-def _bubble(kind: str) -> Slot:
-    bubble = Slot()
-    bubble.pc = bubble.word = bubble.instr = bubble.dest = None
-    bubble.crypt_mode, bubble.alu, bubble.kind = False, 0, kind
-    return bubble
+    def __init__(self, pc, word, instr, dest, kind=None):
+        self.pc, self.word, self.instr, self.dest, self.kind = pc, word, instr, dest, kind
 
 
 # The pipeline uses only these four bubbles; nothing forwards from them.
-FILL_BUBBLE = _bubble("fill")
-STALL_BUBBLE = _bubble("stall")
-FLUSH_BUBBLE = _bubble("flush")
-END_BUBBLE = _bubble("end")
+FILL_BUBBLE = Slot(None, None, None, None, "fill")
+STALL_BUBBLE = Slot(None, None, None, None, "stall")
+FLUSH_BUBBLE = Slot(None, None, None, None, "flush")
+END_BUBBLE = Slot(None, None, None, None, "end")
 
 
 @dataclass
@@ -144,6 +130,10 @@ class CpuState:
         self.idex: Slot = FILL_BUBBLE
         self.exmem: Slot = FILL_BUBBLE
         self.memwb: Slot = FILL_BUBBLE
+        # beside the latches: the crypt mode an instruction takes from ID to
+        # MEM, and EX's result (MEM's word, for a read) on its way to WB
+        self.idex_mode = self.exmem_mode = False
+        self.exmem_alu = self.memwb_alu = 0
         self.stats = Stats()
         self.retired_log: Optional[List[Tuple[int, int]]] = \
             [] if record_retired else None
@@ -198,23 +188,35 @@ def _cycles(state: CpuState, limit: int,
             trace: Optional[Callable[[str], None]] = None) -> None:
     """Clock the pipeline until it halts or its cycle count reaches limit.
 
-    The latches, pc, crypt mode and the statistics are locals that only the
-    finally writes back, so a Fault (carrying the cycle count), the limit or
-    a raising trace sink leaves the state the last cycle left. A traced
-    cycle takes one snapshot of those locals after its work, and the
-    previous cycle's snapshot is its "before".
+    The latches, the values in flight beside them, pc, crypt mode and the
+    statistics are locals that only the finally writes back, so a Fault
+    (carrying the cycle count), the limit or a raising trace sink leaves the
+    state the last cycle left. A traced cycle takes one snapshot of those
+    locals after its work, and the previous cycle's snapshot is its "before".
 
-    IF reads a dict local to this call first, which maps a pc to what IF
-    made of it: the word, the decoded instruction and whether the fetch
-    decrypted. A hit still counts a decrypting fetch. A miss goes through
-    fetch_word and decode and is kept unless it raised, decoded to no row
-    or was past imem's extent. ID's crypt-mode flip drops the dict before
-    IF runs in the same cycle, and a key-half commit drops it at the
-    cycle's end, after IF used the old key; stores write dmem, never imem.
-    fetch_word and mem_stage go through the module, so wrappers see each
-    call: each mem_stage, and each fetch that misses.
+    Slots are never written after IF, so the in-flight values shift beside
+    the latches: idex_mode and exmem_mode carry the crypt mode an
+    instruction takes from ID to MEM, and exmem_alu and memwb_alu carry EX's
+    result, or for a read the word MEM read in place of the address, to WB.
+    Each stage writes only locals of its own, which the shift at the cycle's
+    end moves into place, so every stage sees its inputs as the last cycle
+    left them. EX and the ID branch compare read exmem_alu only for a
+    register EXMEM writes; the load-use and branch stalls keep a read's
+    consumers out of both while it is in MEM.
+
+    IF reads a dict local to this call first, which maps a pc to the Slot
+    IF made of it; a hit is that slot itself. A miss goes through fetch_word
+    and decode, and its slot is kept unless the fetch raised, decoded to no
+    row or was past imem's extent. ID's crypt-mode flip sets decrypting
+    again and drops the dict before IF runs in the same cycle, and a
+    key-half commit drops it at the cycle's end, after IF used the old key;
+    stores write dmem, never imem. fetch_word and mem_stage go through the
+    module, so wrappers see each call: each mem_stage, and each fetch that
+    misses.
     """
     ifid, idex, exmem, memwb = state.ifid, state.idex, state.exmem, state.memwb
+    idex_mode, exmem_mode = state.idex_mode, state.exmem_mode
+    exmem_alu, memwb_alu = state.exmem_alu, state.memwb_alu
     pc, crypt_mode, st = state.pc, state.crypt_mode, state.stats
     cycles, retired, stalls, flushes = st.cycles, st.retired, st.stalls, st.flushes
     crypt_fetches, encrypted_stores = st.crypt_fetches, st.encrypted_stores
@@ -222,8 +224,8 @@ def _cycles(state: CpuState, limit: int,
     crypt_fetch, decrypt_loads, retired_log = \
         state.crypt_fetch, state.decrypt_loads, state.retired_log
     stall_bubble, flush_bubble, end_bubble = STALL_BUBBLE, FLUSH_BUBBLE, END_BUBBLE
-    slot_class, decode = Slot, _decode
-    fetched = {}    # pc -> (word, instr, decrypted?): IF's cache, see above
+    decrypting = crypt_mode and crypt_fetch     # does IF fetch through the decryptor?
+    fetched = {}    # pc -> the Slot IF made of it: IF's cache, see above
     if trace is not None:
         after = (pc, ifid, idex, exmem, memwb, crypt_mode, crypt_fetches, encrypted_stores)
     try:
@@ -238,7 +240,7 @@ def _cycles(state: CpuState, limit: int,
             # dest is never $r0 and every result is 32 bits, so write directly.
             if memwb.instr is not None:
                 if memwb.dest is not None:
-                    regs[memwb.dest] = memwb.alu
+                    regs[memwb.dest] = memwb_alu
                 retired += 1
                 if retired_log is not None:
                     retired_log.append((memwb.pc, memwb.word))
@@ -248,32 +250,34 @@ def _cycles(state: CpuState, limit: int,
                 flushes += 1
 
             # MEM: a key half commits at the cycle's end, after IF used the old
-            load_key = None
+            load_key, mem_out = None, exmem_alu
             instr = exmem.instr
             if instr is not None:
                 spec = instr.spec
                 if spec.mem is not None:
                     # a store's data: every older instruction has written back
                     try:
-                        out = mem_stage(instr, exmem.alu, regs[instr.rt], exmem.crypt_mode,
+                        out = mem_stage(instr, exmem_alu, regs[instr.rt], exmem_mode,
                                         keyreg, dmem, decrypt_loads)
                     except machine.MachineError as exc:
                         raise Fault(exc, exmem.pc, cycles) from exc
                     if spec.load_key is not None:
                         load_key, key_word = spec.load_key, out
                     elif out is not None:   # a read: its word replaces the address
-                        exmem.alu = out
-                    elif exmem.crypt_mode:
+                        mem_out = out
+                    elif exmem_mode:
                         encrypted_stores += 1
 
             # EX: an operand is EXMEM's result when EXMEM writes its register,
             # else the register file; the row ignores an operand it does not read.
+            ex_out = 0
             instr = idex.instr
             if instr is not None:
-                a = exmem.alu if exmem.dest == instr.rs else regs[instr.rs]
-                b = exmem.alu if exmem.dest == instr.rt else regs[instr.rt]
                 alu = instr.spec.alu
-                idex.alu = alu(a, b, instr) if alu is not None else 0
+                if alu is not None:
+                    a = exmem_alu if exmem.dest == instr.rs else regs[instr.rs]
+                    b = exmem_alu if exmem.dest == instr.rt else regs[instr.rt]
+                    ex_out = alu(a, b, instr)
 
             # ID: fault on an unknown word, hazards, branch resolution and the
             # crypt-mode switch. Only the branch compare reads registers here.
@@ -294,52 +298,49 @@ def _cycles(state: CpuState, limit: int,
                     stall = exmem.instr.spec.mem is not None
                 if stall:
                     next_idex = stall_bubble
-                else:
-                    if resolve is not None:
-                        # the compare reads its operands as EX does
-                        a = exmem.alu if exmem.dest == instr.rs else regs[instr.rs]
-                        b = exmem.alu if exmem.dest == instr.rt else regs[instr.rt]
-                        redirect = resolve(ifid.pc, a, b, instr)
-                    elif spec.mode is not None and spec.mode(instr) != crypt_mode:
-                        crypt_mode = not crypt_mode
-                        fetched.clear()     # before IF reads it, this cycle
-                        if crypt_fetch:     # refetch what IF reads on the old path
-                            redirect = pc
-                    ifid.dest, ifid.crypt_mode = instr.dest, crypt_mode
+                elif resolve is not None:
+                    # the compare reads its operands as EX does
+                    a = exmem_alu if exmem.dest == instr.rs else regs[instr.rs]
+                    b = exmem_alu if exmem.dest == instr.rt else regs[instr.rt]
+                    redirect = resolve(ifid.pc, a, b, instr)
+                elif spec.mode is not None and spec.mode(instr) != crypt_mode:
+                    crypt_mode = not crypt_mode
+                    decrypting = crypt_mode and crypt_fetch
+                    fetched.clear()     # before IF reads it, this cycle
+                    if crypt_fetch:     # refetch what IF reads on the old path
+                        redirect = pc
 
-            # IF, unless stalled; an unknown word rides to ID, which faults.
+            # IF, unless stalled: the cached slot of pc, else a new one; a word
+            # that decodes to no row rides to ID, which faults.
             if redirect is not None:
                 ifid, pc = flush_bubble, redirect
             elif not stall:
-                hit = fetched.get(pc)
-                if hit is not None:
-                    word, instr, decrypt = hit
-                else:
-                    decrypt = crypt_mode and crypt_fetch
+                slot = fetched.get(pc)
+                if slot is None:
                     try:
-                        word = fetch_word(imem, pc, decrypt, keyreg)
+                        word = fetch_word(imem, pc, decrypting, keyreg)
                     except machine.MachineError as exc:
                         raise Fault(exc, pc, cycles) from exc
-                    if word is not None:
+                    if word is None:
+                        slot = end_bubble
+                    else:
                         try:
-                            instr = decode(word)
+                            instr = _decode(word)
                         except isa.UnknownInstruction as exc:
-                            instr = exc
+                            slot = Slot(pc, word, exc, None)
                         else:
-                            fetched[pc] = word, instr, decrypt
-                if word is None:
-                    ifid = end_bubble
-                else:
-                    if decrypt:
+                            slot = fetched[pc] = Slot(pc, word, instr, instr.dest)
+                ifid = slot
+                if slot is not end_bubble:
+                    if decrypting:
                         crypt_fetches += 1
-                    ifid = slot_class()
-                    ifid.pc, ifid.word, ifid.instr = pc, word, instr
                     pc = (pc + 8) & 0xFFFFFFFF      # wraps like every pc
 
-            # the latches shift one at a time: a tuple shift costs more
-            memwb = exmem
-            exmem = idex
-            idex = next_idex
+            # each latch shifts with the values beside it (these assignments
+            # build no tuple); nothing reads a bubble's mode or result
+            memwb, memwb_alu = exmem, mem_out
+            exmem, exmem_alu, exmem_mode = idex, ex_out, idex_mode
+            idex, idex_mode = next_idex, crypt_mode
             if load_key is not None:
                 load_key(keyreg, key_word)
                 fetched.clear()     # after IF used the old key, this cycle
@@ -349,6 +350,8 @@ def _cycles(state: CpuState, limit: int,
                 trace(format_trace_line(cycles, before, after))
     finally:
         state.ifid, state.idex, state.exmem, state.memwb = ifid, idex, exmem, memwb
+        state.idex_mode, state.exmem_mode = idex_mode, exmem_mode
+        state.exmem_alu, state.memwb_alu = exmem_alu, memwb_alu
         state.pc, state.crypt_mode = pc, crypt_mode
         st.cycles, st.retired, st.stalls, st.flushes = cycles, retired, stalls, flushes
         st.crypt_fetches, st.encrypted_stores = crypt_fetches, encrypted_stores

@@ -146,17 +146,17 @@ def test_golden_results_unchanged_untraced():
 
 def _latch(value):
     """A latch as a comparable value: the bubble's kind, or the slot's
-    fields, "unset" for one no stage has filled in yet."""
+    fields."""
     if value.instr is None:
         return value.kind
-    return tuple(getattr(value, name, "unset")
-                 for name in ("pc", "word", "dest", "crypt_mode", "alu"))
+    return value.pc, value.word, value.dest
 
 
 def _full_state(state, stop) -> tuple:
     st = state.stats
     return (tuple(_latch(latch) for latch in
                   (state.ifid, state.idex, state.exmem, state.memwb)),
+            (state.idex_mode, state.exmem_mode, state.exmem_alu, state.memwb_alu),
             state.pc, state.crypt_mode, state.halted,
             (st.cycles, st.retired, st.stalls, st.flushes, st.crypt_fetches,
              st.encrypted_stores),

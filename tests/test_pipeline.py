@@ -662,9 +662,54 @@ def test_every_latch_holds_a_slot_and_no_stage_writes_a_bubble():
         assert stop == expected
     bubbles = (pipeline.FILL_BUBBLE, pipeline.STALL_BUBBLE, pipeline.FLUSH_BUBBLE,
                pipeline.END_BUBBLE)
-    assert [(b.kind, b.pc, b.word, b.instr, b.dest, b.crypt_mode, b.alu)
-            for b in bubbles] == [(kind, None, None, None, None, False, 0)
-                                  for kind in ("fill", "stall", "flush", "end")]
+    assert [(b.kind, b.pc, b.word, b.instr, b.dest) for b in bubbles] == \
+        [(kind, None, None, None, None) for kind in ("fill", "stall", "flush", "end")]
+
+
+def _fields(slot):
+    """Every field a slot has, "unset" for one it lacks."""
+    return tuple(getattr(slot, name, "unset") for name in type(slot).__slots__)
+
+
+def _in_flight(state):
+    return (tuple(_fields(latch) for latch in (state.ifid, state.idex, state.exmem,
+                                               state.memwb)),
+            state.idex_mode, state.exmem_mode, state.exmem_alu, state.memwb_alu,
+            state.pc, state.crypt_mode, state.stats, state.regs.snapshot())
+
+
+LOOP = "L: addi $r1, $r1, 1\nj L\n"
+
+
+@pytest.mark.parametrize("source, encrypt_key", [
+    (LOOP, None),
+    (KEY_PROLOG + "nop\nnop\ncrypt 1\n" + LOOP, worked.KEY),
+], ids=["plain", "encrypted"])
+def test_no_slot_is_written_after_if_and_one_slot_sits_in_two_latches(
+        monkeypatch, source, encrypt_key):
+    # IF hands out the cached slot of a pc, so the loop's addi sits in IFID
+    # and MEMWB at once; that is safe only while no stage writes a slot
+    first_seen, shared = {}, 0
+    format_trace_line = pipeline.format_trace_line
+
+    def watch(cycle, before, after):
+        nonlocal shared
+        latches = after[1:5]
+        for slot in latches:
+            fields = _fields(slot)
+            assert first_seen.setdefault(id(slot), (slot, fields))[1] == fields, cycle
+        shared += latches[0] is latches[3] and latches[0].instr is not None
+        return format_trace_line(cycle, before, after)
+
+    monkeypatch.setattr(pipeline, "format_trace_line", watch)
+    state = build_state(source, key_dmem(), encrypt_key=encrypt_key)
+    with pytest.raises(pipeline.CycleLimitExceeded):
+        pipeline.run(state, max_cycles=200, trace=lambda line: None)
+    assert shared > 0
+    stepped = build_state(source, key_dmem(), encrypt_key=encrypt_key)
+    for _ in range(200):
+        pipeline.step(stepped)
+    assert _in_flight(state) == _in_flight(stepped)
 
 
 # ----------------------------------------------------------- stage functions
@@ -714,25 +759,20 @@ def test_mem_stage_load_ignores_crypt_mode():
     assert pipeline.mem_stage(lw, 8, 0, True, loaded_keyreg(), dmem) == 0x12345678
 
 
-def _slot(instr, pc=0, **fields):
-    """An in-flight slot holding instr as ID leaves it, with the given
-    later-stage fields set."""
-    slot = pipeline.Slot()
-    slot.pc, slot.word, slot.instr = pc, isa.encode(instr), instr
-    slot.dest = instr.dest
-    slot.crypt_mode = False
-    for name, value in fields.items():
-        setattr(slot, name, value)
-    return slot
+def _slot(instr, pc=0):
+    """The slot IF makes of instr at pc."""
+    return pipeline.Slot(pc, isa.encode(instr), instr, instr.dest)
 
 
 def _step_latches(ifid=pipeline.FILL_BUBBLE, idex=pipeline.FILL_BUBBLE,
                   exmem=pipeline.FILL_BUBBLE, memwb=pipeline.FILL_BUBBLE,
-                  pc=0, regs=()):
-    """One step over hand-built latches, an empty imem and registers set
-    from (index, value) pairs; returns the state after it."""
+                  pc=0, regs=(), exmem_alu=0, memwb_alu=0):
+    """One step over hand-built latches, the results beside EXMEM and MEMWB,
+    an empty imem and registers set from (index, value) pairs; returns the
+    state after it."""
     state = pipeline.CpuState()
     state.ifid, state.idex, state.exmem, state.memwb = ifid, idex, exmem, memwb
+    state.exmem_alu, state.memwb_alu = exmem_alu, memwb_alu
     state.pc = pc
     for index, value in regs:
         state.regs.write(index, value)
@@ -740,30 +780,35 @@ def _step_latches(ifid=pipeline.FILL_BUBBLE, idex=pipeline.FILL_BUBBLE,
     return state
 
 
+_NO_SLOT = (pipeline.FILL_BUBBLE, 0)
+
+
 def _forwarded_a(reg, exmem, memwb):
     """The rs value EX takes for `add $r5, $reg, $r0` with 999 in $r1..$r31
-    before the cycle's WB."""
+    before the cycle's WB; exmem and memwb are (slot, result) pairs."""
     user = _slot(isa.Instruction("add", rs=reg, rt=0, rd=5))
+    (exmem, exmem_alu), (memwb, memwb_alu) = exmem, memwb
     state = _step_latches(idex=user, exmem=exmem, memwb=memwb,
+                          exmem_alu=exmem_alu, memwb_alu=memwb_alu,
                           regs=[(index, 999) for index in range(1, 32)])
     assert state.exmem is user
-    return user.alu
+    return state.exmem_alu
 
 
 def test_forward_value_priority():
     add = isa.Instruction("add", rs=1, rt=2, rd=3)
-    exmem = _slot(add, alu=111)
-    memwb = _slot(isa.Instruction("addi", rs=0, rt=3, imm=0), alu=222)
+    exmem = (_slot(add), 111)
+    memwb = (_slot(isa.Instruction("addi", rs=0, rt=3, imm=0)), 222)
     assert _forwarded_a(3, exmem, memwb) == 111
-    assert _forwarded_a(3, pipeline.FILL_BUBBLE, memwb) == 222
+    assert _forwarded_a(3, _NO_SLOT, memwb) == 222
     assert _forwarded_a(4, exmem, memwb) == 999
 
 
 def test_forward_value_ignores_r0_and_stores():
-    zero_dest = _slot(isa.Instruction("add", rs=1, rt=2, rd=0), alu=5)
-    assert _forwarded_a(0, zero_dest, pipeline.FILL_BUBBLE) == 0
-    store = _slot(isa.Instruction("sw", rs=0, rt=3, imm=8), alu=8)
-    assert _forwarded_a(3, store, pipeline.FILL_BUBBLE) == 999
+    zero_dest = (_slot(isa.Instruction("add", rs=1, rt=2, rd=0)), 5)
+    assert _forwarded_a(0, zero_dest, _NO_SLOT) == 0
+    store = (_slot(isa.Instruction("sw", rs=0, rt=3, imm=8)), 8)
+    assert _forwarded_a(3, store, _NO_SLOT) == 999
 
 
 def test_detect_hazards_load_use():
@@ -786,8 +831,8 @@ def test_detect_hazards_key_loads_never_stall_crypt():
 def test_resolve_branch_uses_exmem_forward():
     # r1 reads 0 from the register file, but EXMEM holds its fresh value 5
     beq = isa.Instruction("beq", rs=1, rt=0, imm=3)
-    fresh = _slot(isa.Instruction("addi", rs=0, rt=1, imm=5), alu=5)
-    state = _step_latches(ifid=_slot(beq, pc=16), exmem=fresh, pc=24)
+    fresh = _slot(isa.Instruction("addi", rs=0, rt=1, imm=5))
+    state = _step_latches(ifid=_slot(beq, pc=16), exmem=fresh, exmem_alu=5, pc=24)
     assert state.ifid is pipeline.END_BUBBLE and state.pc == 24    # not taken
     state = _step_latches(ifid=_slot(beq, pc=16), pc=24)
     assert state.ifid is pipeline.FLUSH_BUBBLE                     # taken
