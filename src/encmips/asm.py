@@ -286,10 +286,10 @@ def encrypt_image(image: ProgramImage, key: int) -> ProgramImage:
     sets the mode its row's `mode` gives (flag != 0). crypt_boundary is the block after the first
     `crypt` that turns the mode on.
     """
-    sched = des.key_schedule(key)
+    encrypt = des.cipher(key).encrypt
     entries, on, boundary = [], False, None
     for i, (addr, block) in enumerate(image.entries):
-        entries.append((addr, des.encrypt_block(block, sched) if on else block))
+        entries.append((addr, encrypt(block) if on else block))
         word = des.extract_word(block)
         spec = isa.spec_of(word)
         if spec is not None and spec.mode is not None:

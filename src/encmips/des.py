@@ -14,10 +14,12 @@ SPtrans tables of Eric Young's libdes:
 
 Keys and blocks are 64-bit ints. The 8 parity bits of a key are ignored,
 never validated. No cipher modes: one call, one 64-bit ECB block.
+cipher(key) remembers the blocks computed under a key, for every caller.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence, Tuple
 
 BLOCK_MASK = 0xFFFFFFFFFFFFFFFF
@@ -235,6 +237,41 @@ def encrypt_block(plaintext: int, sched: KeySchedule) -> int:
 def decrypt_block(ciphertext: int, sched: KeySchedule) -> int:
     """Inverse of encrypt_block: same structure, subkeys in reverse order."""
     return _cipher(ciphertext, sched[::-1])
+
+
+CIPHERS = 16     # ciphers cipher() keeps, least recently used dropped first
+PAIRS = 1024     # pairs a Cipher keeps before it empties its dicts
+
+
+class Cipher:
+    """DES under one key, running each distinct block through the rounds
+    once: DES under a key is a bijection, so a pair found in either
+    direction serves both. `_ct` and `_pt` hold the same pairs and are
+    emptied together at PAIRS, so cipher()'s LRU holds at most
+    2 * CIPHERS * PAIRS = 32768 dict entries."""
+
+    def __init__(self, key: int):
+        self.sched = key_schedule(key)
+        self._ct, self._pt = {}, {}     # plaintext -> ciphertext, and back
+
+    def encrypt(self, block: int) -> int:
+        if (out := self._ct.get(block)) is None:
+            self._keep(block, out := encrypt_block(block, self.sched))
+        return out
+
+    def decrypt(self, block: int) -> int:
+        if (out := self._pt.get(block)) is None:
+            self._keep(out := decrypt_block(block, self.sched), block)
+        return out
+
+    def _keep(self, plain: int, ciphertext: int) -> None:
+        if len(self._ct) >= PAIRS:
+            self._ct, self._pt = {}, {}
+        self._ct[plain] = ciphertext
+        self._pt[ciphertext] = plain
+
+
+cipher = lru_cache(maxsize=CIPHERS)(Cipher)     # one Cipher per key, shared
 
 
 # 32-bit values live in the low half of their 64-bit memory block; the high

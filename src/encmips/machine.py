@@ -7,7 +7,7 @@ i.e. little-endian for byte-level inspection.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import des
 from .des import BLOCK_MASK
@@ -55,12 +55,9 @@ class KeyRegister:
     """Two 32-bit halves of the DES key, loaded independently by lklw/lkuw.
 
     Once both halves are set the value persists until a half is reloaded.
-    The register feeds the DES cores, so it owns what derives from its
-    value: `sched`, the key schedule, rederived only when a load changes
-    the 64-bit key (None until both halves are loaded), and `memo`, which
-    maps a ciphertext block to its decryption under `sched` and is emptied
-    on every rekey. DES is ECB and pure, so a block decrypts once per key
-    however often it is fetched or loaded.
+    The register feeds the DES cores through `cipher`, the key's shared
+    `des.cipher`: None until both halves are loaded, and looked up again
+    only when a load changes the 64-bit key.
     """
 
     def __init__(self):
@@ -68,8 +65,7 @@ class KeyRegister:
         self.upper = 0
         self.lower_loaded = False
         self.upper_loaded = False
-        self.sched: Optional[des.KeySchedule] = None
-        self.memo: Dict[int, int] = {}
+        self.cipher: Optional[des.Cipher] = None
 
     def set_lower(self, value: int) -> None:
         value &= WORD_MASK
@@ -85,8 +81,7 @@ class KeyRegister:
 
     def _rekey(self) -> None:
         if self.loaded:
-            self.sched = des.key_schedule(self.key_value())
-            self.memo.clear()
+            self.cipher = des.cipher(self.key_value())
 
     @property
     def loaded(self) -> bool:
@@ -98,22 +93,16 @@ class KeyRegister:
         return (self.upper << 32) | self.lower
 
     def encrypt(self, block: int, what: str) -> int:
-        """The DES encryption of block; KeyNotLoaded(what) before both
-        halves are loaded."""
-        if self.sched is None:
+        """DES encryption of block; KeyNotLoaded(what) before the key is loaded."""
+        if self.cipher is None:
             raise KeyNotLoaded(what)
-        return des.encrypt_block(block, self.sched)
+        return self.cipher.encrypt(block)
 
     def decrypt(self, block: int, what: str) -> int:
-        """The DES decryption of block, from the memo when this key has
-        decrypted it before; KeyNotLoaded(what) before both halves are
-        loaded."""
-        plain = self.memo.get(block)
-        if plain is None:
-            if self.sched is None:
-                raise KeyNotLoaded(what)
-            plain = self.memo[block] = des.decrypt_block(block, self.sched)
-        return plain
+        """DES decryption of block; KeyNotLoaded(what) before the key is loaded."""
+        if self.cipher is None:
+            raise KeyNotLoaded(what)
+        return self.cipher.decrypt(block)
 
 
 class Memory:

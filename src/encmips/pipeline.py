@@ -1,14 +1,14 @@
 """Cycle-accurate 5-stage pipeline (IF ID EX MEM WB) over the machine state.
 
 Fetch decrypts instruction blocks while crypt mode is on; stores encrypt
-their data block. The key register does both and keeps the key schedule
-and the decryptions made under it. WB writes the register file first in
-every cycle, so an operand is EXMEM's ALU result when EXMEM writes its
-register, else the register file. EX and the ID branch compare read
-their operands so, and a store reads its data from the register file in
-MEM. A load's consumer directly behind it stalls one cycle. Branches
-resolve in ID and squash one fetch slot when taken, as does a crypt-mode
-change.
+their data block. The key register does both through the key's des.cipher,
+which the assembler and the reference interpreter share. WB writes the
+register file first in every cycle, so an operand is EXMEM's ALU result
+when EXMEM writes its register, else the register file. EX and the ID
+branch compare read their operands so, and a store reads its data from the
+register file in MEM. A load's consumer directly behind it stalls one
+cycle. Branches resolve in ID and squash one fetch slot when taken, as
+does a crypt-mode change.
 
 Each fetched instruction is one Slot record that rides the latches from
 IFID to MEMWB by reference. IF sets all its fields and nothing writes them

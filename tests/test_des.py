@@ -175,3 +175,61 @@ def test_paired_sp_tables_match_sboxes_and_p():
             # S_i and S_i+1 outputs side by side at nibbles i and i+1, then P
             nibbles = sbox(i, v >> 6) << (28 - 4 * i) | sbox(i + 1, v & 0x3F) << (24 - 4 * i)
             assert table[v] == _permute(des._P, nibbles, 32)
+
+
+def test_cipher_matches_the_block_functions():
+    # 50 keys taken in turn, 25 blocks each: more keys than the LRU keeps,
+    # and each block asked in both directions, first and again from the memo
+    rng = random.Random(29)
+    keys = [PAPER_KEY] + [rng.getrandbits(64) for _ in range(49)]
+    cases = [(PAPER_KEY, des.pad_word(0xCB97F7EE))]
+    cases += [(keys[i % 50], rng.getrandbits(64)) for i in range(1249)]
+    for key, block in cases:
+        sched, c = des.key_schedule(key), des.cipher(key)
+        for _ in range(2):
+            assert c.encrypt(block) == des.encrypt_block(block, sched)
+            assert c.decrypt(block) == des.decrypt_block(block, sched)
+    assert des.cipher(PAPER_KEY).encrypt(des.pad_word(0xCB97F7EE)) == 0x10539160018D5FF7
+    assert des.cipher(PAPER_KEY).decrypt(0x10539160018D5FF7) == des.pad_word(0xCB97F7EE)
+
+
+def test_cipher_serves_either_direction_from_the_other(monkeypatch):
+    des.cipher.cache_clear()
+    c = des.cipher(CLASSIC_KEY)
+    ct = c.encrypt(CLASSIC_PT)
+    pt = c.decrypt(CLASSIC_CT ^ 1)
+
+    def no_rounds(*args):
+        raise AssertionError("a kept pair ran DES again")
+
+    monkeypatch.setattr(des, "encrypt_block", no_rounds)
+    monkeypatch.setattr(des, "decrypt_block", no_rounds)
+    assert c.decrypt(ct) == CLASSIC_PT
+    assert c.encrypt(pt) == CLASSIC_CT ^ 1
+    assert ct == CLASSIC_CT
+
+
+def test_two_keys_never_serve_each_others_pairs():
+    other = CLASSIC_KEY ^ (1 << 60)
+    des.cipher.cache_clear()
+    ct = des.cipher(CLASSIC_KEY).encrypt(CLASSIC_PT)
+    c = des.cipher(other)
+    assert c is not des.cipher(CLASSIC_KEY)
+    assert c.decrypt(ct) == des.decrypt_block(ct, des.key_schedule(other)) != CLASSIC_PT
+    assert c.encrypt(CLASSIC_PT) == des.encrypt_block(CLASSIC_PT, des.key_schedule(other)) != ct
+
+
+def test_cipher_bounds():
+    des.cipher.cache_clear()
+    ciphers = [des.cipher(key) for key in range(des.CIPHERS + 3)]
+    assert des.cipher.cache_info().currsize == des.CIPHERS
+    assert des.cipher(des.CIPHERS + 2) is ciphers[-1]     # the newest is kept
+    assert des.cipher(0) is not ciphers[0]                # the oldest was dropped
+
+    c = des.cipher(CLASSIC_KEY)
+    sched = des.key_schedule(CLASSIC_KEY)
+    for block in range(des.PAIRS + 10):
+        assert c.encrypt(block) == des.encrypt_block(block, sched)
+        assert len(c._ct) == len(c._pt) <= des.PAIRS
+    assert len(c._ct) == 10       # emptied when pair PAIRS + 1 came
+    assert c.decrypt(c.encrypt(5)) == 5

@@ -56,37 +56,45 @@ def test_key_register_reload_half():
     assert kr.key_value() == 0x2222222233333333
 
 
-def test_key_register_schedule_waits_for_both_halves():
+def test_key_register_cipher_waits_for_both_halves():
     kr = machine.KeyRegister()
-    assert kr.sched is None
+    assert kr.cipher is None
     kr.set_upper(0x4B495241)
-    assert kr.sched is None
+    assert kr.cipher is None
     kr.set_lower(0x5450414C)
-    assert kr.sched == des.key_schedule(0x4B4952415450414C)
+    assert kr.cipher is des.cipher(0x4B4952415450414C)
+    assert kr.cipher.sched == des.key_schedule(0x4B4952415450414C)
 
 
-def test_key_register_same_value_reload_keeps_schedule_and_memo():
+def test_key_register_same_value_reload_keeps_the_cipher():
+    # with the LRU emptied, a rekey would build a new Cipher, so identity
+    # shows that a reload of the same value looks no cipher up
+    des.cipher.cache_clear()
     kr = machine.KeyRegister()
     kr.set_lower(0x5450414C)
     kr.set_upper(0x4B495241)
-    sched = kr.sched
+    cipher = kr.cipher
     plain = kr.decrypt(0x10539160018D5FF7, "unused")
     assert plain == des.pad_word(0xCB97F7EE)
+    des.cipher.cache_clear()
     kr.set_lower(0x5450414C)
     kr.set_upper(0x4B495241)
-    assert kr.sched is sched
-    assert kr.memo == {0x10539160018D5FF7: plain}
+    assert kr.cipher is cipher
+    assert cipher._pt == {0x10539160018D5FF7: plain}
 
 
-def test_key_register_changed_value_rekeys_and_empties_memo():
+def test_key_register_changed_value_takes_the_new_keys_cipher():
     kr = machine.KeyRegister()
     kr.set_lower(0x5450414C)
     kr.set_upper(0x4B495241)
     kr.decrypt(0x10539160018D5FF7, "unused")
     kr.set_lower(0x11111111)
-    assert kr.sched == des.key_schedule(0x4B49524111111111)
-    assert kr.memo == {}
-    block = des.encrypt_block(des.pad_word(7), des.key_schedule(0x4B49524111111111))
+    new_sched = des.key_schedule(0x4B49524111111111)
+    assert kr.cipher is des.cipher(0x4B49524111111111)
+    # the old key's pair is not served under the new key
+    assert kr.decrypt(0x10539160018D5FF7, "unused") == \
+        des.decrypt_block(0x10539160018D5FF7, new_sched)
+    block = des.encrypt_block(des.pad_word(7), new_sched)
     assert kr.decrypt(block, "unused") == des.pad_word(7)
     assert kr.encrypt(des.pad_word(7), "unused") == block
 
@@ -98,7 +106,7 @@ def test_key_register_crypt_before_key_names_the_caller():
         kr.decrypt(0x10539160018D5FF7, "decrypting fetch before key loaded")
     with pytest.raises(machine.KeyNotLoaded, match="^encrypted store before key loaded$"):
         kr.encrypt(des.pad_word(1), "encrypted store before key loaded")
-    assert kr.memo == {}
+    assert kr.cipher is None
 
 
 def test_memory_reads_zero_when_empty():

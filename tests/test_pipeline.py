@@ -480,6 +480,38 @@ def test_key_change_refetch_decrypts_under_new_key():
     assert (state.stats.crypt_fetches, state.stats.encrypted_stores) == (8, 0)
 
 
+def test_the_assembler_pipeline_and_oracle_run_des_once_per_block(monkeypatch):
+    # des.cipher is shared: the pipeline decrypts only blocks encrypt_image
+    # encrypted, and the oracle's store encrypts the block the pipeline's did
+    key = 0x0F1E2D3C4B5A6978        # under no other test, so no earlier pairs
+    des.cipher.cache_clear()
+    calls = {}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+        return wrapper
+
+    for name in ("decrypt_block", "encrypt_block", "key_schedule"):
+        monkeypatch.setattr(des, name, counted(name, getattr(des, name)))
+    plain = asm.build_image(worked.CORRECTED)
+    image = asm.encrypt_image(plain, key)
+    encrypted = calls.pop("encrypt_block")
+    entries = [(a, b) for a, b in asm.read_hex(worked.DATA_HEX).entries if a < 104]
+    entries += [(104, des.pad_word(key & 0xFFFFFFFF)), (112, des.pad_word(key >> 32))]
+    state = pipeline.CpuState(progen.memory(image.entries), progen.memory(entries))
+    _, stats = pipeline.run(state)
+    assert calls == {"key_schedule": 1, "encrypt_block": 1}    # the sum's store
+    ref = pipeline.reference_interpret(progen.memory(plain.entries), progen.memory(entries))
+    assert calls == {"key_schedule": 1, "encrypt_block": 1}
+    assert pipeline.architectural_state(state) == pipeline.architectural_state(ref)
+    assert state.regs.read(4) == worked.SUM
+    # 14 encrypted blocks, two of them the same `add $r5, $r5, $r5`
+    assert encrypted == 13 and stats.crypt_fetches > encrypted
+    assert stats.encrypted_stores == 1
+
+
 def test_same_key_reload_keeps_running():
     dmem = key_dmem()
     dmem.write_block(120, des.pad_word(worked.KEY_LO))
