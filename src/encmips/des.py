@@ -1,16 +1,24 @@
 """Bit-exact DES block cipher over plain integers.
 
 Tables are the FIPS 46-3 originals (1-based bit positions counted from the
-most significant bit). The block kernel follows Outerbridge's D3DES and the
-SPtrans tables of Eric Young's libdes:
+most significant bit). The block kernel keeps both 32-bit halves in their
+48-bit expanded form E(half) through all the rounds. E only copies bits, so
+E(L ^ f) = E(L) ^ E(f), and no round needs E:
 
-- IP and FP are five swaps of masked bit groups between the two 32-bit
-  halves each, with no table.
-- A round expands the right half with four byte lookups (E), XORs the
-  48-bit subkey, and substitutes with four lookups in 4096-entry tables.
-  Each of those pairs two adjacent S-boxes with P already applied, so one
-  12-bit slice of the expanded half gives its share of f directly.
+- The prologue is IP followed by E of both halves, as eight lookups, one per
+  block byte, that give E(L0) << 48 | E(R0).
+- A round XORs the 48-bit subkey into the expanded right half and
+  substitutes with four lookups in 4096-entry tables. Each pairs two
+  adjacent S-boxes with P and then E applied, so one 12-bit slice gives its
+  share of E(f) directly, after the SPtrans tables of Eric Young's libdes.
+- The epilogue is E inverted, the middle 4 bits of each 6-bit group, and FP:
+  eight lookups of a squeezed 12-bit slice, one per byte of R16 || L16.
+- _ip and _fp, five swaps of masked bit groups each, are the reference
+  the prologue and epilogue tables are built from.
 - The key schedule compiles PC-1 and PC-2 into per-byte lookup tables.
+
+Each per-byte table is built from the output bits of its 8 input bits, and
+each 4096-entry table row by row with map, so the import stays cheap.
 
 Keys and blocks are 64-bit ints. The 8 parity bits of a key are ignored,
 never validated. No cipher modes: one call, one 64-bit ECB block.
@@ -20,7 +28,8 @@ cipher(key) remembers the blocks computed under a key, for every caller.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence, Tuple
+from itertools import chain
+from typing import List, Sequence, Tuple
 
 BLOCK_MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -123,19 +132,31 @@ _SBOXES = [
 ]
 
 
-def _compile(table: Sequence[int], in_width: int):
-    """Turn a 1-based bit permutation into per-input-byte OR tables."""
-    out_width = len(table)
-    luts = [[0] * 256 for _ in range(in_width // 8)]
+def _bits(table: Sequence[int], in_width: int) -> List[int]:
+    """Per input bit, most significant first: the output bits a 1-based
+    bit-copy table (a permutation, E or a selection) copies it to."""
+    out = [0] * in_width
     for out_pos, in_pos in enumerate(table):
-        out_bit = 1 << (out_width - 1 - out_pos)
-        chunk, bit = divmod(in_pos - 1, 8)
-        probe = 1 << (7 - bit)
-        lut = luts[chunk]
-        for v in range(256):
-            if v & probe:
-                lut[v] |= out_bit
+        out[in_pos - 1] |= 1 << (len(table) - 1 - out_pos)
+    return out
+
+
+def _bytes(single: Sequence[int]) -> List[List[int]]:
+    """Per-input-byte OR tables from each input bit's output bits: the entry
+    of v is the entry of v without its top bit, OR that bit's output."""
+    luts = []
+    for chunk in range(0, len(single), 8):
+        lut = [0]
+        for bit in reversed(single[chunk:chunk + 8]):
+            lut += [*map(bit.__or__, lut)]
+        luts.append(lut)
     return luts
+
+
+def _pair(hi: Sequence[int], lo: Sequence[int]) -> List[int]:
+    """A 12-bit table from two 6-bit ones: entry v is hi[v >> 6] | lo[v & 0x3F]."""
+    rows = {a: [*map(a.__or__, lo)] for a in set(hi)}
+    return [*chain.from_iterable(map(rows.__getitem__, hi))]
 
 
 def _apply(luts, value: int, in_width: int) -> int:
@@ -147,33 +168,26 @@ def _apply(luts, value: int, in_width: int) -> int:
     return out
 
 
-_E0, _E1, _E2, _E3 = _compile(_E, 32)
-_P_LUT = _compile(_P, 32)
-_PC1_LUT = _compile(_PC1, 64)
-_PC2_LUT = _compile(_PC2, 56)
+_PC1_LUT = _bytes(_bits(_PC1, 64))
+_PC2_LUT = _bytes(_bits(_PC2, 56))
 
-# S-boxes fused with P: _SP[i][v] is P(S_i(v) placed at nibble i).
-_SP = []
-for _i, _box in enumerate(_SBOXES):
-    _lut = []
-    for _v in range(64):
-        _row = ((_v >> 4) & 0x2) | (_v & 0x1)
-        _col = (_v >> 1) & 0xF
-        _lut.append(_apply(_P_LUT, _box[_row * 16 + _col] << (28 - 4 * _i), 32))
-    _SP.append(_lut)
-del _i, _box, _lut, _v, _row, _col
+# E of each bit of a half. _EP[i][v] is E(P(v at byte i of P's input)),
+# where byte i is the output of S-boxes 2i and 2i + 1.
+_E_BITS = _bits(_E, 32)
+_EP = _bytes([_E_BITS[32 - out.bit_length()] for out in _bits(_P, 32)])
 
+# The middle 4 bits of a 6-bit group: an S-box column, and E inverted.
+# _S[i][v] is S-box i of the 6-bit input v.
+_MID = [(v >> 1) & 0xF for v in range(64)]
+_S = [[box[((v >> 4) & 0x2 | v & 0x1) * 16 + _MID[v]] for v in range(64)]
+      for box in _SBOXES]
 
-def _pair(hi, lo):
-    """Two adjacent S-box tables paired: entry v is hi[v >> 6] | lo[v & 0x3F].
-
-    A pair has at most 256 distinct outputs, so equal entries share one int.
-    """
-    shared = {}
-    return [shared.setdefault(a | b, a | b) for a in hi for b in lo]
-
-
-_SP01, _SP23, _SP45, _SP67 = (_pair(_SP[i], _SP[i + 1]) for i in range(0, 8, 2))
+# Round tables: entry v of _SP01 is E(P(S_0(v >> 6) || S_1(v & 0x3F))),
+# and so on for the other pairs. Each has at most 256 distinct entries,
+# and equal entries share one int.
+_SP01, _SP23, _SP45, _SP67 = (
+    [*map(_EP[i >> 1].__getitem__, _pair([s << 4 for s in _S[i]], _S[i + 1]))]
+    for i in range(0, 8, 2))
 
 KeySchedule = Tuple[int, ...]
 
@@ -216,17 +230,33 @@ def _fp(block: int) -> int:
     return (left << 32) | right
 
 
+# Prologue: per block byte, IP followed by E of both halves, as
+# E(L0) << 48 | E(R0). q is where IP moves a block bit, counted from the top.
+_IPE = _bytes([_E_BITS[q] << 48 if q < 32 else _E_BITS[q - 32]
+               for q in (64 - _ip(1 << b).bit_length() for b in range(63, -1, -1))])
+
+# Epilogue: per byte of R16 || L16, FP; an expanded half gives that byte
+# through _SQUEEZE, the middle 4 bits of each 6-bit group of 12 bits.
+_FPB = _bytes([_fp(1 << b) for b in range(63, -1, -1)])
+_SQUEEZE = _pair([m << 4 for m in _MID], _MID)
+
+
 def _cipher(block: int, subkeys: Sequence[int]) -> int:
-    x = _ip(block)
-    left, right = x >> 32, x & 0xFFFFFFFF
-    e0, e1, e2, e3 = _E0, _E1, _E2, _E3
+    ipe, fp, sq = _IPE, _FPB, _SQUEEZE
+    x = (ipe[0][block >> 56] | ipe[1][(block >> 48) & 0xFF]
+         | ipe[2][(block >> 40) & 0xFF] | ipe[3][(block >> 32) & 0xFF]
+         | ipe[4][(block >> 24) & 0xFF] | ipe[5][(block >> 16) & 0xFF]
+         | ipe[6][(block >> 8) & 0xFF] | ipe[7][block & 0xFF])
+    left, right = x >> 48, x & 0xFFFFFFFFFFFF
     sp01, sp23, sp45, sp67 = _SP01, _SP23, _SP45, _SP67
     for k in subkeys:
-        x = (e0[right >> 24] | e1[(right >> 16) & 0xFF] | e2[(right >> 8) & 0xFF]
-             | e3[right & 0xFF]) ^ k
+        x = right ^ k
         left, right = right, left ^ (sp01[x >> 36] | sp23[(x >> 24) & 0xFFF]
                                      | sp45[(x >> 12) & 0xFFF] | sp67[x & 0xFFF])
-    return _fp((right << 32) | left)
+    return (fp[0][sq[right >> 36]] | fp[1][sq[(right >> 24) & 0xFFF]]
+            | fp[2][sq[(right >> 12) & 0xFFF]] | fp[3][sq[right & 0xFFF]]
+            | fp[4][sq[left >> 36]] | fp[5][sq[(left >> 24) & 0xFFF]]
+            | fp[6][sq[(left >> 12) & 0xFFF]] | fp[7][sq[left & 0xFFF]])
 
 
 def encrypt_block(plaintext: int, sched: KeySchedule) -> int:

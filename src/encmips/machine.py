@@ -56,8 +56,9 @@ class KeyRegister:
 
     Once both halves are set the value persists until a half is reloaded.
     The register feeds the DES cores through `cipher`, the key's shared
-    `des.cipher`: None until both halves are loaded, and looked up again
-    only when a load changes the 64-bit key.
+    `des.cipher`: None until both halves are loaded, and looked up when
+    first used after a load changes the 64-bit key, so a key that is only
+    passed through while both halves are reloaded derives no schedule.
     """
 
     def __init__(self):
@@ -65,23 +66,25 @@ class KeyRegister:
         self.upper = 0
         self.lower_loaded = False
         self.upper_loaded = False
-        self.cipher: Optional[des.Cipher] = None
+        self._cipher: Optional[des.Cipher] = None   # None: look it up on use
 
     def set_lower(self, value: int) -> None:
         value &= WORD_MASK
         if not self.lower_loaded or value != self.lower:
             self.lower, self.lower_loaded = value, True
-            self._rekey()
+            self._cipher = None
 
     def set_upper(self, value: int) -> None:
         value &= WORD_MASK
         if not self.upper_loaded or value != self.upper:
             self.upper, self.upper_loaded = value, True
-            self._rekey()
+            self._cipher = None
 
-    def _rekey(self) -> None:
-        if self.loaded:
-            self.cipher = des.cipher(self.key_value())
+    @property
+    def cipher(self) -> Optional[des.Cipher]:
+        if self._cipher is None and self.loaded:
+            self._cipher = des.cipher(self.key_value())
+        return self._cipher
 
     @property
     def loaded(self) -> bool:
@@ -94,15 +97,15 @@ class KeyRegister:
 
     def encrypt(self, block: int, what: str) -> int:
         """DES encryption of block; KeyNotLoaded(what) before the key is loaded."""
-        if self.cipher is None:
+        if (cipher := self.cipher) is None:
             raise KeyNotLoaded(what)
-        return self.cipher.encrypt(block)
+        return cipher.encrypt(block)
 
     def decrypt(self, block: int, what: str) -> int:
         """DES decryption of block; KeyNotLoaded(what) before the key is loaded."""
-        if self.cipher is None:
+        if (cipher := self.cipher) is None:
             raise KeyNotLoaded(what)
-        return self.cipher.decrypt(block)
+        return cipher.decrypt(block)
 
 
 class Memory:

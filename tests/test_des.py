@@ -172,9 +172,52 @@ def test_paired_sp_tables_match_sboxes_and_p():
         i = 2 * pair
         assert len(table) == 4096
         for v in range(4096):
-            # S_i and S_i+1 outputs side by side at nibbles i and i+1, then P
+            # S_i and S_i+1 outputs side by side at nibbles i and i+1, then
+            # P, then E: the rounds keep both halves expanded
             nibbles = sbox(i, v >> 6) << (28 - 4 * i) | sbox(i + 1, v & 0x3F) << (24 - 4 * i)
-            assert table[v] == _permute(des._P, nibbles, 32)
+            assert table[v] == _permute(des._E, _permute(des._P, nibbles, 32), 32)
+
+
+def _expanded_halves(block: int) -> tuple:
+    """(E(L), E(R)) of a 64-bit block, by the reference bit permutation."""
+    return (_permute(des._E, block >> 32, 32), _permute(des._E, block & 0xFFFFFFFF, 32))
+
+
+def _table_blocks(seed: int) -> list:
+    # every block with one nonzero byte, so every entry of a per-byte
+    # table, the 64 single-bit blocks among them; then 1,000 seeded blocks
+    rng = random.Random(seed)
+    return ([v << shift for shift in range(0, 64, 8) for v in range(1, 256)]
+            + [rng.getrandbits(64) for _ in range(1000)])
+
+
+def test_prologue_tables_give_the_expanded_halves_of_ip():
+    for block in _table_blocks(31):
+        x = 0
+        for chunk, table in enumerate(des._IPE):
+            x |= table[(block >> (56 - 8 * chunk)) & 0xFF]
+        assert (x >> 48, x & 0xFFFFFFFFFFFF) == \
+            _expanded_halves(_permute(des._IP, block, 64))
+
+
+def test_epilogue_tables_undo_the_expansion_and_apply_fp():
+    # the epilogue reads R16 || L16 from its expanded halves, 12 bits a byte:
+    # the middle 4 bits of each 6-bit group
+    assert des._SQUEEZE == [(v >> 3) & 0xF0 | (v >> 1) & 0xF for v in range(4096)]
+    for block in _table_blocks(37):
+        right, left = _expanded_halves(block)
+        x = 0
+        for chunk, table in enumerate(des._FPB):
+            half = right if chunk < 4 else left
+            x |= table[des._SQUEEZE[(half >> (36 - 12 * (chunk % 4))) & 0xFFF]]
+        assert x == _permute(des._FP, block, 64)
+
+
+def test_cipher_with_no_rounds_is_fp_of_the_swapped_ip():
+    for block in _table_blocks(41):
+        x = _permute(des._IP, block, 64)
+        swapped = (x & 0xFFFFFFFF) << 32 | x >> 32
+        assert des._cipher(block, ()) == _permute(des._FP, swapped, 64)
 
 
 def test_cipher_matches_the_block_functions():

@@ -99,6 +99,27 @@ def test_key_register_changed_value_takes_the_new_keys_cipher():
     assert kr.encrypt(des.pad_word(7), "unused") == block
 
 
+def test_key_register_derives_one_schedule_per_key_used(monkeypatch):
+    # two keys loaded in turn, each load changing both halves: the key
+    # between the two loads of the second key is never used, so never derived
+    derived, schedule = [], des.key_schedule
+
+    def counting(key):
+        derived.append(key)
+        return schedule(key)
+
+    monkeypatch.setattr(des, "key_schedule", counting)
+    des.cipher.cache_clear()
+    kr = machine.KeyRegister()
+    for key in (0x4B4952415450414C, 0x133457799BBCDFF1):
+        kr.set_lower(key & 0xFFFFFFFF)
+        kr.set_upper(key >> 32)
+        block = kr.encrypt(des.pad_word(7), "unused")
+        assert kr.decrypt(block, "unused") == des.pad_word(7)
+        assert kr.cipher is des.cipher(key)
+    assert derived == [0x4B4952415450414C, 0x133457799BBCDFF1]
+
+
 def test_key_register_crypt_before_key_names_the_caller():
     kr = machine.KeyRegister()
     kr.set_lower(0x5450414C)
