@@ -6,16 +6,20 @@ immediates, `offset($reg)` memory operands, label or raw-number branch and
 jump targets. Instruction words sit 8 bytes apart (one per 64-bit block),
 so jump targets and branch displacements are counted in 8-byte slots.
 
-`parse` reads each operand, by its row's shape, straight into the
-instruction field it fills. `assemble` places the labels of the whole
-file, then resolves label targets and range-checks immediates line by line.
+`parse` reads a line's operands with one match of its row's pattern,
+compiled at import from the shapes of the row's operands, with one group
+per instruction field. A line the pattern rejects goes to the walk,
+`_parse_fields`, which reads the operands one at a time by the same
+grammar only to name the first bad one; the two accept the same lines.
+`assemble` places the labels of the whole file, then resolves label
+targets, range-checks immediates and encodes line by line.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from . import des, isa
 
@@ -58,7 +62,10 @@ class UnalignedAddressDirective(AsmError):
     pass
 
 
-@dataclass
+Fields = Dict[str, Union[int, str]]
+
+
+@dataclass(slots=True)
 class Statement:
     """One source line: its label, and the table row it names with the value
     of each field its operands fill. A `t` operand's field holds a number or
@@ -67,7 +74,7 @@ class Statement:
 
     label: Optional[str]
     mnemonic: Optional[str]  # None for a label-only line
-    fields: Dict[str, Union[int, str]]
+    fields: Fields
     line: int
 
 
@@ -89,46 +96,108 @@ class ProgramImage:
         return [block for _, block in self.entries]
 
 
-_LABEL_RE = re.compile(r"^([A-Za-z_]\w*)\s*:")
+_IDENT = r"[A-Za-z_]\w*"
+_LABEL_RE = re.compile(rf"({_IDENT})\s*:")
 # the one number grammar of the assembler and the CLI: ASCII digits only,
 # and exactly the decimal or 0x-prefixed hex that int(text, 0) reads
 NUM_RE = re.compile(r"[+-]?(?:0[xX][0-9a-fA-F]+|0+|[1-9][0-9]*)")
-_REG_RE = re.compile(r"^\$[rR]?([0-9]+)$")
-_MEM_RE = re.compile(rf"^({NUM_RE.pattern})\(\s*(\$[rR]?[0-9]+)\s*\)$")
-_IDENT_RE = re.compile(r"^[A-Za-z_]\w*$")
+_REG_RE = re.compile(r"\$[rR]?([0-9]+)")
+_MEM_RE = re.compile(rf"({NUM_RE.pattern})\(\s*(\$[rR]?[0-9]+)\s*\)")
+_IDENT_RE = re.compile(_IDENT)
 
-# every name the assembler accepts for a table row
-_MNEMONICS = {name: spec for spec in isa.SPECS.values()
+
+def _number(text: str) -> int:
+    return int(text, 0)
+
+
+def _number_or_label(text: str) -> Union[int, str]:
+    return int(text, 0) if text[0] in "+-0123456789" else text
+
+
+# A row pattern joins one piece per operand with commas. A piece is an
+# operand shape's pattern, built from those above with a group for each
+# field it fills, and each group's converter; a register's group holds
+# $r0..$r31 without its leading zeros.
+_REG = _REG_RE.pattern.replace("([0-9]+)", "0*(3[01]|[12]?[0-9])")
+_NUM = f"({NUM_RE.pattern})"
+_PIECES = {"r": (_REG, (int,)), "i": (_NUM, (_number,)),
+           "t": (f"({NUM_RE.pattern}|{_IDENT})", (_number_or_label,)),
+           "m": (rf"{_NUM}\(\s*{_REG}\s*\)", (_number, int))}
+
+
+def _row_reader(spec: isa.InstrSpec) -> Callable[[str], Optional[Fields]]:
+    """The row's operand list -> the fields it fills, read with one match of
+    the row pattern; None for a list `_parse_fields` must diagnose."""
+    pieces = [_PIECES[kind] for kind in spec.shape]
+    fullmatch = re.compile(r"\s*,\s*".join(text for text, _ in pieces)).fullmatch
+    names = [name for kind, name in zip(spec.shape, spec.operands)
+             for name in (("imm", "rs") if kind == "m" else (name,))]
+    pairs = list(zip(names, [convert for _, converts in pieces for convert in converts]))
+    # one to three groups (more fail to unpack); a dict display per count
+    # builds the fields in about two thirds of the time a comprehension takes
+    (a, ra), (b, rb), (c, rc) = pairs + [(None, None)] * (3 - len(pairs))
+
+    def read(operands: str) -> Optional[Fields]:
+        m = fullmatch(operands)
+        if m is None:
+            return None
+        g = m.groups()
+        try:
+            if c is not None:
+                return {a: ra(g[0]), b: rb(g[1]), c: rc(g[2])}
+            return {a: ra(g[0]), b: rb(g[1])} if b is not None else {a: ra(g[0])}
+        except ValueError:  # a literal with more digits than int() reads
+            return None
+    return read
+
+
+# every name the assembler accepts for a table row: the row and its reader
+_MNEMONICS = {name: (spec, _row_reader(spec)) for spec in isa.SPECS.values()
               for name in (spec.mnemonic, *spec.aliases)}
 
 
+def _read_number(text: str, line: int) -> int:
+    try:
+        return int(text, 0)
+    except ValueError:  # more digits than int() reads
+        raise AsmSyntaxError(f"number too long to read ({len(text)} characters)",
+                             line) from None
+
+
 def _parse_reg(text: str, line: int) -> int:
-    m = _REG_RE.match(text)
+    m = _REG_RE.fullmatch(text)
     if not m:
         raise AsmSyntaxError(f"expected register, got '{text}'", line)
-    index = int(m.group(1))
-    if index > 31:
+    digits = m.group(1).lstrip("0") or "0"
+    if len(digits) > 2 or int(digits) > 31:
         raise AsmSyntaxError(f"no such register '{text}'", line)
-    return index
+    return int(digits)
 
 
-def _parse_fields(spec: isa.InstrSpec, texts: List[str],
-                  line: int) -> Dict[str, Union[int, str]]:
-    """Each operand's value under the field it fills, read by its shape."""
-    fields: Dict[str, Union[int, str]] = {}
+def _parse_fields(spec: isa.InstrSpec, operands: str, line: int) -> Fields:
+    """The operands read one at a time, by shape, into the fields they
+    fill, raising at the first bad one: the walk that names what a row
+    pattern rejected."""
+    texts = [t.strip() for t in operands.split(",")] if operands else []
+    if len(texts) != len(spec.shape):
+        raise AsmSyntaxError(
+            f"'{spec.mnemonic}' takes {len(spec.shape)} operand(s), got {len(texts)}",
+            line)
+    fields: Fields = {}
     for text, kind, name in zip(texts, spec.shape, spec.operands):
         if kind == "r":
             fields[name] = _parse_reg(text, line)
         elif kind == "m":
-            m = _MEM_RE.match(text)
+            m = _MEM_RE.fullmatch(text)
             if not m:
                 raise AsmSyntaxError(f"expected offset($reg), got '{text}'", line)
-            fields["imm"], fields["rs"] = int(m.group(1), 0), _parse_reg(m.group(2), line)
+            fields["imm"] = _read_number(m.group(1), line)
+            fields["rs"] = _parse_reg(m.group(2), line)
         elif NUM_RE.fullmatch(text):
-            fields[name] = int(text, 0)
+            fields[name] = _read_number(text, line)
         elif kind == "i":
             raise AsmSyntaxError(f"expected number, got '{text}'", line)
-        elif _IDENT_RE.match(text):  # kind == "t": a label
+        elif _IDENT_RE.fullmatch(text):  # kind == "t": a label
             fields[name] = text
         else:
             raise AsmSyntaxError(f"expected label or number, got '{text}'", line)
@@ -139,33 +208,32 @@ def parse(source: str) -> List[Statement]:
     """Parse assembly text into one Statement per non-empty line."""
     statements = []
     for lineno, raw in enumerate(source.splitlines(), start=1):
-        text = re.split(r"[#;]", raw, maxsplit=1)[0].strip()
+        text = raw.partition("#")[0].partition(";")[0].strip()
         if not text:
             continue
         label = None
-        m = _LABEL_RE.match(text)
-        if m:
+        if ":" in text and (m := _LABEL_RE.match(text)):
             label = m.group(1)
             text = text[m.end():].strip()
-        if not text:
-            statements.append(Statement(label, None, {}, lineno))
-            continue
+            if not text:
+                statements.append(Statement(label, None, {}, lineno))
+                continue
         parts = text.split(None, 1)
-        if parts[0].lower() == "nop":
-            if len(parts) > 1:
+        mnemonic = parts[0].lower()
+        operands = parts[1] if len(parts) > 1 else ""
+        if mnemonic == "nop":
+            if operands:
                 raise AsmSyntaxError("nop takes no operands", lineno)
             statements.append(_nop(label, lineno))
             continue
-        spec = _MNEMONICS.get(parts[0].lower())
-        if spec is None:
+        row = _MNEMONICS.get(mnemonic)
+        if row is None:
             raise AsmSyntaxError(f"unknown mnemonic '{parts[0]}'", lineno)
-        texts = [t.strip() for t in parts[1].split(",")] if len(parts) > 1 else []
-        if len(texts) != len(spec.shape):
-            raise AsmSyntaxError(
-                f"'{spec.mnemonic}' takes {len(spec.shape)} operand(s), got {len(texts)}",
-                lineno)
-        statements.append(
-            Statement(label, spec.mnemonic, _parse_fields(spec, texts, lineno), lineno))
+        spec, read = row
+        fields = read(operands)
+        if fields is None:
+            fields = _parse_fields(spec, operands, lineno)  # raises
+        statements.append(Statement(label, spec.mnemonic, fields, lineno))
     return statements
 
 
@@ -251,13 +319,13 @@ def _target(name: str, value: Union[int, str], addr: int,
 
 
 def _encode_statement(stmt: Statement, addr: int, symbols: Dict[str, int]) -> int:
-    spec, line = isa.SPECS[stmt.mnemonic], stmt.line
-    fields = dict(stmt.fields)
+    spec, line, fields = isa.SPECS[stmt.mnemonic], stmt.line, stmt.fields
+    # a copy of the fields only where a label or an immediate is rewritten
     if "t" in spec.shape:
         name = spec.operands[spec.shape.index("t")]
-        fields[name] = _target(name, fields[name], addr, symbols, line)
-    elif "imm" in fields:
-        fields["imm"] = _signed_imm(fields["imm"], line)
+        fields = {**fields, name: _target(name, fields[name], addr, symbols, line)}
+    elif "imm" in fields and not -32768 <= fields["imm"] <= 32767:
+        fields = {**fields, "imm": _signed_imm(fields["imm"], line)}
     # isa.encode checks the width of every other field
     try:
         return isa.encode(isa.Instruction(spec.mnemonic, **fields))

@@ -37,7 +37,11 @@ def _parse_hex16(text: str) -> int:
 def _parse_int(text: str) -> int:
     if not asm.NUM_RE.fullmatch(text):
         raise argparse.ArgumentTypeError(f"expected an integer, got '{text}'")
-    return int(text, 0)
+    try:
+        return int(text, 0)
+    except ValueError:  # more digits than int() reads
+        raise argparse.ArgumentTypeError("expected an integer, got a number too long "
+                                         f"to read ({len(text)} characters)") from None
 
 
 def _parse_cycle_limit(text: str) -> int:

@@ -77,11 +77,22 @@ class InstrSpec:
     aliases: Tuple[str, ...] = ()  # other names the assembler accepts
     # derived: disassembly as a str.format template over the instruction `i`
     template: str = field(init=False)
+    # derived: where the constructor's (rs, rt, rd, None) holds the sources'
+    # register numbers, a slice, and the dest's, an index (3 for none)
+    sources_at: slice = field(init=False, repr=False, compare=False)
+    dest_at: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         text = ", ".join(_OPERAND_TEXT[kind].format(name)
                          for kind, name in zip(self.shape, self.operands))
         object.__setattr__(self, "template", f"{self.mnemonic} {text}")
+        regs = ("rs", "rt", "rd")
+        first = regs.index(self.sources[0]) if self.sources else 0
+        at = slice(first, first + len(self.sources))
+        if regs[at] != self.sources:
+            raise ValueError(f"{self.mnemonic}: sources must run in the order {regs}")
+        object.__setattr__(self, "sources_at", at)
+        object.__setattr__(self, "dest_at", regs.index(self.dest) if self.dest else 3)
 
 
 SPECS: Dict[str, InstrSpec] = {spec.mnemonic: spec for spec in (
@@ -179,15 +190,17 @@ class Instruction:
                  shamt: int = 0, imm: int = 0, target: int = 0):
         spec = SPECS[mnemonic]
         fmt = spec.fmt
-        self.spec = spec
-        self.rs = rs if fmt != "J" else 0
-        self.rt = rt if fmt != "J" else 0
-        self.rd = rd if fmt == "R" else 0
-        self.shamt = shamt if fmt == "R" else 0
-        self.imm = imm if fmt == "I" else 0     # canonical signed form
-        self.target = target if fmt == "J" else 0
-        self.sources = tuple([getattr(self, name) for name in spec.sources])
-        self.dest = (getattr(self, spec.dest) or None) if spec.dest else None
+        if fmt == "R":
+            imm = target = 0
+        elif fmt == "I":    # imm in its canonical signed form
+            rd = shamt = target = 0
+        else:
+            rs = rt = rd = shamt = imm = 0
+        self.spec, self.rs, self.rt, self.rd, self.shamt, self.imm, self.target = (
+            spec, rs, rt, rd, shamt, imm, target)
+        regs = (rs, rt, rd, None)
+        self.sources = regs[spec.sources_at]
+        self.dest = regs[spec.dest_at] or None
 
     def _key(self) -> tuple:
         return (self.spec.mnemonic, self.rs, self.rt, self.rd, self.shamt,
@@ -223,17 +236,18 @@ def decode(word: int) -> Instruction:
 def encode(instr: Instruction) -> int:
     """Bit-exact inverse of decode; raises FieldOverflow on out-of-width fields.
 
-    A field the format lacks is 0, so every field can be ORed in."""
-    spec = instr.spec
-    _check("imm", instr.imm, -32768, 32767)
-    return (spec.opcode << 26
-            | _check("rs", instr.rs, 0, 31) << 21
-            | _check("rt", instr.rt, 0, 31) << 16
-            | _check("rd", instr.rd, 0, 31) << 11
-            | _check("shamt", instr.shamt, 0, 31) << 6
-            | (spec.funct or 0)
-            | (instr.imm & 0xFFFF)
-            | _check("target", instr.target, 0, 0x3FFFFFF))
+    A field the format lacks is 0, so every field can be ORed in. One test
+    finds any field out of its width (a negative value shifts to -1); the
+    checks one field at a time then name the first."""
+    rs, rt, rd, shamt = instr.rs, instr.rt, instr.rd, instr.shamt
+    imm, target, spec = instr.imm, instr.target, instr.spec
+    if (rs | rt | rd | shamt) >> 5 or (imm + 0x8000) >> 16 or target >> 26:
+        _check("imm", imm, -32768, 32767)
+        for name in ("rs", "rt", "rd", "shamt"):
+            _check(name, getattr(instr, name), 0, 31)
+        _check("target", target, 0, 0x3FFFFFF)
+    return (spec.opcode << 26 | rs << 21 | rt << 16 | rd << 11 | shamt << 6
+            | (spec.funct or 0) | (imm & 0xFFFF) | target)
 
 
 NOP = decode(NOP_WORD)

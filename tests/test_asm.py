@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -92,6 +93,29 @@ def test_parse_errors_carry_line_numbers():
     ("beq $r0, $r0, 07", (asm.AsmSyntaxError, 1, "expected label or number, got '07'")),
     ("j 00", [0x08000000]),
     ("addi $r01, $r0, 1", [0x20010001]),
+    # a decimal literal longer than int() reads (4300 digits by default) is
+    # a diagnostic; hex has no such limit, and a register's leading zeros
+    # are dropped before it is read
+    pytest.param("nop\naddi $r1, $r0, " + "9" * 5000,
+                 (asm.AsmSyntaxError, 2, "number too long to read (5000 characters)"),
+                 id="long-immediate"),
+    pytest.param("lw $r1, -" + "9" * 5000 + "($r0)",
+                 (asm.AsmSyntaxError, 1, "number too long to read (5001 characters)"),
+                 id="long-offset"),
+    pytest.param("j " + "1" * 5000,
+                 (asm.AsmSyntaxError, 1, "number too long to read (5000 characters)"),
+                 id="long-jump-target"),
+    pytest.param("crypt " + "0" * 5000,
+                 (asm.AsmSyntaxError, 1, "number too long to read (5000 characters)"),
+                 id="long-crypt-zero"),
+    pytest.param("add $r1, $r" + "9" * 5000 + ", $r0",
+                 (asm.AsmSyntaxError, 1, "no such register '$r" + "9" * 5000 + "'"),
+                 id="long-register"),
+    pytest.param("sw $r1, 8($r" + "9" * 5000 + ")",
+                 (asm.AsmSyntaxError, 1, "no such register '$r" + "9" * 5000 + "'"),
+                 id="long-base-register"),
+    pytest.param("lw $r" + "0" * 5000 + "1, 0x" + "0" * 5000 + "8($" + "0" * 5000 + "2)",
+                 [0x8C410008], id="long-leading-zeros"),
 ])
 def test_assembler_diagnostics(source, expected):
     if isinstance(expected, list):
@@ -331,3 +355,89 @@ def test_full_toolchain_round_trip():
         listing = "\n".join(isa.disassemble(isa.decode(w)) for w in words)
         rewords, _ = asm.assemble(asm.parse(listing))
         assert rewords == words
+
+
+def _gap(rng):
+    return rng.choice(("", "", " ", "  ", "\t", " \t"))
+
+
+def _spell_register(index, rng):
+    return rng.choice(("$r", "$R", "$")) + "0" * rng.choice((0, 0, 1, 3)) + str(index)
+
+
+def _spell_number(value, rng):
+    sign = "-" if value < 0 else rng.choice(("", "", "+"))
+    value = abs(value)
+    if value == 0:
+        return sign + rng.choice(("0", "00", "0x0", "0X000"))
+    return sign + rng.choice((str(value), f"0x{value:x}", f"0X{value:04X}"))
+
+
+def _respell(listing, rng):
+    """The disassembler's text of one instruction with every register and
+    number spelled another way the dialect reads, and random blanks around
+    its commas and inside its parentheses."""
+    text = re.sub(r"\$r(\d+)", lambda m: _spell_register(int(m.group(1)), rng), listing)
+    text = re.sub(r"(?<![\w$])-?\d+", lambda m: _spell_number(int(m.group()), rng), text)
+    text = re.sub(r"\s*,\s*", lambda m: _gap(rng) + "," + _gap(rng), text)
+    return text.replace("(", "(" + _gap(rng)).replace(")", _gap(rng) + ")")
+
+
+# operand texts put in place of one operand of a well-formed line: good ones
+# of each shape, and the near misses the dialect rejects
+_OPERAND_SWAPS = (
+    "$r1", "$R07", "$31", "$r0031", "$r" + "0" * 5000 + "7", "$r32", "$r99", "$r-1",
+    "$r", "$x1", "r1", "$r\u0664", "$ r1", "0", "00", "+0", "-0x10", "0X7fff", "65535",
+    "010", "08", "-07", "0x", "0xg", "1_000", "\u0661", "\uff11", "1e3", "+-1",
+    "9" * 5000, "0" * 5000, "0x" + "0" * 5000 + "1", "L1", "_x", "L\u00e9", "L\u0661",
+    "1L", "0($r1)", "-8( $R02 )", "0 ($r1)", "0($r1", "($r1)", "8($r32)", "8($r01)",
+    "0x10($0)", "010($r1)", "", " ")
+
+
+def _operand_corpus(rng, count):
+    """(spec, operand text) pairs: `count` well-formed lines of every row,
+    with labels for `t` operands, and mutants of each."""
+    for spec in isa.SPECS.values():
+        for _ in range(count):
+            word = _random_word(rng, [spec.mnemonic])
+            listing = _respell(isa.disassemble(isa.decode(word)), rng)
+            operands = listing.split(None, 1)[1] if " " in listing else ""
+            parts = re.split(r"(\s*,\s*)", operands)    # separators at odd indices
+            if "t" in spec.shape and rng.random() < 0.5:
+                parts[-1] = rng.choice(("Loop", "_end", "L\u00e9", "x9"))
+            yield spec, "".join(parts)
+            mutant = list(parts)
+            mutant[2 * rng.randrange((len(parts) + 1) // 2)] = rng.choice(_OPERAND_SWAPS)
+            yield spec, "".join(mutant)
+            whole = "".join(parts)
+            yield spec, rng.choice(("".join(parts[:-2]), whole + ", $r1", whole + ",",
+                                    whole.replace(",", ",,")))
+
+
+def test_row_patterns_accept_exactly_what_the_operand_walk_accepts():
+    # a row pattern reads a whole operand list in one match; the walk reads
+    # one operand at a time and names the first bad one. They must accept
+    # the same lines with the same fields, and a line the pattern rejects
+    # must fail with the walk's message
+    seen = {True: 0, False: 0}
+    for spec, operands in _operand_corpus(random.Random(25), 120):
+        operands = operands.strip()     # as parse passes them on
+        _, read = asm._MNEMONICS[spec.mnemonic]
+        try:
+            want, error = asm._parse_fields(spec, operands, 1), None
+        except asm.AsmSyntaxError as exc:
+            want, error = None, str(exc)
+        got = read(operands)
+        assert got == want, (spec.mnemonic, operands[:80])
+        if got is not None:
+            assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+        seen[error is None] += 1
+        line = f"{spec.mnemonic} {operands}"
+        if error is None:
+            (stmt,) = asm.parse(line)
+            assert stmt.fields == want
+        else:
+            with pytest.raises(asm.AsmSyntaxError) as exc:
+                asm.parse(line)
+            assert str(exc.value) == error
+    assert min(seen.values()) > 1000, seen

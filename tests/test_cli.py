@@ -87,6 +87,16 @@ def test_asm_syntax_error_diagnostic(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_asm_long_number_is_one_line_error(tmp_path, capsys):
+    # a literal longer than int() reads is a diagnostic, not a traceback
+    prog = tmp_path / "p.asm"
+    prog.write_text("nop\naddi $r1, $r0, " + "9" * 5000 + "\n")
+    assert cli.main(["asm", str(prog)]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == "error: line 2: number too long to read (5000 characters)\n"
+
+
 def test_run_worked_example(tmp_path, capsys):
     code, out, data, _ = _asm(tmp_path, capsys)
     assert code == 0
@@ -308,6 +318,10 @@ def test_dump_disasm(tmp_path, capsys):
     (["run", "{image}", "--bogus"], "unrecognized arguments: --bogus"),
     (["frob"], "invalid choice: 'frob'"),
     (["des", "encrypt"], "the following arguments are required: --key, --block"),
+    (["run", "{image}", "--max-cycles", "9" * 5000], "--max-cycles: expected an integer, "
+     "got a number too long to read (5000 characters)"),
+    (["run", "{image}", "--dump-mem", "0:" + "9" * 5000], "--dump-mem: expected an integer, "
+     "got a number too long to read (5000 characters)"),
 ], ids=["run-missing-image", "run-missing-dmem", "asm-missing-source",
         "dump-missing-image", "run-bad-hex-line", "run-dmem-bad-hex-line",
         "run-dmem-unaligned-directive", "run-signed-address-directive",
@@ -319,7 +333,8 @@ def test_dump_disasm(tmp_path, capsys):
         "run-dump-mem-stop-before-start", "run-dump-mem-empty-range",
         "run-dump-mem-negative-start", "run-dump-mem-past-32-bits", "des-signed-key",
         "des-underscore-key", "des-signed-block-after-0x", "asm-signed-key",
-        "run-no-image", "run-unknown-option", "unknown-command", "des-no-key-or-block"])
+        "run-no-image", "run-unknown-option", "unknown-command", "des-no-key-or-block",
+        "run-max-cycles-too-long", "run-dump-mem-too-long"])
 def test_bad_input_is_one_line_error(tmp_path, capsys, argv, reason):
     paths = {"missing": tmp_path / "missing.hex", "image": tmp_path / "image.hex",
              "bad_hex": tmp_path / "bad.hex", "bad_directive": tmp_path / "bad_dir.hex",

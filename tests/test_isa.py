@@ -309,6 +309,40 @@ def test_bits_outside_a_rows_operands_change_nothing_and_disassemble_away():
     assert isa.disasm_word(0x00221860) == "add $r3, $r1, $r2"
 
 
+# Written out by hand, not read from isa.SPECS: each row's source register
+# fields and the field it writes back
+REGISTER_FIELDS = {
+    "add": (("rs", "rt"), "rd"), "sub": (("rs", "rt"), "rd"), "and": (("rs", "rt"), "rd"),
+    "or": (("rs", "rt"), "rd"), "slt": (("rs", "rt"), "rd"), "sll": (("rt",), "rd"),
+    "addi": (("rs",), "rt"), "lw": (("rs",), "rt"), "sw": (("rs", "rt"), None),
+    "beq": (("rs", "rt"), None), "bne": (("rs", "rt"), None), "j": ((), None),
+    "lklw": (("rs",), None), "lkuw": (("rs",), None), "crypt": ((), None)}
+
+
+def test_decode_matches_bit_slicing_on_random_words_of_every_row():
+    # every bit outside the opcode (and an R row's funct) random, so the
+    # fields a row's format lacks and its unused operand fields are set too;
+    # the last word of each row has all of those bits set
+    assert set(REGISTER_FIELDS) == set(isa.SPECS)
+    rng = random.Random(2718)
+    for spec in isa.SPECS.values():
+        fixed, code = (0xFC00003F, spec.funct) if spec.fmt == "R" else (0xFC000000, 0)
+        for word in [rng.getrandbits(32) for _ in range(400)] + [0xFFFFFFFF]:
+            word = word & ~fixed | spec.opcode << 26 | code
+            instr = isa.decode(word)
+            assert instr.spec is spec
+            bits = {"rs": word >> 21 & 31, "rt": word >> 16 & 31, "rd": word >> 11 & 31,
+                    "shamt": word >> 6 & 31, "imm": (word & 0xFFFF) - (word & 0x8000) * 2,
+                    "target": word & 0x3FFFFFF}
+            kept = {"R": ("rs", "rt", "rd", "shamt"), "I": ("rs", "rt", "imm"),
+                    "J": ("target",)}[spec.fmt]
+            fields = {name: bits[name] if name in kept else 0 for name in bits}
+            assert {name: getattr(instr, name) for name in fields} == fields, hex(word)
+            sources, dest = REGISTER_FIELDS[spec.mnemonic]
+            assert instr.sources == tuple(fields[name] for name in sources), hex(word)
+            assert instr.dest == ((fields[dest] or None) if dest else None), hex(word)
+
+
 def test_dest_r0_writes_nothing():
     assert isa.Instruction("add", rs=1, rt=2, rd=0).dest is None
     assert isa.Instruction("lw", rs=1, rt=0, imm=0).dest is None
