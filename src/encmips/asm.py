@@ -219,7 +219,9 @@ def parse(source: str) -> List[Statement]:
                 statements.append(Statement(label, None, {}, lineno))
                 continue
         parts = text.split(None, 1)
-        mnemonic = parts[0].lower()
+        mnemonic = parts[0]
+        if mnemonic.isascii():  # str.lower() would fold KELVIN SIGN to k
+            mnemonic = mnemonic.lower()
         operands = parts[1] if len(parts) > 1 else ""
         if mnemonic == "nop":
             if operands:

@@ -81,6 +81,8 @@ class InstrSpec:
     # register numbers, a slice, and the dest's, an index (3 for none)
     sources_at: slice = field(init=False, repr=False, compare=False)
     dest_at: int = field(init=False, repr=False, compare=False)
+    # derived: what the pipeline's later stages read, copied onto a slot at IF
+    stage: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         text = ", ".join(_OPERAND_TEXT[kind].format(name)
@@ -93,6 +95,8 @@ class InstrSpec:
             raise ValueError(f"{self.mnemonic}: sources must run in the order {regs}")
         object.__setattr__(self, "sources_at", at)
         object.__setattr__(self, "dest_at", regs.index(self.dest) if self.dest else 3)
+        object.__setattr__(self, "stage", (self.alu, self.mem, self.redirect, self.mode,
+                                           self.load_key))
 
 
 SPECS: Dict[str, InstrSpec] = {spec.mnemonic: spec for spec in (

@@ -97,13 +97,14 @@ class KeyRegister:
 
     def encrypt(self, block: int, what: str) -> int:
         """DES encryption of block; KeyNotLoaded(what) before the key is loaded."""
-        if (cipher := self.cipher) is None:
+        # the property runs only on the first use after a load changed the key
+        if (cipher := self._cipher or self.cipher) is None:
             raise KeyNotLoaded(what)
         return cipher.encrypt(block)
 
     def decrypt(self, block: int, what: str) -> int:
         """DES decryption of block; KeyNotLoaded(what) before the key is loaded."""
-        if (cipher := self.cipher) is None:
+        if (cipher := self._cipher or self.cipher) is None:
             raise KeyNotLoaded(what)
         return cipher.decrypt(block)
 
@@ -120,17 +121,15 @@ class Memory:
         self.blocks: dict[int, int] = {}
         self.extent = 0
 
-    @staticmethod
-    def _aligned(addr: int) -> int:
-        if addr % 8 != 0:
-            raise UnalignedAccess(addr)
-        return addr
-
     def read_block(self, addr: int) -> int:
-        return self.blocks.get(self._aligned(addr), 0)
+        if addr % 8:
+            raise UnalignedAccess(addr)
+        return self.blocks.get(addr, 0)
 
     def write_block(self, addr: int, block: int) -> None:
-        self.blocks[self._aligned(addr)] = block & BLOCK_MASK
+        if addr % 8:
+            raise UnalignedAccess(addr)
+        self.blocks[addr] = block & BLOCK_MASK
         if addr + 8 > self.extent:
             self.extent = addr + 8
 

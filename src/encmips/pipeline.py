@@ -11,14 +11,15 @@ cycle. Branches resolve in ID and squash one fetch slot when taken, as
 does a crypt-mode change.
 
 Each fetched instruction is one Slot record that rides the latches from
-IFID to MEMWB by reference. IF sets all its fields and nothing writes them
-after; the values a stage computes in flight (the crypt mode MEM uses, the
-result WB writes) shift in locals beside the latches. An empty latch holds
-one of four shared bubbles: Slots with no instruction, whose kind says why
-they exist (fill, stall, flush, end of program). A stall or flush is
-charged to the statistics when its bubble drains past WB, and the run
-halts when the end-of-program bubble reaches the WB latch. Under that
-accounting
+IFID to MEMWB by reference. IF sets all its fields, among them what each
+later stage reads of the instruction and its table row, and nothing
+writes them after; the values a stage computes in flight (the crypt mode
+MEM uses, the result WB writes) shift in locals beside the latches. An
+empty latch holds one of four shared bubbles: Slots with no instruction,
+whose kind says why they exist (fill, stall, flush, end of program). A
+stall or flush is charged to the statistics when its bubble drains past
+WB, and the run halts when the end-of-program bubble reaches the WB
+latch. Under that accounting
     cycles == retired + stalls + flushes + 4
 holds exactly for every halting run, even when a squashed slot falls
 inside the final drain.
@@ -64,34 +65,45 @@ class CycleLimitExceeded(Exception):
 
 
 class Slot:
-    """What IF made of one pc: pc, word, instr, dest and kind, set when the
-    slot is built and never written after. It rides the latches by
-    reference from IFID to MEMWB until WB retires it.
+    """What IF made of one pc, set when the slot is built and never written
+    after. It rides the latches by reference from IFID to MEMWB until WB
+    retires it; the values a stage computes in flight are kept beside the
+    latches (see _cycles), so IF may hand out one cached slot for every
+    fetch of its pc, and one slot may sit in two latches at once.
 
-    instr is the decoded instruction, or for a word no table row decodes
-    the isa.UnknownInstruction, which ID raises as a Fault in its own cycle,
-    so a slot squashed before ID never faults. dest is the register WB
-    writes, None for none or $r0. The values a stage computes in flight are
-    not on the slot: the cycle loop keeps them beside the latches (see
-    _cycles), so IF may hand out one cached slot for every fetch of its pc,
-    and one slot may sit in two latches at once.
-
-    A bubble is a Slot with no instruction, whose kind names it; pc, word
-    and dest are None, so a stage reads any latch's dest untested. A slot
-    with an instruction has kind None.
+    pc, word and instr say what IF fetched. The rest is what the later
+    stages read, copied at IF: rs, rt, sources and dest (the register WB
+    writes, None for none or $r0) from the instruction, alu, mem, redirect,
+    mode and load_key from its row, and next_pc, the pc fetched after it.
+    kind is None for an instruction. A bubble has no instruction and a kind
+    that names it (fill, stall, flush, end); a word no row decodes has kind
+    "unknown" and, as instr, the isa.UnknownInstruction that ID raises as a
+    Fault in its own cycle. Their stage fields are inert: None, () and 0.
     """
 
-    __slots__ = ("pc", "word", "instr", "dest", "kind")
+    __slots__ = ("pc", "word", "instr", "kind", "rs", "rt", "sources", "dest",
+                 "alu", "mem", "redirect", "mode", "load_key", "next_pc")
 
-    def __init__(self, pc, word, instr, dest, kind=None):
-        self.pc, self.word, self.instr, self.dest, self.kind = pc, word, instr, dest, kind
+    def __init__(self, pc, word, instr, kind=None):
+        # at most three names an assignment, so none builds a tuple first
+        self.pc, self.word, self.instr = pc, word, instr
+        self.kind = kind
+        if kind is None:
+            self.rs, self.rt = instr.rs, instr.rt
+            self.sources, self.dest = instr.sources, instr.dest
+            self.alu, self.mem, self.redirect, self.mode, self.load_key = instr.spec.stage
+            self.next_pc = (pc + 8) & 0xFFFFFFFF    # wraps like every pc
+        else:
+            self.rs = self.rt = self.next_pc = 0
+            self.sources = ()
+            self.dest = self.alu = self.mem = self.redirect = self.mode = self.load_key = None
 
 
 # The pipeline uses only these four bubbles; nothing forwards from them.
-FILL_BUBBLE = Slot(None, None, None, None, "fill")
-STALL_BUBBLE = Slot(None, None, None, None, "stall")
-FLUSH_BUBBLE = Slot(None, None, None, None, "flush")
-END_BUBBLE = Slot(None, None, None, None, "end")
+FILL_BUBBLE = Slot(None, None, None, "fill")
+STALL_BUBBLE = Slot(None, None, None, "stall")
+FLUSH_BUBBLE = Slot(None, None, None, "flush")
+END_BUBBLE = Slot(None, None, None, "end")
 
 
 @dataclass
@@ -204,10 +216,15 @@ def _cycles(state: CpuState, limit: int,
     register EXMEM writes; the load-use and branch stalls keep a read's
     consumers out of both while it is in MEM.
 
+    Each stage tests one field of its latch: WB instr, MEM mem, EX alu, and
+    ID redirect, then sources and mode (and the stalls IDEX's and EXMEM's
+    mem); ID faults on an unknown word, the one slot with kind and instr.
+
     IF reads a dict local to this call first, which maps a pc to the Slot
-    IF made of it; a hit is that slot itself. A miss goes through fetch_word
-    and decode, and its slot is kept unless the fetch raised, decoded to no
-    row or was past imem's extent. ID's crypt-mode flip sets decrypting
+    IF made of it; a hit is that slot itself, and pc moves on to its
+    next_pc. A miss goes through fetch_word and decode, and its slot is
+    kept unless the fetch raised, decoded to no row or was past imem's
+    extent. ID's crypt-mode flip sets decrypting
     again and drops the dict before IF runs in the same cycle, and a
     key-half commit drops it at the cycle's end, after IF used the old key;
     stores write dmem, never imem. fetch_word and mem_stage go through the
@@ -251,64 +268,56 @@ def _cycles(state: CpuState, limit: int,
 
             # MEM: a key half commits at the cycle's end, after IF used the old
             load_key, mem_out = None, exmem_alu
-            instr = exmem.instr
-            if instr is not None:
-                spec = instr.spec
-                if spec.mem is not None:
-                    # a store's data: every older instruction has written back
-                    try:
-                        out = mem_stage(instr, exmem_alu, regs[instr.rt], exmem_mode,
-                                        keyreg, dmem, decrypt_loads)
-                    except machine.MachineError as exc:
-                        raise Fault(exc, exmem.pc, cycles) from exc
-                    if spec.load_key is not None:
-                        load_key, key_word = spec.load_key, out
-                    elif out is not None:   # a read: its word replaces the address
-                        mem_out = out
-                    elif exmem_mode:
-                        encrypted_stores += 1
+            if exmem.mem is not None:
+                # a store's data: every older instruction has written back
+                try:
+                    out = mem_stage(exmem.instr, exmem_alu, regs[exmem.rt], exmem_mode,
+                                    keyreg, dmem, decrypt_loads)
+                except machine.MachineError as exc:
+                    raise Fault(exc, exmem.pc, cycles) from exc
+                if exmem.load_key is not None:
+                    load_key, key_word = exmem.load_key, out
+                elif out is not None:   # a read: its word replaces the address
+                    mem_out = out
+                elif exmem_mode:
+                    encrypted_stores += 1
 
             # EX: an operand is EXMEM's result when EXMEM writes its register,
             # else the register file; the row ignores an operand it does not read.
             ex_out = 0
-            instr = idex.instr
-            if instr is not None:
-                alu = instr.spec.alu
-                if alu is not None:
-                    a = exmem_alu if exmem.dest == instr.rs else regs[instr.rs]
-                    b = exmem_alu if exmem.dest == instr.rt else regs[instr.rt]
-                    ex_out = alu(a, b, instr)
+            alu = idex.alu
+            if alu is not None:
+                a = exmem_alu if exmem.dest == idex.rs else regs[idex.rs]
+                b = exmem_alu if exmem.dest == idex.rt else regs[idex.rt]
+                ex_out = alu(a, b, idex.instr)
 
             # ID: fault on an unknown word, hazards, branch resolution and the
             # crypt-mode switch. Only the branch compare reads registers here.
             stall, redirect, next_idex = False, None, ifid
-            instr = ifid.instr
-            if instr is not None:
-                spec = instr.spec
-                if spec is None:    # an isa.UnknownInstruction
-                    raise Fault(instr, ifid.pc, cycles) from instr
-                resolve = spec.redirect
-                # Load-use: a load (a memory row with a dest) in EX whose dest this reads.
-                # A branch also waits for any producer in EX (the compare forwards from
-                # EXMEM only) and for a load in MEM (its data is in the registers a cycle on).
-                sources = instr.sources
-                if idex.dest in sources:
-                    stall = resolve is not None or idex.instr.spec.mem is not None
-                if resolve is not None and not stall and exmem.dest in sources:
-                    stall = exmem.instr.spec.mem is not None
-                if stall:
-                    next_idex = stall_bubble
-                elif resolve is not None:
-                    # the compare reads its operands as EX does
-                    a = exmem_alu if exmem.dest == instr.rs else regs[instr.rs]
-                    b = exmem_alu if exmem.dest == instr.rt else regs[instr.rt]
-                    redirect = resolve(ifid.pc, a, b, instr)
-                elif spec.mode is not None and spec.mode(instr) != crypt_mode:
+            if ifid.kind is not None and ifid.instr is not None:
+                raise Fault(ifid.instr, ifid.pc, cycles) from ifid.instr
+            resolve = ifid.redirect
+            if resolve is None:
+                # load-use: a load (a memory row with a dest) in EX whose dest this reads
+                if idex.dest in ifid.sources and idex.mem is not None:
+                    stall, next_idex = True, stall_bubble
+                elif ifid.mode is not None and ifid.mode(ifid.instr) != crypt_mode:
                     crypt_mode = not crypt_mode
                     decrypting = crypt_mode and crypt_fetch
                     fetched.clear()     # before IF reads it, this cycle
                     if crypt_fetch:     # refetch what IF reads on the old path
                         redirect = pc
+            else:
+                # a branch waits for any producer in EX (the compare forwards from
+                # EXMEM only) and for a load in MEM (its data is in the registers
+                # a cycle on); the compare reads its operands as EX does
+                sources = ifid.sources
+                if idex.dest in sources or exmem.dest in sources and exmem.mem is not None:
+                    stall, next_idex = True, stall_bubble
+                else:
+                    a = exmem_alu if exmem.dest == ifid.rs else regs[ifid.rs]
+                    b = exmem_alu if exmem.dest == ifid.rt else regs[ifid.rt]
+                    redirect = resolve(ifid.pc, a, b, ifid.instr)
 
             # IF, unless stalled: the cached slot of pc, else a new one; a word
             # that decodes to no row rides to ID, which faults.
@@ -316,7 +325,11 @@ def _cycles(state: CpuState, limit: int,
                 ifid, pc = flush_bubble, redirect
             elif not stall:
                 slot = fetched.get(pc)
-                if slot is None:
+                if slot is not None:
+                    ifid, pc = slot, slot.next_pc
+                    if decrypting:
+                        crypt_fetches += 1
+                else:
                     try:
                         word = fetch_word(imem, pc, decrypting, keyreg)
                     except machine.MachineError as exc:
@@ -325,16 +338,14 @@ def _cycles(state: CpuState, limit: int,
                         slot = end_bubble
                     else:
                         try:
-                            instr = _decode(word)
+                            slot = fetched[pc] = Slot(pc, word, _decode(word))
                         except isa.UnknownInstruction as exc:
-                            slot = Slot(pc, word, exc, None)
-                        else:
-                            slot = fetched[pc] = Slot(pc, word, instr, instr.dest)
-                ifid = slot
-                if slot is not end_bubble:
-                    if decrypting:
-                        crypt_fetches += 1
-                    pc = (pc + 8) & 0xFFFFFFFF      # wraps like every pc
+                            slot = Slot(pc, word, exc, "unknown")
+                    ifid = slot
+                    if slot is not end_bubble:
+                        if decrypting:
+                            crypt_fetches += 1
+                        pc = (pc + 8) & 0xFFFFFFFF      # wraps like every pc
 
             # each latch shifts with the values beside it (these assignments
             # build no tuple); nothing reads a bubble's mode or result
@@ -441,7 +452,7 @@ def reference_interpret(imem: machine.Memory, dmem: machine.Memory, *,
     s = InterpState(dmem=dmem)
     if record_retired:
         s.retired_log, s.taken = [], []
-    pc = 0
+    pc, regs = 0, s.regs.values
     while True:     # not `while cond`, for the reason the cycle loop gives
         if pc >= imem.extent:
             return s
@@ -455,8 +466,7 @@ def reference_interpret(imem: machine.Memory, dmem: machine.Memory, *,
         spec = instr.spec
         next_pc, target = (pc + 8) & 0xFFFFFFFF, None
         try:
-            a = s.regs.read(instr.rs)
-            b = s.regs.read(instr.rt)
+            a, b = regs[instr.rs], regs[instr.rt]
             value = spec.alu(a, b, instr) if spec.alu is not None else 0
             if spec.mem is not None:
                 out = mem_stage(instr, value, b, s.crypt_mode, s.keyreg, s.dmem,

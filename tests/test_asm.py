@@ -116,6 +116,13 @@ def test_parse_errors_carry_line_numbers():
                  id="long-base-register"),
     pytest.param("lw $r" + "0" * 5000 + "1, 0x" + "0" * 5000 + "8($" + "0" * 5000 + "2)",
                  [0x8C410008], id="long-leading-zeros"),
+    # a mnemonic is folded to lower case only when it is ASCII, so KELVIN
+    # SIGN, which str.lower() folds to k, names no instruction
+    pytest.param("nop\nl\u212alw 0($r1)",
+                 (asm.AsmSyntaxError, 2, "unknown mnemonic 'l\u212alw'"),
+                 id="non-ascii-mnemonic"),
+    pytest.param("LKLW 0($r1)\nAdd $r1, $r2, $r3", [0x68200000, 0x00430820],
+                 id="ascii-mnemonic-any-case"),
 ])
 def test_assembler_diagnostics(source, expected):
     if isinstance(expected, list):

@@ -694,8 +694,53 @@ def test_every_latch_holds_a_slot_and_no_stage_writes_a_bubble():
         assert stop == expected
     bubbles = (pipeline.FILL_BUBBLE, pipeline.STALL_BUBBLE, pipeline.FLUSH_BUBBLE,
                pipeline.END_BUBBLE)
-    assert [(b.kind, b.pc, b.word, b.instr, b.dest) for b in bubbles] == \
-        [(kind, None, None, None, None) for kind in ("fill", "stall", "flush", "end")]
+    assert [(b.kind, b.pc, b.word, b.instr) + _stage_fields(b) for b in bubbles] == \
+        [(kind, None, None, None) + INERT for kind in ("fill", "stall", "flush", "end")]
+
+
+# what the later stages read of a slot, and its value on a slot no stage acts on
+STAGE_FIELDS = ("rs", "rt", "sources", "dest", "alu", "mem", "redirect", "mode",
+                "load_key", "next_pc")
+INERT = (0, 0, (), None, None, None, None, None, None, 0)
+
+
+def _stage_fields(slot):
+    return tuple(getattr(slot, name) for name in STAGE_FIELDS)
+
+
+def _fetched_slot(word, pc=0):
+    """The slot IF builds of word at pc, read from IFID after one cycle."""
+    imem = machine.Memory()
+    imem.write_block(pc, des.pad_word(word))
+    state = pipeline.CpuState(imem)
+    state.pc = pc
+    pipeline.step(state)
+    return state.ifid
+
+
+@pytest.mark.parametrize("mnemonic", list(isa.SPECS))
+def test_if_copies_each_row_and_instruction_onto_its_slot(mnemonic):
+    # every field is nonzero where the format has it, so a field read from
+    # the wrong place shows; the top block's next_pc wraps to 0
+    spec = isa.SPECS[mnemonic]
+    instr = isa.Instruction(mnemonic, rs=3, rt=4, rd=5, shamt=6, imm=-7, target=9)
+    word = isa.encode(instr)
+    for pc, next_pc in ((0, 8), (0xFFFFFFF8, 0)):
+        slot = _fetched_slot(word, pc)
+        assert type(slot) is pipeline.Slot and slot.kind is None
+        assert (slot.pc, slot.word, slot.instr) == (pc, word, instr)
+        assert _stage_fields(slot) == (instr.rs, instr.rt, instr.sources, instr.dest,
+                                       spec.alu, spec.mem, spec.redirect, spec.mode,
+                                       spec.load_key, next_pc)
+        for name in ("alu", "redirect", "mode", "load_key"):
+            assert getattr(slot, name) is getattr(spec, name), name
+
+
+def test_an_unknown_words_slot_holds_inert_fields():
+    slot = _fetched_slot(0xFC000000, 16)
+    assert (slot.pc, slot.word, slot.kind) == (16, 0xFC000000, "unknown")
+    assert isinstance(slot.instr, isa.UnknownInstruction)
+    assert _stage_fields(slot) == INERT
 
 
 def _fields(slot):
@@ -793,7 +838,7 @@ def test_mem_stage_load_ignores_crypt_mode():
 
 def _slot(instr, pc=0):
     """The slot IF makes of instr at pc."""
-    return pipeline.Slot(pc, isa.encode(instr), instr, instr.dest)
+    return pipeline.Slot(pc, isa.encode(instr), instr)
 
 
 def _step_latches(ifid=pipeline.FILL_BUBBLE, idex=pipeline.FILL_BUBBLE,
