@@ -294,7 +294,7 @@ def _cycles(state: CpuState, limit: int,
             # ID: fault on an unknown word, hazards, branch resolution and the
             # crypt-mode switch. Only the branch compare reads registers here.
             stall, redirect, next_idex = False, None, ifid
-            if ifid.kind is not None and ifid.instr is not None:
+            if ifid.kind is not None and ifid.instr is not None:   # an unknown word
                 raise Fault(ifid.instr, ifid.pc, cycles) from ifid.instr
             resolve = ifid.redirect
             if resolve is None:

@@ -440,7 +440,7 @@ def test_unknown_word_behind_load_use_stall():
 
 
 def test_squashed_unknown_word_never_faults():
-    # j 2 squashes the slot fetched behind it; that slot never reaches ID
+    # IF does not fetch behind a taken j 2, so the unknown word never reaches ID
     imem = progen.memory(asm.read_hex(
         "0000000008000002\n00000000fc000000\n0000000000000000\n").entries)
     state, stats = pipeline.run(pipeline.CpuState(imem))
