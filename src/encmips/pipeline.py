@@ -213,23 +213,24 @@ def _cycles(state: CpuState, limit: int,
     Each stage writes only locals of its own, which the shift at the cycle's
     end moves into place, so every stage sees its inputs as the last cycle
     left them. EX and the ID branch compare read exmem_alu only for a
-    register EXMEM writes; the load-use and branch stalls keep a read's
-    consumers out of both while it is in MEM.
+    register EXMEM writes, tested with `is`: CPython keeps one object for
+    each int in 0..31, every register number, so `is` answers as `==` does
+    and EXMEM's None (no dest) never takes the generic compare. The load-use
+    and branch stalls keep a read's consumers out of both while it is in MEM.
 
     Each stage tests one field of its latch: WB instr, MEM mem, EX alu, and
-    ID redirect, then sources and mode (and the stalls IDEX's and EXMEM's
-    mem); ID faults on an unknown word, the one slot with kind and instr.
+    ID redirect, then mode; its stalls read IDEX's or EXMEM's mem before
+    sources. ID faults on an unknown word, the one slot with kind and instr.
 
     IF reads a dict local to this call first, which maps a pc to the Slot
     IF made of it; a hit is that slot itself, and pc moves on to its
     next_pc. A miss goes through fetch_word and decode, and its slot is
     kept unless the fetch raised, decoded to no row or was past imem's
-    extent. ID's crypt-mode flip sets decrypting
-    again and drops the dict before IF runs in the same cycle, and a
-    key-half commit drops it at the cycle's end, after IF used the old key;
-    stores write dmem, never imem. fetch_word and mem_stage go through the
-    module, so wrappers see each call: each mem_stage, and each fetch that
-    misses.
+    extent. ID's crypt-mode flip sets decrypting again and drops the dict
+    before IF runs in the same cycle, and a key-half commit drops it at the
+    cycle's end, after IF used the old key; stores write dmem, never imem.
+    fetch_word and mem_stage go through the module, so wrappers see each
+    call: each mem_stage, and each fetch that misses.
     """
     ifid, idex, exmem, memwb = state.ifid, state.idex, state.exmem, state.memwb
     idex_mode, exmem_mode = state.idex_mode, state.exmem_mode
@@ -246,13 +247,9 @@ def _cycles(state: CpuState, limit: int,
     if trace is not None:
         after = (pc, ifid, idex, exmem, memwb, crypt_mode, crypt_fetches, encrypted_stores)
     try:
-        # CPython 3.11 specializes code only after 8 calls or unconditional
-        # jumps back: a `while cond` loop would leave the first 8 runs slow
-        while True:
-            if memwb is end_bubble or cycles >= limit:
-                break
-            cycles += 1
-
+        # counted, for an unconditional jump back: CPython 3.11 specializes a
+        # `while cond` loop only from its 8th call. WB's end arm stops a run.
+        for cycles in range(cycles + 1, limit + 1):
             # WB first, so later stages read its result in the register file;
             # dest is never $r0 and every result is 32 bits, so write directly.
             if memwb.instr is not None:
@@ -265,8 +262,11 @@ def _cycles(state: CpuState, limit: int,
                 stalls += 1
             elif memwb is flush_bubble:
                 flushes += 1
+            elif memwb is end_bubble:
+                cycles -= 1     # halted before this cycle, which never ran
+                break
 
-            # MEM: a key half commits at the cycle's end, after IF used the old
+            # MEM: a key half commits at the cycle's end, after IF used the old key
             load_key, mem_out = None, exmem_alu
             if exmem.mem is not None:
                 # a store's data: every older instruction has written back
@@ -287,8 +287,8 @@ def _cycles(state: CpuState, limit: int,
             ex_out = 0
             alu = idex.alu
             if alu is not None:
-                a = exmem_alu if exmem.dest == idex.rs else regs[idex.rs]
-                b = exmem_alu if exmem.dest == idex.rt else regs[idex.rt]
+                a = exmem_alu if exmem.dest is idex.rs else regs[idex.rs]
+                b = exmem_alu if exmem.dest is idex.rt else regs[idex.rt]
                 ex_out = alu(a, b, idex.instr)
 
             # ID: fault on an unknown word, hazards, branch resolution and the
@@ -299,7 +299,7 @@ def _cycles(state: CpuState, limit: int,
             resolve = ifid.redirect
             if resolve is None:
                 # load-use: a load (a memory row with a dest) in EX whose dest this reads
-                if idex.dest in ifid.sources and idex.mem is not None:
+                if idex.mem is not None and idex.dest in ifid.sources:
                     stall, next_idex = True, stall_bubble
                 elif ifid.mode is not None and ifid.mode(ifid.instr) != crypt_mode:
                     crypt_mode = not crypt_mode
@@ -312,11 +312,11 @@ def _cycles(state: CpuState, limit: int,
                 # EXMEM only) and for a load in MEM (its data is in the registers
                 # a cycle on); the compare reads its operands as EX does
                 sources = ifid.sources
-                if idex.dest in sources or exmem.dest in sources and exmem.mem is not None:
+                if idex.dest in sources or exmem.mem is not None and exmem.dest in sources:
                     stall, next_idex = True, stall_bubble
                 else:
-                    a = exmem_alu if exmem.dest == ifid.rs else regs[ifid.rs]
-                    b = exmem_alu if exmem.dest == ifid.rt else regs[ifid.rt]
+                    a = exmem_alu if exmem.dest is ifid.rs else regs[ifid.rs]
+                    b = exmem_alu if exmem.dest is ifid.rt else regs[ifid.rt]
                     redirect = resolve(ifid.pc, a, b, ifid.instr)
 
             # IF, unless stalled: the cached slot of pc, else a new one; a word

@@ -37,8 +37,9 @@ class Mutant(NamedTuple):
     new: str
 
 
-PIPELINE, ISA, MACHINE, ASM = ("encmips/pipeline.py", "encmips/isa.py",
-                               "encmips/machine.py", "encmips/asm.py")
+PIPELINE, ISA, MACHINE, ASM, DES = ("encmips/pipeline.py", "encmips/isa.py",
+                                    "encmips/machine.py", "encmips/asm.py",
+                                    "encmips/des.py")
 
 MUTANTS = [
     # the fetch cache: what a pc fetches changes with the crypt mode and the key
@@ -54,23 +55,47 @@ MUTANTS = [
            "                    if decrypting:\n"
            "                        crypt_fetches += 1",
            "ifid, pc = slot, slot.next_pc"),
+    # the cycle loop's end
+    Mutant("a halt counts the cycle it never ran", PIPELINE,
+           "cycles -= 1     # halted before this cycle, which never ran", "pass"),
     # forwarding and hazards
     Mutant("EX operands from the register file only", PIPELINE,
-           "a = exmem_alu if exmem.dest == idex.rs else regs[idex.rs]\n"
-           "                b = exmem_alu if exmem.dest == idex.rt else regs[idex.rt]",
+           "a = exmem_alu if exmem.dest is idex.rs else regs[idex.rs]\n"
+           "                b = exmem_alu if exmem.dest is idex.rt else regs[idex.rt]",
            "a, b = regs[idex.rs], regs[idex.rt]"),
+    Mutant("EXMEM's result forwarded for every register", PIPELINE,
+           "a = exmem_alu if exmem.dest is idex.rs else regs[idex.rs]\n"
+           "                b = exmem_alu if exmem.dest is idex.rt else regs[idex.rt]",
+           "a = exmem_alu if exmem.dest is not None else regs[idex.rs]\n"
+           "                b = exmem_alu if exmem.dest is not None else regs[idex.rt]"),
     Mutant("branch compare from the register file only", PIPELINE,
-           "a = exmem_alu if exmem.dest == ifid.rs else regs[ifid.rs]\n"
-           "                    b = exmem_alu if exmem.dest == ifid.rt else regs[ifid.rt]",
+           "a = exmem_alu if exmem.dest is ifid.rs else regs[ifid.rs]\n"
+           "                    b = exmem_alu if exmem.dest is ifid.rt else regs[ifid.rt]",
            "a, b = regs[ifid.rs], regs[ifid.rt]"),
     Mutant("no load-use stall", PIPELINE,
-           "if idex.dest in ifid.sources and idex.mem is not None:", "if False:"),
+           "if idex.mem is not None and idex.dest in ifid.sources:", "if False:"),
+    Mutant("load-use stalls on any memory row in EX", PIPELINE,
+           "if idex.mem is not None and idex.dest in ifid.sources:",
+           "if idex.mem is not None:"),
     Mutant("a branch does not wait for a producer in EX", PIPELINE,
-           "if idex.dest in sources or exmem.dest in sources and exmem.mem is not None:",
-           "if exmem.dest in sources and exmem.mem is not None:"),
+           "if idex.dest in sources or exmem.mem is not None and exmem.dest in sources:",
+           "if exmem.mem is not None and exmem.dest in sources:"),
     Mutant("a branch does not wait for a load in MEM", PIPELINE,
-           "if idex.dest in sources or exmem.dest in sources and exmem.mem is not None:",
+           "if idex.dest in sources or exmem.mem is not None and exmem.dest in sources:",
            "if idex.dest in sources:"),
+    # flushes: a redirect in ID squashes the one slot IF fetched behind it
+    Mutant("a taken branch fetches its target with no flush", PIPELINE,
+           "redirect = resolve(ifid.pc, a, b, ifid.instr)",
+           "redirect = resolve(ifid.pc, a, b, ifid.instr)\n"
+           "                    if redirect is not None and sources:\n"
+           "                        pc, redirect = redirect, None"),
+    Mutant("a jump fetches its target with no flush", PIPELINE,
+           "redirect = resolve(ifid.pc, a, b, ifid.instr)",
+           "redirect = resolve(ifid.pc, a, b, ifid.instr)\n"
+           "                    if redirect is not None and not sources:\n"
+           "                        pc, redirect = redirect, None"),
+    Mutant("a crypt-mode switch keeps the slot fetched on the old path", PIPELINE,
+           "if crypt_fetch:     # refetch what IF reads on the old path", "if False:"),
     # faults and slots
     Mutant("an unknown word never faults", PIPELINE,
            "if ifid.kind is not None and ifid.instr is not None:", "if False:"),
@@ -86,17 +111,40 @@ MUTANTS = [
     Mutant("a new lower key half keeps the old cipher", MACHINE,
            "self.lower, self.lower_loaded = value, True\n            self._cipher = None",
            "self.lower, self.lower_loaded = value, True"),
+    Mutant("a key half looks its cipher up when loaded, not when used", MACHINE,
+           "self.upper, self.upper_loaded = value, True\n            self._cipher = None",
+           "self.upper, self.upper_loaded = value, True\n"
+           "            self._cipher = des.cipher(self.key_value()) if self.loaded else None"),
     Mutant("an unaligned read is not a fault", MACHINE,
            "    def read_block(self, addr: int) -> int:\n"
            "        if addr % 8:",
            "    def read_block(self, addr: int) -> int:\n"
            "        if False:"),
+    # the DES tables: two entries of each swapped
+    Mutant("IP entries swapped", DES,
+           "_IP = [\n    58, 50,", "_IP = [\n    50, 58,"),
+    Mutant("FP entries swapped", DES,
+           "_FP = [\n    40, 8,", "_FP = [\n    8, 40,"),
+    Mutant("E entries swapped", DES,
+           "_E = [\n    32,  1,", "_E = [\n     1, 32,"),
+    Mutant("P entries swapped", DES,
+           "_P = [\n    16,  7,", "_P = [\n     7, 16,"),
+    Mutant("PC-1 entries swapped", DES,
+           "_PC1 = [\n    57, 49,", "_PC1 = [\n    49, 57,"),
+    Mutant("PC-2 entries swapped", DES,
+           "_PC2 = [\n    14, 17,", "_PC2 = [\n    17, 14,"),
+    Mutant("key-schedule shifts swapped", DES,
+           "_SHIFTS = [1, 1, 2,", "_SHIFTS = [1, 2, 1,"),
+    Mutant("S-box 1 entries swapped", DES,
+           "    [14,  4, 13,", "    [ 4, 14, 13,"),
     # the table and the assembler
     Mutant("slt compares unsigned", ISA,
            "alu=lambda a, b, i: int((a ^ 0x80000000) < (b ^ 0x80000000))",
            "alu=lambda a, b, i: int(a < b)"),
     Mutant("a non-ASCII mnemonic is folded", ASM,
            "if mnemonic.isascii():", "if True:"),
+    Mutant("the register piece takes $r32", ASM,
+           '"0*(3[01]|[12]?[0-9])"', '"0*(3[0-2]|[12]?[0-9])"'),
 ]
 
 

@@ -615,6 +615,38 @@ def test_worked_example_traced_run():
     assert stats.encrypted_stores == 1
 
 
+def _worked_state():
+    return build_state(worked.CORRECTED, worked.data_memory(), encrypt_key=worked.KEY)
+
+
+def _whole_state(state):
+    return _in_flight(state), pipeline.architectural_state(state)
+
+
+def test_worked_example_stops_at_the_exact_cycle_limit():
+    # the end bubble reaches WB in cycle 100: a limit of 100 is a clean
+    # halt, 99 stops where 99 calls of step stop
+    state, stats = pipeline.run(_worked_state(), max_cycles=100)
+    assert state.halted and state.regs.read(4) == worked.SUM
+    assert (stats.cycles, stats.retired, stats.stalls, stats.flushes,
+            stats.crypt_fetches, stats.encrypted_stores) == (100, 75, 14, 7, 68, 1)
+    with pytest.raises(pipeline.CycleLimitExceeded) as exc:
+        pipeline.run(_worked_state(), max_cycles=99)
+    stepped = _worked_state()
+    for _ in range(99):
+        pipeline.step(stepped)
+    assert not stepped.halted and stepped.stats.cycles == 99
+    assert _whole_state(exc.value.state) == _whole_state(stepped)
+
+
+def test_a_halted_state_runs_no_further_cycle():
+    state, _ = pipeline.run(_worked_state())
+    halted = _whole_state(state)
+    pipeline.step(state)
+    pipeline.run(state)
+    assert _whole_state(state) == halted and state.stats.cycles == 100
+
+
 # Every trace event once or more: a load-use STALL (cycle 10), a
 # branch-after-load double STALL (13, 14), a taken-branch FLUSH (15), a jump
 # FLUSH (18), CRYPT_ON and CRYPT_OFF with their flushes (7, 20), DEC_FETCH
@@ -734,6 +766,23 @@ def test_if_copies_each_row_and_instruction_onto_its_slot(mnemonic):
                                        spec.load_key, next_pc)
         for name in ("alu", "redirect", "mode", "load_key"):
             assert getattr(slot, name) is getattr(spec, name), name
+
+
+def test_a_slots_register_numbers_are_the_shared_int_objects():
+    # EX and the branch compare test `exmem.dest is idex.rs`, which equals
+    # `==` only while every register field is CPython's one int object of
+    # its value: decode's field slices are, and None is no register
+    shared = list(range(32))
+    for mnemonic, spec in isa.SPECS.items():
+        for r in range(32):
+            instr = isa.Instruction(mnemonic, rs=r, rt=r, rd=r, target=r)
+            slot = _fetched_slot(isa.encode(instr))
+            fields = [slot.rs, slot.rt, *slot.sources]
+            fields += [] if slot.dest is None else [slot.dest]
+            assert set(fields) <= {0, r}
+            assert all(field is shared[field] for field in fields), (mnemonic, r)
+            assert len(slot.sources) == len(spec.sources)
+            assert (slot.dest is None) == (spec.dest is None or r == 0)
 
 
 def test_an_unknown_words_slot_holds_inert_fields():
