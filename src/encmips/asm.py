@@ -330,7 +330,7 @@ def _encode_statement(stmt: Statement, addr: int, symbols: Dict[str, int]) -> in
         fields = {**fields, "imm": _signed_imm(fields["imm"], line)}
     # isa.encode checks the width of every other field
     try:
-        return isa.encode(isa.Instruction(spec.mnemonic, **fields))
+        return isa.encode(spec, **fields)
     except isa.FieldOverflow as exc:
         raise AsmError(str(exc), line) from exc
 
@@ -348,6 +348,11 @@ def build_image(source: str, auto_nop: bool = False) -> ProgramImage:
                         symbols=dict(symbols))
 
 
+# encrypt_image looks up the row of a block with an opcode of a `mode` row only
+_MODE_OPCODES = frozenset(spec.opcode for spec in isa.SPECS.values()
+                          if spec.mode is not None)
+
+
 def encrypt_image(image: ProgramImage, key: int) -> ProgramImage:
     """Encrypt the blocks that straight-line fetch reads in crypt mode.
 
@@ -360,12 +365,13 @@ def encrypt_image(image: ProgramImage, key: int) -> ProgramImage:
     entries, on, boundary = [], False, None
     for i, (addr, block) in enumerate(image.entries):
         entries.append((addr, encrypt(block) if on else block))
-        word = des.extract_word(block)
-        spec = isa.spec_of(word)
-        if spec is not None and spec.mode is not None:
-            on = spec.mode(isa.decode(word))
-            if on and boundary is None:
-                boundary = i + 1
+        if block >> 26 & 0x3F in _MODE_OPCODES:     # the word's opcode
+            word = des.extract_word(block)
+            spec = isa.spec_of(word)
+            if spec is not None and spec.mode is not None:
+                on = spec.mode(isa.decode(word))
+                if on and boundary is None:
+                    boundary = i + 1
     if boundary is None:
         raise NoCryptInstruction()
     return ProgramImage(entries=entries, symbols=dict(image.symbols),

@@ -1,7 +1,9 @@
 """Instruction formats, the instruction table, and word-level encode/decode.
 
-Field layout (32-bit word, bit 31 on the left). A decoded `Instruction`
-holds all six fields, with 0 in each one its format lacks:
+Field layout (32-bit word, bit 31 on the left). `decode(word)` gives an
+`Instruction`, which holds all six fields, with 0 in each one its format
+lacks; `encode(spec, rs=0, rt=0, rd=0, shamt=0, imm=0, target=0)` takes a
+row and its fields, not an `Instruction`, the same way:
     R-type: opcode(6) | rs(5) | rt(5) | rd(5) | shamt(5) | funct(6)
     I-type: opcode(6) | rs(5) | rt(5) | imm(16, two's complement)
     J-type: opcode(6) | target(26)
@@ -237,18 +239,17 @@ def decode(word: int) -> Instruction:
                        sign_extend_16(word), word & 0x3FFFFFF)
 
 
-def encode(instr: Instruction) -> int:
-    """Bit-exact inverse of decode; raises FieldOverflow on out-of-width fields.
+def encode(spec: InstrSpec, rs=0, rt=0, rd=0, shamt=0, imm=0, target=0) -> int:
+    """The word of a row and its fields, the bit-exact inverse of decode;
+    raises FieldOverflow on out-of-width fields.
 
-    A field the format lacks is 0, so every field can be ORed in. One test
-    finds any field out of its width (a negative value shifts to -1); the
-    checks one field at a time then name the first."""
-    rs, rt, rd, shamt = instr.rs, instr.rt, instr.rd, instr.shamt
-    imm, target, spec = instr.imm, instr.target, instr.spec
+    A field the row's format lacks is 0, so every field can be ORed in. One
+    test finds any field out of its width (a negative value shifts to -1);
+    the checks one at a time then name the first: imm, rs, rt, rd, shamt, target."""
     if (rs | rt | rd | shamt) >> 5 or (imm + 0x8000) >> 16 or target >> 26:
         _check("imm", imm, -32768, 32767)
-        for name in ("rs", "rt", "rd", "shamt"):
-            _check(name, getattr(instr, name), 0, 31)
+        for name, value in (("rs", rs), ("rt", rt), ("rd", rd), ("shamt", shamt)):
+            _check(name, value, 0, 31)
         _check("target", target, 0, 0x3FFFFFF)
     return (spec.opcode << 26 | rs << 21 | rt << 16 | rd << 11 | shamt << 6
             | (spec.funct or 0) | (imm & 0xFFFF) | target)

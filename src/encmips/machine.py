@@ -113,8 +113,10 @@ class Memory:
     """Sparse block store. Unwritten aligned addresses read as zero;
     extent (highest loaded address + 8) marks where instruction fetch stops.
 
-    `blocks` maps each written aligned address to its block; instruction
-    fetch reads it directly after its own alignment check.
+    `blocks` maps each written aligned address to its block. IF's fetch,
+    MEM's reads and the oracle's fetch read it directly after their own
+    alignment test (the oracle's pc is always a multiple of 8);
+    load_image writes it directly and keeps `extent`.
     """
 
     def __init__(self):
@@ -140,10 +142,13 @@ class Memory:
 def load_image(mem: Memory, image) -> None:
     """Place a ProgramImage's blocks at their byte addresses (later blocks
     win); an unaligned entry raises after the ones before it are placed."""
-    blocks = mem.blocks
-    for addr, block in image.entries:
-        if addr % 8:
-            raise UnalignedAccess(addr)
-        blocks[addr] = block & BLOCK_MASK
-        if addr + 8 > mem.extent:
-            mem.extent = addr + 8
+    blocks, extent = mem.blocks, mem.extent
+    try:
+        for addr, block in image.entries:
+            if addr % 8:
+                raise UnalignedAccess(addr)
+            blocks[addr] = block & BLOCK_MASK
+            if addr + 8 > extent:
+                extent = addr + 8
+    finally:    # extent as write_block would leave it, also when an entry raised
+        mem.extent = extent

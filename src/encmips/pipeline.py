@@ -174,11 +174,12 @@ def fetch_word(imem: machine.Memory, pc: int, decrypt: bool,
 def mem_stage(instr: isa.Instruction, addr: int, store_data: int,
               crypt_mode: bool, keyreg: machine.KeyRegister,
               dmem: machine.Memory, decrypt_loads: bool = False) -> Optional[int]:
-    """MEM-stage access. A read returns the low 32 bits of the block, which
-    the caller passes to the row's load_key, else to its dest; a write
-    returns None and stores the zero-padded word, DES-encrypted in crypt
-    mode. A read into a register field, $r0 included, goes through the
-    decryptor when decrypt_loads and crypt mode are on; a key load never does.
+    """MEM-stage access. A read tests its alignment itself and returns the
+    low 32 bits of the block in dmem.blocks, which the caller passes to the
+    row's load_key, else to its dest; a write returns None and stores the
+    zero-padded word, DES-encrypted in crypt mode. A read into a register
+    field, $r0 included, goes through the decryptor when decrypt_loads and
+    crypt mode are on; a key load never does.
     """
     spec = instr.spec
     if spec.mem == isa.WRITE:
@@ -187,10 +188,12 @@ def mem_stage(instr: isa.Instruction, addr: int, store_data: int,
             block = keyreg.encrypt(block, "encrypted store before key loaded")
         dmem.write_block(addr, block)
         return None
-    block = dmem.read_block(addr)
+    if addr % 8:
+        raise machine.UnalignedAccess(addr)
+    block = dmem.blocks.get(addr, 0)
     if decrypt_loads and crypt_mode and spec.dest is not None:
         block = keyreg.decrypt(block, "decrypting load before key loaded")
-    return des.extract_word(block)
+    return block & isa.WORD_MASK
 
 
 _decode = functools.lru_cache(maxsize=4096)(isa.decode)
@@ -458,7 +461,7 @@ def reference_interpret(imem: machine.Memory, dmem: machine.Memory, *,
             return s
         if s.executed >= max_steps:
             raise CycleLimitExceeded(s, max_steps, "instructions")
-        word = des.extract_word(imem.read_block(pc))
+        word = imem.blocks.get(pc, 0) & isa.WORD_MASK     # pc is a multiple of 8
         try:
             instr = _decode(word)
         except isa.UnknownInstruction as exc:
@@ -475,8 +478,8 @@ def reference_interpret(imem: machine.Memory, dmem: machine.Memory, *,
                     spec.load_key(s.keyreg, out)
                 elif out is not None:
                     value = out
-            if instr.dest is not None:
-                s.regs.write(instr.dest, value)
+            if instr.dest is not None:      # never $r0, and value is 32 bits
+                regs[instr.dest] = value
             if spec.redirect is not None:
                 # a target of 0 is falsy, so test it against None
                 target = spec.redirect(pc, a, b, instr)

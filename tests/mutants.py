@@ -120,6 +120,14 @@ MUTANTS = [
            "        if addr % 8:",
            "    def read_block(self, addr: int) -> int:\n"
            "        if False:"),
+    Mutant("MEM reads an unaligned address", PIPELINE,
+           "    if addr % 8:\n        raise machine.UnalignedAccess(addr)\n"
+           "    block = dmem.blocks.get(addr, 0)",
+           "    block = dmem.blocks.get(addr, 0)"),
+    Mutant("load_image keeps extent only when no entry raises", MACHINE,
+           "    finally:    # extent as write_block would leave it, also when an entry raised\n"
+           "        mem.extent = extent",
+           "    except UnalignedAccess:\n        raise\n    mem.extent = extent"),
     # the DES tables: two entries of each swapped
     Mutant("IP entries swapped", DES,
            "_IP = [\n    58, 50,", "_IP = [\n    50, 58,"),
@@ -141,10 +149,29 @@ MUTANTS = [
     Mutant("slt compares unsigned", ISA,
            "alu=lambda a, b, i: int((a ^ 0x80000000) < (b ^ 0x80000000))",
            "alu=lambda a, b, i: int(a < b)"),
+    Mutant("encode checks rt before rs", ISA,
+           'for name, value in (("rs", rs), ("rt", rt),',
+           'for name, value in (("rt", rt), ("rs", rs),'),
+    Mutant("encode checks imm after the registers", ISA,
+           '        _check("imm", imm, -32768, 32767)\n'
+           '        for name, value in (("rs", rs), ("rt", rt), ("rd", rd), ("shamt", shamt)):\n'
+           '            _check(name, value, 0, 31)\n',
+           '        for name, value in (("rs", rs), ("rt", rt), ("rd", rd), ("shamt", shamt)):\n'
+           '            _check(name, value, 0, 31)\n'
+           '        _check("imm", imm, -32768, 32767)\n'),
+    Mutant("the crypt-row opcodes taken from the branch rows", ASM,
+           "                          if spec.mode is not None)",
+           "                          if spec.redirect is not None)"),
     Mutant("a non-ASCII mnemonic is folded", ASM,
            "if mnemonic.isascii():", "if True:"),
     Mutant("the register piece takes $r32", ASM,
            '"0*(3[01]|[12]?[0-9])"', '"0*(3[0-2]|[12]?[0-9])"'),
+    Mutant("the number piece reads decimal only", ASM,
+           '"i": (_NUM, (_number,))', '"i": (_NUM, (int,))'),
+    Mutant("the target piece takes labels only", ASM,
+           '"t": (f"({NUM_RE.pattern}|{_IDENT})"', '"t": (f"({_IDENT})"'),
+    Mutant("the memory piece takes no blanks inside its parentheses", ASM,
+           r'"m": (rf"{_NUM}\(\s*{_REG}\s*\)"', r'"m": (rf"{_NUM}\({_REG}\)"'),
 ]
 
 

@@ -123,6 +123,12 @@ def test_parse_errors_carry_line_numbers():
                  id="non-ascii-mnemonic"),
     pytest.param("LKLW 0($r1)\nAdd $r1, $r2, $r3", [0x68200000, 0x00430820],
                  id="ascii-mnemonic-any-case"),
+    # isa.encode's FieldOverflow names the statement's own line
+    pytest.param("nop\nsll $r1, $r2, 32", (asm.AsmError, 2, "field shamt cannot hold 32"),
+                 id="shamt-overflow-on-line-2"),
+    pytest.param("nop\nL: nop\n\ncrypt 67108864",
+                 (asm.AsmError, 4, "field target cannot hold 67108864"),
+                 id="crypt-target-overflow-on-line-4"),
 ])
 def test_assembler_diagnostics(source, expected):
     if isinstance(expected, list):
@@ -350,7 +356,7 @@ def _random_word(rng, mnemos):
             fields[name] = rng.randrange(32)
         else:
             fields[name] = rng.randrange(1 << 26)
-    return isa.encode(isa.Instruction(spec.mnemonic, **fields))
+    return isa.encode(spec, **fields)
 
 
 def test_full_toolchain_round_trip():

@@ -22,18 +22,24 @@ def test_decode_crypt():
     assert isa.decode(0x70000001) == isa.Instruction("crypt", target=1)
 
 
+def encode_instruction(instr):
+    """isa.encode of an Instruction: its row and its six fields."""
+    return isa.encode(instr.spec, instr.rs, instr.rt, instr.rd, instr.shamt,
+                      instr.imm, instr.target)
+
+
 def test_encode_nop():
-    assert isa.encode(isa.Instruction("sll", 0, 0, 0, 0)) == 0x00000000
+    assert isa.encode(isa.SPECS["sll"]) == 0x00000000
 
 
 def test_encode_lw():
     # 0x23<<26 | 5<<21 | 6<<16
-    assert isa.encode(isa.Instruction("lw", rs=5, rt=6, imm=0)) == 0x8CA60000
+    assert isa.encode(isa.SPECS["lw"], rs=5, rt=6, imm=0) == 0x8CA60000
 
 
 def test_encode_slt():
     # 2<<21 | 1<<16 | 7<<11 | 0x2A
-    assert isa.encode(isa.Instruction("slt", rs=2, rt=1, rd=7)) == 0x0041382A
+    assert isa.encode(isa.SPECS["slt"], rs=2, rt=1, rd=7) == 0x0041382A
 
 
 def test_disassemble_examples():
@@ -44,7 +50,7 @@ def test_disassemble_examples():
 
 
 def test_negative_immediate_round_trip():
-    word = isa.encode(isa.Instruction("beq", rs=0, rt=0, imm=-1))
+    word = isa.encode(isa.SPECS["beq"], imm=-1)
     assert word & 0xFFFF == 0xFFFF
     assert isa.decode(word).imm == -1
 
@@ -64,14 +70,14 @@ def test_word_round_trip():
     rng = random.Random(1234)
     for _ in range(2000):
         word = _random_recognized_word(rng)
-        assert isa.encode(isa.decode(word)) == word
+        assert encode_instruction(isa.decode(word)) == word
 
 
 def test_instruction_round_trip():
     rng = random.Random(99)
     for _ in range(2000):
         instr = isa.decode(_random_recognized_word(rng))
-        assert isa.decode(isa.encode(instr)) == instr
+        assert isa.decode(encode_instruction(instr)) == instr
 
 
 def test_opcode_table_is_bijective():
@@ -83,7 +89,7 @@ def test_opcode_table_is_bijective():
     for s in specs:
         assert (s.funct is not None) == (s.fmt == "R")
         assert s.fmt == "R" or s.opcode not in r_opcodes
-        assert isa.spec_of(isa.encode(isa.Instruction(s.mnemonic))) is s
+        assert isa.spec_of(isa.encode(s)) is s
 
 
 def test_field_widths_partition_word():
@@ -98,7 +104,7 @@ def test_field_widths_partition_word():
              0x0BFFFFFF: isa.Instruction("j", target=0x3FFFFFF)}
     for word, instr in words.items():
         assert isa.decode(word) == instr
-        assert isa.encode(instr) == word
+        assert encode_instruction(instr) == word
 
 
 def test_unknown_opcode():
@@ -114,13 +120,39 @@ def test_unknown_funct():
         isa.decode(0x0000003F)  # R-type funct 0x3F
 
 
+# each field, a row whose format has it, and its widest values in and out
+_WIDTHS = {"imm": ("addi", -32768, 32767), "rs": ("addi", 0, 31),
+           "rt": ("addi", 0, 31), "rd": ("add", 0, 31), "shamt": ("sll", 0, 31),
+           "target": ("j", 0, (1 << 26) - 1)}
+
+
 def test_field_overflow():
-    with pytest.raises(isa.FieldOverflow):
-        isa.encode(isa.Instruction("add", rs=32, rt=0, rd=0))
-    with pytest.raises(isa.FieldOverflow):
-        isa.encode(isa.Instruction("addi", rs=0, rt=0, imm=40000))
-    with pytest.raises(isa.FieldOverflow):
-        isa.encode(isa.Instruction("j", target=1 << 26))
+    # each field encodes at both ends of its width and is named one past each
+    for name, (mnemonic, lo, hi) in _WIDTHS.items():
+        spec = isa.SPECS[mnemonic]
+        for value in (lo, hi):
+            assert isa.decode(isa.encode(spec, **{name: value})) == \
+                isa.Instruction(mnemonic, **{name: value})
+        for value in (lo - 1, hi + 1):
+            with pytest.raises(isa.FieldOverflow) as exc:
+                isa.encode(spec, **{name: value})
+            assert (exc.value.field, exc.value.value) == (name, value)
+            assert str(exc.value) == f"field {name} cannot hold {value}"
+
+
+def test_encode_names_the_first_field_out_of_width_in_its_order():
+    # the order is imm, rs, rt, rd, shamt, target; target is the J format's
+    # only field, so these are all the pairs one format holds
+    assert list(_WIDTHS) == ["imm", "rs", "rt", "rd", "shamt", "target"]
+    for mnemonic, names in (("addi", ("imm", "rs", "rt")),
+                            ("add", ("rs", "rt", "rd", "shamt"))):
+        spec = isa.SPECS[mnemonic]
+        for i, first in enumerate(names):
+            for second in names[i + 1:]:
+                fields = {n: _WIDTHS[n][2] + 1 for n in (second, first)}
+                with pytest.raises(isa.FieldOverflow) as exc:
+                    isa.encode(spec, **fields)
+                assert exc.value.field == first, (mnemonic, first, second)
 
 
 def test_disasm_word_never_raises():
@@ -294,7 +326,7 @@ def test_bits_outside_a_rows_operands_change_nothing_and_disassemble_away():
         if not fields:
             continue
         canonical, sources, dest, memory, a, b, result, effect = PINNED[mnemonic]
-        canonical_word = isa.encode(canonical)
+        canonical_word = encode_instruction(canonical)
         word = canonical_word
         for name in fields:
             word |= 0x1F << shift[name]

@@ -6,6 +6,7 @@ import pytest
 
 import progen
 import worked
+from test_isa import encode_instruction
 from encmips import asm, des, isa, machine, pipeline
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -756,7 +757,7 @@ def test_if_copies_each_row_and_instruction_onto_its_slot(mnemonic):
     # the wrong place shows; the top block's next_pc wraps to 0
     spec = isa.SPECS[mnemonic]
     instr = isa.Instruction(mnemonic, rs=3, rt=4, rd=5, shamt=6, imm=-7, target=9)
-    word = isa.encode(instr)
+    word = encode_instruction(instr)
     for pc, next_pc in ((0, 8), (0xFFFFFFF8, 0)):
         slot = _fetched_slot(word, pc)
         assert type(slot) is pipeline.Slot and slot.kind is None
@@ -776,7 +777,7 @@ def test_a_slots_register_numbers_are_the_shared_int_objects():
     for mnemonic, spec in isa.SPECS.items():
         for r in range(32):
             instr = isa.Instruction(mnemonic, rs=r, rt=r, rd=r, target=r)
-            slot = _fetched_slot(isa.encode(instr))
+            slot = _fetched_slot(encode_instruction(instr))
             fields = [slot.rs, slot.rt, *slot.sources]
             fields += [] if slot.dest is None else [slot.dest]
             assert set(fields) <= {0, r}
@@ -887,7 +888,7 @@ def test_mem_stage_load_ignores_crypt_mode():
 
 def _slot(instr, pc=0):
     """The slot IF makes of instr at pc."""
-    return pipeline.Slot(pc, isa.encode(instr), instr)
+    return pipeline.Slot(pc, encode_instruction(instr), instr)
 
 
 def _step_latches(ifid=pipeline.FILL_BUBBLE, idex=pipeline.FILL_BUBBLE,
@@ -963,6 +964,78 @@ def test_resolve_branch_uses_exmem_forward():
     state = _step_latches(ifid=_slot(beq, pc=16), pc=24)
     assert state.ifid is pipeline.FLUSH_BUBBLE                     # taken
     assert state.pc == 16 + 8 + 3 * 8
+
+
+# ------------------------------------------------ the calls a wrapper sees
+# perfbench's tracer wraps isa.encode, pipeline.mem_stage and
+# pipeline.fetch_word by module attribute, and reads its per-layer figures
+# from the calls it sees; these pin how many there are
+
+def _calls_to(monkeypatch, owner, name):
+    """The argument tuples of every call made to owner.name through owner."""
+    calls, real = [], getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_an_image_of_n_statements_calls_isa_encode_n_times(monkeypatch):
+    # auto_nop's guard nops are statements too; a label-only line is none
+    calls = _calls_to(monkeypatch, isa, "encode")
+    for source, guards in ((worked.CORRECTED, 0),
+                           ("lklw 0($r0)\nlkuw 8($r0)\nL: crypt 1\n\nEnd:\nj L\n", 2)):
+        statements = sum(s.mnemonic is not None for s in asm.parse(source))
+        for auto_nop in (False, True):
+            calls.clear()
+            image = asm.build_image(source, auto_nop=auto_nop)
+            assert len(calls) == len(image.entries) == statements + auto_nop * guards
+
+
+def test_a_run_calls_mem_stage_once_per_memory_instruction_in_mem(monkeypatch):
+    # in a halting run every instruction that reaches MEM retires; the
+    # oracle calls it once per memory instruction it executes
+    calls = _calls_to(monkeypatch, pipeline, "mem_stage")
+    rng = random.Random(29)
+    for source, entries, key in (
+            (worked.CORRECTED, asm.read_hex(worked.DATA_HEX).entries, worked.KEY),
+            (progen.gen_program(rng), progen.gen_dmem_entries(rng), None)):
+        state = build_state(source, progen.memory(entries), encrypt_key=key,
+                            record_retired=True)
+        calls.clear()
+        pipeline.run(state)
+        memory = [w for _, w in state.retired_log if isa.decode(w).spec.mem is not None]
+        assert len(calls) == len(memory) > 0
+        calls.clear()
+        pipeline.reference_interpret(progen.memory(asm.build_image(source).entries),
+                                     progen.memory(entries))
+        assert len(calls) == len(memory)
+
+
+def test_a_run_calls_fetch_word_once_per_fetch_cache_miss(monkeypatch):
+    # IF fetches each pc of a loop many times and misses once per pc and
+    # crypt mode; a fetch past imem's extent is never kept, so the drain
+    # misses in each of the four cycles the end bubble takes to reach WB
+    calls = _calls_to(monkeypatch, pipeline, "fetch_word")
+    _, stats = run_asm("addi $r1, $r0, 10\nL: addi $r1, $r1, -1\n"
+                       "bne $r1, $r0, L\naddi $r2, $r0, 1\n")
+    assert [(pc, decrypt) for _, pc, decrypt, _ in calls] == \
+        [(0, False), (8, False), (16, False), (24, False)] + [(32, False)] * 4
+    assert stats.retired + stats.flushes > 30
+    calls.clear()
+    state = build_state(worked.CORRECTED, worked.data_memory(), encrypt_key=worked.KEY)
+    _, stats = pipeline.run(state)
+    # each pc once, plain up to `crypt 1` and decrypted after it, though
+    # the loop body is fetched seven times
+    crypt_pc = next(pc for pc, block in asm.build_image(worked.CORRECTED).entries
+                    if isa.decode(block).spec.mode is not None)
+    end = state.imem.extent
+    fetched = [(pc, decrypt) for _, pc, decrypt, _ in calls]
+    assert fetched == [(pc, pc > crypt_pc) for pc in range(0, end, 8)] + [(end, True)] * 4
+    assert stats.crypt_fetches > len(fetched)
 
 
 # ------------------------------------------------------------- differential
