@@ -6,11 +6,11 @@ immediates, `offset($reg)` memory operands, label or raw-number branch and
 jump targets. Instruction words sit 8 bytes apart (one per 64-bit block),
 so jump targets and branch displacements are counted in 8-byte slots.
 
-`parse` reads a line's operands with one match of its row's pattern,
-compiled at import from the shapes of the row's operands, with one group
-per instruction field. A line the pattern rejects goes to the walk,
-`_parse_fields`, which reads the operands one at a time by the same
-grammar only to name the first bad one; the two accept the same lines.
+One grammar reads and diagnoses operands: a piece per operand shape.
+`parse` reads a line's operands with one match of its row's pattern, the
+pieces of the row's operands joined by commas, with one group per
+instruction field. A line the pattern rejects is matched one operand at a
+time against the same pieces, only to name the first bad operand.
 `assemble` places the labels of the whole file, then resolves label
 targets, range-checks immediates and encodes line by line.
 """
@@ -101,9 +101,6 @@ _LABEL_RE = re.compile(rf"({_IDENT})\s*:")
 # the one number grammar of the assembler and the CLI: ASCII digits only,
 # and exactly the decimal or 0x-prefixed hex that int(text, 0) reads
 NUM_RE = re.compile(r"[+-]?(?:0[xX][0-9a-fA-F]+|0+|[1-9][0-9]*)")
-_REG_RE = re.compile(r"\$[rR]?([0-9]+)")
-_MEM_RE = re.compile(rf"({NUM_RE.pattern})\(\s*(\$[rR]?[0-9]+)\s*\)")
-_IDENT_RE = re.compile(_IDENT)
 
 
 def _number(text: str) -> int:
@@ -116,23 +113,23 @@ def _number_or_label(text: str) -> Union[int, str]:
 
 # A row pattern joins one piece per operand with commas. A piece is an
 # operand shape's pattern, built from those above with a group for each
-# field it fills, and each group's converter; a register's group holds
-# $r0..$r31 without its leading zeros.
-_REG = _REG_RE.pattern.replace("([0-9]+)", "0*(3[01]|[12]?[0-9])")
+# field it fills, each group's converter, and what a diagnostic calls the
+# shape; a register's group holds $r0..$r31 without its leading zeros.
+_REG = r"\$[rR]?0*(3[01]|[12]?[0-9])"
 _NUM = f"({NUM_RE.pattern})"
-_PIECES = {"r": (_REG, (int,)), "i": (_NUM, (_number,)),
-           "t": (f"({NUM_RE.pattern}|{_IDENT})", (_number_or_label,)),
-           "m": (rf"{_NUM}\(\s*{_REG}\s*\)", (_number, int))}
+_PIECES = {"r": (_REG, (int,), "register"), "i": (_NUM, (_number,), "number"),
+           "t": (f"({NUM_RE.pattern}|{_IDENT})", (_number_or_label,), "label or number"),
+           "m": (rf"{_NUM}\(\s*{_REG}\s*\)", (_number, int), "offset($reg)")}
 
 
 def _row_reader(spec: isa.InstrSpec) -> Callable[[str], Optional[Fields]]:
     """The row's operand list -> the fields it fills, read with one match of
-    the row pattern; None for a list `_parse_fields` must diagnose."""
+    the row pattern; None for a list `_diagnosis` must name the fault of."""
     pieces = [_PIECES[kind] for kind in spec.shape]
-    fullmatch = re.compile(r"\s*,\s*".join(text for text, _ in pieces)).fullmatch
+    fullmatch = re.compile(r"\s*,\s*".join(text for text, _, _ in pieces)).fullmatch
     names = [name for kind, name in zip(spec.shape, spec.operands)
              for name in (("imm", "rs") if kind == "m" else (name,))]
-    pairs = list(zip(names, [convert for _, converts in pieces for convert in converts]))
+    pairs = list(zip(names, [convert for _, converts, _ in pieces for convert in converts]))
     # one to three groups (more fail to unpack); a dict display per count
     # builds the fields in about two thirds of the time a comprehension takes
     (a, ra), (b, rb), (c, rc) = pairs + [(None, None)] * (3 - len(pairs))
@@ -156,52 +153,28 @@ _MNEMONICS = {name: (spec, _row_reader(spec)) for spec in isa.SPECS.values()
               for name in (spec.mnemonic, *spec.aliases)}
 
 
-def _read_number(text: str, line: int) -> int:
-    try:
-        return int(text, 0)
-    except ValueError:  # more digits than int() reads
-        raise AsmSyntaxError(f"number too long to read ({len(text)} characters)",
-                             line) from None
-
-
-def _parse_reg(text: str, line: int) -> int:
-    m = _REG_RE.fullmatch(text)
-    if not m:
-        raise AsmSyntaxError(f"expected register, got '{text}'", line)
-    digits = m.group(1).lstrip("0") or "0"
-    if len(digits) > 2 or int(digits) > 31:
-        raise AsmSyntaxError(f"no such register '{text}'", line)
-    return int(digits)
-
-
-def _parse_fields(spec: isa.InstrSpec, operands: str, line: int) -> Fields:
-    """The operands read one at a time, by shape, into the fields they
-    fill, raising at the first bad one: the walk that names what a row
-    pattern rejected."""
+def _diagnosis(spec: isa.InstrSpec, operands: str, line: int) -> AsmSyntaxError:
+    """The first bad operand of a list the row pattern rejected: each
+    operand is matched alone against its piece, with any digit run for a
+    register, and its groups are then read left to right."""
     texts = [t.strip() for t in operands.split(",")] if operands else []
     if len(texts) != len(spec.shape):
-        raise AsmSyntaxError(
-            f"'{spec.mnemonic}' takes {len(spec.shape)} operand(s), got {len(texts)}",
-            line)
-    fields: Fields = {}
-    for text, kind, name in zip(texts, spec.shape, spec.operands):
-        if kind == "r":
-            fields[name] = _parse_reg(text, line)
-        elif kind == "m":
-            m = _MEM_RE.fullmatch(text)
-            if not m:
-                raise AsmSyntaxError(f"expected offset($reg), got '{text}'", line)
-            fields["imm"] = _read_number(m.group(1), line)
-            fields["rs"] = _parse_reg(m.group(2), line)
-        elif NUM_RE.fullmatch(text):
-            fields[name] = _read_number(text, line)
-        elif kind == "i":
-            raise AsmSyntaxError(f"expected number, got '{text}'", line)
-        elif _IDENT_RE.fullmatch(text):  # kind == "t": a label
-            fields[name] = text
-        else:
-            raise AsmSyntaxError(f"expected label or number, got '{text}'", line)
-    return fields
+        return AsmSyntaxError(
+            f"'{spec.mnemonic}' takes {len(spec.shape)} operand(s), got {len(texts)}", line)
+    for text, kind in zip(texts, spec.shape):
+        piece, converts, what = _PIECES[kind]
+        m = re.fullmatch(piece.replace(_REG, r"(\$[rR]?[0-9]+)"), text)
+        if m is None:
+            return AsmSyntaxError(f"expected {what}, got '{text}'", line)
+        for group, convert in zip(m.groups(), converts):
+            if group[0] != "$":
+                try:
+                    convert(group)
+                except ValueError:  # a number with more digits than int() reads
+                    return AsmSyntaxError(
+                        f"number too long to read ({len(group)} characters)", line)
+            elif not re.fullmatch(_REG, group):
+                return AsmSyntaxError(f"no such register '{group}'", line)
 
 
 def parse(source: str) -> List[Statement]:
@@ -234,7 +207,7 @@ def parse(source: str) -> List[Statement]:
         spec, read = row
         fields = read(operands)
         if fields is None:
-            fields = _parse_fields(spec, operands, lineno)  # raises
+            raise _diagnosis(spec, operands, lineno)
         statements.append(Statement(label, spec.mnemonic, fields, lineno))
     return statements
 

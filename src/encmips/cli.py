@@ -61,10 +61,10 @@ def _parse_reg_list(text: str) -> List[int]:
         m = _DUMP_REG_RE.fullmatch(part.strip())
         if not m:
             raise argparse.ArgumentTypeError(f"no such register '{part.strip()}'")
-        index = int(m.group(1))
-        if index > 31:
+        index = m.group(1).lstrip("0") or "0"     # as the assembler reads $r0007
+        if len(index) > 2 or int(index) > 31:
             raise argparse.ArgumentTypeError(f"no such register r{index}")
-        regs.append(index)
+        regs.append(int(index))
     return regs
 
 

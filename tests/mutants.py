@@ -165,13 +165,28 @@ MUTANTS = [
     Mutant("a non-ASCII mnemonic is folded", ASM,
            "if mnemonic.isascii():", "if True:"),
     Mutant("the register piece takes $r32", ASM,
-           '"0*(3[01]|[12]?[0-9])"', '"0*(3[0-2]|[12]?[0-9])"'),
+           r'_REG = r"\$[rR]?0*(3[01]|[12]?[0-9])"',
+           r'_REG = r"\$[rR]?0*(3[0-2]|[12]?[0-9])"'),
     Mutant("the number piece reads decimal only", ASM,
-           '"i": (_NUM, (_number,))', '"i": (_NUM, (int,))'),
+           '"i": (_NUM, (_number,), "number")', '"i": (_NUM, (int,), "number")'),
     Mutant("the target piece takes labels only", ASM,
            '"t": (f"({NUM_RE.pattern}|{_IDENT})"', '"t": (f"({_IDENT})"'),
     Mutant("the memory piece takes no blanks inside its parentheses", ASM,
            r'"m": (rf"{_NUM}\(\s*{_REG}\s*\)"', r'"m": (rf"{_NUM}\({_REG}\)"'),
+    # the diagnosis of a rejected operand list
+    Mutant("a register out of range is diagnosed as misshapen", ASM,
+           r'm = re.fullmatch(piece.replace(_REG, r"(\$[rR]?[0-9]+)"), text)',
+           "m = re.fullmatch(piece, text)"),
+    Mutant("one operand too many passes the operand count", ASM,
+           "if len(texts) != len(spec.shape):",
+           "if not 0 <= len(texts) - len(spec.shape) <= 1:"),
+    Mutant("a number too long to read escapes as int()'s ValueError", ASM,
+           "                try:\n"
+           "                    convert(group)\n"
+           "                except ValueError:  # a number with more digits than int() reads\n"
+           "                    return AsmSyntaxError(\n"
+           '                        f"number too long to read ({len(group)} characters)", line)\n',
+           "                convert(group)\n"),
 ]
 
 

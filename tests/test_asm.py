@@ -1,5 +1,8 @@
+import hashlib
+import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +132,18 @@ def test_parse_errors_carry_line_numbers():
     pytest.param("nop\nL: nop\n\ncrypt 67108864",
                  (asm.AsmError, 4, "field target cannot hold 67108864"),
                  id="crypt-target-overflow-on-line-4"),
+    # a rejected operand list names its first bad operand, and an operand's
+    # groups are read left to right: the offset before its base register
+    pytest.param("lw $r1, 0($r32)", (asm.AsmSyntaxError, 1, "no such register '$r32'"),
+                 id="base-register-32"),
+    pytest.param("add $r1,,$r2", (asm.AsmSyntaxError, 1, "expected register, got ''"),
+                 id="empty-operand"),
+    pytest.param("add $r1, $r2, $r3,",
+                 (asm.AsmSyntaxError, 1, "'add' takes 3 operand(s), got 4"),
+                 id="trailing-comma"),
+    pytest.param("lw $r1, " + "9" * 5000 + "($r99)",
+                 (asm.AsmSyntaxError, 1, "number too long to read (5000 characters)"),
+                 id="long-offset-before-bad-base"),
 ])
 def test_assembler_diagnostics(source, expected):
     if isinstance(expected, list):
@@ -427,30 +442,41 @@ def _operand_corpus(rng, count):
                                     whole.replace(",", ",,")))
 
 
-def test_row_patterns_accept_exactly_what_the_operand_walk_accepts():
-    # a row pattern reads a whole operand list in one match; the walk reads
-    # one operand at a time and names the first bad one. They must accept
-    # the same lines with the same fields, and a line the pattern rejects
-    # must fail with the walk's message
-    seen = {True: 0, False: 0}
-    for spec, operands in _operand_corpus(random.Random(25), 120):
+# per row, a digest of what parse made of each line of the operand corpus when
+# a second copy of the grammar, a walk over the operands, still named the bad
+# operand; recorded by `_outcome_digests` before that walk was removed
+OUTCOMES = Path(__file__).parent / "golden" / "operand_outcomes.json"
+
+
+def _outcome_digests(count):
+    """Per row, a sha256 of what `parse` makes of each line of
+    `_operand_corpus(random.Random(25), count)`: the fields it reads, with
+    their types, or the diagnostic it raises. Checks on the way that the
+    row's reader accepts exactly the lines parse accepts, with the same
+    fields, and counts the lines accepted (True) and rejected (False)."""
+    digests, seen = {}, {True: 0, False: 0}
+    for spec, operands in _operand_corpus(random.Random(25), count):
         operands = operands.strip()     # as parse passes them on
-        _, read = asm._MNEMONICS[spec.mnemonic]
+        got = asm._MNEMONICS[spec.mnemonic][1](operands)
         try:
-            want, error = asm._parse_fields(spec, operands, 1), None
+            (stmt,) = asm.parse(f"{spec.mnemonic} {operands}")
         except asm.AsmSyntaxError as exc:
-            want, error = None, str(exc)
-        got = read(operands)
-        assert got == want, (spec.mnemonic, operands[:80])
-        if got is not None:
-            assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
-        seen[error is None] += 1
-        line = f"{spec.mnemonic} {operands}"
-        if error is None:
-            (stmt,) = asm.parse(line)
-            assert stmt.fields == want
+            outcome = str(exc)
+            assert got is None, (spec.mnemonic, operands[:80])
         else:
-            with pytest.raises(asm.AsmSyntaxError) as exc:
-                asm.parse(line)
-            assert str(exc.value) == error
+            outcome = stmt.fields
+            assert got == outcome, (spec.mnemonic, operands[:80])
+            assert [type(v) for v in got.values()] == [type(v) for v in outcome.values()]
+        seen[got is not None] += 1
+        digest = digests.setdefault(spec.mnemonic, hashlib.sha256())
+        digest.update(repr(outcome).encode() + b"\n")
+    return {name: digest.hexdigest() for name, digest in digests.items()}, seen
+
+
+def test_operand_corpus_parses_as_recorded():
+    # one grammar reads and diagnoses: a line its row pattern rejects is
+    # named by matching each operand alone against the same pieces. CI checks
+    # the same at count 1200
+    digests, seen = _outcome_digests(120)
+    assert digests == json.loads(OUTCOMES.read_text())["120"]
     assert min(seen.values()) > 1000, seen

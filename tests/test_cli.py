@@ -135,6 +135,7 @@ def test_run_dumps_in_the_order_given(tmp_path, capsys):
 def test_dump_regs_spellings():
     # an optional $, an optional r or R, then ASCII decimal digits
     assert cli._parse_reg_list("r4,$r4,R4,4, $R31 ,$7,r07") == [4, 4, 4, 4, 31, 7, 7]
+    assert cli._parse_reg_list("r" + "0" * 5000 + "7") == [7]
     for bad in ("r0x4", "r-0", "r\u0664", "$", "r", "4r"):
         with pytest.raises(argparse.ArgumentTypeError, match="no such register"):
             cli._parse_reg_list(bad)
@@ -290,6 +291,12 @@ def test_dump_disasm(tmp_path, capsys):
     (["run", "{image}", "--max-cycles", "0"], "argument --max-cycles: must be >= 1"),
     (["run", "{image}", "--dump-mem", "3:9"], None),
     (["run", "{image}", "--dump-regs", "r40"], "--dump-regs: no such register r40"),
+    # leading zeros are dropped before int() reads the digits, so the first
+    # entry is r7 and the error names the second
+    (["run", "{image}", "--dump-regs", "r" + "0" * 5000 + "7,r40"],
+     "--dump-regs: no such register r40\n"),
+    (["run", "{image}", "--dump-regs", "r" + "9" * 5000],
+     "--dump-regs: no such register r" + "9" * 5000 + "\n"),
     (["run", "{image}", "--dump-regs", "rx"], "--dump-regs: no such register 'rx'"),
     (["run", "{image}", "--dump-regs", "r1_0"], "--dump-regs: no such register 'r1_0'"),
     (["run", "{image}", "--dump-regs", "r+4"], "--dump-regs: no such register 'r+4'"),
@@ -326,6 +333,7 @@ def test_dump_disasm(tmp_path, capsys):
         "dump-missing-image", "run-bad-hex-line", "run-dmem-bad-hex-line",
         "run-dmem-unaligned-directive", "run-signed-address-directive",
         "run-max-cycles-0", "run-unaligned-dump-mem", "run-no-such-register",
+        "run-register-leading-zeros", "run-register-too-long",
         "run-register-not-a-number", "run-register-underscore",
         "run-register-signed", "run-register-two-dollars", "run-max-cycles-not-a-number",
         "run-dump-mem-not-a-number", "run-max-cycles-underscore",
