@@ -13,8 +13,6 @@ E(L ^ f) = E(L) ^ E(f), and no round needs E:
   share of E(f) directly, after the SPtrans tables of Eric Young's libdes.
 - The epilogue is E inverted, the middle 4 bits of each 6-bit group, and FP:
   eight lookups of a squeezed 12-bit slice, one per byte of R16 || L16.
-- _ip and _fp, five swaps of masked bit groups each, are the reference
-  the prologue and epilogue tables are built from.
 - The key schedule compiles PC-1 and PC-2 into per-byte lookup tables.
 
 Each per-byte table is built from the output bits of its 8 input bits, and
@@ -33,7 +31,7 @@ from typing import List, Sequence, Tuple
 
 BLOCK_MASK = 0xFFFFFFFFFFFFFFFF
 
-# Initial permutation and its inverse, the reference for _ip and _fp.
+# Initial permutation and its inverse.
 _IP = [
     58, 50, 42, 34, 26, 18, 10, 2,
     60, 52, 44, 36, 28, 20, 12, 4,
@@ -208,36 +206,14 @@ def key_schedule(key: int) -> KeySchedule:
     return tuple(subkeys)
 
 
-def _ip(block: int) -> int:
-    """Initial permutation as five swaps of masked bit groups between halves."""
-    left, right = (block >> 32) & 0xFFFFFFFF, block & 0xFFFFFFFF
-    t = ((left >> 4) ^ right) & 0x0F0F0F0F; right ^= t; left ^= t << 4
-    t = ((left >> 16) ^ right) & 0x0000FFFF; right ^= t; left ^= t << 16
-    t = ((right >> 2) ^ left) & 0x33333333; left ^= t; right ^= t << 2
-    t = ((right >> 8) ^ left) & 0x00FF00FF; left ^= t; right ^= t << 8
-    t = ((left >> 1) ^ right) & 0x55555555; right ^= t; left ^= t << 1
-    return (left << 32) | right
-
-
-def _fp(block: int) -> int:
-    """Inverse of _ip: each swap undoes itself, so the same five in reverse."""
-    left, right = block >> 32, block & 0xFFFFFFFF
-    t = ((left >> 1) ^ right) & 0x55555555; right ^= t; left ^= t << 1
-    t = ((right >> 8) ^ left) & 0x00FF00FF; left ^= t; right ^= t << 8
-    t = ((right >> 2) ^ left) & 0x33333333; left ^= t; right ^= t << 2
-    t = ((left >> 16) ^ right) & 0x0000FFFF; right ^= t; left ^= t << 16
-    t = ((left >> 4) ^ right) & 0x0F0F0F0F; right ^= t; left ^= t << 4
-    return (left << 32) | right
-
-
 # Prologue: per block byte, IP followed by E of both halves, as
 # E(L0) << 48 | E(R0). q is where IP moves a block bit, counted from the top.
 _IPE = _bytes([_E_BITS[q] << 48 if q < 32 else _E_BITS[q - 32]
-               for q in (64 - _ip(1 << b).bit_length() for b in range(63, -1, -1))])
+               for q in (64 - out.bit_length() for out in _bits(_IP, 64))])
 
 # Epilogue: per byte of R16 || L16, FP; an expanded half gives that byte
 # through _SQUEEZE, the middle 4 bits of each 6-bit group of 12 bits.
-_FPB = _bytes([_fp(1 << b) for b in range(63, -1, -1)])
+_FPB = _bytes(_bits(_FP, 64))
 _SQUEEZE = _pair([m << 4 for m in _MID], _MID)
 
 

@@ -149,8 +149,6 @@ class IsaError(Exception):
 class UnknownInstruction(IsaError):
     """Raised when a word's (opcode, funct) pair is not in the opcode table."""
 
-    spec = None    # the word has no table row
-
     def __init__(self, word: int):
         self.word = word & WORD_MASK
         super().__init__(f"unknown instruction word 0x{self.word:08x} "

@@ -7,7 +7,7 @@ i.e. little-endian for byte-level inspection.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from . import des
 from .des import BLOCK_MASK
@@ -55,10 +55,9 @@ class KeyRegister:
     """Two 32-bit halves of the DES key, loaded independently by lklw/lkuw.
 
     Once both halves are set the value persists until a half is reloaded.
-    The register feeds the DES cores through `cipher`, the key's shared
-    `des.cipher`: None until both halves are loaded, and looked up when
-    first used after a load changes the 64-bit key, so a key that is only
-    passed through while both halves are reloaded derives no schedule.
+    The register feeds the DES cores through the key's shared `des.cipher`,
+    looked up by the full key on every use, so a key that is only passed
+    through while both halves are reloaded derives no schedule.
     """
 
     def __init__(self):
@@ -66,25 +65,12 @@ class KeyRegister:
         self.upper = 0
         self.lower_loaded = False
         self.upper_loaded = False
-        self._cipher: Optional[des.Cipher] = None   # None: look it up on use
 
     def set_lower(self, value: int) -> None:
-        value &= WORD_MASK
-        if not self.lower_loaded or value != self.lower:
-            self.lower, self.lower_loaded = value, True
-            self._cipher = None
+        self.lower, self.lower_loaded = value & WORD_MASK, True
 
     def set_upper(self, value: int) -> None:
-        value &= WORD_MASK
-        if not self.upper_loaded or value != self.upper:
-            self.upper, self.upper_loaded = value, True
-            self._cipher = None
-
-    @property
-    def cipher(self) -> Optional[des.Cipher]:
-        if self._cipher is None and self.loaded:
-            self._cipher = des.cipher(self.key_value())
-        return self._cipher
+        self.upper, self.upper_loaded = value & WORD_MASK, True
 
     @property
     def loaded(self) -> bool:
@@ -97,16 +83,15 @@ class KeyRegister:
 
     def encrypt(self, block: int, what: str) -> int:
         """DES encryption of block; KeyNotLoaded(what) before the key is loaded."""
-        # the property runs only on the first use after a load changed the key
-        if (cipher := self._cipher or self.cipher) is None:
+        if not (self.lower_loaded and self.upper_loaded):
             raise KeyNotLoaded(what)
-        return cipher.encrypt(block)
+        return des.cipher(self.upper << 32 | self.lower).encrypt(block)
 
     def decrypt(self, block: int, what: str) -> int:
         """DES decryption of block; KeyNotLoaded(what) before the key is loaded."""
-        if (cipher := self._cipher or self.cipher) is None:
+        if not (self.lower_loaded and self.upper_loaded):
             raise KeyNotLoaded(what)
-        return cipher.decrypt(block)
+        return des.cipher(self.upper << 32 | self.lower).decrypt(block)
 
 
 class Memory:

@@ -108,13 +108,14 @@ MUTANTS = [
     Mutant("stores never encrypted", PIPELINE,
            "        if crypt_mode:\n            block = keyreg.encrypt(",
            "        if False:\n            block = keyreg.encrypt("),
-    Mutant("a new lower key half keeps the old cipher", MACHINE,
-           "self.lower, self.lower_loaded = value, True\n            self._cipher = None",
-           "self.lower, self.lower_loaded = value, True"),
+    Mutant("a reloaded lower key half keeps its old value", MACHINE,
+           "self.lower, self.lower_loaded = value & WORD_MASK, True",
+           "self.lower, self.lower_loaded = (\n"
+           "            self.lower if self.lower_loaded else value & WORD_MASK), True"),
     Mutant("a key half looks its cipher up when loaded, not when used", MACHINE,
-           "self.upper, self.upper_loaded = value, True\n            self._cipher = None",
-           "self.upper, self.upper_loaded = value, True\n"
-           "            self._cipher = des.cipher(self.key_value()) if self.loaded else None"),
+           "self.upper, self.upper_loaded = value & WORD_MASK, True",
+           "self.upper, self.upper_loaded = value & WORD_MASK, True\n"
+           "        if self.loaded:\n            des.cipher(self.key_value())"),
     Mutant("an unaligned read is not a fault", MACHINE,
            "    def read_block(self, addr: int) -> int:\n"
            "        if addr % 8:",

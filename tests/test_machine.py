@@ -56,31 +56,20 @@ def test_key_register_reload_half():
     assert kr.key_value() == 0x2222222233333333
 
 
-def test_key_register_cipher_waits_for_both_halves():
-    kr = machine.KeyRegister()
-    assert kr.cipher is None
-    kr.set_upper(0x4B495241)
-    assert kr.cipher is None
-    kr.set_lower(0x5450414C)
-    assert kr.cipher is des.cipher(0x4B4952415450414C)
-    assert kr.cipher.sched == des.key_schedule(0x4B4952415450414C)
-
-
-def test_key_register_same_value_reload_keeps_the_cipher():
-    # with the LRU emptied, a rekey would build a new Cipher, so identity
-    # shows that a reload of the same value looks no cipher up
+def test_key_register_cipher_waits_for_both_halves(monkeypatch):
+    # before the second half no cipher is looked up, so no schedule derived
+    derived, schedule = [], des.key_schedule
+    monkeypatch.setattr(des, "key_schedule", lambda key: derived.append(key) or schedule(key))
     des.cipher.cache_clear()
     kr = machine.KeyRegister()
-    kr.set_lower(0x5450414C)
     kr.set_upper(0x4B495241)
-    cipher = kr.cipher
-    plain = kr.decrypt(0x10539160018D5FF7, "unused")
-    assert plain == des.pad_word(0xCB97F7EE)
-    des.cipher.cache_clear()
+    with pytest.raises(machine.KeyNotLoaded):
+        kr.decrypt(0x10539160018D5FF7, "unused")
+    assert derived == []
     kr.set_lower(0x5450414C)
-    kr.set_upper(0x4B495241)
-    assert kr.cipher is cipher
-    assert cipher._pt == {0x10539160018D5FF7: plain}
+    assert kr.decrypt(0x10539160018D5FF7, "unused") == des.pad_word(0xCB97F7EE)
+    assert kr.encrypt(des.pad_word(0xCB97F7EE), "unused") == 0x10539160018D5FF7
+    assert derived == [0x4B4952415450414C]
 
 
 def test_key_register_changed_value_takes_the_new_keys_cipher():
@@ -90,7 +79,6 @@ def test_key_register_changed_value_takes_the_new_keys_cipher():
     kr.decrypt(0x10539160018D5FF7, "unused")
     kr.set_lower(0x11111111)
     new_sched = des.key_schedule(0x4B49524111111111)
-    assert kr.cipher is des.cipher(0x4B49524111111111)
     # the old key's pair is not served under the new key
     assert kr.decrypt(0x10539160018D5FF7, "unused") == \
         des.decrypt_block(0x10539160018D5FF7, new_sched)
@@ -101,8 +89,9 @@ def test_key_register_changed_value_takes_the_new_keys_cipher():
 
 def test_key_register_derives_one_schedule_per_key_used(monkeypatch):
     # keys loaded in turn, each load changing both halves, the last upper
-    # half first: the key between a load's two halves is never used, so
-    # never derived
+    # half first, then the last key reloaded with the same values: the key
+    # between a load's two halves is never used, so never derived, and a
+    # reload of the key in use derives nothing new
     derived, schedule = [], des.key_schedule
 
     def counting(key):
@@ -113,14 +102,14 @@ def test_key_register_derives_one_schedule_per_key_used(monkeypatch):
     des.cipher.cache_clear()
     kr = machine.KeyRegister()
     keys = (0x4B4952415450414C, 0x133457799BBCDFF1, 0x0E329232EA6D0D73)
-    for key in keys:
-        if key == keys[-1]:
+    for i, key in enumerate(keys + keys[-1:]):
+        if i == len(keys) - 1:
             kr.set_upper(key >> 32)
         kr.set_lower(key & 0xFFFFFFFF)
         kr.set_upper(key >> 32)
         block = kr.encrypt(des.pad_word(7), "unused")
+        assert block == des.encrypt_block(des.pad_word(7), schedule(key))
         assert kr.decrypt(block, "unused") == des.pad_word(7)
-        assert kr.cipher is des.cipher(key)
     assert derived == list(keys)
 
 
@@ -131,7 +120,6 @@ def test_key_register_crypt_before_key_names_the_caller():
         kr.decrypt(0x10539160018D5FF7, "decrypting fetch before key loaded")
     with pytest.raises(machine.KeyNotLoaded, match="^encrypted store before key loaded$"):
         kr.encrypt(des.pad_word(1), "encrypted store before key loaded")
-    assert kr.cipher is None
 
 
 def test_memory_reads_zero_when_empty():
