@@ -18,8 +18,7 @@ targets, range-checks immediates and encodes line by line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from collections.abc import Callable
 
 from . import des, isa
 
@@ -27,7 +26,7 @@ from . import des, isa
 class AsmError(Exception):
     """Base for assembler errors; carries the source line when known."""
 
-    def __init__(self, reason: str, line: Optional[int] = None):
+    def __init__(self, reason: str, line: int | None = None):
         self.line = line
         self.reason = reason
         super().__init__(f"line {line}: {reason}" if line is not None else reason)
@@ -62,23 +61,20 @@ class UnalignedAddressDirective(AsmError):
     pass
 
 
-Fields = Dict[str, Union[int, str]]
-
-
-@dataclass(slots=True)
 class Statement:
-    """One source line: its label, and the table row it names with the value
-    of each field its operands fill. A `t` operand's field holds a number or
-    a label name, which assemble resolves; an `m` operand fills imm and rs.
-    Immediates are range-checked by assemble, not here."""
+    """One source line: its label, and the table row it names (None for a
+    label-only line) with the value of each field its operands fill. A `t`
+    operand's field holds a number or a label name, which assemble resolves;
+    an `m` operand fills imm and rs. Immediates are range-checked by
+    assemble, not here."""
 
-    label: Optional[str]
-    mnemonic: Optional[str]  # None for a label-only line
-    fields: Fields
-    line: int
+    __slots__ = ("label", "mnemonic", "fields", "line")
+
+    def __init__(self, label: str | None, mnemonic: str | None,
+                 fields: dict[str, int | str], line: int):
+        self.label, self.mnemonic, self.fields, self.line = label, mnemonic, fields, line
 
 
-@dataclass
 class ProgramImage:
     """64-bit blocks with their byte addresses, plus assembler metadata.
 
@@ -87,12 +83,14 @@ class ProgramImage:
     is the entry index of the first encrypted block.
     """
 
-    entries: List[Tuple[int, int]] = field(default_factory=list)
-    symbols: Dict[str, int] = field(default_factory=dict)
-    crypt_boundary: Optional[int] = None
+    def __init__(self, entries: list[tuple[int, int]] | None = None,
+                 symbols: dict[str, int] | None = None, crypt_boundary: int | None = None):
+        self.entries = [] if entries is None else entries
+        self.symbols = {} if symbols is None else symbols
+        self.crypt_boundary = crypt_boundary
 
     @property
-    def blocks(self) -> List[int]:
+    def blocks(self) -> list[int]:
         return [block for _, block in self.entries]
 
 
@@ -107,7 +105,7 @@ def _number(text: str) -> int:
     return int(text, 0)
 
 
-def _number_or_label(text: str) -> Union[int, str]:
+def _number_or_label(text: str) -> int | str:
     return int(text, 0) if text[0] in "+-0123456789" else text
 
 
@@ -122,7 +120,7 @@ _PIECES = {"r": (_REG, (int,), "register"), "i": (_NUM, (_number,), "number"),
            "m": (rf"{_NUM}\(\s*{_REG}\s*\)", (_number, int), "offset($reg)")}
 
 
-def _row_reader(spec: isa.InstrSpec) -> Callable[[str], Optional[Fields]]:
+def _row_reader(spec: isa.InstrSpec) -> Callable[[str], dict[str, int | str] | None]:
     """The row's operand list -> the fields it fills, read with one match of
     the row pattern; None for a list `_diagnosis` must name the fault of."""
     pieces = [_PIECES[kind] for kind in spec.shape]
@@ -134,7 +132,7 @@ def _row_reader(spec: isa.InstrSpec) -> Callable[[str], Optional[Fields]]:
     # builds the fields in about two thirds of the time a comprehension takes
     (a, ra), (b, rb), (c, rc) = pairs + [(None, None)] * (3 - len(pairs))
 
-    def read(operands: str) -> Optional[Fields]:
+    def read(operands: str) -> dict[str, int | str] | None:
         m = fullmatch(operands)
         if m is None:
             return None
@@ -177,7 +175,7 @@ def _diagnosis(spec: isa.InstrSpec, operands: str, line: int) -> AsmSyntaxError:
                 return AsmSyntaxError(f"no such register '{group}'", line)
 
 
-def parse(source: str) -> List[Statement]:
+def parse(source: str) -> list[Statement]:
     """Parse assembly text into one Statement per non-empty line."""
     statements = []
     for lineno, raw in enumerate(source.splitlines(), start=1):
@@ -216,7 +214,7 @@ def parse(source: str) -> List[Statement]:
 _NOP_FIELDS = {name: getattr(isa.NOP, name) for name in isa.NOP.spec.operands}
 
 
-def _nop(label: Optional[str], line: int) -> Statement:
+def _nop(label: str | None, line: int) -> Statement:
     return Statement(label, isa.NOP.spec.mnemonic, dict(_NOP_FIELDS), line)
 
 
@@ -229,9 +227,9 @@ def _signed_imm(value: int, line: int) -> int:
     return value
 
 
-def _ensure_key_load_guards(statements: List[Statement]) -> List[Statement]:
+def _ensure_key_load_guards(statements: list[Statement]) -> list[Statement]:
     """Guarantee at least two instructions between a key load and crypt."""
-    out: List[Statement] = []
+    out: list[Statement] = []
     owed = 0    # the guard nops a crypt here still needs
     for stmt in statements:
         spec = isa.SPECS.get(stmt.mnemonic)  # None for a label-only line
@@ -239,7 +237,7 @@ def _ensure_key_load_guards(statements: List[Statement]) -> List[Statement]:
             # the first guard nop takes crypt's label, in a copy of crypt
             for _ in range(owed):
                 out.append(_nop(stmt.label, stmt.line))
-                stmt = replace(stmt, label=None)
+                stmt = Statement(None, stmt.mnemonic, stmt.fields, stmt.line)
             owed = 0
         out.append(stmt)
         if spec is not None:
@@ -247,13 +245,13 @@ def _ensure_key_load_guards(statements: List[Statement]) -> List[Statement]:
     return out
 
 
-def assemble(statements: List[Statement],
-             auto_nop: bool = False) -> Tuple[List[int], Dict[str, int]]:
+def assemble(statements: list[Statement],
+             auto_nop: bool = False) -> tuple[list[int], dict[str, int]]:
     """Two passes: place labels at byte addresses 8*i, then encode words."""
     if auto_nop:
         statements = _ensure_key_load_guards(statements)
 
-    symbols: Dict[str, int] = {}
+    symbols: dict[str, int] = {}
     addr = 0
     for stmt in statements:
         if stmt.label is not None:
@@ -273,8 +271,8 @@ def assemble(statements: List[Statement],
     return words, symbols
 
 
-def _target(name: str, value: Union[int, str], addr: int,
-            symbols: Dict[str, int], line: int) -> int:
+def _target(name: str, value: int | str, addr: int,
+            symbols: dict[str, int], line: int) -> int:
     """A `t` field's value. A label gives a byte address, which becomes a
     slot displacement from the next instruction when it fills imm (a branch)
     and a slot index when it fills target (a jump); a number is already the
@@ -293,7 +291,7 @@ def _target(name: str, value: Union[int, str], addr: int,
     return value
 
 
-def _encode_statement(stmt: Statement, addr: int, symbols: Dict[str, int]) -> int:
+def _encode_statement(stmt: Statement, addr: int, symbols: dict[str, int]) -> int:
     spec, line, fields = isa.SPECS[stmt.mnemonic], stmt.line, stmt.fields
     # a copy of the fields only where a label or an immediate is rewritten
     if "t" in spec.shape:
@@ -308,16 +306,11 @@ def _encode_statement(stmt: Statement, addr: int, symbols: Dict[str, int]) -> in
         raise AsmError(str(exc), line) from exc
 
 
-def pack(words: List[int]) -> List[int]:
-    """Zero-pad each 32-bit word into its own 64-bit block."""
-    return [des.pad_word(w) for w in words]
-
-
 def build_image(source: str, auto_nop: bool = False) -> ProgramImage:
-    """Parse + assemble + pack a source file into a contiguous image."""
+    """Parse + assemble a source file into a contiguous image: each word
+    zero-padded into its own 64-bit block, block i at byte 8*i."""
     words, symbols = assemble(parse(source), auto_nop=auto_nop)
-    blocks = pack(words)
-    return ProgramImage(entries=[(8 * i, b) for i, b in enumerate(blocks)],
+    return ProgramImage(entries=[(8 * i, des.pad_word(w)) for i, w in enumerate(words)],
                         symbols=dict(symbols))
 
 
@@ -370,7 +363,7 @@ def write_hex(image: ProgramImage) -> str:
 
 def read_hex(text: str) -> ProgramImage:
     """Inverse of write_hex; accepts `#` comments and blank lines."""
-    entries: List[Tuple[int, int]] = []
+    entries: list[tuple[int, int]] = []
     addr = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -11,7 +11,6 @@ import argparse
 import re
 import sys
 from pathlib import Path
-from typing import List, NoReturn, Optional, Tuple
 
 from . import asm, des, isa, machine, pipeline
 
@@ -20,7 +19,7 @@ class _Parser(argparse.ArgumentParser):
     """Raises a usage error for `main` to report, instead of exiting 2, the
     status `run` gives a fault; subcommand parsers inherit the class."""
 
-    def error(self, message: str) -> NoReturn:
+    def error(self, message: str):
         raise argparse.ArgumentError(None, message)
 
 
@@ -55,7 +54,7 @@ def _parse_cycle_limit(text: str) -> int:
 _DUMP_REG_RE = re.compile(r"\$?[rR]?([0-9]+)")
 
 
-def _parse_reg_list(text: str) -> List[int]:
+def _parse_reg_list(text: str) -> list[int]:
     regs = []
     for part in text.split(","):
         m = _DUMP_REG_RE.fullmatch(part.strip())
@@ -68,7 +67,7 @@ def _parse_reg_list(text: str) -> List[int]:
     return regs
 
 
-def _parse_mem_ranges(text: str) -> List[Tuple[int, int]]:
+def _parse_mem_ranges(text: str) -> list[tuple[int, int]]:
     ranges = []
     for part in text.split(","):
         start_text, colon, stop_text = part.partition(":")
@@ -99,10 +98,16 @@ def _read_image(path: str) -> asm.ProgramImage:
 
 
 def cmd_asm(args) -> int:
-    image = asm.build_image(Path(args.source).read_text(), auto_nop=args.auto_nop)
+    source = Path(args.source)
+    text = source.read_text()
+    out = Path(args.output) if args.output else source.with_suffix(".hex")
+    if out.exists() and out.samefile(source):
+        print(f"error: output {out} is the source file; name another with -o",
+              file=sys.stderr)
+        return 1
+    image = asm.build_image(text, auto_nop=args.auto_nop)
     if args.key is not None:
         image = asm.encrypt_image(image, args.key)
-    out = Path(args.output) if args.output else Path(args.source).with_suffix(".hex")
     out.write_text(asm.write_hex(image))
     for name, addr in sorted(image.symbols.items(), key=lambda kv: kv[1]):
         print(f"{name} = {addr:x}")
@@ -179,7 +184,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("asm", help="assemble a source file into a hex image")
     p.add_argument("source")
-    p.add_argument("-o", "--output", help="output path (default: source with .hex)")
+    p.add_argument("-o", "--output",
+                   help="output path, never the source itself (default: source with .hex)")
     p.add_argument("--key", type=_parse_hex16,
                    help="16-hex-digit DES key: encrypt under it every block "
                         "from after a crypt that turns crypt mode on up to "
@@ -220,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)

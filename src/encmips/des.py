@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
-from typing import List, Sequence, Tuple
 
 BLOCK_MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -130,7 +129,7 @@ _SBOXES = [
 ]
 
 
-def _bits(table: Sequence[int], in_width: int) -> List[int]:
+def _bits(table: list[int], in_width: int) -> list[int]:
     """Per input bit, most significant first: the output bits a 1-based
     bit-copy table (a permutation, E or a selection) copies it to."""
     out = [0] * in_width
@@ -139,7 +138,7 @@ def _bits(table: Sequence[int], in_width: int) -> List[int]:
     return out
 
 
-def _bytes(single: Sequence[int]) -> List[List[int]]:
+def _bytes(single: list[int]) -> list[list[int]]:
     """Per-input-byte OR tables from each input bit's output bits: the entry
     of v is the entry of v without its top bit, OR that bit's output."""
     luts = []
@@ -151,7 +150,7 @@ def _bytes(single: Sequence[int]) -> List[List[int]]:
     return luts
 
 
-def _pair(hi: Sequence[int], lo: Sequence[int]) -> List[int]:
+def _pair(hi: list[int], lo: list[int]) -> list[int]:
     """A 12-bit table from two 6-bit ones: entry v is hi[v >> 6] | lo[v & 0x3F]."""
     rows = {a: [*map(a.__or__, lo)] for a in set(hi)}
     return [*chain.from_iterable(map(rows.__getitem__, hi))]
@@ -187,10 +186,7 @@ _SP01, _SP23, _SP45, _SP67 = (
     [*map(_EP[i >> 1].__getitem__, _pair([s << 4 for s in _S[i]], _S[i + 1]))]
     for i in range(0, 8, 2))
 
-KeySchedule = Tuple[int, ...]
-
-
-def key_schedule(key: int) -> KeySchedule:
+def key_schedule(key: int) -> tuple[int, ...]:
     """Derive the 16 48-bit round subkeys from a 64-bit key.
 
     Only the 56 non-parity bits matter. The left-rotation schedule sums to
@@ -217,7 +213,7 @@ _FPB = _bytes(_bits(_FP, 64))
 _SQUEEZE = _pair([m << 4 for m in _MID], _MID)
 
 
-def _cipher(block: int, subkeys: Sequence[int]) -> int:
+def _cipher(block: int, subkeys: tuple[int, ...]) -> int:
     ipe, fp, sq = _IPE, _FPB, _SQUEEZE
     x = (ipe[0][block >> 56] | ipe[1][(block >> 48) & 0xFF]
          | ipe[2][(block >> 40) & 0xFF] | ipe[3][(block >> 32) & 0xFF]
@@ -235,12 +231,12 @@ def _cipher(block: int, subkeys: Sequence[int]) -> int:
             | fp[6][sq[(left >> 12) & 0xFFF]] | fp[7][sq[left & 0xFFF]])
 
 
-def encrypt_block(plaintext: int, sched: KeySchedule) -> int:
+def encrypt_block(plaintext: int, sched: tuple[int, ...]) -> int:
     """One ECB block: IP, 16 forward rounds, half swap, inverse IP."""
     return _cipher(plaintext, sched)
 
 
-def decrypt_block(ciphertext: int, sched: KeySchedule) -> int:
+def decrypt_block(ciphertext: int, sched: tuple[int, ...]) -> int:
     """Inverse of encrypt_block: same structure, subkeys in reverse order."""
     return _cipher(ciphertext, sched[::-1])
 

@@ -21,8 +21,7 @@ the three key-handling instructions take otherwise unused opcodes.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from collections.abc import Callable
 
 WORD_MASK = 0xFFFFFFFF
 NOP_WORD = 0x00000000
@@ -41,7 +40,7 @@ def _add_imm(a: int, b: int, instr: Instruction) -> int:
 def _branch(taken: Callable[[int, int], bool]):
     """A compare branch's redirect: pc + 8 + imm*8, wrapped like every pc,
     when taken(rs value, rt value) holds, else None."""
-    def redirect(pc: int, a: int, b: int, instr: Instruction) -> Optional[int]:
+    def redirect(pc: int, a: int, b: int, instr: Instruction) -> int | None:
         return (pc + 8 + instr.imm * 8) & WORD_MASK if taken(a, b) else None
     return redirect
 
@@ -51,57 +50,56 @@ _OPERAND_TEXT = {"r": "$r{{i.{}}}", "i": "{{i.{}}}", "t": "{{i.{}}}",
                  "m": "{{i.imm}}($r{{i.rs}})"}
 
 
-@dataclass(frozen=True)
 class InstrSpec:
-    """One instruction's row in the table."""
+    """One instruction's row in the table.
 
-    mnemonic: str
-    fmt: str                       # "R", "I" or "J"
-    opcode: int
-    funct: Optional[int]           # R format only
-    # assembler operands: r register, i number, m offset(base), t label or
-    # raw number (a slot displacement into imm, a slot index into target)
-    shape: str
-    operands: Tuple[str, ...]      # the field each operand fills
-    sources: Tuple[str, ...] = ()  # register fields read
-    dest: Optional[str] = None     # register field written back
-    # ALU operation: (rs value, rt value, instruction) -> 32-bit result;
-    # None when the instruction has no result
-    alu: Optional[Callable[[int, int, Instruction], int]] = None
-    mem: Optional[str] = None      # memory direction, READ or WRITE
-    # reads with no dest: (machine.KeyRegister, read word) -> None, sets one half
-    load_key: Optional[Callable[[object, int], None]] = None
-    # branches and jumps, resolved in ID: (pc, rs value, rt value,
-    # instruction) -> the next pc, or None when a branch falls through
-    redirect: Optional[Callable[[int, int, int, Instruction], Optional[int]]] = None
-    # crypt, resolved in ID: instruction -> the crypt mode it sets
-    mode: Optional[Callable[[Instruction], bool]] = None
-    aliases: Tuple[str, ...] = ()  # other names the assembler accepts
-    # derived: disassembly as a str.format template over the instruction `i`
-    template: str = field(init=False)
-    # derived: where the constructor's (rs, rt, rd, None) holds the sources'
-    # register numbers, a slice, and the dest's, an index (3 for none)
-    sources_at: slice = field(init=False, repr=False, compare=False)
-    dest_at: int = field(init=False, repr=False, compare=False)
-    # derived: what the pipeline's later stages read, copied onto a slot at IF
-    stage: tuple = field(init=False, repr=False, compare=False)
+    fmt is "R", "I" or "J", and funct is None outside the R format. shape
+    gives the assembler operands, one letter each: r register, i number,
+    m offset(base), t label or raw number (a slot displacement into imm, a
+    slot index into target); operands names the field each one fills.
+    sources are the register fields read and dest the one written back.
+    alu maps (rs value, rt value, instruction) to the 32-bit result, None
+    when there is none; mem is the memory direction, READ or WRITE. A read
+    with no dest has load_key: (machine.KeyRegister, read word) -> None,
+    which sets one half. Branches and jumps have redirect, resolved in ID:
+    (pc, rs value, rt value, instruction) -> the next pc, or None when a
+    branch falls through. crypt has mode, resolved in ID: instruction -> the
+    crypt mode it sets. aliases are other names the assembler accepts.
 
-    def __post_init__(self):
+    Derived: template, the disassembly as a str.format template over the
+    instruction `i`; sources_at and dest_at, where the constructor's
+    (rs, rt, rd, None) holds the sources' register numbers (a slice) and
+    the dest's (an index, 3 for none); and stage, what the pipeline's later
+    stages read, copied onto a slot at IF. Nothing writes a row after it is
+    built.
+    """
+
+    def __init__(self, mnemonic: str, fmt: str, opcode: int, funct: int | None,
+                 shape: str, operands: tuple[str, ...], sources: tuple[str, ...] = (),
+                 dest: str | None = None,
+                 alu: Callable[[int, int, Instruction], int] | None = None,
+                 mem: str | None = None,
+                 load_key: Callable[[object, int], None] | None = None,
+                 redirect: Callable[[int, int, int, Instruction], int | None] | None = None,
+                 mode: Callable[[Instruction], bool] | None = None,
+                 aliases: tuple[str, ...] = ()):
+        self.mnemonic, self.fmt, self.opcode, self.funct = mnemonic, fmt, opcode, funct
+        self.shape, self.operands, self.sources, self.dest = shape, operands, sources, dest
+        self.alu, self.mem, self.load_key, self.redirect = alu, mem, load_key, redirect
+        self.mode, self.aliases = mode, aliases
         text = ", ".join(_OPERAND_TEXT[kind].format(name)
-                         for kind, name in zip(self.shape, self.operands))
-        object.__setattr__(self, "template", f"{self.mnemonic} {text}")
+                         for kind, name in zip(shape, operands))
+        self.template = f"{mnemonic} {text}"
         regs = ("rs", "rt", "rd")
-        first = regs.index(self.sources[0]) if self.sources else 0
-        at = slice(first, first + len(self.sources))
-        if regs[at] != self.sources:
-            raise ValueError(f"{self.mnemonic}: sources must run in the order {regs}")
-        object.__setattr__(self, "sources_at", at)
-        object.__setattr__(self, "dest_at", regs.index(self.dest) if self.dest else 3)
-        object.__setattr__(self, "stage", (self.alu, self.mem, self.redirect, self.mode,
-                                           self.load_key))
+        first = regs.index(sources[0]) if sources else 0
+        self.sources_at = slice(first, first + len(sources))
+        if regs[self.sources_at] != sources:
+            raise ValueError(f"{mnemonic}: sources must run in the order {regs}")
+        self.dest_at = regs.index(dest) if dest else 3
+        self.stage = (alu, mem, redirect, mode, load_key)
 
 
-SPECS: Dict[str, InstrSpec] = {spec.mnemonic: spec for spec in (
+SPECS: dict[str, InstrSpec] = {spec.mnemonic: spec for spec in (
     #         mnemonic fmt  opcode funct shape  operands
     InstrSpec("add",   "R", 0x00, 0x20, "rrr", ("rd", "rs", "rt"),
               sources=("rs", "rt"), dest="rd", alu=lambda a, b, i: (a + b) & WORD_MASK),
@@ -164,11 +162,6 @@ class FieldOverflow(IsaError):
         super().__init__(f"field {field} cannot hold {value}")
 
 
-def sign_extend_16(value: int) -> int:
-    value &= 0xFFFF
-    return value - 0x10000 if value & 0x8000 else value
-
-
 def _check(field: str, value: int, lo: int, hi: int) -> int:
     if not lo <= value <= hi:
         raise FieldOverflow(field, value)
@@ -220,7 +213,7 @@ class Instruction:
                 "target={})".format(*self._key()))
 
 
-def spec_of(word: int) -> Optional[InstrSpec]:
+def spec_of(word: int) -> InstrSpec | None:
     """The table row a word encodes, or None for an unlisted (op, funct)."""
     opcode = (word >> 26) & 0x3F
     return _BY_CODE.get((opcode, word & 0x3F)) or _BY_CODE.get((opcode, None))
@@ -231,10 +224,11 @@ def decode(word: int) -> Instruction:
     spec = spec_of(word)
     if spec is None:
         raise UnknownInstruction(word)
-    # every field's bits; the constructor keeps those of the row's format
+    # every field's bits, imm sign-extended; the constructor keeps those of
+    # the row's format
     return Instruction(spec.mnemonic, (word >> 21) & 0x1F, (word >> 16) & 0x1F,
                        (word >> 11) & 0x1F, (word >> 6) & 0x1F,
-                       sign_extend_16(word), word & 0x3FFFFFF)
+                       ((word & 0xFFFF) ^ 0x8000) - 0x8000, word & 0x3FFFFFF)
 
 
 def encode(spec: InstrSpec, rs=0, rt=0, rd=0, shamt=0, imm=0, target=0) -> int:

@@ -7,8 +7,6 @@ i.e. little-endian for byte-level inspection.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 from . import des
 from .des import BLOCK_MASK
 from .isa import WORD_MASK
@@ -25,29 +23,24 @@ class UnalignedAccess(MachineError):
 
 
 class KeyNotLoaded(MachineError):
-    def __init__(self, what: str = "key register incomplete"):
-        super().__init__(what)
+    """A DES access before both key halves are loaded; its text names the access."""
 
 
 class RegisterFile:
     """32 general registers; register 0 is hardwired to zero.
 
-    `values` is the register list itself. The pipeline reads and writes it
-    directly, so a direct write must skip register 0 and keep 32 bits, as
-    write() does.
+    `values` is the register list itself. The pipeline and the reference
+    interpreter write it directly, so each write skips register 0 and keeps
+    32 bits.
     """
 
     def __init__(self):
-        self.values: List[int] = [0] * 32
+        self.values: list[int] = [0] * 32
 
     def read(self, index: int) -> int:
         return self.values[index]
 
-    def write(self, index: int, value: int) -> None:
-        if index != 0:
-            self.values[index] = value & WORD_MASK
-
-    def snapshot(self) -> Tuple[int, ...]:
+    def snapshot(self) -> tuple[int, ...]:
         return tuple(self.values)
 
 
@@ -71,15 +64,6 @@ class KeyRegister:
 
     def set_upper(self, value: int) -> None:
         self.upper, self.upper_loaded = value & WORD_MASK, True
-
-    @property
-    def loaded(self) -> bool:
-        return self.lower_loaded and self.upper_loaded
-
-    def key_value(self) -> int:
-        if not self.loaded:
-            raise KeyNotLoaded()
-        return (self.upper << 32) | self.lower
 
     def encrypt(self, block: int, what: str) -> int:
         """DES encryption of block; KeyNotLoaded(what) before the key is loaded."""
@@ -120,7 +104,7 @@ class Memory:
         if addr + 8 > self.extent:
             self.extent = addr + 8
 
-    def items(self) -> List[Tuple[int, int]]:
+    def items(self) -> list[tuple[int, int]]:
         return sorted(self.blocks.items())
 
 

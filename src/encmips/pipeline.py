@@ -39,8 +39,7 @@ semantics serves as the correctness oracle.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from collections.abc import Callable
 
 from . import des, isa, machine
 
@@ -106,24 +105,39 @@ FLUSH_BUBBLE = Slot(None, None, None, "flush")
 END_BUBBLE = Slot(None, None, None, "end")
 
 
-@dataclass
 class Stats:
-    cycles: int = 0
-    retired: int = 0
-    stalls: int = 0
-    flushes: int = 0
-    crypt_fetches: int = 0
-    encrypted_stores: int = 0
+    """What a run counts; two Stats are equal when all six counts are."""
 
-    def cpi(self) -> Optional[float]:
+    __slots__ = ("cycles", "retired", "stalls", "flushes", "crypt_fetches",
+                 "encrypted_stores")
+
+    def __init__(self, cycles: int = 0, retired: int = 0, stalls: int = 0,
+                 flushes: int = 0, crypt_fetches: int = 0, encrypted_stores: int = 0):
+        self.cycles, self.retired, self.stalls = cycles, retired, stalls
+        self.flushes, self.crypt_fetches, self.encrypted_stores = (
+            flushes, crypt_fetches, encrypted_stores)
+
+    def _counts(self) -> tuple[int, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Stats:
+            return NotImplemented
+        return self._counts() == other._counts()
+
+    def __repr__(self) -> str:
+        return ("Stats(cycles={}, retired={}, stalls={}, flushes={}, crypt_fetches={}, "
+                "encrypted_stores={})".format(*self._counts()))
+
+    def cpi(self) -> float | None:
         return self.cycles / self.retired if self.retired else None
 
 
 class CpuState:
     """All architectural and microarchitectural state of one core."""
 
-    def __init__(self, imem: Optional[machine.Memory] = None,
-                 dmem: Optional[machine.Memory] = None, *,
+    def __init__(self, imem: machine.Memory | None = None,
+                 dmem: machine.Memory | None = None, *,
                  decrypt_loads: bool = False,
                  crypt_fetch: bool = True,
                  record_retired: bool = False):
@@ -147,8 +161,7 @@ class CpuState:
         self.idex_mode = self.exmem_mode = False
         self.exmem_alu = self.memwb_alu = 0
         self.stats = Stats()
-        self.retired_log: Optional[List[Tuple[int, int]]] = \
-            [] if record_retired else None
+        self.retired_log: list[tuple[int, int]] | None = [] if record_retired else None
 
     @property
     def halted(self) -> bool:
@@ -157,7 +170,7 @@ class CpuState:
 
 
 def fetch_word(imem: machine.Memory, pc: int, decrypt: bool,
-               keyreg: machine.KeyRegister) -> Optional[int]:
+               keyreg: machine.KeyRegister) -> int | None:
     """IF-stage read: the 32-bit payload at pc, decrypted by the key register
     when crypt mode routes the fetch through the decryption core. None past
     imem's extent."""
@@ -173,7 +186,7 @@ def fetch_word(imem: machine.Memory, pc: int, decrypt: bool,
 
 def mem_stage(instr: isa.Instruction, addr: int, store_data: int,
               crypt_mode: bool, keyreg: machine.KeyRegister,
-              dmem: machine.Memory, decrypt_loads: bool = False) -> Optional[int]:
+              dmem: machine.Memory, decrypt_loads: bool = False) -> int | None:
     """MEM-stage access. A read tests its alignment itself and returns the
     low 32 bits of the block in dmem.blocks, which the caller passes to the
     row's load_key, else to its dest; a write returns None and stores the
@@ -200,7 +213,7 @@ _decode = functools.lru_cache(maxsize=4096)(isa.decode)
 
 
 def _cycles(state: CpuState, limit: int,
-            trace: Optional[Callable[[str], None]] = None) -> None:
+            trace: Callable[[str], None] | None = None) -> None:
     """Clock the pipeline until it halts or its cycle count reaches limit.
 
     The latches, the values in flight beside them, pc, crypt mode and the
@@ -378,7 +391,7 @@ def step(state: CpuState) -> None:
 
 
 def run(state: CpuState, max_cycles: int = 100_000,
-        trace: Optional[Callable[[str], None]] = None) -> Tuple[CpuState, Stats]:
+        trace: Callable[[str], None] | None = None) -> tuple[CpuState, Stats]:
     """Clock the pipeline, in one call of the cycle loop, until it drains past
     the end of instruction memory; a trace sink gets each cycle's line.
 
@@ -427,17 +440,19 @@ def format_trace_line(cycle: int, before: tuple, after: tuple) -> str:
             f"| events: {' '.join(events)}")
 
 
-@dataclass
 class InterpState:
-    """Final architectural state of a reference interpretation."""
+    """Final architectural state of a reference interpretation. With
+    record_retired, retired_log holds each executed (pc, word) and taken,
+    beside it, whether that instruction redirected the fetch."""
 
-    regs: machine.RegisterFile = field(default_factory=machine.RegisterFile)
-    keyreg: machine.KeyRegister = field(default_factory=machine.KeyRegister)
-    dmem: machine.Memory = field(default_factory=machine.Memory)
-    crypt_mode: bool = False
-    executed: int = 0
-    retired_log: Optional[List[Tuple[int, int]]] = None
-    taken: Optional[List[bool]] = None    # beside retired_log: redirected the fetch?
+    def __init__(self, dmem: machine.Memory, record_retired: bool = False):
+        self.regs = machine.RegisterFile()
+        self.keyreg = machine.KeyRegister()
+        self.dmem = dmem
+        self.crypt_mode = False
+        self.executed = 0
+        self.retired_log: list[tuple[int, int]] | None = [] if record_retired else None
+        self.taken: list[bool] | None = [] if record_retired else None
 
 
 def reference_interpret(imem: machine.Memory, dmem: machine.Memory, *,
@@ -452,9 +467,7 @@ def reference_interpret(imem: machine.Memory, dmem: machine.Memory, *,
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    s = InterpState(dmem=dmem)
-    if record_retired:
-        s.retired_log, s.taken = [], []
+    s = InterpState(dmem, record_retired)
     pc, regs = 0, s.regs.values
     while True:     # not `while cond`, for the reason the cycle loop gives
         if pc >= imem.extent:
@@ -496,8 +509,8 @@ def reference_interpret(imem: machine.Memory, dmem: machine.Memory, *,
         pc = next_pc
 
 
-def architectural_state(state) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...],
-                                        Tuple[bool, bool, int, int], bool]:
+def architectural_state(state) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...],
+                                        tuple[bool, bool, int, int], bool]:
     """Comparable snapshot (registers, dmem, key register, crypt mode) of a
     CpuState or InterpState."""
     kr = state.keyreg

@@ -102,8 +102,8 @@ MUTANTS = [
     Mutant("a slot's next_pc does not wrap", PIPELINE,
            "self.next_pc = (pc + 8) & 0xFFFFFFFF", "self.next_pc = pc + 8"),
     Mutant("a slot's mem copied from the wrong row field", ISA,
-           "(self.alu, self.mem, self.redirect, self.mode,",
-           "(self.alu, self.load_key, self.redirect, self.mode,"),
+           "self.stage = (alu, mem, redirect, mode, load_key)",
+           "self.stage = (alu, load_key, redirect, mode, load_key)"),
     # the crypt paths and the key register
     Mutant("stores never encrypted", PIPELINE,
            "        if crypt_mode:\n            block = keyreg.encrypt(",
@@ -115,7 +115,8 @@ MUTANTS = [
     Mutant("a key half looks its cipher up when loaded, not when used", MACHINE,
            "self.upper, self.upper_loaded = value & WORD_MASK, True",
            "self.upper, self.upper_loaded = value & WORD_MASK, True\n"
-           "        if self.loaded:\n            des.cipher(self.key_value())"),
+           "        if self.lower_loaded and self.upper_loaded:\n"
+           "            des.cipher(self.upper << 32 | self.lower)"),
     Mutant("an unaligned read is not a fault", MACHINE,
            "    def read_block(self, addr: int) -> int:\n"
            "        if addr % 8:",

@@ -207,10 +207,18 @@ def test_assemble_branch_out_of_range():
 
 
 def test_pack_zero_pads_each_word():
-    assert asm.pack([0x00000000]) == [0x0000000000000000]
-    assert asm.pack([0x20010068]) == [0x0000000020010068]
-    blocks = asm.pack(list(range(21)))
-    assert len(blocks) == 21
+    # each word fills the low half of its own block; the high half is zero
+    image = asm.build_image("nop\naddi $r1, $r0, 104\nj 0x3ffffff\n")
+    assert image.blocks == [0x0000000000000000, 0x0000000020010068, 0x000000000BFFFFFF]
+
+
+def test_program_images_never_share_containers():
+    first, second = asm.ProgramImage(), asm.ProgramImage()
+    first.entries.append((0, 1))
+    first.symbols["L"] = 0
+    assert (second.entries, second.symbols, second.crypt_boundary) == ([], {}, None)
+    image = asm.ProgramImage(entries=[(8, 2)])
+    assert (image.entries, image.symbols, image.blocks) == ([(8, 2)], {}, [2])
 
 
 def test_build_image_addresses():

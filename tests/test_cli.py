@@ -1,4 +1,6 @@
 import argparse
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -95,6 +97,25 @@ def test_asm_long_number_is_one_line_error(tmp_path, capsys):
     cap = capsys.readouterr()
     assert cap.out == ""
     assert cap.err == "error: line 2: number too long to read (5000 characters)\n"
+
+
+@pytest.mark.parametrize("name, output", [("p.hex", None), ("p.s", "./p.s"),
+                                          ("p.s", "link.s")],
+                         ids=["default-output", "output-option", "hard-link"])
+def test_asm_never_writes_over_its_source(tmp_path, capsys, monkeypatch, name, output):
+    # the default output is the source with .hex, so a .hex source is its
+    # own output; ./p.s and a hard link name the source by other paths
+    prog = tmp_path / name
+    prog.write_text("nop\n")
+    os.link(prog, tmp_path / "link.s")
+    monkeypatch.chdir(tmp_path)
+    argv = ["asm", str(prog)] + (["-o", output] if output else [])
+    assert cli.main(argv) == 1
+    cap = capsys.readouterr()
+    shown = Path(output) if output else prog
+    assert (cap.out, cap.err) == (
+        "", f"error: output {shown} is the source file; name another with -o\n")
+    assert prog.read_text() == "nop\n"
 
 
 def test_run_worked_example(tmp_path, capsys):
@@ -372,3 +393,13 @@ def test_help_exits_0(capsys, argv):
     if argv[0] == "asm":
         # --key states where encryption ends (docs/isa.md, Encrypted images)
         assert "crypt 0" in " ".join(out.split())
+
+
+def test_cli_import_loads_no_dataclasses_typing_or_inspect():
+    # -S skips the site module, which may load typing itself on some installs
+    code = ("import sys, encmips.cli; "
+            "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                            text=True, check=True,
+                            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert result.stdout == "[]\n"

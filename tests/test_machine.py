@@ -10,42 +10,24 @@ def test_r0_reads_zero():
     assert rf.read(0) == 0
 
 
-def test_register_write_read():
-    rf = machine.RegisterFile()
-    rf.write(1, 104)
-    assert rf.read(1) == 104
-
-
-def test_r0_write_discarded():
-    rf = machine.RegisterFile()
-    rf.write(0, 7)
-    assert rf.read(0) == 0
-    for i in range(1, 32):
-        rf.write(0, i * 1000)
-    assert rf.read(0) == 0
-
-
-def test_register_values_wrap_32_bits():
-    rf = machine.RegisterFile()
-    rf.write(3, 0x1_2345_6789)
-    assert rf.read(3) == 0x23456789
-
-
 def test_key_register_assembles_paper_key():
     kr = machine.KeyRegister()
     kr.set_lower(0x5450414C)
     kr.set_upper(0x4B495241)
-    assert kr.key_value() == 0x4B4952415450414C
+    assert (kr.upper, kr.lower) == (0x4B495241, 0x5450414C)
+    # the key is upper << 32 | lower
+    sched = des.key_schedule(0x4B4952415450414C)
+    assert kr.encrypt(des.pad_word(7), "unused") == des.encrypt_block(des.pad_word(7), sched)
 
 
 def test_key_register_incomplete():
     kr = machine.KeyRegister()
     with pytest.raises(machine.KeyNotLoaded):
-        kr.key_value()
+        kr.encrypt(des.pad_word(7), "unused")
     kr.set_lower(1)
-    assert not kr.loaded
+    assert kr.lower_loaded and not kr.upper_loaded
     with pytest.raises(machine.KeyNotLoaded):
-        kr.key_value()
+        kr.encrypt(des.pad_word(7), "unused")
 
 
 def test_key_register_reload_half():
@@ -53,7 +35,7 @@ def test_key_register_reload_half():
     kr.set_lower(0x11111111)
     kr.set_upper(0x22222222)
     kr.set_lower(0x33333333)
-    assert kr.key_value() == 0x2222222233333333
+    assert (kr.upper, kr.lower) == (0x22222222, 0x33333333)
 
 
 def test_key_register_cipher_waits_for_both_halves(monkeypatch):
@@ -195,7 +177,7 @@ def _dump(capsys, state, regs=None, mem=None):
 
 def test_format_registers(capsys):
     state = pipeline.CpuState()
-    state.regs.write(4, 0xCBA767EE)
+    state.regs.values[4] = 0xCBA767EE
     assert _dump(capsys, state, regs=[4]) == "r4 = 0xcba767ee\n"
 
 

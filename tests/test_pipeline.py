@@ -28,6 +28,25 @@ def assert_accounting(stats):
     assert stats.cycles == stats.retired + stats.stalls + stats.flushes + 4
 
 
+STAT_NAMES = ("cycles", "retired", "stalls", "flushes", "crypt_fetches", "encrypted_stores")
+
+
+def test_stats_start_at_zero_and_build_positionally():
+    assert [getattr(pipeline.Stats(), name) for name in STAT_NAMES] == [0] * 6
+    # the first four counts positionally, the rest zero, as perfbench builds them
+    stats = pipeline.Stats(9, 5, 1, 2)
+    assert [getattr(stats, name) for name in STAT_NAMES] == [9, 5, 1, 2, 0, 0]
+    assert stats.cpi() == 9 / 5 and pipeline.Stats().cpi() is None
+
+
+@pytest.mark.parametrize("name", STAT_NAMES)
+def test_stats_compare_by_every_count(name):
+    counts = dict(zip(STAT_NAMES, range(1, 7)))
+    assert pipeline.Stats(**counts) == pipeline.Stats(1, 2, 3, 4, 5, 6)
+    assert pipeline.Stats(**counts) != pipeline.Stats(**{**counts, name: 0})
+    assert pipeline.Stats(**counts) != tuple(counts.values())
+
+
 def interp_asm(source, dmem=None, **kwargs):
     return pipeline.reference_interpret(
         progen.memory(asm.build_image(source).entries),
@@ -337,7 +356,9 @@ def test_crypt_without_guard_nops_faults():
 def test_key_register_holds_after_load():
     source = KEY_PROLOG + "nop\nnop\ncrypt 1\naddi $r4, $r0, 1\n"
     state, _ = run_asm(source, key_dmem(), encrypt_key=worked.KEY)
-    assert state.keyreg.key_value() == worked.KEY
+    kr = state.keyreg
+    assert kr.lower_loaded and kr.upper_loaded
+    assert kr.upper << 32 | kr.lower == worked.KEY
 
 
 def test_key_half_reload():
@@ -345,7 +366,7 @@ def test_key_half_reload():
     dmem.write_block(0, des.pad_word(0xAAAA5555))
     source = KEY_PROLOG + "lklw 0($r0)\naddi $r9, $r0, 0\n"
     state, _ = run_asm(source, dmem)
-    assert state.keyreg.key_value() == (worked.KEY_HI << 32) | 0xAAAA5555
+    assert (state.keyreg.upper, state.keyreg.lower) == (worked.KEY_HI, 0xAAAA5555)
 
 
 def test_crypt_toggle_off():
@@ -902,7 +923,7 @@ def _step_latches(ifid=pipeline.FILL_BUBBLE, idex=pipeline.FILL_BUBBLE,
     state.exmem_alu, state.memwb_alu = exmem_alu, memwb_alu
     state.pc = pc
     for index, value in regs:
-        state.regs.write(index, value)
+        state.regs.values[index] = value
     pipeline.step(state)
     return state
 
