@@ -12,7 +12,7 @@ pieces of the row's operands joined by commas, with one group per
 instruction field. A line the pattern rejects is matched one operand at a
 time against the same pieces, only to name the first bad operand.
 `assemble` places the labels of the whole file, then resolves label
-targets, range-checks immediates and encodes line by line.
+targets and encodes line by line; `isa.encode` checks every field's width.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import des, isa
 
 
 class AsmError(Exception):
-    """Base for assembler errors; carries the source line when known."""
+    """An assembler or hex-reader error; carries the source line when known."""
 
     def __init__(self, reason: str, line: int | None = None):
         self.line = line
@@ -32,41 +32,12 @@ class AsmError(Exception):
         super().__init__(f"line {line}: {reason}" if line is not None else reason)
 
 
-class AsmSyntaxError(AsmError):
-    pass
-
-
-class UndefinedLabel(AsmError):
-    pass
-
-
-class DuplicateLabel(AsmError):
-    pass
-
-
-class BranchOutOfRange(AsmError):
-    pass
-
-
-class NoCryptInstruction(AsmError):
-    def __init__(self):
-        super().__init__("no crypt instruction turns crypt mode on")
-
-
-class BadHexLine(AsmError):
-    pass
-
-
-class UnalignedAddressDirective(AsmError):
-    pass
-
-
 class Statement:
     """One source line: its label, and the table row it names (None for a
     label-only line) with the value of each field its operands fill. A `t`
     operand's field holds a number or a label name, which assemble resolves;
-    an `m` operand fills imm and rs. Immediates are range-checked by
-    assemble, not here."""
+    an `m` operand fills imm and rs. Field widths are checked when assemble
+    encodes the statement, not here."""
 
     __slots__ = ("label", "mnemonic", "fields", "line")
 
@@ -151,28 +122,27 @@ _MNEMONICS = {name: (spec, _row_reader(spec)) for spec in isa.SPECS.values()
               for name in (spec.mnemonic, *spec.aliases)}
 
 
-def _diagnosis(spec: isa.InstrSpec, operands: str, line: int) -> AsmSyntaxError:
+def _diagnosis(spec: isa.InstrSpec, operands: str, line: int) -> AsmError:
     """The first bad operand of a list the row pattern rejected: each
     operand is matched alone against its piece, with any digit run for a
     register, and its groups are then read left to right."""
     texts = [t.strip() for t in operands.split(",")] if operands else []
     if len(texts) != len(spec.shape):
-        return AsmSyntaxError(
+        return AsmError(
             f"'{spec.mnemonic}' takes {len(spec.shape)} operand(s), got {len(texts)}", line)
     for text, kind in zip(texts, spec.shape):
         piece, converts, what = _PIECES[kind]
         m = re.fullmatch(piece.replace(_REG, r"(\$[rR]?[0-9]+)"), text)
         if m is None:
-            return AsmSyntaxError(f"expected {what}, got '{text}'", line)
+            return AsmError(f"expected {what}, got '{text}'", line)
         for group, convert in zip(m.groups(), converts):
             if group[0] != "$":
                 try:
                     convert(group)
                 except ValueError:  # a number with more digits than int() reads
-                    return AsmSyntaxError(
-                        f"number too long to read ({len(group)} characters)", line)
+                    return AsmError(f"number too long to read ({len(group)} characters)", line)
             elif not re.fullmatch(_REG, group):
-                return AsmSyntaxError(f"no such register '{group}'", line)
+                return AsmError(f"no such register '{group}'", line)
 
 
 def parse(source: str) -> list[Statement]:
@@ -196,12 +166,12 @@ def parse(source: str) -> list[Statement]:
         operands = parts[1] if len(parts) > 1 else ""
         if mnemonic == "nop":
             if operands:
-                raise AsmSyntaxError("nop takes no operands", lineno)
+                raise AsmError("nop takes no operands", lineno)
             statements.append(_nop(label, lineno))
             continue
         row = _MNEMONICS.get(mnemonic)
         if row is None:
-            raise AsmSyntaxError(f"unknown mnemonic '{parts[0]}'", lineno)
+            raise AsmError(f"unknown mnemonic '{parts[0]}'", lineno)
         spec, read = row
         fields = read(operands)
         if fields is None:
@@ -216,15 +186,6 @@ _NOP_FIELDS = {name: getattr(isa.NOP, name) for name in isa.NOP.spec.operands}
 
 def _nop(label: str | None, line: int) -> Statement:
     return Statement(label, isa.NOP.spec.mnemonic, dict(_NOP_FIELDS), line)
-
-
-def _signed_imm(value: int, line: int) -> int:
-    # accept unsigned-style 0x8000..0xFFFF and fold into the signed range
-    if 32768 <= value <= 65535:
-        value -= 65536
-    if not -32768 <= value <= 32767:
-        raise AsmError(f"immediate {value} does not fit 16 bits", line)
-    return value
 
 
 def _ensure_key_load_guards(statements: list[Statement]) -> list[Statement]:
@@ -256,7 +217,7 @@ def assemble(statements: list[Statement],
     for stmt in statements:
         if stmt.label is not None:
             if stmt.label in symbols:
-                raise DuplicateLabel(f"duplicate label '{stmt.label}'", stmt.line)
+                raise AsmError(f"duplicate label '{stmt.label}'", stmt.line)
             symbols[stmt.label] = addr
         if stmt.mnemonic is not None:
             addr += 8
@@ -271,39 +232,38 @@ def assemble(statements: list[Statement],
     return words, symbols
 
 
-def _target(name: str, value: int | str, addr: int,
-            symbols: dict[str, int], line: int) -> int:
-    """A `t` field's value. A label gives a byte address, which becomes a
-    slot displacement from the next instruction when it fills imm (a branch)
-    and a slot index when it fills target (a jump); a number is already the
-    raw field value."""
-    if isinstance(value, str):
-        if value not in symbols:
-            raise UndefinedLabel(f"undefined label '{value}'", line)
-        value = symbols[value]
-        value = (value - (addr + 8)) // 8 if name == "imm" else value // 8
-    if name == "imm" and not -32768 <= value <= 32767:
-        raise BranchOutOfRange(f"branch displacement {value} "
-                               "does not fit 16 bits", line)
-    if name == "target" and not 0 <= value <= 0x3FFFFFF:
-        raise BranchOutOfRange(f"jump target {value} "
-                               "does not fit 26 bits", line)
-    return value
+# what a FieldOverflow from isa.encode reads as, by its field and whether a
+# `t` operand filled it; any other field keeps the exception's own text
+_TOO_WIDE = {("imm", False): "immediate {} does not fit 16 bits",
+             ("imm", True): "branch displacement {} does not fit 16 bits",
+             ("target", True): "jump target {} does not fit 26 bits"}
 
 
 def _encode_statement(stmt: Statement, addr: int, symbols: dict[str, int]) -> int:
-    spec, line, fields = isa.SPECS[stmt.mnemonic], stmt.line, stmt.fields
+    """The statement's word; isa.encode checks the width of every field.
+
+    A `t` operand's label gives a byte address, which becomes a slot
+    displacement from the next instruction when it fills imm (a branch) and
+    a slot index when it fills target (a jump); a number is already the raw
+    field value. Any other imm takes unsigned-style 0x8000..0xFFFF, folded
+    into the signed range."""
+    spec, fields = isa.SPECS[stmt.mnemonic], stmt.fields
     # a copy of the fields only where a label or an immediate is rewritten
     if "t" in spec.shape:
         name = spec.operands[spec.shape.index("t")]
-        fields = {**fields, name: _target(name, fields[name], addr, symbols, line)}
-    elif "imm" in fields and not -32768 <= fields["imm"] <= 32767:
-        fields = {**fields, "imm": _signed_imm(fields["imm"], line)}
-    # isa.encode checks the width of every other field
+        label = fields[name]
+        if isinstance(label, str):
+            if label not in symbols:
+                raise AsmError(f"undefined label '{label}'", stmt.line)
+            at = symbols[label]
+            fields = {**fields, name: (at - (addr + 8)) // 8 if name == "imm" else at // 8}
+    elif "imm" in fields and 32768 <= fields["imm"] <= 65535:
+        fields = {**fields, "imm": fields["imm"] - 65536}
     try:
         return isa.encode(spec, **fields)
     except isa.FieldOverflow as exc:
-        raise AsmError(str(exc), line) from exc
+        text = _TOO_WIDE.get((exc.field, "t" in spec.shape))
+        raise AsmError(text.format(exc.value) if text else str(exc), stmt.line) from exc
 
 
 def build_image(source: str, auto_nop: bool = False) -> ProgramImage:
@@ -339,7 +299,7 @@ def encrypt_image(image: ProgramImage, key: int) -> ProgramImage:
                 if on and boundary is None:
                     boundary = i + 1
     if boundary is None:
-        raise NoCryptInstruction()
+        raise AsmError("no crypt instruction turns crypt mode on")
     return ProgramImage(entries=entries, symbols=dict(image.symbols),
                         crypt_boundary=boundary)
 
@@ -371,17 +331,16 @@ def read_hex(text: str) -> ProgramImage:
             continue
         if line.startswith("@"):
             if not _HEX_ADDR_RE.match(line[1:]):
-                raise BadHexLine(f"bad address directive '{line}'", lineno)
+                raise AsmError(f"bad address directive '{line}'", lineno)
             addr = int(line[1:], 16)
             if addr % 8 != 0:
-                raise UnalignedAddressDirective(
-                    f"address directive '{line}' not 8-aligned", lineno)
+                raise AsmError(f"address directive '{line}' not 8-aligned", lineno)
             continue
         if not HEX16_RE.fullmatch(line):
-            raise BadHexLine(f"expected 16 hex digits, got '{line}'", lineno)
+            raise AsmError(f"expected 16 hex digits, got '{line}'", lineno)
         if addr > 0xFFFFFFF8:
-            raise BadHexLine(f"block address {addr:#x} is past the 32-bit "
-                             "address space", lineno)
+            raise AsmError(f"block address {addr:#x} is past the 32-bit "
+                           "address space", lineno)
         entries.append((addr, int(line, 16)))
         addr += 8
     return ProgramImage(entries=entries)

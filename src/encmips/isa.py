@@ -140,11 +140,7 @@ SPECS: dict[str, InstrSpec] = {spec.mnemonic: spec for spec in (
 _BY_CODE = {(spec.opcode, spec.funct): spec for spec in SPECS.values()}
 
 
-class IsaError(Exception):
-    pass
-
-
-class UnknownInstruction(IsaError):
+class UnknownInstruction(Exception):
     """Raised when a word's (opcode, funct) pair is not in the opcode table."""
 
     def __init__(self, word: int):
@@ -153,7 +149,7 @@ class UnknownInstruction(IsaError):
                          f"(opcode 0x{self.word >> 26:02x}, funct 0x{self.word & 0x3F:02x})")
 
 
-class FieldOverflow(IsaError):
+class FieldOverflow(Exception):
     """Raised when an instruction field value exceeds its bit width."""
 
     def __init__(self, field: str, value: int):

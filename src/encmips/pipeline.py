@@ -134,7 +134,8 @@ class Stats:
 
 
 class CpuState:
-    """All architectural and microarchitectural state of one core."""
+    """All architectural and microarchitectural state of one core. imem and
+    dmem are two distinct memories: a store never writes imem."""
 
     def __init__(self, imem: machine.Memory | None = None,
                  dmem: machine.Memory | None = None, *,
@@ -143,6 +144,8 @@ class CpuState:
                  record_retired: bool = False):
         self.imem = imem if imem is not None else machine.Memory()
         self.dmem = dmem if dmem is not None else machine.Memory()
+        if self.imem is self.dmem:
+            raise ValueError("imem and dmem must be two distinct memories")
         self.regs = machine.RegisterFile()
         self.keyreg = machine.KeyRegister()
         self.pc = 0

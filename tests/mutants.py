@@ -117,6 +117,8 @@ MUTANTS = [
            "self.upper, self.upper_loaded = value & WORD_MASK, True\n"
            "        if self.lower_loaded and self.upper_loaded:\n"
            "            des.cipher(self.upper << 32 | self.lower)"),
+    Mutant("one memory serves as imem and dmem", PIPELINE,
+           "if self.imem is self.dmem:", "if False:"),
     Mutant("an unaligned read is not a fault", MACHINE,
            "    def read_block(self, addr: int) -> int:\n"
            "        if addr % 8:",
@@ -161,6 +163,8 @@ MUTANTS = [
            '        for name, value in (("rs", rs), ("rt", rt), ("rd", rd), ("shamt", shamt)):\n'
            '            _check(name, value, 0, 31)\n'
            '        _check("imm", imm, -32768, 32767)\n'),
+    Mutant("a branch overflow reads as an immediate's", ASM,
+           '_TOO_WIDE.get((exc.field, "t" in spec.shape))', "_TOO_WIDE.get((exc.field, False))"),
     Mutant("the crypt-row opcodes taken from the branch rows", ASM,
            "                          if spec.mode is not None)",
            "                          if spec.redirect is not None)"),
@@ -186,8 +190,8 @@ MUTANTS = [
            "                try:\n"
            "                    convert(group)\n"
            "                except ValueError:  # a number with more digits than int() reads\n"
-           "                    return AsmSyntaxError(\n"
-           '                        f"number too long to read ({len(group)} characters)", line)\n',
+           '                    return AsmError(f"number too long to read ({len(group)} characters)", '
+           'line)\n',
            "                convert(group)\n"),
 ]
 

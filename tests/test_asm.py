@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import random
@@ -8,6 +9,15 @@ import pytest
 
 import worked
 from encmips import asm, des, isa
+
+
+@contextlib.contextmanager
+def asm_error(line, reason):
+    """Expect an AsmError with exactly this line (None for none) and text."""
+    with pytest.raises(asm.AsmError) as exc:
+        yield
+    assert (exc.value.line, exc.value.reason) == (line, reason)
+    assert str(exc.value) == (reason if line is None else f"line {line}: {reason}")
 
 
 def test_parse_nop_canonicalizes():
@@ -49,112 +59,110 @@ def test_parse_hex_immediate():
 
 
 def test_parse_errors_carry_line_numbers():
-    with pytest.raises(asm.AsmSyntaxError) as exc:
+    with asm_error(2, "unknown mnemonic 'frobnicate'"):
         asm.parse("nop\nfrobnicate $r1")
-    assert exc.value.line == 2
-    with pytest.raises(asm.AsmSyntaxError):
-        asm.parse("add $r1, $r2")  # wrong operand count
-    with pytest.raises(asm.AsmSyntaxError):
-        asm.parse("add $r1, $r2, 17")  # wrong operand kind
-    with pytest.raises(asm.AsmSyntaxError):
-        asm.parse("lw $r1, 0($r32)")  # no such register
+    with asm_error(1, "'add' takes 3 operand(s), got 2"):
+        asm.parse("add $r1, $r2")
+    with asm_error(1, "expected register, got '17'"):
+        asm.parse("add $r1, $r2, 17")
+    with asm_error(1, "no such register '$r32'"):
+        asm.parse("lw $r1, 0($r32)")
 
 
 @pytest.mark.parametrize("source, expected", [
-    ("add $r1, $r2", (asm.AsmSyntaxError, 1, "'add' takes 3 operand(s), got 2")),
-    ("addi $r1, $r0, L", (asm.AsmSyntaxError, 1, "expected number, got 'L'")),
-    ("beq $r1, $r2, $r3",
-     (asm.AsmSyntaxError, 1, "expected label or number, got '$r3'")),
-    ("beq $r0, $r0, 40000",
-     (asm.BranchOutOfRange, 1, "branch displacement 40000 does not fit 16 bits")),
-    ("j 67108864",
-     (asm.BranchOutOfRange, 1, "jump target 67108864 does not fit 26 bits")),
-    ("j -1", (asm.BranchOutOfRange, 1, "jump target -1 does not fit 26 bits")),
-    ("sll $r1, $r2, 32", (asm.AsmError, 1, "field shamt cannot hold 32")),
-    ("crypt 67108864", (asm.AsmError, 1, "field target cannot hold 67108864")),
-    ("j Nowhere", (asm.UndefinedLabel, 1, "undefined label 'Nowhere'")),
+    ("add $r1, $r2", (1, "'add' takes 3 operand(s), got 2")),
+    ("addi $r1, $r0, L", (1, "expected number, got 'L'")),
+    ("beq $r1, $r2, $r3", (1, "expected label or number, got '$r3'")),
+    ("beq $r0, $r0, 40000", (1, "branch displacement 40000 does not fit 16 bits")),
+    ("j 67108864", (1, "jump target 67108864 does not fit 26 bits")),
+    ("j -1", (1, "jump target -1 does not fit 26 bits")),
+    ("sll $r1, $r2, 32", (1, "field shamt cannot hold 32")),
+    ("crypt 67108864", (1, "field target cannot hold 67108864")),
+    ("j Nowhere", (1, "undefined label 'Nowhere'")),
     # the whole file parses before any label or range is checked
-    ("addi $r1, $r0, 99999\nadd $r1, $r2\n",
-     (asm.AsmSyntaxError, 2, "'add' takes 3 operand(s), got 2")),
-    ("addi $r1, $r0, 99999\nL: nop\nL: nop\n",
-     (asm.DuplicateLabel, 3, "duplicate label 'L'")),
+    ("addi $r1, $r0, 99999\nadd $r1, $r2\n", (2, "'add' takes 3 operand(s), got 2")),
+    ("addi $r1, $r0, 99999\nL: nop\nL: nop\n", (3, "duplicate label 'L'")),
     # 0x8000..0xFFFF fold into the signed range (docs/isa.md)
     ("lw $r1, 40000($r2)", [0x8C419C40]),
     ("addi $r1, $r0, 0xFFFF", [0x2001FFFF]),
     # errors no case above reaches
-    ("lw $r1, $r2", (asm.AsmSyntaxError, 1, "expected offset($reg), got '$r2'")),
-    ("nop $r1", (asm.AsmSyntaxError, 1, "nop takes no operands")),
-    ("addi $r1, $r0, 99999", (asm.AsmError, 1, "immediate 99999 does not fit 16 bits")),
+    ("lw $r1, $r2", (1, "expected offset($reg), got '$r2'")),
+    ("nop $r1", (1, "nop takes no operands")),
+    ("addi $r1, $r0, 99999", (1, "immediate 99999 does not fit 16 bits")),
     # numbers and register indices are ASCII digits, and a decimal number
     # has no leading zero, which int(text, 0) rejects
-    ("addi $r\u0664, $r0, 5", (asm.AsmSyntaxError, 1, "expected register, got '$r\u0664'")),
-    ("j \u0661", (asm.AsmSyntaxError, 1, "expected label or number, got '\u0661'")),
-    ("lw $r1, \u0668($r0)",
-     (asm.AsmSyntaxError, 1, "expected offset($reg), got '\u0668($r0)'")),
-    ("nop\naddi $r1, $r0, 010", (asm.AsmSyntaxError, 2, "expected number, got '010'")),
-    ("lw $r1, 08($r0)", (asm.AsmSyntaxError, 1, "expected offset($reg), got '08($r0)'")),
-    ("beq $r0, $r0, 07", (asm.AsmSyntaxError, 1, "expected label or number, got '07'")),
+    ("addi $r\u0664, $r0, 5", (1, "expected register, got '$r\u0664'")),
+    ("j \u0661", (1, "expected label or number, got '\u0661'")),
+    ("lw $r1, \u0668($r0)", (1, "expected offset($reg), got '\u0668($r0)'")),
+    ("nop\naddi $r1, $r0, 010", (2, "expected number, got '010'")),
+    ("lw $r1, 08($r0)", (1, "expected offset($reg), got '08($r0)'")),
+    ("beq $r0, $r0, 07", (1, "expected label or number, got '07'")),
     ("j 00", [0x08000000]),
     ("addi $r01, $r0, 1", [0x20010001]),
     # a decimal literal longer than int() reads (4300 digits by default) is
     # a diagnostic; hex has no such limit, and a register's leading zeros
     # are dropped before it is read
     pytest.param("nop\naddi $r1, $r0, " + "9" * 5000,
-                 (asm.AsmSyntaxError, 2, "number too long to read (5000 characters)"),
+                 (2, "number too long to read (5000 characters)"),
                  id="long-immediate"),
     pytest.param("lw $r1, -" + "9" * 5000 + "($r0)",
-                 (asm.AsmSyntaxError, 1, "number too long to read (5001 characters)"),
+                 (1, "number too long to read (5001 characters)"),
                  id="long-offset"),
     pytest.param("j " + "1" * 5000,
-                 (asm.AsmSyntaxError, 1, "number too long to read (5000 characters)"),
+                 (1, "number too long to read (5000 characters)"),
                  id="long-jump-target"),
     pytest.param("crypt " + "0" * 5000,
-                 (asm.AsmSyntaxError, 1, "number too long to read (5000 characters)"),
+                 (1, "number too long to read (5000 characters)"),
                  id="long-crypt-zero"),
     pytest.param("add $r1, $r" + "9" * 5000 + ", $r0",
-                 (asm.AsmSyntaxError, 1, "no such register '$r" + "9" * 5000 + "'"),
+                 (1, "no such register '$r" + "9" * 5000 + "'"),
                  id="long-register"),
     pytest.param("sw $r1, 8($r" + "9" * 5000 + ")",
-                 (asm.AsmSyntaxError, 1, "no such register '$r" + "9" * 5000 + "'"),
+                 (1, "no such register '$r" + "9" * 5000 + "'"),
                  id="long-base-register"),
     pytest.param("lw $r" + "0" * 5000 + "1, 0x" + "0" * 5000 + "8($" + "0" * 5000 + "2)",
                  [0x8C410008], id="long-leading-zeros"),
     # a mnemonic is folded to lower case only when it is ASCII, so KELVIN
     # SIGN, which str.lower() folds to k, names no instruction
     pytest.param("nop\nl\u212alw 0($r1)",
-                 (asm.AsmSyntaxError, 2, "unknown mnemonic 'l\u212alw'"),
+                 (2, "unknown mnemonic 'l\u212alw'"),
                  id="non-ascii-mnemonic"),
     pytest.param("LKLW 0($r1)\nAdd $r1, $r2, $r3", [0x68200000, 0x00430820],
                  id="ascii-mnemonic-any-case"),
     # isa.encode's FieldOverflow names the statement's own line
-    pytest.param("nop\nsll $r1, $r2, 32", (asm.AsmError, 2, "field shamt cannot hold 32"),
+    pytest.param("nop\nsll $r1, $r2, 32", (2, "field shamt cannot hold 32"),
                  id="shamt-overflow-on-line-2"),
     pytest.param("nop\nL: nop\n\ncrypt 67108864",
-                 (asm.AsmError, 4, "field target cannot hold 67108864"),
+                 (4, "field target cannot hold 67108864"),
                  id="crypt-target-overflow-on-line-4"),
     # a rejected operand list names its first bad operand, and an operand's
     # groups are read left to right: the offset before its base register
-    pytest.param("lw $r1, 0($r32)", (asm.AsmSyntaxError, 1, "no such register '$r32'"),
+    pytest.param("lw $r1, 0($r32)", (1, "no such register '$r32'"),
                  id="base-register-32"),
-    pytest.param("add $r1,,$r2", (asm.AsmSyntaxError, 1, "expected register, got ''"),
+    pytest.param("add $r1,,$r2", (1, "expected register, got ''"),
                  id="empty-operand"),
     pytest.param("add $r1, $r2, $r3,",
-                 (asm.AsmSyntaxError, 1, "'add' takes 3 operand(s), got 4"),
+                 (1, "'add' takes 3 operand(s), got 4"),
                  id="trailing-comma"),
     pytest.param("lw $r1, " + "9" * 5000 + "($r99)",
-                 (asm.AsmSyntaxError, 1, "number too long to read (5000 characters)"),
+                 (1, "number too long to read (5000 characters)"),
                  id="long-offset-before-bad-base"),
+    # a raw branch displacement is signed, not folded like other imm
+    # operands: a label's displacement must never wrap
+    pytest.param("beq $r1, $r2, 0xFFFF", (1, "branch displacement 65535 does not fit 16 bits"),
+                 id="raw-branch-not-folded"),
+    # one 26-bit field, and its text by whether a label or number fills it
+    pytest.param("j 0x4000000", (1, "jump target 67108864 does not fit 26 bits"),
+                 id="jump-target-26-bits"),
+    pytest.param("crypt 0x4000000", (1, "field target cannot hold 67108864"),
+                 id="crypt-flag-26-bits"),
 ])
 def test_assembler_diagnostics(source, expected):
     if isinstance(expected, list):
         assert asm.assemble(asm.parse(source))[0] == expected
         return
-    cls, line, reason = expected
-    with pytest.raises(asm.AsmError) as exc:
+    with asm_error(*expected):
         asm.assemble(asm.parse(source))
-    assert type(exc.value) is cls
-    assert exc.value.line == line
-    assert str(exc.value) == f"line {line}: {reason}"
 
 
 def test_assemble_worked_example_layout():
@@ -191,19 +199,23 @@ def test_label_only_line_attaches_to_next_word():
 
 
 def test_assemble_undefined_label():
-    with pytest.raises(asm.UndefinedLabel):
-        asm.assemble(asm.parse("j Nowhere"))
+    with asm_error(2, "undefined label 'Nowhere'"):
+        asm.assemble(asm.parse("nop\nj Nowhere"))
 
 
 def test_assemble_duplicate_label():
-    with pytest.raises(asm.DuplicateLabel):
+    with asm_error(2, "duplicate label 'L'"):
         asm.assemble(asm.parse("L: nop\nL: nop"))
 
 
 def test_assemble_branch_out_of_range():
-    stmts = asm.parse("beq $r0, $r0, 40000")
-    with pytest.raises(asm.BranchOutOfRange):
-        asm.assemble(stmts)
+    with asm_error(1, "branch displacement 40000 does not fit 16 bits"):
+        asm.assemble(asm.parse("beq $r0, $r0, 40000"))
+    # a label 32769 slots ahead is one past the widest forward displacement
+    source = "beq $r0, $r0, Far\n" + "nop\n" * 32768 + "Far: nop"
+    with asm_error(1, "branch displacement 32768 does not fit 16 bits"):
+        asm.assemble(asm.parse(source))
+    assert asm.assemble(asm.parse(source.replace("nop\n", "", 1)))[0][0] == 0x10007FFF
 
 
 def test_pack_zero_pads_each_word():
@@ -248,10 +260,10 @@ def test_encrypt_image_no_tail():
 
 
 def test_encrypt_image_requires_crypt_that_turns_mode_on():
-    with pytest.raises(asm.NoCryptInstruction):
+    with asm_error(None, "no crypt instruction turns crypt mode on"):
         asm.encrypt_image(asm.build_image("nop"), worked.KEY)
     # a crypt 0 alone leaves crypt mode off, so no block is fetched decrypted
-    with pytest.raises(asm.NoCryptInstruction):
+    with asm_error(None, "no crypt instruction turns crypt mode on"):
         asm.encrypt_image(asm.build_image("nop\ncrypt 0\naddi $r1, $r0, 5"),
                           worked.KEY)
 
@@ -296,23 +308,19 @@ def test_read_hex_single_zero_block():
 
 
 def test_read_hex_errors():
-    with pytest.raises(asm.BadHexLine) as exc:
+    with asm_error(1, "expected 16 hex digits, got '00'"):
         asm.read_hex("00\n")
-    assert exc.value.line == 1
-    with pytest.raises(asm.UnalignedAddressDirective):
+    with asm_error(1, "address directive '@6b' not 8-aligned"):
         asm.read_hex("@6b\n0000000000000000\n")
     for directive in ("@zz", "@-8", "@+10", "@ 1_0", "@0x10", "@"):
-        with pytest.raises(asm.BadHexLine) as exc:
+        with asm_error(2, f"bad address directive '{directive}'"):
             asm.read_hex(f"0000000000000000\n{directive}\n0000000000000000\n")
-        assert exc.value.line == 2
     # a block at 0xfffffff8 is the last one 32-bit addresses reach
     assert asm.read_hex("@fffffff8\n0000000000000000\n").entries == [(0xFFFFFFF8, 0)]
     for text, line in (("@fffffff8\n0000000000000000\n000000002005004d\n", 3),
                        ("@100000000\n0000000000000000\n", 2)):
-        with pytest.raises(asm.BadHexLine) as exc:
+        with asm_error(line, "block address 0x100000000 is past the 32-bit address space"):
             asm.read_hex(text)
-        assert exc.value.line == line
-        assert "past the 32-bit address space" in str(exc.value)
 
 
 def test_write_hex_emits_gap_directive():
@@ -468,7 +476,7 @@ def _outcome_digests(count):
         got = asm._MNEMONICS[spec.mnemonic][1](operands)
         try:
             (stmt,) = asm.parse(f"{spec.mnemonic} {operands}")
-        except asm.AsmSyntaxError as exc:
+        except asm.AsmError as exc:
             outcome = str(exc)
             assert got is None, (spec.mnemonic, operands[:80])
         else:

@@ -28,6 +28,22 @@ def encode_instruction(instr):
                       instr.imm, instr.target)
 
 
+def test_instruction_repr_and_compare():
+    addi = isa.decode(0x20010068)
+    assert repr(addi) == "Instruction('addi', rs=0, rt=1, rd=0, shamt=0, imm=104, target=0)"
+    # an Instruction compares equal only to an Instruction of the same fields
+    assert addi.__eq__(0x20010068) is NotImplemented
+    assert addi != 0x20010068 and addi != addi._key()
+
+
+def test_spec_sources_must_run_in_register_order():
+    order = re.escape("x: sources must run in the order ('rs', 'rt', 'rd')")
+    with pytest.raises(ValueError, match=f"^{order}$"):
+        isa.InstrSpec("x", "R", 0x00, 0x3F, "rrr", ("rd", "rs", "rt"), sources=("rt", "rs"))
+    spec = isa.InstrSpec("x", "R", 0x00, 0x3F, "rrr", ("rd", "rs", "rt"), sources=("rt", "rd"))
+    assert spec.sources_at == slice(1, 3)
+
+
 def test_encode_nop():
     assert isa.encode(isa.SPECS["sll"]) == 0x00000000
 

@@ -47,6 +47,21 @@ def test_stats_compare_by_every_count(name):
     assert pipeline.Stats(**counts) != tuple(counts.values())
 
 
+def test_stats_repr_names_every_count():
+    assert repr(pipeline.Stats(1, 2, 3, 4, 5, 6)) == (
+        "Stats(cycles=1, retired=2, stalls=3, flushes=4, crypt_fetches=5, encrypted_stores=6)")
+
+
+def test_cpu_state_needs_two_memories():
+    # a store into one shared memory could rewrite a pc the fetch cache
+    # already holds, and run and a loop of step would then disagree
+    mem = machine.Memory()
+    with pytest.raises(ValueError, match="^imem and dmem must be two distinct memories$"):
+        pipeline.CpuState(mem, mem)
+    state = pipeline.CpuState(mem)
+    assert state.imem is mem and state.dmem is not mem
+
+
 def interp_asm(source, dmem=None, **kwargs):
     return pipeline.reference_interpret(
         progen.memory(asm.build_image(source).entries),
