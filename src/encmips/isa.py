@@ -70,8 +70,9 @@ class InstrSpec:
     instruction `i`; sources_at and dest_at, where the constructor's
     (rs, rt, rd, None) holds the sources' register numbers (a slice) and
     the dest's (an index, 3 for none); and stage, what the pipeline's later
-    stages read, copied onto a slot at IF. Nothing writes a row after it is
-    built.
+    stages read, copied onto a slot at IF: alu, mem, redirect, mode,
+    load_key, and rare, True for a row with redirect or mode, else None.
+    Nothing writes a row after it is built.
     """
 
     def __init__(self, mnemonic: str, fmt: str, opcode: int, funct: int | None,
@@ -96,7 +97,7 @@ class InstrSpec:
         if regs[self.sources_at] != sources:
             raise ValueError(f"{mnemonic}: sources must run in the order {regs}")
         self.dest_at = regs.index(dest) if dest else 3
-        self.stage = (alu, mem, redirect, mode, load_key)
+        self.stage = (alu, mem, redirect, mode, load_key, True if redirect or mode else None)
 
 
 SPECS: dict[str, InstrSpec] = {spec.mnemonic: spec for spec in (

@@ -16,13 +16,13 @@ later stage reads of the instruction and its table row, and nothing
 writes them after; the values a stage computes in flight (the crypt mode
 MEM uses, the result WB writes) shift in locals beside the latches. An
 empty latch holds one of four shared bubbles: Slots with no instruction,
-whose kind says why they exist (fill, stall, flush, end of program). A
-stall or flush is charged to the statistics when its bubble drains past
-WB, and the run halts when the end-of-program bubble reaches the WB
-latch. Under that accounting
-    cycles == retired + stalls + flushes + 4
-holds exactly for every halting run, even when a squashed slot falls
-inside the final drain.
+whose kind says why they exist (fill, stall, flush, end of program). WB
+counts only the bubbles that drain past it: stalls, flushes and the four
+fills. The run halts when the end-of-program bubble reaches the WB latch.
+Each cycle's WB sees one slot, so retired is derived from
+    cycles == retired + stalls + flushes + min(cycles, 4)
+which holds at every stop of a run from reset; a halting run has drained
+all four fills, even when a squashed slot falls inside the final drain.
 
 One loop, _cycles(), clocks the pipeline for run() and step(), with the
 latches, the values beside them, pc, crypt mode and the statistics in
@@ -73,15 +73,16 @@ class Slot:
     pc, word and instr say what IF fetched. The rest is what the later
     stages read, copied at IF: rs, rt, sources and dest (the register WB
     writes, None for none or $r0) from the instruction, alu, mem, redirect,
-    mode and load_key from its row, and next_pc, the pc fetched after it.
-    kind is None for an instruction. A bubble has no instruction and a kind
-    that names it (fill, stall, flush, end); a word no row decodes has kind
-    "unknown" and, as instr, the isa.UnknownInstruction that ID raises as a
-    Fault in its own cycle. Their stage fields are inert: None, () and 0.
+    mode, load_key and rare from its row, and next_pc, the pc fetched after
+    it. kind is None for an instruction. A bubble has no instruction and a
+    kind that names it (fill, stall, flush, end); a word no row decodes has
+    kind "unknown" and, as instr, the isa.UnknownInstruction that ID raises
+    as a Fault in its own cycle. Their stage fields are inert (None, (), 0),
+    but the unknown word's rare is True, which sends it to ID's fault.
     """
 
     __slots__ = ("pc", "word", "instr", "kind", "rs", "rt", "sources", "dest",
-                 "alu", "mem", "redirect", "mode", "load_key", "next_pc")
+                 "alu", "mem", "redirect", "mode", "load_key", "rare", "next_pc")
 
     def __init__(self, pc, word, instr, kind=None):
         # at most three names an assignment, so none builds a tuple first
@@ -90,12 +91,14 @@ class Slot:
         if kind is None:
             self.rs, self.rt = instr.rs, instr.rt
             self.sources, self.dest = instr.sources, instr.dest
-            self.alu, self.mem, self.redirect, self.mode, self.load_key = instr.spec.stage
+            self.alu, self.mem, self.redirect, self.mode, self.load_key, self.rare = \
+                instr.spec.stage
             self.next_pc = (pc + 8) & 0xFFFFFFFF    # wraps like every pc
         else:
             self.rs = self.rt = self.next_pc = 0
             self.sources = ()
             self.dest = self.alu = self.mem = self.redirect = self.mode = self.load_key = None
+            self.rare = None if instr is None else True     # an unknown word faults in ID
 
 
 # The pipeline uses only these four bubbles; nothing forwards from them.
@@ -237,9 +240,13 @@ def _cycles(state: CpuState, limit: int,
     and EXMEM's None (no dest) never takes the generic compare. The load-use
     and branch stalls keep a read's consumers out of both while it is in MEM.
 
-    Each stage tests one field of its latch: WB instr, MEM mem, EX alu, and
-    ID redirect, then mode; its stalls read IDEX's or EXMEM's mem before
-    sources. ID faults on an unknown word, the one slot with kind and instr.
+    Each stage tests one field of its latch: WB instr, MEM mem, EX alu and
+    ID rare, None where ID tests only for a load-use stall; its rare arm
+    faults on an unknown word, else resolves a branch or jump, else crypt.
+    The stalls read IDEX's or EXMEM's mem before sources. ID hands IF a
+    stall or a redirect in handoff, None at the top of every cycle, which
+    IF, the one writer of pc and ifid, resets where it acts on it; load_key
+    is reset where its key half commits, and EX stores 0 only with no alu.
 
     IF reads a dict local to this call first, which maps a pc to the Slot
     IF made of it; a hit is that slot itself, and pc moves on to its
@@ -255,7 +262,8 @@ def _cycles(state: CpuState, limit: int,
     idex_mode, exmem_mode = state.idex_mode, state.exmem_mode
     exmem_alu, memwb_alu = state.exmem_alu, state.memwb_alu
     pc, crypt_mode, st = state.pc, state.crypt_mode, state.stats
-    cycles, retired, stalls, flushes = st.cycles, st.retired, st.stalls, st.flushes
+    cycles, stalls, flushes = st.cycles, st.stalls, st.flushes
+    fills = cycles - st.retired - stalls - flushes      # fill bubbles drained so far
     crypt_fetches, encrypted_stores = st.crypt_fetches, st.encrypted_stores
     regs, keyreg, imem, dmem = state.regs.values, state.keyreg, state.imem, state.dmem
     crypt_fetch, decrypt_loads, retired_log = \
@@ -263,6 +271,7 @@ def _cycles(state: CpuState, limit: int,
     stall_bubble, flush_bubble, end_bubble = STALL_BUBBLE, FLUSH_BUBBLE, END_BUBBLE
     decrypting = crypt_mode and crypt_fetch     # does IF fetch through the decryptor?
     fetched = {}    # pc -> the Slot IF made of it: IF's cache, see above
+    load_key = handoff = None
     if trace is not None:
         after = (pc, ifid, idex, exmem, memwb, crypt_mode, crypt_fetches, encrypted_stores)
     try:
@@ -274,7 +283,6 @@ def _cycles(state: CpuState, limit: int,
             if memwb.instr is not None:
                 if memwb.dest is not None:
                     regs[memwb.dest] = memwb_alu
-                retired += 1
                 if retired_log is not None:
                     retired_log.append((memwb.pc, memwb.word))
             elif memwb is stall_bubble:
@@ -284,9 +292,11 @@ def _cycles(state: CpuState, limit: int,
             elif memwb is end_bubble:
                 cycles -= 1     # halted before this cycle, which never ran
                 break
+            else:               # a fill bubble, in one of the first 4 cycles
+                fills += 1
 
             # MEM: a key half commits at the cycle's end, after IF used the old key
-            load_key, mem_out = None, exmem_alu
+            mem_out = exmem_alu
             if exmem.mem is not None:
                 # a store's data: every older instruction has written back
                 try:
@@ -303,46 +313,44 @@ def _cycles(state: CpuState, limit: int,
 
             # EX: an operand is EXMEM's result when EXMEM writes its register,
             # else the register file; the row ignores an operand it does not read.
-            ex_out = 0
             alu = idex.alu
             if alu is not None:
                 a = exmem_alu if exmem.dest is idex.rs else regs[idex.rs]
                 b = exmem_alu if exmem.dest is idex.rt else regs[idex.rt]
                 ex_out = alu(a, b, idex.instr)
+            else:
+                ex_out = 0
 
-            # ID: fault on an unknown word, hazards, branch resolution and the
+            # ID: hazards, then a rare slot's fault, branch resolution or
             # crypt-mode switch. Only the branch compare reads registers here.
-            stall, redirect, next_idex = False, None, ifid
-            if ifid.kind is not None and ifid.instr is not None:   # an unknown word
-                raise Fault(ifid.instr, ifid.pc, cycles) from ifid.instr
-            resolve = ifid.redirect
-            if resolve is None:
+            if ifid.rare is None:
                 # load-use: a load (a memory row with a dest) in EX whose dest this reads
                 if idex.mem is not None and idex.dest in ifid.sources:
-                    stall, next_idex = True, stall_bubble
-                elif ifid.mode is not None and ifid.mode(ifid.instr) != crypt_mode:
-                    crypt_mode = not crypt_mode
-                    decrypting = crypt_mode and crypt_fetch
-                    fetched.clear()     # before IF reads it, this cycle
-                    if crypt_fetch:     # refetch what IF reads on the old path
-                        redirect = pc
-            else:
+                    handoff = stall_bubble
+            elif ifid.kind is not None:     # an unknown word
+                raise Fault(ifid.instr, ifid.pc, cycles) from ifid.instr
+            elif ifid.redirect is not None:
                 # a branch waits for any producer in EX (the compare forwards from
                 # EXMEM only) and for a load in MEM (its data is in the registers
                 # a cycle on); the compare reads its operands as EX does
                 sources = ifid.sources
                 if idex.dest in sources or exmem.mem is not None and exmem.dest in sources:
-                    stall, next_idex = True, stall_bubble
+                    handoff = stall_bubble
                 else:
                     a = exmem_alu if exmem.dest is ifid.rs else regs[ifid.rs]
                     b = exmem_alu if exmem.dest is ifid.rt else regs[ifid.rt]
-                    redirect = resolve(ifid.pc, a, b, ifid.instr)
+                    handoff = ifid.redirect(ifid.pc, a, b, ifid.instr)
+            elif ifid.mode(ifid.instr) != crypt_mode:
+                crypt_mode = not crypt_mode
+                decrypting = crypt_mode and crypt_fetch
+                fetched.clear()     # before IF reads it, this cycle
+                if crypt_fetch:     # refetch what IF reads on the old path
+                    handoff = pc
 
-            # IF, unless stalled: the cached slot of pc, else a new one; a word
-            # that decodes to no row rides to ID, which faults.
-            if redirect is not None:
-                ifid, pc = flush_bubble, redirect
-            elif not stall:
+            # IF, unless ID handed it a stall or a redirect: the cached slot of
+            # pc, else a new one; a word that decodes to no row rides to ID.
+            if handoff is None:
+                next_idex = ifid
                 slot = fetched.get(pc)
                 if slot is not None:
                     ifid, pc = slot, slot.next_pc
@@ -365,6 +373,10 @@ def _cycles(state: CpuState, limit: int,
                         if decrypting:
                             crypt_fetches += 1
                         pc = (pc + 8) & 0xFFFFFFFF      # wraps like every pc
+            elif handoff is stall_bubble:      # IFID holds
+                next_idex, handoff = stall_bubble, None
+            else:                               # a redirect squashes the fetch
+                next_idex, ifid, pc, handoff = ifid, flush_bubble, handoff, None
 
             # each latch shifts with the values beside it (these assignments
             # build no tuple); nothing reads a bubble's mode or result
@@ -373,6 +385,7 @@ def _cycles(state: CpuState, limit: int,
             idex, idex_mode = next_idex, crypt_mode
             if load_key is not None:
                 load_key(keyreg, key_word)
+                load_key = None
                 fetched.clear()     # after IF used the old key, this cycle
             if trace is not None:
                 before, after = after, (pc, ifid, idex, exmem, memwb, crypt_mode,
@@ -383,7 +396,8 @@ def _cycles(state: CpuState, limit: int,
         state.idex_mode, state.exmem_mode = idex_mode, exmem_mode
         state.exmem_alu, state.memwb_alu = exmem_alu, memwb_alu
         state.pc, state.crypt_mode = pc, crypt_mode
-        st.cycles, st.retired, st.stalls, st.flushes = cycles, retired, stalls, flushes
+        st.cycles, st.stalls, st.flushes = cycles, stalls, flushes
+        st.retired = cycles - stalls - flushes - fills  # each cycle's WB saw one slot
         st.crypt_fetches, st.encrypted_stores = crypt_fetches, encrypted_stores
 
 

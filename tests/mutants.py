@@ -48,7 +48,7 @@ MUTANTS = [
     Mutant("no fetch-cache drop on a key commit", PIPELINE,
            "fetched.clear()     # after IF used the old key, this cycle", "pass"),
     Mutant("a mode flip leaves the fetch path", PIPELINE,
-           "decrypting = crypt_mode and crypt_fetch\n                    fetched.clear()",
+           "decrypting = crypt_mode and crypt_fetch\n                fetched.clear()",
            "fetched.clear()"),
     Mutant("crypt_fetches not counted on a cache hit", PIPELINE,
            "ifid, pc = slot, slot.next_pc\n"
@@ -58,6 +58,14 @@ MUTANTS = [
     # the cycle loop's end
     Mutant("a halt counts the cycle it never ran", PIPELINE,
            "cycles -= 1     # halted before this cycle, which never ran", "pass"),
+    Mutant("retired derived without the fill bubbles", PIPELINE,
+           "st.retired = cycles - stalls - flushes - fills", "st.retired = cycles - stalls - flushes"),
+    # ID's handoff to IF, and the key half MEM hands to the cycle's end
+    Mutant("IF keeps a redirect it took", PIPELINE,
+           "next_idex, ifid, pc, handoff = ifid, flush_bubble, handoff, None",
+           "next_idex, ifid, pc = ifid, flush_bubble, handoff"),
+    Mutant("a key half commits again in every later cycle", PIPELINE,
+           "load_key(keyreg, key_word)\n                load_key = None", "load_key(keyreg, key_word)"),
     # forwarding and hazards
     Mutant("EX operands from the register file only", PIPELINE,
            "a = exmem_alu if exmem.dest is idex.rs else regs[idex.rs]\n"
@@ -85,25 +93,29 @@ MUTANTS = [
            "if idex.dest in sources:"),
     # flushes: a redirect in ID squashes the one slot IF fetched behind it
     Mutant("a taken branch fetches its target with no flush", PIPELINE,
-           "redirect = resolve(ifid.pc, a, b, ifid.instr)",
-           "redirect = resolve(ifid.pc, a, b, ifid.instr)\n"
-           "                    if redirect is not None and sources:\n"
-           "                        pc, redirect = redirect, None"),
+           "handoff = ifid.redirect(ifid.pc, a, b, ifid.instr)",
+           "handoff = ifid.redirect(ifid.pc, a, b, ifid.instr)\n"
+           "                    if handoff is not None and sources:\n"
+           "                        pc, handoff = handoff, None"),
     Mutant("a jump fetches its target with no flush", PIPELINE,
-           "redirect = resolve(ifid.pc, a, b, ifid.instr)",
-           "redirect = resolve(ifid.pc, a, b, ifid.instr)\n"
-           "                    if redirect is not None and not sources:\n"
-           "                        pc, redirect = redirect, None"),
+           "handoff = ifid.redirect(ifid.pc, a, b, ifid.instr)",
+           "handoff = ifid.redirect(ifid.pc, a, b, ifid.instr)\n"
+           "                    if handoff is not None and not sources:\n"
+           "                        pc, handoff = handoff, None"),
     Mutant("a crypt-mode switch keeps the slot fetched on the old path", PIPELINE,
            "if crypt_fetch:     # refetch what IF reads on the old path", "if False:"),
     # faults and slots
     Mutant("an unknown word never faults", PIPELINE,
-           "if ifid.kind is not None and ifid.instr is not None:", "if False:"),
+           "raise Fault(ifid.instr, ifid.pc, cycles) from ifid.instr", "pass"),
+    Mutant("an unknown word's slot takes ID's load-use path alone", PIPELINE,
+           "self.rare = None if instr is None else True", "self.rare = None"),
+    Mutant("a redirect row takes ID's load-use path alone", ISA,
+           "True if redirect or mode else None", "True if mode else None"),
     Mutant("a slot's next_pc does not wrap", PIPELINE,
            "self.next_pc = (pc + 8) & 0xFFFFFFFF", "self.next_pc = pc + 8"),
     Mutant("a slot's mem copied from the wrong row field", ISA,
-           "self.stage = (alu, mem, redirect, mode, load_key)",
-           "self.stage = (alu, load_key, redirect, mode, load_key)"),
+           "self.stage = (alu, mem, redirect, mode, load_key,",
+           "self.stage = (alu, load_key, redirect, mode, load_key,"),
     # the crypt paths and the key register
     Mutant("stores never encrypted", PIPELINE,
            "        if crypt_mode:\n            block = keyreg.encrypt(",

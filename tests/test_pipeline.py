@@ -736,6 +736,63 @@ def test_worked_example_verbatim_never_halts():
                 encrypt_key=worked.KEY, max_cycles=10_000)
 
 
+def _stop_programs():
+    """(imem entries, dmem entries) of the worked example, crypt_toggle and
+    22 seeded progen programs, every other one encrypted; the 21st has an
+    unknown word for its last instruction, which faults in ID, and the
+    22nd ends in an unaligned load, which faults in MEM."""
+    data = asm.read_hex(worked.DATA_HEX).entries
+    programs = [(asm.encrypt_image(asm.build_image(source), worked.KEY).entries, data)
+                for source in (worked.CORRECTED, GOLDEN_SOURCE)]
+    rng = random.Random(33)
+    for i in range(22):
+        crypt = i % 2 == 1
+        source = progen.gen_crypt_program(rng) if crypt else progen.gen_program(rng)
+        image = asm.build_image(source + ("lw $r1, 4($r0)\n" if i == 21 else ""))
+        entries = list(asm.encrypt_image(image, progen.KEY).entries if crypt else image.entries)
+        if i == 20:
+            entries[-1] = (entries[-1][0], des.pad_word(0xFC000000))
+        programs.append((entries, progen.gen_dmem_entries(rng, with_key=crypt)))
+    return programs
+
+
+def test_stats_obey_the_identity_at_every_stop():
+    # WB counts bubbles only, and retired is derived from the identity with
+    # the min(cycles, 4) fill bubbles drained since reset; so a run stopped
+    # at any cycle limit, at a fault or at its halt must count its retired
+    # log, and a loop of step must count the same
+    stops = []
+    for imem_entries, dmem_entries in _stop_programs():
+        imem = progen.memory(imem_entries)      # stores write dmem, never imem
+
+        def fresh():
+            return pipeline.CpuState(imem, progen.memory(dmem_entries), record_retired=True)
+
+        stepped, k, stop = fresh(), 0, None
+        while stop is None:
+            k += 1
+            state = fresh()
+            try:
+                pipeline.run(state, max_cycles=k)
+                stop = "halt"
+            except pipeline.CycleLimitExceeded:
+                pass
+            except pipeline.Fault as exc:
+                stop = type(exc.cause).__name__
+            try:
+                pipeline.step(stepped)
+            except pipeline.Fault as exc:
+                assert type(exc.cause).__name__ == stop
+            else:
+                assert stop in (None, "halt")
+            s = state.stats
+            assert s.cycles == k and s.retired == len(state.retired_log)
+            assert s.cycles == s.retired + s.stalls + s.flushes + min(s.cycles, 4)
+            assert stepped.stats == s, k
+        stops.append(stop)
+    assert stops == ["halt"] * 22 + ["UnknownInstruction", "UnalignedAccess"]
+
+
 # ------------------------------------------------------------------ latches
 
 def test_every_latch_holds_a_slot_and_no_stage_writes_a_bubble():
@@ -761,6 +818,8 @@ def test_every_latch_holds_a_slot_and_no_stage_writes_a_bubble():
             elif cpu.stats.cycles == 300:
                 stop = "Limit"
         assert stop == expected
+    # every stage field inert: with rare None, ID sends a bubble to the
+    # load-use test, which its empty sources pass
     bubbles = (pipeline.FILL_BUBBLE, pipeline.STALL_BUBBLE, pipeline.FLUSH_BUBBLE,
                pipeline.END_BUBBLE)
     assert [(b.kind, b.pc, b.word, b.instr) + _stage_fields(b) for b in bubbles] == \
@@ -769,8 +828,8 @@ def test_every_latch_holds_a_slot_and_no_stage_writes_a_bubble():
 
 # what the later stages read of a slot, and its value on a slot no stage acts on
 STAGE_FIELDS = ("rs", "rt", "sources", "dest", "alu", "mem", "redirect", "mode",
-                "load_key", "next_pc")
-INERT = (0, 0, (), None, None, None, None, None, None, 0)
+                "load_key", "rare", "next_pc")
+INERT = (0, 0, (), None, None, None, None, None, None, None, 0)
 
 
 def _stage_fields(slot):
@@ -790,17 +849,20 @@ def _fetched_slot(word, pc=0):
 @pytest.mark.parametrize("mnemonic", list(isa.SPECS))
 def test_if_copies_each_row_and_instruction_onto_its_slot(mnemonic):
     # every field is nonzero where the format has it, so a field read from
-    # the wrong place shows; the top block's next_pc wraps to 0
+    # the wrong place shows; the top block's next_pc wraps to 0; rare sends
+    # a branch, a jump and crypt past ID's load-use test
     spec = isa.SPECS[mnemonic]
     instr = isa.Instruction(mnemonic, rs=3, rt=4, rd=5, shamt=6, imm=-7, target=9)
     word = encode_instruction(instr)
+    rare = True if spec.redirect is not None or spec.mode is not None else None
     for pc, next_pc in ((0, 8), (0xFFFFFFF8, 0)):
         slot = _fetched_slot(word, pc)
         assert type(slot) is pipeline.Slot and slot.kind is None
         assert (slot.pc, slot.word, slot.instr) == (pc, word, instr)
         assert _stage_fields(slot) == (instr.rs, instr.rt, instr.sources, instr.dest,
                                        spec.alu, spec.mem, spec.redirect, spec.mode,
-                                       spec.load_key, next_pc)
+                                       spec.load_key, rare, next_pc)
+        assert slot.rare is rare
         for name in ("alu", "redirect", "mode", "load_key"):
             assert getattr(slot, name) is getattr(spec, name), name
 
@@ -823,10 +885,13 @@ def test_a_slots_register_numbers_are_the_shared_int_objects():
 
 
 def test_an_unknown_words_slot_holds_inert_fields():
+    # but for rare, which sends it to ID's fault
     slot = _fetched_slot(0xFC000000, 16)
     assert (slot.pc, slot.word, slot.kind) == (16, 0xFC000000, "unknown")
     assert isinstance(slot.instr, isa.UnknownInstruction)
-    assert _stage_fields(slot) == INERT
+    assert slot.rare is True
+    assert _stage_fields(slot) == tuple(True if name == "rare" else value
+                                        for name, value in zip(STAGE_FIELDS, INERT))
 
 
 def _fields(slot):
