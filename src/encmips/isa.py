@@ -20,6 +20,7 @@ the three key-handling instructions take otherwise unused opcodes.
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections.abc import Callable
 
@@ -173,8 +174,8 @@ class Instruction:
     holds the source register numbers and `dest` the register written back
     (None for none or $r0).
 
-    Instances are shared through the pipeline's decode cache, so nothing
-    may write to one after construction.
+    Instances are shared through decode's cache, so nothing may write to
+    one after construction.
     """
 
     __slots__ = ("spec", "rs", "rt", "rd", "shamt", "imm", "target",
@@ -216,6 +217,7 @@ def spec_of(word: int) -> InstrSpec | None:
     return _BY_CODE.get((opcode, word & 0x3F)) or _BY_CODE.get((opcode, None))
 
 
+@functools.lru_cache(maxsize=4096)
 def decode(word: int) -> Instruction:
     """Decode a 32-bit word; raises UnknownInstruction for unlisted (op, funct)."""
     spec = spec_of(word)
@@ -256,6 +258,7 @@ def disassemble(instr: Instruction) -> str:
     return "nop" if instr == NOP else instr.spec.template.format(i=instr)
 
 
+@functools.lru_cache(maxsize=4096)
 def disasm_word(word: int) -> str:
     """Best-effort disassembly for traces; never raises."""
     try:

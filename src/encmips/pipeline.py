@@ -1,13 +1,13 @@
 """Cycle-accurate 5-stage pipeline (IF ID EX MEM WB) over the machine state.
 
-Fetch decrypts instruction blocks while crypt mode is on; stores encrypt
-their data block. The key register does both through the key's des.cipher,
-which the assembler and the reference interpreter share. WB writes the
-register file first in every cycle, so an operand is EXMEM's ALU result
-when EXMEM writes its register, else the register file. EX and the ID
-branch compare read their operands so, and a store reads its data from the
-register file in MEM. A load's consumer directly behind it stalls one
-cycle. Branches resolve in ID and squash one fetch slot when taken, as
+machine owns the memory paths, fetch_word and mem_stage, with their DES
+use; this module keeps the timing and binds both names, so its loop and
+oracle call them through its globals and a wrapper sees each call. WB
+writes the register file first in every cycle, so an operand is EXMEM's
+ALU result when EXMEM writes its register, else the register file. EX and
+the ID branch compare read their operands so, and a store reads its data
+from the register file in MEM. A load's consumer directly behind it stalls
+one cycle. Branches resolve in ID and squash one fetch slot when taken, as
 does a crypt-mode change.
 
 Each fetched instruction is one Slot record that rides the latches from
@@ -38,10 +38,10 @@ semantics serves as the correctness oracle.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Callable
 
-from . import des, isa, machine
+from . import isa, machine
+from .machine import fetch_word, mem_stage
 
 class Fault(Exception):
     """An execution fault; halts the run with a diagnostic."""
@@ -78,7 +78,7 @@ class Slot:
     kind that names it (fill, stall, flush, end); a word no row decodes has
     kind "unknown" and, as instr, the isa.UnknownInstruction that ID raises
     as a Fault in its own cycle. Their stage fields are inert (None, (), 0),
-    but the unknown word's rare is True, which sends it to ID's fault.
+    but an unknown word has its next_pc, and rare True for ID's fault.
     """
 
     __slots__ = ("pc", "word", "instr", "kind", "rs", "rt", "sources", "dest",
@@ -93,12 +93,12 @@ class Slot:
             self.sources, self.dest = instr.sources, instr.dest
             self.alu, self.mem, self.redirect, self.mode, self.load_key, self.rare = \
                 instr.spec.stage
-            self.next_pc = (pc + 8) & 0xFFFFFFFF    # wraps like every pc
         else:
-            self.rs = self.rt = self.next_pc = 0
+            self.rs = self.rt = 0
             self.sources = ()
             self.dest = self.alu = self.mem = self.redirect = self.mode = self.load_key = None
             self.rare = None if instr is None else True     # an unknown word faults in ID
+        self.next_pc = 0 if pc is None else (pc + 8) & 0xFFFFFFFF    # wraps like every pc
 
 
 # The pipeline uses only these four bubbles; nothing forwards from them.
@@ -167,55 +167,13 @@ class CpuState:
         self.idex_mode = self.exmem_mode = False
         self.exmem_alu = self.memwb_alu = 0
         self.stats = Stats()
+        self.fault: Fault | None = None     # the Fault that ended the run, raised again
         self.retired_log: list[tuple[int, int]] | None = [] if record_retired else None
 
     @property
     def halted(self) -> bool:
         """The end-of-program bubble has reached the WB latch."""
         return self.memwb is END_BUBBLE
-
-
-def fetch_word(imem: machine.Memory, pc: int, decrypt: bool,
-               keyreg: machine.KeyRegister) -> int | None:
-    """IF-stage read: the 32-bit payload at pc, decrypted by the key register
-    when crypt mode routes the fetch through the decryption core. None past
-    imem's extent."""
-    if pc >= imem.extent:
-        return None
-    if pc % 8:
-        raise machine.UnalignedAccess(pc)
-    block = imem.blocks.get(pc, 0)
-    if decrypt:
-        block = keyreg.decrypt(block, "decrypting fetch before key loaded")
-    return block & isa.WORD_MASK
-
-
-def mem_stage(instr: isa.Instruction, addr: int, store_data: int,
-              crypt_mode: bool, keyreg: machine.KeyRegister,
-              dmem: machine.Memory, decrypt_loads: bool = False) -> int | None:
-    """MEM-stage access. A read tests its alignment itself and returns the
-    low 32 bits of the block in dmem.blocks, which the caller passes to the
-    row's load_key, else to its dest; a write returns None and stores the
-    zero-padded word, DES-encrypted in crypt mode. A read into a register
-    field, $r0 included, goes through the decryptor when decrypt_loads and
-    crypt mode are on; a key load never does.
-    """
-    spec = instr.spec
-    if spec.mem == isa.WRITE:
-        block = des.pad_word(store_data)
-        if crypt_mode:
-            block = keyreg.encrypt(block, "encrypted store before key loaded")
-        dmem.write_block(addr, block)
-        return None
-    if addr % 8:
-        raise machine.UnalignedAccess(addr)
-    block = dmem.blocks.get(addr, 0)
-    if decrypt_loads and crypt_mode and spec.dest is not None:
-        block = keyreg.decrypt(block, "decrypting load before key loaded")
-    return block & isa.WORD_MASK
-
-
-_decode = functools.lru_cache(maxsize=4096)(isa.decode)
 
 
 def _cycles(state: CpuState, limit: int,
@@ -225,8 +183,9 @@ def _cycles(state: CpuState, limit: int,
     The latches, the values in flight beside them, pc, crypt mode and the
     statistics are locals that only the finally writes back, so a Fault
     (carrying the cycle count), the limit or a raising trace sink leaves the
-    state the last cycle left. A traced cycle takes one snapshot of those
-    locals after its work, and the previous cycle's snapshot is its "before".
+    state the last cycle left; a Fault is kept there and raised again on
+    entry. A traced cycle takes one snapshot of those locals after its
+    work, and the previous cycle's snapshot is its "before".
 
     Slots are never written after IF, so the in-flight values shift beside
     the latches: idex_mode and exmem_mode carry the crypt mode an
@@ -255,9 +214,9 @@ def _cycles(state: CpuState, limit: int,
     extent. ID's crypt-mode flip sets decrypting again and drops the dict
     before IF runs in the same cycle, and a key-half commit drops it at the
     cycle's end, after IF used the old key; stores write dmem, never imem.
-    fetch_word and mem_stage go through the module, so wrappers see each
-    call: each mem_stage, and each fetch that misses.
     """
+    if state.fault is not None:     # a Fault is final: no cycle runs after it
+        raise state.fault.with_traceback(None)     # no traceback grows per raise
     ifid, idex, exmem, memwb = state.ifid, state.idex, state.exmem, state.memwb
     idex_mode, exmem_mode = state.idex_mode, state.exmem_mode
     exmem_alu, memwb_alu = state.exmem_alu, state.memwb_alu
@@ -362,17 +321,15 @@ def _cycles(state: CpuState, limit: int,
                     except machine.MachineError as exc:
                         raise Fault(exc, pc, cycles) from exc
                     if word is None:
-                        slot = end_bubble
+                        ifid = end_bubble
                     else:
                         try:
-                            slot = fetched[pc] = Slot(pc, word, _decode(word))
+                            ifid = fetched[pc] = Slot(pc, word, isa.decode(word))
                         except isa.UnknownInstruction as exc:
-                            slot = Slot(pc, word, exc, "unknown")
-                    ifid = slot
-                    if slot is not end_bubble:
+                            ifid = Slot(pc, word, exc, "unknown")
+                        pc = ifid.next_pc
                         if decrypting:
                             crypt_fetches += 1
-                        pc = (pc + 8) & 0xFFFFFFFF      # wraps like every pc
             elif handoff is stall_bubble:      # IFID holds
                 next_idex, handoff = stall_bubble, None
             else:                               # a redirect squashes the fetch
@@ -391,6 +348,9 @@ def _cycles(state: CpuState, limit: int,
                 before, after = after, (pc, ifid, idex, exmem, memwb, crypt_mode,
                                         crypt_fetches, encrypted_stores)
                 trace(format_trace_line(cycles, before, after))
+    except Fault as fault:
+        state.fault = fault
+        raise
     finally:
         state.ifid, state.idex, state.exmem, state.memwb = ifid, idex, exmem, memwb
         state.idex_mode, state.exmem_mode = idex_mode, exmem_mode
@@ -402,8 +362,8 @@ def _cycles(state: CpuState, limit: int,
 
 
 def step(state: CpuState) -> None:
-    """Advance one clock cycle, none once halted: one cycle of run()'s loop,
-    which starts with an empty fetch cache."""
+    """Advance one clock cycle (none once halted; a faulted state raises its
+    Fault): one cycle of run()'s loop, which starts with an empty fetch cache."""
     _cycles(state, state.stats.cycles + 1)
 
 
@@ -423,11 +383,8 @@ def run(state: CpuState, max_cycles: int = 100_000,
     return state, state.stats
 
 
-_disasm_word = functools.lru_cache(maxsize=4096)(isa.disasm_word)
-
-
 def _slot_text(slot: Slot) -> str:
-    return "bubble" if slot.instr is None else _disasm_word(slot.word)
+    return "bubble" if slot.instr is None else isa.disasm_word(slot.word)
 
 
 def format_trace_line(cycle: int, before: tuple, after: tuple) -> str:
@@ -491,9 +448,9 @@ def reference_interpret(imem: machine.Memory, dmem: machine.Memory, *,
             return s
         if s.executed >= max_steps:
             raise CycleLimitExceeded(s, max_steps, "instructions")
-        word = imem.blocks.get(pc, 0) & isa.WORD_MASK     # pc is a multiple of 8
+        word = imem.read_block(pc) & isa.WORD_MASK
         try:
-            instr = _decode(word)
+            instr = isa.decode(word)
         except isa.UnknownInstruction as exc:
             raise Fault(exc, pc, s.executed) from exc
         spec = instr.spec

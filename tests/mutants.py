@@ -112,12 +112,17 @@ MUTANTS = [
     Mutant("a redirect row takes ID's load-use path alone", ISA,
            "True if redirect or mode else None", "True if mode else None"),
     Mutant("a slot's next_pc does not wrap", PIPELINE,
-           "self.next_pc = (pc + 8) & 0xFFFFFFFF", "self.next_pc = pc + 8"),
+           "self.next_pc = 0 if pc is None else (pc + 8) & 0xFFFFFFFF",
+           "self.next_pc = 0 if pc is None else pc + 8"),
+    Mutant("a faulted core clocks again", PIPELINE,
+           "    if state.fault is not None:     # a Fault is final: no cycle runs after it\n"
+           "        raise state.fault.with_traceback(None)     # no traceback grows per raise\n",
+           ""),
     Mutant("a slot's mem copied from the wrong row field", ISA,
            "self.stage = (alu, mem, redirect, mode, load_key,",
            "self.stage = (alu, load_key, redirect, mode, load_key,"),
     # the crypt paths and the key register
-    Mutant("stores never encrypted", PIPELINE,
+    Mutant("stores never encrypted", MACHINE,
            "        if crypt_mode:\n            block = keyreg.encrypt(",
            "        if False:\n            block = keyreg.encrypt("),
     Mutant("a reloaded lower key half keeps its old value", MACHINE,
@@ -136,8 +141,8 @@ MUTANTS = [
            "        if addr % 8:",
            "    def read_block(self, addr: int) -> int:\n"
            "        if False:"),
-    Mutant("MEM reads an unaligned address", PIPELINE,
-           "    if addr % 8:\n        raise machine.UnalignedAccess(addr)\n"
+    Mutant("MEM reads an unaligned address", MACHINE,
+           "    if addr % 8:\n        raise UnalignedAccess(addr)\n"
            "    block = dmem.blocks.get(addr, 0)",
            "    block = dmem.blocks.get(addr, 0)"),
     Mutant("load_image keeps extent only when no entry raises", MACHINE,

@@ -1,5 +1,6 @@
 import random
 import re
+import traceback
 from pathlib import Path
 
 import pytest
@@ -624,6 +625,72 @@ def test_pipeline_reports_faults_in_cycle_order():
                               "unaligned 64-bit access at address 0x4")
 
 
+def _step_to_fault(state):
+    while True:
+        try:
+            pipeline.step(state)
+        except pipeline.Fault as exc:
+            return exc
+
+
+def _after_fault(state):
+    """What a Fault leaves, and what no later step or run may change."""
+    return (state.stats._counts(), list(state.retired_log or ()), state.regs.snapshot(),
+            state.dmem.items(), state.pc, state.halted)
+
+
+def test_a_fault_is_final():
+    # the lw faults in MEM in cycle 5, whose WB retired the addi; each later
+    # step or run raises that Fault again and clocks nothing
+    state = build_state("addi $r1, $r0, 1\nlw $r2, 4($r0)\n", record_retired=True)
+    fault = _step_to_fault(state)
+    assert (fault.pc, fault.cycle) == (0x8, 5)
+    assert isinstance(fault.cause, machine.UnalignedAccess)
+    left = _after_fault(state)
+    assert left == ((5, 1, 0, 0, 0, 0), [(0, 0x20010001)], left[2], [], 0x10, False)
+    assert state.regs.read(1) == 1
+    depths = set()
+    for again in (pipeline.step, pipeline.step, pipeline.run):
+        with pytest.raises(pipeline.Fault) as exc:
+            again(state)
+        assert _after_fault(state) == left
+        assert exc.value is fault
+        depths.add(len(traceback.extract_tb(fault.__traceback__)))
+    assert len(depths) == 1     # each raise's traceback holds only its own frames
+
+
+def test_a_faulted_run_raises_its_fault_not_the_cycle_limit():
+    imem = progen.memory(asm.read_hex("00000000fc000000\n").entries)
+    state = pipeline.CpuState(imem)
+    with pytest.raises(pipeline.Fault) as exc:
+        pipeline.run(state)
+    fault = exc.value
+    assert (fault.pc, fault.cycle) == (0x0, 2)
+    for max_cycles in (1, 2, 100):
+        with pytest.raises(pipeline.Fault) as exc:
+            pipeline.run(state, max_cycles=max_cycles)
+        assert exc.value is fault
+    assert state.stats.cycles == 2 and not state.halted
+
+
+def test_a_store_in_mem_when_id_faults_is_not_repeated():
+    # the sw is in MEM in cycle 8, when the unknown word at 0x30 faults in ID
+    plain = asm.build_image(KEY_PROLOG + "crypt 1\nsw $r1, 0($r0)\nnop\n")
+    imem = progen.memory(plain.entries + asm.read_hex("@30\n00000000fc000000\n").entries)
+    state = pipeline.CpuState(imem, key_dmem(), crypt_fetch=False)
+    fault = _step_to_fault(state)
+    assert (fault.pc, fault.cycle) == (0x30, 8)
+    assert isinstance(fault.cause, isa.UnknownInstruction)
+    stored = des.encrypt_block(des.pad_word(104), des.key_schedule(worked.KEY))
+    assert state.dmem.read_block(0) == stored
+    assert state.stats.encrypted_stores == 1
+    with pytest.raises(pipeline.Fault) as exc:
+        pipeline.step(state)
+    assert state.dmem.read_block(0) == stored
+    assert (state.stats.cycles, state.stats.encrypted_stores) == (8, 1)
+    assert exc.value is fault
+
+
 # ------------------------------------------------------------ worked example
 
 def test_worked_example_end_to_end():
@@ -885,13 +952,16 @@ def test_a_slots_register_numbers_are_the_shared_int_objects():
 
 
 def test_an_unknown_words_slot_holds_inert_fields():
-    # but for rare, which sends it to ID's fault
-    slot = _fetched_slot(0xFC000000, 16)
-    assert (slot.pc, slot.word, slot.kind) == (16, 0xFC000000, "unknown")
-    assert isinstance(slot.instr, isa.UnknownInstruction)
-    assert slot.rare is True
-    assert _stage_fields(slot) == tuple(True if name == "rare" else value
-                                        for name, value in zip(STAGE_FIELDS, INERT))
+    # but for rare, which sends it to ID's fault, and next_pc, by which IF
+    # moves pc as for any slot it makes
+    for pc, next_pc in ((16, 24), (0xFFFFFFF8, 0)):
+        slot = _fetched_slot(0xFC000000, pc)
+        assert (slot.pc, slot.word, slot.kind) == (pc, 0xFC000000, "unknown")
+        assert isinstance(slot.instr, isa.UnknownInstruction)
+        assert slot.rare is True
+        expected = {"rare": True, "next_pc": next_pc}
+        assert _stage_fields(slot) == tuple(expected.get(name, value)
+                                            for name, value in zip(STAGE_FIELDS, INERT))
 
 
 def _fields(slot):
