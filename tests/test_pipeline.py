@@ -635,7 +635,8 @@ def _step_to_fault(state):
 
 def _after_fault(state):
     """What a Fault leaves, and what no later step or run may change."""
-    return (state.stats._counts(), list(state.retired_log or ()), state.regs.snapshot(),
+    return (tuple(getattr(state.stats, name) for name in STAT_NAMES),
+            list(state.retired_log or ()), state.regs.snapshot(),
             state.dmem.items(), state.pc, state.halted)
 
 
