@@ -143,7 +143,6 @@ class CpuState:
     def __init__(self, imem: machine.Memory | None = None,
                  dmem: machine.Memory | None = None, *,
                  decrypt_loads: bool = False,
-                 crypt_fetch: bool = True,
                  record_retired: bool = False):
         self.imem = imem if imem is not None else machine.Memory()
         self.dmem = dmem if dmem is not None else machine.Memory()
@@ -154,10 +153,6 @@ class CpuState:
         self.pc = 0
         self.crypt_mode = False
         self.decrypt_loads = decrypt_loads
-        # crypt_fetch=False runs a plaintext image with the fetch-side
-        # decryptor disabled (store encryption still applies); used to
-        # check that instruction encryption is timing-transparent.
-        self.crypt_fetch = crypt_fetch
         self.ifid: Slot = FILL_BUBBLE
         self.idex: Slot = FILL_BUBBLE
         self.exmem: Slot = FILL_BUBBLE
@@ -211,9 +206,12 @@ def _cycles(state: CpuState, limit: int,
     IF made of it; a hit is that slot itself, and pc moves on to its
     next_pc. A miss goes through fetch_word and decode, and its slot is
     kept unless the fetch raised, decoded to no row or was past imem's
-    extent. ID's crypt-mode flip sets decrypting again and drops the dict
-    before IF runs in the same cycle, and a key-half commit drops it at the
-    cycle's end, after IF used the old key; stores write dmem, never imem.
+    extent. In crypt mode every fetch, a hit too, goes through the
+    decryptor. ID's crypt-mode flip drops the dict before IF runs in the
+    same cycle and hands IF its own pc, so the slot IF fetches that cycle on
+    the old path is squashed and refetched on the new one; a key-half commit
+    drops the dict at the cycle's end, after IF used the old key; stores
+    write dmem, never imem.
     """
     if state.fault is not None:     # a Fault is final: no cycle runs after it
         raise state.fault.with_traceback(None)     # no traceback grows per raise
@@ -225,10 +223,8 @@ def _cycles(state: CpuState, limit: int,
     fills = cycles - st.retired - stalls - flushes      # fill bubbles drained so far
     crypt_fetches, encrypted_stores = st.crypt_fetches, st.encrypted_stores
     regs, keyreg, imem, dmem = state.regs.values, state.keyreg, state.imem, state.dmem
-    crypt_fetch, decrypt_loads, retired_log = \
-        state.crypt_fetch, state.decrypt_loads, state.retired_log
+    decrypt_loads, retired_log = state.decrypt_loads, state.retired_log
     stall_bubble, flush_bubble, end_bubble = STALL_BUBBLE, FLUSH_BUBBLE, END_BUBBLE
-    decrypting = crypt_mode and crypt_fetch     # does IF fetch through the decryptor?
     fetched = {}    # pc -> the Slot IF made of it: IF's cache, see above
     load_key = handoff = None
     if trace is not None:
@@ -301,10 +297,8 @@ def _cycles(state: CpuState, limit: int,
                     handoff = ifid.redirect(ifid.pc, a, b, ifid.instr)
             elif ifid.mode(ifid.instr) != crypt_mode:
                 crypt_mode = not crypt_mode
-                decrypting = crypt_mode and crypt_fetch
                 fetched.clear()     # before IF reads it, this cycle
-                if crypt_fetch:     # refetch what IF reads on the old path
-                    handoff = pc
+                handoff = pc        # refetch what IF reads on the old path
 
             # IF, unless ID handed it a stall or a redirect: the cached slot of
             # pc, else a new one; a word that decodes to no row rides to ID.
@@ -313,11 +307,11 @@ def _cycles(state: CpuState, limit: int,
                 slot = fetched.get(pc)
                 if slot is not None:
                     ifid, pc = slot, slot.next_pc
-                    if decrypting:
+                    if crypt_mode:
                         crypt_fetches += 1
                 else:
                     try:
-                        word = fetch_word(imem, pc, decrypting, keyreg)
+                        word = fetch_word(imem, pc, crypt_mode, keyreg)
                     except machine.MachineError as exc:
                         raise Fault(exc, pc, cycles) from exc
                     if word is None:
@@ -328,7 +322,7 @@ def _cycles(state: CpuState, limit: int,
                         except isa.UnknownInstruction as exc:
                             ifid = Slot(pc, word, exc, "unknown")
                         pc = ifid.next_pc
-                        if decrypting:
+                        if crypt_mode:
                             crypt_fetches += 1
             elif handoff is stall_bubble:      # IFID holds
                 next_idex, handoff = stall_bubble, None

@@ -48,11 +48,11 @@ MUTANTS = [
     Mutant("no fetch-cache drop on a key commit", PIPELINE,
            "fetched.clear()     # after IF used the old key, this cycle", "pass"),
     Mutant("a mode flip leaves the fetch path", PIPELINE,
-           "decrypting = crypt_mode and crypt_fetch\n                fetched.clear()",
-           "fetched.clear()"),
+           "word = fetch_word(imem, pc, crypt_mode, keyreg)",
+           "word = fetch_word(imem, pc, state.crypt_mode, keyreg)"),
     Mutant("crypt_fetches not counted on a cache hit", PIPELINE,
            "ifid, pc = slot, slot.next_pc\n"
-           "                    if decrypting:\n"
+           "                    if crypt_mode:\n"
            "                        crypt_fetches += 1",
            "ifid, pc = slot, slot.next_pc"),
     # the cycle loop's end
@@ -103,7 +103,17 @@ MUTANTS = [
            "                    if handoff is not None and not sources:\n"
            "                        pc, handoff = handoff, None"),
     Mutant("a crypt-mode switch keeps the slot fetched on the old path", PIPELINE,
-           "if crypt_fetch:     # refetch what IF reads on the old path", "if False:"),
+           "handoff = pc        # refetch what IF reads on the old path", "pass"),
+    # the trace line: a snapshot of the locals after each cycle's work
+    Mutant("DEC_FETCH never reported", PIPELINE,
+           'events.append("DEC_FETCH")', "pass"),
+    Mutant("ENC_STORE never reported", PIPELINE,
+           'events.append("ENC_STORE")', "pass"),
+    Mutant("a traced cycle's before is its own after", PIPELINE,
+           "before, after = after, (pc, ifid, idex, exmem, memwb, crypt_mode,",
+           "before = after = (pc, ifid, idex, exmem, memwb, crypt_mode,"),
+    Mutant("the trace's IF column shows the old IFID", PIPELINE,
+           "IF:{_slot_text(new_ifid)}", "IF:{_slot_text(ifid)}"),
     # faults and slots
     Mutant("an unknown word never faults", PIPELINE,
            "raise Fault(ifid.instr, ifid.pc, cycles) from ifid.instr", "pass"),

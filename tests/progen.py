@@ -191,7 +191,7 @@ def memory(entries: Iterable[Tuple[int, int]]) -> machine.Memory:
     return mem
 
 
-def predict_timing(retired_log, crypt_fetch: bool = True) -> Tuple[int, int]:
+def predict_timing(retired_log) -> Tuple[int, int]:
     """The (stalls, flushes) a halting pipeline run counts, predicted from
     the oracle's retired log as ((pc, word), taken) entries, taken being the
     oracle's InterpState.taken flag (zip(ref.retired_log, ref.taken)).
@@ -204,8 +204,8 @@ def predict_timing(retired_log, crypt_fetch: bool = True) -> Tuple[int, int]:
       or 2 if that slot is a load;
     - otherwise, for a branch, 1 stall when the slot two ahead is a load
       whose dest it reads;
-    - 1 flush after each taken branch and each jump, and, with crypt_fetch,
-      after each `crypt` that changes the mode.
+    - 1 flush after each taken branch, each jump and each `crypt` that
+      changes the mode.
     """
     bubble = (None, False)
     ahead = deque([bubble, bubble], maxlen=2)     # (dest, is a load) per slot
@@ -226,17 +226,17 @@ def predict_timing(retired_log, crypt_fetch: bool = True) -> Tuple[int, int]:
         switch = spec.mode is not None and spec.mode(instr) != mode
         if switch:
             mode = not mode
-        if taken or switch and crypt_fetch:
+        if taken or switch:
             flushes += 1
             ahead.append(bubble)
     return stalls, flushes
 
 
 def assert_timing(stats: pipeline.Stats, ref: pipeline.InterpState,
-                  crypt_fetch: bool = True, what: str = "") -> None:
+                  what: str = "") -> None:
     """The pipeline's stalls and flushes are what predict_timing makes of
     the oracle's run."""
-    predicted = predict_timing(zip(ref.retired_log, ref.taken), crypt_fetch)
+    predicted = predict_timing(zip(ref.retired_log, ref.taken))
     assert predicted == (stats.stalls, stats.flushes), \
         f"timing model predicts (stalls, flushes) {predicted}, " \
         f"pipeline counted {(stats.stalls, stats.flushes)}:\n{what}"

@@ -2,13 +2,13 @@
 once and compared on every run, so a change that moves any result fails.
 
 Each seed gives one plain program and one crypt program (tests/progen.py,
-with extras). The plain program runs as is; the crypt program runs in five
-modes: encrypted, encrypted with --decrypt-loads, as a plaintext image with
-the fetch decryptor off, encrypted under a key other than the one it loads,
-and encrypted with a limit of 5 + seed % 40 cycles, which most runs hit
-mid-flight. Every run stores the six statistics, a hash of the architectural
-state, the fault (pc, cycle, cause class and text) or null, and hashes of
-the retired log and of the full trace. The records are recorded from traced
+with extras). The plain program runs as is; the crypt program runs in four
+modes: encrypted, encrypted with --decrypt-loads, encrypted under a key
+other than the one it loads, and encrypted with a limit of 5 + seed % 40
+cycles, which most runs hit mid-flight. Every run stores the six
+statistics, a hash of the architectural state, the fault (pc, cycle, cause
+class and text) or null, and hashes of the retired log and of the full
+trace. The records are recorded from traced
 runs; the same runs untraced must match them in every field but the trace:
 traced or not, the cycle loop writes its state back only where it stops, and
 a trace line is made from the loop's locals. The halting
@@ -34,8 +34,7 @@ RESULTS = Path(__file__).parent / "golden" / "results.json"
 SEEDS = range(400)
 MAX_CYCLES = 2000
 WRONG_KEY = 0x1F2E3D4C5B6A7988
-MODES = ("plain", "encrypted", "decrypt_loads", "crypt_fetch_off", "wrong_key",
-         "cycle_limit")
+MODES = ("plain", "encrypted", "decrypt_loads", "wrong_key", "cycle_limit")
 
 
 def _hash(value) -> str:
@@ -104,7 +103,6 @@ def seed_runs(seed: int):
         "plain": (plain, plain, {}),
         "encrypted": (encrypted, crypt, {}),
         "decrypt_loads": (encrypted, crypt, {"decrypt_loads": True}),
-        "crypt_fetch_off": (crypt, crypt, {"crypt_fetch": False}),
         # the oracle cannot fetch what a wrong key decrypts
         "wrong_key": (asm.encrypt_image(crypt, WRONG_KEY), None, {}),
         "cycle_limit": (encrypted, crypt, {"max_cycles": 5 + seed % 40}),
@@ -190,7 +188,7 @@ def test_a_raising_trace_sink_leaves_the_state_its_cycle_left():
     # the cycle loop writes its state back only in its finally, so a sink
     # that raises on cycle k's line leaves what k calls of step leave
     checked = 0
-    for seed in SEEDS[::16]:
+    for seed in SEEDS[::14]:
         runs, entries = seed_runs(seed)
         for mode, (image, _, options) in runs.items():
             options = dict(options)
@@ -233,7 +231,7 @@ def test_a_traced_run_after_step_prints_the_rest_of_the_trace():
     # a traced run's first "before" is the state it starts from, so after k
     # calls of step it prints lines k+1 onwards of the run traced from cycle 1
     checked = 0
-    for seed in SEEDS[::16]:
+    for seed in SEEDS[::14]:
         runs, entries = seed_runs(seed)
         for mode, (image, _, options) in runs.items():
             options = dict(options)
@@ -251,9 +249,11 @@ def test_a_traced_run_after_step_prints_the_rest_of_the_trace():
 
 
 def test_timing_model_predicts_every_halting_run():
-    # the oracle runs the plaintext image; a wrong key's run has none
+    # the oracle runs the plaintext image; a wrong key's run has none. The
+    # oracle is the reference here, not results.json, so this test samples
+    # seeds past the recorded ones
     checked = 0
-    for seed in SEEDS:
+    for seed in range(540):
         runs, entries = seed_runs(seed)
         for mode, (image, plaintext, options) in runs.items():
             state, stop = _run(image, entries, **options)
@@ -263,8 +263,7 @@ def test_timing_model_predicts_every_halting_run():
                 progen.memory(plaintext.entries), progen.memory(entries),
                 decrypt_loads=options.get("decrypt_loads", False), record_retired=True)
             assert ref.retired_log == state.retired_log, f"{mode}/{seed}"
-            progen.assert_timing(state.stats, ref, options.get("crypt_fetch", True),
-                                 f"{mode}/{seed}")
+            progen.assert_timing(state.stats, ref, f"{mode}/{seed}")
             checked += 1
     assert checked >= 900
 

@@ -386,10 +386,11 @@ def test_key_half_reload():
 
 
 def test_crypt_toggle_off():
-    # plaintext image, fetch decryption disabled: crypt only gates stores
+    # the image is encrypted from after crypt 1 through crypt 0: a store
+    # between the two is encrypted, a store after crypt 0 is not
     source = (KEY_PROLOG + "nop\nnop\ncrypt 1\nsw $r1, 0($r0)\n"
               "crypt 0\nsw $r1, 8($r0)\naddi $r9, $r0, 0\n")
-    state, stats = run_asm(source, key_dmem(), crypt_fetch=False)
+    state, stats = run_asm(source, key_dmem(), encrypt_key=worked.KEY)
     sched = des.key_schedule(worked.KEY)
     assert des.decrypt_block(state.dmem.read_block(0), sched) == des.pad_word(104)
     assert state.dmem.read_block(8) == des.pad_word(104)
@@ -401,17 +402,27 @@ def test_store_mode_snapshot_at_decode():
     # must not be encrypted even though its MEM stage happens afterwards
     source = (KEY_PROLOG + "nop\nnop\nsw $r0, 16($r0)\ncrypt 1\n"
               "addi $r9, $r0, 0\n")
-    state, _ = run_asm(source, key_dmem(), crypt_fetch=False)
+    state, _ = run_asm(source, key_dmem(), encrypt_key=worked.KEY)
     assert state.dmem.read_block(16) == 0
     ref = interp_asm(source, key_dmem())
     assert pipeline.architectural_state(state) == pipeline.architectural_state(ref)
 
 
-def test_encrypted_store_before_key_faults():
-    source = "crypt 1\nsw $r0, 0($r0)\naddi $r9, $r0, 0\n"
-    with pytest.raises(pipeline.Fault) as exc:
-        run_asm(source, crypt_fetch=False)
-    assert isinstance(exc.value.cause, machine.KeyNotLoaded)
+def test_a_crypt_mode_access_before_the_key_faults_in_if_or_in_the_oracle_mem():
+    # the pipeline refetches the slot after crypt 1 through the decryptor,
+    # so IF needs the key before the access reaches MEM; the oracle fetches
+    # the plaintext image and faults in MEM, after crypt executed
+    for source, cause in (("crypt 1\nsw $r0, 0($r0)\n", "encrypted store before key loaded"),
+                          ("crypt 1\nlw $r1, 0($r0)\n", "decrypting load before key loaded")):
+        with pytest.raises(pipeline.Fault) as exc:
+            run_asm(source, encrypt_key=worked.KEY, decrypt_loads=True)
+        assert str(exc.value) == \
+            "fault at pc 0x8 (cycle 3): decrypting fetch before key loaded"
+        assert isinstance(exc.value.cause, machine.KeyNotLoaded)
+        with pytest.raises(pipeline.Fault) as exc:
+            interp_asm(source, decrypt_loads=True)
+        assert (exc.value.pc, exc.value.cycle, str(exc.value.cause)) == (0x8, 1, cause)
+        assert isinstance(exc.value.cause, machine.KeyNotLoaded)
 
 
 def test_decrypt_loads_path():
@@ -436,21 +447,20 @@ def test_decrypt_loads_path():
 
 def test_decrypt_loads_covers_a_load_into_r0():
     # the row's dest field decides, not the register it names: a load into
-    # $r0 still reads through the decryptor, which has no key yet
+    # $r0 still reads through the decryptor, which has no key yet, in the
+    # oracle and in the MEM access the pipeline makes
     source = "crypt 1\nlw $r0, 0($r0)\n"
     with pytest.raises(pipeline.Fault) as exc:
         interp_asm(source, decrypt_loads=True)
     assert isinstance(exc.value.cause, machine.KeyNotLoaded)
     assert str(exc.value.cause) == "decrypting load before key loaded"
-    with pytest.raises(pipeline.Fault) as exc:
-        run_asm(source, decrypt_loads=True, crypt_fetch=False)
-    assert isinstance(exc.value.cause, machine.KeyNotLoaded)
-    assert str(exc.value.cause) == "decrypting load before key loaded"
+    lw = isa.Instruction("lw", rs=0, rt=0, imm=0)
+    with pytest.raises(machine.KeyNotLoaded, match="^decrypting load before key loaded$"):
+        pipeline.mem_stage(lw, 0, 0, True, machine.KeyRegister(), machine.Memory(),
+                           decrypt_loads=True)
     # read raw, the same load needs no key
-    state, _ = run_asm(source, crypt_fetch=False)
-    ref = interp_asm(source)
-    assert state.halted and ref.executed == 2
-    assert pipeline.architectural_state(state) == pipeline.architectural_state(ref)
+    assert interp_asm(source).executed == 2
+    assert pipeline.mem_stage(lw, 0, 0, True, machine.KeyRegister(), machine.Memory()) == 0
 
 
 # -------------------------------------------------------------------- faults
@@ -675,12 +685,14 @@ def test_a_faulted_run_raises_its_fault_not_the_cycle_limit():
 
 
 def test_a_store_in_mem_when_id_faults_is_not_repeated():
-    # the sw is in MEM in cycle 8, when the unknown word at 0x30 faults in ID
-    plain = asm.build_image(KEY_PROLOG + "crypt 1\nsw $r1, 0($r0)\nnop\n")
-    imem = progen.memory(plain.entries + asm.read_hex("@30\n00000000fc000000\n").entries)
-    state = pipeline.CpuState(imem, key_dmem(), crypt_fetch=False)
+    # the sw is in MEM in cycle 11, when the unknown word at 0x40, encrypted
+    # like the crypt-mode slots before it, faults in ID
+    image = asm.encrypt_image(
+        asm.build_image(KEY_PROLOG + "nop\nnop\ncrypt 1\nsw $r1, 0($r0)\nnop\n"), worked.KEY)
+    unknown = des.cipher(worked.KEY).encrypt(0xFC000000)
+    state = pipeline.CpuState(progen.memory(image.entries + [(0x40, unknown)]), key_dmem())
     fault = _step_to_fault(state)
-    assert (fault.pc, fault.cycle) == (0x30, 8)
+    assert (fault.pc, fault.cycle) == (0x40, 11)
     assert isinstance(fault.cause, isa.UnknownInstruction)
     stored = des.encrypt_block(des.pad_word(104), des.key_schedule(worked.KEY))
     assert state.dmem.read_block(0) == stored
@@ -688,7 +700,7 @@ def test_a_store_in_mem_when_id_faults_is_not_repeated():
     with pytest.raises(pipeline.Fault) as exc:
         pipeline.step(state)
     assert state.dmem.read_block(0) == stored
-    assert (state.stats.cycles, state.stats.encrypted_stores) == (8, 1)
+    assert (state.stats.cycles, state.stats.encrypted_stores) == (11, 1)
     assert exc.value is fault
 
 
