@@ -31,6 +31,7 @@ made from those locals. Inside one call, IF fetches each pc once per crypt
 mode and key: it keeps the Slot it made of the pc in a local dict, which a
 crypt-mode flip and a key-half commit drop, and hands out that slot on
 every later fetch, so a wrapper of fetch_word sees each miss, not each fetch.
+An untraced run replays a hot loop's cycles as compiled straight-line code.
 
 A single-cycle reference interpreter with identical architectural
 semantics serves as the correctness oracle.
@@ -171,6 +172,52 @@ class CpuState:
         return self.memwb is END_BUBBLE
 
 
+# Visits before a configuration's segment compiles, about one compile's cost in
+# generic runs of it (the sum loop's: 0.28-0.45 ms, 12 cycles at 0.31 us each).
+_HOT_VISITS = 100
+
+
+class _Segment:
+    """n cycles compiled to run, and their configs, marks (counts) and retired."""
+
+
+def _segment(record: list, decrypt_loads: bool) -> _Segment:
+    """Compile record, the configuration and then the counts at the top of
+    each cycle and after the last, which resolved a branch or jump. Its
+    source holds int, bool and None literals and names bound to row
+    functions, Instructions and this module's mem_stage as it is in this
+    run. run(regs, keyreg, dmem, e, m), e and m being the values beside
+    EXMEM and MEMWB, does per cycle WB's write of m, MEM's m and EX's e, and
+    returns (k, e, m, exc): k == n, or the cycle at whose top the guard
+    stopped it (exc None) or in which MEM raised exc."""
+    seg, n = _Segment(), len(record) - 1
+    target = record[n][0] if record[n][1] is FLUSH_BUBBLE else None     # a taken one's pc
+    seg.n, seg.configs = n, [entry[:7] for entry in record]
+    seg.marks = [tuple(x - y for x, y in zip(entry[7:], record[0][7:])) for entry in record]
+    seg.retired = [(wb.pc, wb.word) for _, _, _, _, wb, *_ in record[:n] if wb.instr is not None]
+    names, lines = {"mem_stage": mem_stage, "MachineError": machine.MachineError}, []
+    for c, (_, ifid, idex, exmem, memwb, _, exmem_mode) in enumerate(seg.configs[:n]):
+        names.update({f"R{c}": ifid.redirect, f"B{c}": ifid.instr, f"M{c}": exmem.instr,
+                      f"A{c}": idex.alu, f"I{c}": idex.instr})
+        if c == n - 1:      # the guard, with ID's operands as they read after WB
+            a, b = ("e" if exmem.dest is r else "m" if memwb.dest is r else f"regs[{r}]"
+                    for r in (ifid.rs, ifid.rt))
+            lines.append(f"if R{c}({ifid.pc}, {a}, {b}, B{c}) != {target}: "
+                         f"return {c}, e, m, None")
+        if memwb.dest is not None:
+            lines.append(f"regs[{memwb.dest}] = m")
+        call = f"mem_stage(M{c}, e, regs[{exmem.rt}], {exmem_mode}, keyreg, dmem, {decrypt_loads})"
+        lines += (["m = e"] if exmem.mem is None else [f"k = {c}", call, "m = e"]
+                  if exmem.mem == isa.WRITE else [f"k = {c}", f"m = {call}"])
+        a, b = ("e" if exmem.dest is r else f"regs[{r}]" for r in (idex.rs, idex.rt))
+        lines.append("e = 0" if idex.alu is None else f"e = A{c}({a}, {b}, I{c})")
+    source = "".join(f"        {line}\n" for line in lines)
+    exec(f"def run(regs, keyreg, dmem, e, m):\n    try:\n{source}        return {n}, e, m, None\n"
+         "    except MachineError as exc:\n        return k, e, m, exc\n", names)
+    seg.run = names["run"]
+    return seg
+
+
 def _cycles(state: CpuState, limit: int,
             trace: Callable[[str], None] | None = None) -> None:
     """Clock the pipeline until it halts or its cycle count reaches limit.
@@ -212,6 +259,17 @@ def _cycles(state: CpuState, limit: int,
     the old path is squashed and refetched on the new one; a key-half commit
     drops the dict at the cycle's end, after IF used the old key; stores
     write dmem, never imem.
+
+    Between two resolutions of a branch or jump, every decision but the
+    outcome and MEM's alignment reads only slot identity. Untraced, the loop
+    breaks after a resolving cycle, and the segment loop around it looks up
+    the configuration left (pc, latches, idex_mode, exmem_mode) in fetched,
+    whose two drops so retire segments too. The visit after _HOT_VISITS
+    records a cycle a pass up to the next resolution, for _segment; a miss
+    in IF or a drop of fetched discards it. A segment replays only when it
+    fits under limit; where its guard or MEM stops it, the loop takes that
+    cycle's latches, values and counts (through its WB, for a fault). A
+    traced run never breaks; step() never visits a configuration twice.
     """
     if state.fault is not None:     # a Fault is final: no cycle runs after it
         raise state.fault.with_traceback(None)     # no traceback grows per raise
@@ -225,123 +283,165 @@ def _cycles(state: CpuState, limit: int,
     regs, keyreg, imem, dmem = state.regs.values, state.keyreg, state.imem, state.dmem
     decrypt_loads, retired_log = state.decrypt_loads, state.retired_log
     stall_bubble, flush_bubble, end_bubble = STALL_BUBBLE, FLUSH_BUBBLE, END_BUBBLE
-    fetched = {}    # pc -> the Slot IF made of it: IF's cache, see above
-    load_key = handoff = None
+    fetched = {}    # pc -> its Slot, and a configuration -> its _Segment or visits to it
+    load_key = handoff = record = None
+    resolved, stop = False, limit   # stop: where the counted loop ends this pass
     if trace is not None:
         after = (pc, ifid, idex, exmem, memwb, crypt_mode, crypt_fetches, encrypted_stores)
     try:
-        # counted, for an unconditional jump back: CPython 3.11 specializes a
-        # `while cond` loop only from its 8th call. WB's end arm stops a run.
-        for cycles in range(cycles + 1, limit + 1):
-            # WB first, so later stages read its result in the register file;
-            # dest is never $r0 and every result is 32 bits, so write directly.
-            if memwb.instr is not None:
-                if memwb.dest is not None:
-                    regs[memwb.dest] = memwb_alu
-                if retired_log is not None:
-                    retired_log.append((memwb.pc, memwb.word))
-            elif memwb is stall_bubble:
-                stalls += 1
-            elif memwb is flush_bubble:
-                flushes += 1
-            elif memwb is end_bubble:
-                cycles -= 1     # halted before this cycle, which never ran
-                break
-            else:               # a fill bubble, in one of the first 4 cycles
-                fills += 1
+        while True:     # generic cycles up to a resolution, then a replay from it
+            # counted, for an unconditional jump back: CPython 3.11 specializes a
+            # `while cond` loop only from its 8th call. WB's end arm stops a run.
+            for cycles in range(cycles + 1, stop + 1):
+                # WB first, so later stages read its result in the register file;
+                # dest is never $r0 and every result is 32 bits, so write directly.
+                if memwb.instr is not None:
+                    if memwb.dest is not None:
+                        regs[memwb.dest] = memwb_alu
+                    if retired_log is not None:
+                        retired_log.append((memwb.pc, memwb.word))
+                elif memwb is stall_bubble:
+                    stalls += 1
+                elif memwb is flush_bubble:
+                    flushes += 1
+                elif memwb is end_bubble:
+                    cycles -= 1     # halted before this cycle, which never ran
+                    return
+                else:               # a fill bubble, in one of the first 4 cycles
+                    fills += 1
 
-            # MEM: a key half commits at the cycle's end, after IF used the old key
-            mem_out = exmem_alu
-            if exmem.mem is not None:
-                # a store's data: every older instruction has written back
-                try:
-                    out = mem_stage(exmem.instr, exmem_alu, regs[exmem.rt], exmem_mode,
-                                    keyreg, dmem, decrypt_loads)
-                except machine.MachineError as exc:
-                    raise Fault(exc, exmem.pc, cycles) from exc
-                if exmem.load_key is not None:
-                    load_key, key_word = exmem.load_key, out
-                elif out is not None:   # a read: its word replaces the address
-                    mem_out = out
-                elif exmem_mode:
-                    encrypted_stores += 1
-
-            # EX: an operand is EXMEM's result when EXMEM writes its register,
-            # else the register file; the row ignores an operand it does not read.
-            alu = idex.alu
-            if alu is not None:
-                a = exmem_alu if exmem.dest is idex.rs else regs[idex.rs]
-                b = exmem_alu if exmem.dest is idex.rt else regs[idex.rt]
-                ex_out = alu(a, b, idex.instr)
-            else:
-                ex_out = 0
-
-            # ID: hazards, then a rare slot's fault, branch resolution or
-            # crypt-mode switch. Only the branch compare reads registers here.
-            if ifid.rare is None:
-                # load-use: a load (a memory row with a dest) in EX whose dest this reads
-                if idex.mem is not None and idex.dest in ifid.sources:
-                    handoff = stall_bubble
-            elif ifid.kind is not None:     # an unknown word
-                raise Fault(ifid.instr, ifid.pc, cycles) from ifid.instr
-            elif ifid.redirect is not None:
-                # a branch waits for any producer in EX (the compare forwards from
-                # EXMEM only) and for a load in MEM (its data is in the registers
-                # a cycle on); the compare reads its operands as EX does
-                sources = ifid.sources
-                if idex.dest in sources or exmem.mem is not None and exmem.dest in sources:
-                    handoff = stall_bubble
-                else:
-                    a = exmem_alu if exmem.dest is ifid.rs else regs[ifid.rs]
-                    b = exmem_alu if exmem.dest is ifid.rt else regs[ifid.rt]
-                    handoff = ifid.redirect(ifid.pc, a, b, ifid.instr)
-            elif ifid.mode(ifid.instr) != crypt_mode:
-                crypt_mode = not crypt_mode
-                fetched.clear()     # before IF reads it, this cycle
-                handoff = pc        # refetch what IF reads on the old path
-
-            # IF, unless ID handed it a stall or a redirect: the cached slot of
-            # pc, else a new one; a word that decodes to no row rides to ID.
-            if handoff is None:
-                next_idex = ifid
-                slot = fetched.get(pc)
-                if slot is not None:
-                    ifid, pc = slot, slot.next_pc
-                    if crypt_mode:
-                        crypt_fetches += 1
-                else:
+                # MEM: a key half commits at the cycle's end, after IF used the old key
+                mem_out = exmem_alu
+                if exmem.mem is not None:
+                    # a store's data: every older instruction has written back
                     try:
-                        word = fetch_word(imem, pc, crypt_mode, keyreg)
+                        out = mem_stage(exmem.instr, exmem_alu, regs[exmem.rt], exmem_mode,
+                                        keyreg, dmem, decrypt_loads)
                     except machine.MachineError as exc:
-                        raise Fault(exc, pc, cycles) from exc
-                    if word is None:
-                        ifid = end_bubble
+                        raise Fault(exc, exmem.pc, cycles) from exc
+                    if exmem.load_key is not None:
+                        load_key, key_word = exmem.load_key, out
+                    elif out is not None:   # a read: its word replaces the address
+                        mem_out = out
+                    elif exmem_mode:
+                        encrypted_stores += 1
+
+                # EX: an operand is EXMEM's result when EXMEM writes its register,
+                # else the register file; the row ignores an operand it does not read.
+                alu = idex.alu
+                if alu is not None:
+                    a = exmem_alu if exmem.dest is idex.rs else regs[idex.rs]
+                    b = exmem_alu if exmem.dest is idex.rt else regs[idex.rt]
+                    ex_out = alu(a, b, idex.instr)
+                else:
+                    ex_out = 0
+
+                # ID: hazards, then a rare slot's fault, branch resolution or
+                # crypt-mode switch. Only the branch compare reads registers here.
+                if ifid.rare is None:
+                    # load-use: a load (a memory row with a dest) in EX whose dest this reads
+                    if idex.mem is not None and idex.dest in ifid.sources:
+                        handoff = stall_bubble
+                elif ifid.kind is not None:     # an unknown word
+                    raise Fault(ifid.instr, ifid.pc, cycles) from ifid.instr
+                elif ifid.redirect is not None:
+                    # a branch waits for any producer in EX (the compare forwards from
+                    # EXMEM only) and for a load in MEM (its data is in the registers
+                    # a cycle on); the compare reads its operands as EX does
+                    sources = ifid.sources
+                    if idex.dest in sources or exmem.mem is not None and exmem.dest in sources:
+                        handoff = stall_bubble
                     else:
-                        try:
-                            ifid = fetched[pc] = Slot(pc, word, isa.decode(word))
-                        except isa.UnknownInstruction as exc:
-                            ifid = Slot(pc, word, exc, "unknown")
-                        pc = ifid.next_pc
+                        a = exmem_alu if exmem.dest is ifid.rs else regs[ifid.rs]
+                        b = exmem_alu if exmem.dest is ifid.rt else regs[ifid.rt]
+                        handoff = ifid.redirect(ifid.pc, a, b, ifid.instr)
+                        resolved = True
+                elif ifid.mode(ifid.instr) != crypt_mode:
+                    crypt_mode = not crypt_mode
+                    fetched.clear()     # before IF reads it, this cycle
+                    handoff = pc        # refetch what IF reads on the old path
+
+                # IF, unless ID handed it a stall or a redirect: the cached slot of
+                # pc, else a new one; a word that decodes to no row rides to ID.
+                if handoff is None:
+                    next_idex = ifid
+                    slot = fetched.get(pc)
+                    if slot is not None:
+                        ifid, pc = slot, slot.next_pc
                         if crypt_mode:
                             crypt_fetches += 1
-            elif handoff is stall_bubble:      # IFID holds
-                next_idex, handoff = stall_bubble, None
-            else:                               # a redirect squashes the fetch
-                next_idex, ifid, pc, handoff = ifid, flush_bubble, handoff, None
+                    else:
+                        try:
+                            word = fetch_word(imem, pc, crypt_mode, keyreg)
+                        except machine.MachineError as exc:
+                            raise Fault(exc, pc, cycles) from exc
+                        if word is None:
+                            ifid = end_bubble
+                        else:
+                            try:
+                                ifid = fetched[pc] = Slot(pc, word, isa.decode(word))
+                            except isa.UnknownInstruction as exc:
+                                ifid = Slot(pc, word, exc, "unknown")
+                            pc = ifid.next_pc
+                            if crypt_mode:
+                                crypt_fetches += 1
+                elif handoff is stall_bubble:      # IFID holds
+                    next_idex, handoff = stall_bubble, None
+                else:                               # a redirect squashes the fetch
+                    next_idex, ifid, pc, handoff = ifid, flush_bubble, handoff, None
 
-            # each latch shifts with the values beside it (these assignments
-            # build no tuple); nothing reads a bubble's mode or result
-            memwb, memwb_alu = exmem, mem_out
-            exmem, exmem_alu, exmem_mode = idex, ex_out, idex_mode
-            idex, idex_mode = next_idex, crypt_mode
-            if load_key is not None:
-                load_key(keyreg, key_word)
-                load_key = None
-                fetched.clear()     # after IF used the old key, this cycle
-            if trace is not None:
-                before, after = after, (pc, ifid, idex, exmem, memwb, crypt_mode,
-                                        crypt_fetches, encrypted_stores)
-                trace(format_trace_line(cycles, before, after))
+                # each latch shifts with the values beside it (these assignments
+                # build no tuple); nothing reads a bubble's mode or result
+                memwb, memwb_alu = exmem, mem_out
+                exmem, exmem_alu, exmem_mode = idex, ex_out, idex_mode
+                idex, idex_mode = next_idex, crypt_mode
+                if load_key is not None:
+                    load_key(keyreg, key_word)
+                    load_key = None
+                    fetched.clear()     # after IF used the old key, this cycle
+                if trace is not None:
+                    before, after = after, (pc, ifid, idex, exmem, memwb, crypt_mode,
+                                            crypt_fetches, encrypted_stores)
+                    trace(format_trace_line(cycles, before, after))
+                elif resolved:
+                    break
+            if cycles >= limit:
+                return
+            # a cycle resolved a branch or jump, or a recording ran one (or none, first)
+            config, stop = (pc, ifid, idex, exmem, memwb, idex_mode, exmem_mode), limit
+            if record is not None:
+                record.append(config + (stalls, flushes, fills, crypt_fetches, encrypted_stores))
+                if len(fetched) != size or ifid.kind in ("end", "unknown"):
+                    record = None   # it missed in IF or dropped fetched: keep nothing
+                elif resolved:
+                    fetched[record[0][:7]], record = _segment(record, decrypt_loads), None
+                else:
+                    stop = cycles + 1
+                if not resolved:
+                    continue
+            seg, resolved = fetched.get(config, 0), False
+            while seg.__class__ is _Segment and cycles + seg.n <= limit:
+                k, exmem_alu, memwb_alu, exc = seg.run(regs, keyreg, dmem, exmem_alu,
+                                                       memwb_alu)
+                at = k if exc is None else k + 1    # MEM raised after its cycle's WB
+                d_stalls, d_flushes, d_fills, _, _ = seg.marks[at]
+                _, _, _, d_fetch, d_store = seg.marks[k]
+                cycles += at
+                stalls, flushes, fills = stalls + d_stalls, flushes + d_flushes, fills + d_fills
+                crypt_fetches += d_fetch
+                encrypted_stores += d_store
+                if retired_log is not None:
+                    retired_log += seg.retired[:at - d_stalls - d_flushes - d_fills]
+                pc, ifid, idex, exmem, memwb, idex_mode, exmem_mode = config = seg.configs[k]
+                if exc is not None:
+                    raise Fault(exc, exmem.pc, cycles) from exc
+                if k < seg.n:
+                    break       # the generic loop resolves the branch the other way
+                seg = fetched.get(config, 0)
+            if seg.__class__ is int:    # a failed recording starts over
+                fetched[config] = seg + 1 if seg < _HOT_VISITS else 0
+                if seg == _HOT_VISITS:  # record from here, after a pass of no cycle
+                    record, size, stop = [], len(fetched), cycles
     except Fault as fault:
         state.fault = fault
         raise

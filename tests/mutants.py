@@ -52,8 +52,8 @@ MUTANTS = [
            "word = fetch_word(imem, pc, state.crypt_mode, keyreg)"),
     Mutant("crypt_fetches not counted on a cache hit", PIPELINE,
            "ifid, pc = slot, slot.next_pc\n"
-           "                    if crypt_mode:\n"
-           "                        crypt_fetches += 1",
+           "                        if crypt_mode:\n"
+           "                            crypt_fetches += 1",
            "ifid, pc = slot, slot.next_pc"),
     # the cycle loop's end
     Mutant("a halt counts the cycle it never ran", PIPELINE,
@@ -65,20 +65,20 @@ MUTANTS = [
            "next_idex, ifid, pc, handoff = ifid, flush_bubble, handoff, None",
            "next_idex, ifid, pc = ifid, flush_bubble, handoff"),
     Mutant("a key half commits again in every later cycle", PIPELINE,
-           "load_key(keyreg, key_word)\n                load_key = None", "load_key(keyreg, key_word)"),
+           "load_key(keyreg, key_word)\n                    load_key = None", "load_key(keyreg, key_word)"),
     # forwarding and hazards
     Mutant("EX operands from the register file only", PIPELINE,
            "a = exmem_alu if exmem.dest is idex.rs else regs[idex.rs]\n"
-           "                b = exmem_alu if exmem.dest is idex.rt else regs[idex.rt]",
+           "                    b = exmem_alu if exmem.dest is idex.rt else regs[idex.rt]",
            "a, b = regs[idex.rs], regs[idex.rt]"),
     Mutant("EXMEM's result forwarded for every register", PIPELINE,
            "a = exmem_alu if exmem.dest is idex.rs else regs[idex.rs]\n"
-           "                b = exmem_alu if exmem.dest is idex.rt else regs[idex.rt]",
+           "                    b = exmem_alu if exmem.dest is idex.rt else regs[idex.rt]",
            "a = exmem_alu if exmem.dest is not None else regs[idex.rs]\n"
-           "                b = exmem_alu if exmem.dest is not None else regs[idex.rt]"),
+           "                    b = exmem_alu if exmem.dest is not None else regs[idex.rt]"),
     Mutant("branch compare from the register file only", PIPELINE,
            "a = exmem_alu if exmem.dest is ifid.rs else regs[ifid.rs]\n"
-           "                    b = exmem_alu if exmem.dest is ifid.rt else regs[ifid.rt]",
+           "                        b = exmem_alu if exmem.dest is ifid.rt else regs[ifid.rt]",
            "a, b = regs[ifid.rs], regs[ifid.rt]"),
     Mutant("no load-use stall", PIPELINE,
            "if idex.mem is not None and idex.dest in ifid.sources:", "if False:"),
@@ -95,15 +95,34 @@ MUTANTS = [
     Mutant("a taken branch fetches its target with no flush", PIPELINE,
            "handoff = ifid.redirect(ifid.pc, a, b, ifid.instr)",
            "handoff = ifid.redirect(ifid.pc, a, b, ifid.instr)\n"
-           "                    if handoff is not None and sources:\n"
-           "                        pc, handoff = handoff, None"),
+           "                        if handoff is not None and sources:\n"
+           "                            pc, handoff = handoff, None"),
     Mutant("a jump fetches its target with no flush", PIPELINE,
            "handoff = ifid.redirect(ifid.pc, a, b, ifid.instr)",
            "handoff = ifid.redirect(ifid.pc, a, b, ifid.instr)\n"
-           "                    if handoff is not None and not sources:\n"
-           "                        pc, handoff = handoff, None"),
+           "                        if handoff is not None and not sources:\n"
+           "                            pc, handoff = handoff, None"),
     Mutant("a crypt-mode switch keeps the slot fetched on the old path", PIPELINE,
            "handoff = pc        # refetch what IF reads on the old path", "pass"),
+    # the replay of compiled segments: what it may assume, where it stops,
+    # and the state it leaves where it stops
+    Mutant("a replay skips its guard", PIPELINE,
+           'lines.append(f"if R{c}({ifid.pc}, {a}, {b}, B{c}) != {target}: "\n'
+           '                         f"return {c}, e, m, None")',
+           "pass"),
+    Mutant("a replay runs past the limit", PIPELINE,
+           "_Segment and cycles + seg.n <= limit:", "_Segment and cycles < limit:"),
+    Mutant("a fault in a replay restores the latches one cycle on", PIPELINE,
+           "exmem_mode = config = seg.configs[k]", "exmem_mode = config = seg.configs[at]"),
+    Mutant("a fault in a replay leaves out its cycle's WB stall", PIPELINE,
+           "d_stalls, d_flushes, d_fills, _, _ = seg.marks[at]",
+           "d_stalls, d_flushes, d_fills, _, _ = seg.marks[at]\n"
+           "                d_stalls = seg.marks[k][0]"),
+    Mutant("a replay adds no retired_log entries", PIPELINE,
+           "retired_log += seg.retired[:at - d_stalls - d_flushes - d_fills]", "pass"),
+    Mutant("a replay's mem_stage is bound at import", PIPELINE,
+           "def _segment(record: list, decrypt_loads: bool) -> _Segment:",
+           "def _segment(record: list, decrypt_loads: bool, mem_stage=mem_stage) -> _Segment:"),
     # the trace line: a snapshot of the locals after each cycle's work
     Mutant("DEC_FETCH never reported", PIPELINE,
            'events.append("DEC_FETCH")', "pass"),

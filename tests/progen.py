@@ -11,6 +11,9 @@ corpus pins: unaligned accesses, mid-program key reloads of the same and
 of a different value, a `crypt 0` with plaintext fetch after it, key
 loads too close to `crypt`, and unknown instruction words planted in the
 image. Such programs may fault; they still never run unbounded.
+
+gen_long_loop_program builds the one kind of program whose loop runs long
+enough for the cycle loop to compile and replay its segments.
 """
 
 import random
@@ -23,6 +26,10 @@ DATA_REGS = list(range(1, 10))
 BASE_REG = 10   # holds a small 8-aligned base address
 LOOP_REG = 11   # loop counters only
 KEY_REG = 12    # key base pointer in crypt programs
+# a long loop's own registers: the thresholds of its flipping branch and
+# of its planted pointer, the pointer, the word a stalled store writes,
+# and the outer loop's count
+FLIP_REG, LIMIT_REG, POINTER_REG, STALL_REG, OUTER_REG = 13, 14, 15, 16, 17
 
 ARITH = ("add", "sub", "and", "or", "slt")
 
@@ -30,6 +37,7 @@ KEY = 0x4B4952415450414C
 KEY_ADDR = 104
 ALT_KEY = 0x0123456789ABCDEF    # a second key, for reloads of a different value
 ALT_KEY_ADDR = 128
+LONG_KEY_ADDR = 144     # KEY again, where no generated store reaches
 
 # words no table row decodes: opcode 0x3f, and an R-type funct 0x3f
 UNKNOWN_WORDS = (0xFC000000, 0x0000003F, 0xFC0F1234)
@@ -145,6 +153,75 @@ def gen_crypt_program(rng: random.Random, extras: bool = False) -> str:
         g.lines.append("crypt 0")
         _body(g)
     return "\n".join(g.lines) + "\n"
+
+
+def gen_long_loop_program(rng: random.Random, iterations: int, crypt: bool = False,
+                          fault: Optional[str] = None) -> str:
+    """A counted loop of `iterations` inside an outer loop that runs once or
+    twice, behind the key-load / crypt prologue when crypt. Its body is plain
+    instructions, and at times a jump over one, a `crypt` that keeps the
+    mode, or a branch over one that turns taken once the counter falls
+    below a threshold. After the hot loop the outer loop reloads a key
+    half with KEY's own value and, when crypt, runs a `crypt 0` /
+    `crypt 1` pair, so the loop runs again after both drop the fetch cache.
+
+    fault plants a pointer that turns unaligned once the counter, which
+    counts down to 0, falls below a threshold from 60 up to iterations // 2:
+    "load" reads through it, "store" writes through it, and "stall" writes
+    through it the word a load directly before it read, so the store waits
+    a cycle behind a stall.
+    A program without a fault halts; it reads LONG_KEY_ADDR, which
+    long_loop_entries fills.
+    """
+    g = _Gen(rng)
+    if crypt:
+        g.lines += [f"addi $r{KEY_REG}, $r0, {KEY_ADDR}", f"lklw 0($r{KEY_REG})",
+                    f"lkuw 8($r{KEY_REG})", "nop", "nop", "crypt 1"]
+    for reg in DATA_REGS[:4]:
+        g.lines.append(f"addi $r{reg}, $r0, {rng.randrange(-100, 100)}")
+    g.lines += [f"addi $r{BASE_REG}, $r0, {8 * rng.randrange(8)}",
+                f"addi $r{FLIP_REG}, $r0, {rng.randrange(1, iterations)}",
+                f"addi $r{LIMIT_REG}, $r0, {rng.randrange(60, iterations // 2)}",
+                f"addi $r{OUTER_REG}, $r0, {rng.randrange(1, 3)}",
+                "outer:", f"addi $r{LOOP_REG}, $r0, {iterations}", "loop:"]
+    for _ in range(rng.randrange(2, 6)):
+        g.lines.append(g.plain_instr())
+        r = rng.random()
+        if r < 0.15:
+            label = g.fresh_label("over")
+            g.lines += [f"j {label}", g.plain_instr(), f"{label}:"]
+        elif r < 0.25:
+            g.lines.append("crypt 1" if crypt else "crypt 0")
+        elif r < 0.4:
+            label = g.fresh_label("flip")
+            g.lines += [f"slt $r{POINTER_REG}, $r{LOOP_REG}, $r{FLIP_REG}",
+                        f"bne $r{POINTER_REG}, $r0, {label}", g.plain_instr(), f"{label}:"]
+    if fault is not None:
+        offset = 8 * rng.randrange(8)
+        g.lines += [f"slt $r{POINTER_REG}, $r{LOOP_REG}, $r{LIMIT_REG}",
+                    f"sll $r{POINTER_REG}, $r{POINTER_REG}, {rng.choice((0, 1, 2))}",
+                    f"add $r{POINTER_REG}, $r{POINTER_REG}, $r{BASE_REG}"]
+        if fault == "load":
+            g.lines.append(f"lw $r{rng.choice(DATA_REGS)}, {offset}($r{POINTER_REG})")
+        elif fault == "store":
+            g.lines.append(f"sw $r{g.src_reg()}, {offset}($r{POINTER_REG})")
+        else:
+            g.lines += [f"lw $r{STALL_REG}, {g.mem_operand()}",
+                        f"sw $r{STALL_REG}, {offset}($r{POINTER_REG})"]
+    g.lines += [f"addi $r{LOOP_REG}, $r{LOOP_REG}, -1", f"bne $r{LOOP_REG}, $r0, loop",
+                rng.choice((f"lklw {LONG_KEY_ADDR}($r0)", f"lkuw {LONG_KEY_ADDR + 8}($r0)"))]
+    if crypt:
+        g.lines += ["crypt 0", g.plain_instr(), "crypt 1"]
+    g.lines += [f"addi $r{OUTER_REG}, $r{OUTER_REG}, -1", f"bne $r{OUTER_REG}, $r0, outer",
+                "addi $r1, $r1, 1"]
+    return "\n".join(g.lines) + "\n"
+
+
+def long_loop_entries(rng: random.Random) -> List[Tuple[int, int]]:
+    """gen_dmem_entries with the key, and KEY again at LONG_KEY_ADDR."""
+    return gen_dmem_entries(rng, with_key=True) + [
+        (LONG_KEY_ADDR, des.pad_word(KEY & 0xFFFFFFFF)),
+        (LONG_KEY_ADDR + 8, des.pad_word(KEY >> 32))]
 
 
 def _crypt_positions(image: asm.ProgramImage) -> List[int]:

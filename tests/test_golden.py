@@ -5,7 +5,11 @@ Each seed gives one plain program and one crypt program (tests/progen.py,
 with extras). The plain program runs as is; the crypt program runs in four
 modes: encrypted, encrypted with --decrypt-loads, encrypted under a key
 other than the one it loads, and encrypted with a limit of 5 + seed % 40
-cycles, which most runs hit mid-flight. Every run stores the six
+cycles, which most runs hit mid-flight. A seed of LONG_SEEDS also gives
+one long_loop run, drawn from its own random.Random: a loop long enough
+for the cycle loop to compile and replay its segments, plain or
+encrypted, that halts, faults on a pointer that turns unaligned after
+the replays began, or hits a limit among them. Every run stores the six
 statistics, a hash of the architectural state, the fault (pc, cycle, cause
 class and text) or null, and hashes of the retired log and of the full
 trace. The records are recorded from traced
@@ -28,6 +32,7 @@ import sys
 from pathlib import Path
 
 import progen
+import pytest
 from encmips import asm, pipeline
 
 RESULTS = Path(__file__).parent / "golden" / "results.json"
@@ -35,6 +40,9 @@ SEEDS = range(400)
 MAX_CYCLES = 2000
 WRONG_KEY = 0x1F2E3D4C5B6A7988
 MODES = ("plain", "encrypted", "decrypt_loads", "wrong_key", "cycle_limit")
+LONG_SEEDS = range(40)
+# a long loop's iterations: three times the visits that compile a segment, and more
+LONG_ITERATIONS = 3 * pipeline._HOT_VISITS
 
 
 def _hash(value) -> str:
@@ -116,10 +124,38 @@ def seed_records(seed: int, traced: bool = True) -> dict:
             for mode, (image, _, options) in runs.items()}
 
 
+def long_loop_run(seed: int):
+    """The long_loop run of one seed: (image run, its plaintext image,
+    run options) and its data memory entries. By seed it runs plain,
+    encrypted or with decrypt_loads, and halts, faults in a load, in a
+    store or in a store behind a stall, or stops at a cycle limit."""
+    rng = random.Random(f"long_loop/{seed}")
+    crypt = seed % 3 != 0
+    stop = ("halt", "load", "store", "stall", "limit")[seed // 3 % 5]
+    source = progen.gen_long_loop_program(
+        rng, LONG_ITERATIONS + rng.randrange(20, 120), crypt,
+        stop if stop in ("load", "store", "stall") else None)
+    plain = asm.build_image(source)
+    options = {"max_cycles": rng.randrange(1800, 3600) if stop == "limit" else 20_000}
+    if seed % 3 == 2:
+        options["decrypt_loads"] = True
+    image = asm.encrypt_image(plain, progen.KEY) if crypt else plain
+    return (image, plain, options), progen.long_loop_entries(rng)
+
+
+def long_loop_records(traced: bool = True) -> dict:
+    records = {}
+    for seed in LONG_SEEDS:
+        (image, _, options), entries = long_loop_run(seed)
+        records[f"long_loop/{seed}"] = run_record(image, entries, traced=traced, **options)
+    return records
+
+
 def all_records(traced: bool = True) -> dict:
     records = {}
     for seed in SEEDS:
         records.update(seed_records(seed, traced))
+    records.update(long_loop_records(traced))
     return records
 
 
@@ -136,10 +172,67 @@ def test_golden_results_unchanged():
     _assert_unmoved(all_records())
 
 
-def test_golden_results_unchanged_untraced():
+def _segments_built(monkeypatch) -> list:
+    """Every segment pipeline._segment compiles from now on, each with a
+    list beside it of the (k, exc) its replays return."""
+    built, compile_segment = [], pipeline._segment
+
+    def wrapper(*args):
+        seg, replays = compile_segment(*args), []
+        run = seg.run
+
+        def counted(*run_args):
+            result = run(*run_args)
+            replays.append((result[0], result[3]))
+            return result
+
+        seg.run = counted
+        built.append((seg, replays))
+        return seg
+
+    monkeypatch.setattr(pipeline, "_segment", wrapper)
+    return built
+
+
+def test_golden_results_unchanged_untraced(monkeypatch):
     # the corpus is recorded traced; untraced, the cycle loop must leave the
-    # same state where it stops, having made no trace line from its locals
-    _assert_unmoved(all_records(traced=False), skip=("trace",))
+    # same state where it stops, having made no trace line from its locals,
+    # also where it replayed compiled segments. No program of the five
+    # seeded modes loops long enough to compile one.
+    built = _segments_built(monkeypatch)
+    records = {}
+    for seed in SEEDS:
+        records.update(seed_records(seed, traced=False))
+    assert not built
+    records.update(long_loop_records(traced=False))
+    _assert_unmoved(records, skip=("trace",))
+
+
+def _config(state) -> tuple:
+    return (state.pc, state.ifid, state.idex, state.exmem, state.memwb,
+            state.idex_mode, state.exmem_mode)
+
+
+def test_long_loops_replay_and_stop_inside_their_segments(monkeypatch):
+    # the long_loop mode must judge the replay: most of its cycles replayed,
+    # and a replay stopped at a guard, at a fault and short of a limit
+    built = _segments_built(monkeypatch)
+    cycles = replayed = 0
+    stops = set()
+    for seed in LONG_SEEDS:
+        (image, _, options), entries = long_loop_run(seed)
+        del built[:]
+        state, stop = _run(image, entries, **options)
+        cycles += state.stats.cycles
+        for seg, replays in built:
+            replayed += sum(k + (exc is not None) for k, exc in replays)
+            stops.update("fault" if exc is not None else "guard"
+                         for k, exc in replays if k < seg.n)
+            if (isinstance(stop, pipeline.CycleLimitExceeded) and replays
+                    and _config(state) in seg.configs[1:-1]):
+                stops.add("limit")
+    assert replayed >= cycles / 2
+    assert stops == {"guard", "fault", "limit"}
 
 
 def _latch(value):
@@ -158,7 +251,7 @@ def _full_state(state, stop) -> tuple:
             state.pc, state.crypt_mode, state.halted,
             (st.cycles, st.retired, st.stalls, st.flushes, st.crypt_fetches,
              st.encrypted_stores),
-            state.retired_log, pipeline.architectural_state(state),
+            tuple(state.retired_log), pipeline.architectural_state(state),
             type(stop).__name__, getattr(stop, "pc", None), getattr(stop, "cycle", None))
 
 
@@ -182,6 +275,62 @@ def test_run_leaves_the_state_a_loop_of_step_leaves():
 
 class _SinkStop(Exception):
     pass
+
+
+def _first_replay(monkeypatch, image, entries, max_cycles, **options):
+    """The cycle count at the top of a run's first replay, and the length
+    of the segment it replays. That replay raises _SinkStop, so the cycle
+    loop writes back the state it had there."""
+    compile_segment = pipeline._segment
+
+    def stopping(*args):
+        seg = compile_segment(*args)
+
+        def run(*run_args):
+            raise _SinkStop(seg.n)
+
+        seg.run = run
+        return seg
+
+    monkeypatch.setattr(pipeline, "_segment", stopping)
+    state = _state(image, entries, **options)
+    with pytest.raises(_SinkStop) as replay:
+        pipeline.run(state, max_cycles=max_cycles)
+    monkeypatch.undo()
+    return state.stats.cycles, replay.value.args[0]
+
+
+def test_every_stop_around_the_replays_is_a_stepped_runs_stop(monkeypatch):
+    # run(max_cycles=k) replays the segments that fit under k and runs the
+    # rest generically; step() never replays. For every k around the first
+    # replays and the fault, and seeded k elsewhere, both must leave one state
+    rng = random.Random(36)
+    checked, ends = 0, set()
+    for seed in (1, 3, 10, 17, 23, 24):     # each image kind, fault kind and a halt
+        (image, _, options), entries = long_loop_run(seed)
+        options = dict(options)
+        max_cycles = options.pop("max_cycles")
+        end_state, end_stop = _run(image, entries, max_cycles, **options)
+        end = end_state.stats.cycles
+        first, n = _first_replay(monkeypatch, image, entries, max_cycles, **options)
+        stops = {*range(first - 2, first + 2 * n + 3), *range(end - 2 * n - 2, end + 2),
+                 *(rng.randrange(1, end + 2) for _ in range(10))}
+        stepped, stop = _state(image, entries, **options), None
+        for k in range(1, max(stops) + 1):
+            if stop is None:
+                try:
+                    pipeline.step(stepped)
+                except pipeline.Fault as fault:
+                    stop = fault
+            if k in stops:
+                state, run_stop = _run(image, entries, k, **options)
+                expected = stop or (None if stepped.halted
+                                    else pipeline.CycleLimitExceeded(stepped, k))
+                assert _full_state(state, run_stop) == _full_state(stepped, expected), \
+                    f"long_loop/{seed} k={k}"
+                checked += 1
+        ends.add(type(end_stop).__name__)
+    assert ends == {"Fault", "NoneType"} and checked >= 250
 
 
 def test_a_raising_trace_sink_leaves_the_state_its_cycle_left():
@@ -251,21 +400,26 @@ def test_a_traced_run_after_step_prints_the_rest_of_the_trace():
 def test_timing_model_predicts_every_halting_run():
     # the oracle runs the plaintext image; a wrong key's run has none. The
     # oracle is the reference here, not results.json, so this test samples
-    # seeds past the recorded ones
-    checked = 0
-    for seed in range(540):
-        runs, entries = seed_runs(seed)
-        for mode, (image, plaintext, options) in runs.items():
-            state, stop = _run(image, entries, **options)
-            if stop is not None or plaintext is None:
-                continue
-            ref = pipeline.reference_interpret(
-                progen.memory(plaintext.entries), progen.memory(entries),
-                decrypt_loads=options.get("decrypt_loads", False), record_retired=True)
-            assert ref.retired_log == state.retired_log, f"{mode}/{seed}"
-            progen.assert_timing(state.stats, ref, f"{mode}/{seed}")
-            checked += 1
-    assert checked >= 900
+    # seeds past the recorded ones, and the long loops, whose runs replay
+    def runs():
+        for seed in range(540):
+            seeded, entries = seed_runs(seed)
+            yield from ((f"{mode}/{seed}", run, entries) for mode, run in seeded.items())
+        for seed in LONG_SEEDS:
+            yield (f"long_loop/{seed}", *long_loop_run(seed))
+
+    checked = []
+    for what, (image, plaintext, options), entries in runs():
+        state, stop = _run(image, entries, **options)
+        if stop is not None or plaintext is None:
+            continue
+        ref = pipeline.reference_interpret(
+            progen.memory(plaintext.entries), progen.memory(entries),
+            decrypt_loads=options.get("decrypt_loads", False), record_retired=True)
+        assert ref.retired_log == state.retired_log, what
+        progen.assert_timing(state.stats, ref, what)
+        checked.append(what.split("/")[0])
+    assert len(checked) >= 900 and checked.count("long_loop") >= 8
 
 
 def test_golden_corpus_reaches_its_corners():

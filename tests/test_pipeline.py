@@ -1222,6 +1222,72 @@ def test_a_run_calls_fetch_word_once_per_fetch_cache_miss(monkeypatch):
     assert stats.crypt_fetches > len(fetched)
 
 
+def _replayed_loop(fault=None):
+    """(image, dmem entries) of an encrypted long loop whose segments the
+    cycle loop compiles and replays; with fault, it faults once replayed."""
+    rng = random.Random(36)
+    source = progen.gen_long_loop_program(rng, 3 * pipeline._HOT_VISITS, True, fault)
+    return asm.encrypt_image(asm.build_image(source), progen.KEY), progen.long_loop_entries(rng)
+
+
+def _calls_traced_and_untraced(monkeypatch, name, image, entries, **kwargs):
+    """The calls to pipeline.<name> of a traced run and of an untraced run
+    of image, each up to its halt or Fault, the segments the untraced run
+    compiled, and the Fault it stopped with or None."""
+    calls, built, compile_segment = _calls_to(monkeypatch, pipeline, name), [], pipeline._segment
+    monkeypatch.setattr(pipeline, "_segment",
+                        lambda *args: built.append(compile_segment(*args)) or built[-1])
+    seen = []
+    for trace in ([].append, None):
+        calls.clear()
+        state = pipeline.CpuState(progen.memory(image.entries), progen.memory(entries),
+                                  **kwargs)
+        try:
+            pipeline.run(state, trace=trace)
+        except pipeline.Fault:
+            pass
+        seen.append(list(calls))
+    return seen, built, state.fault
+
+
+def test_a_replayed_loop_calls_mem_stage_as_a_traced_run_does(monkeypatch):
+    # a replay binds this module's mem_stage when it compiles, in the run,
+    # and calls it once for each instruction in MEM, in the same order and
+    # with the same operands as the traced run, up to the faulting call
+    for fault in (None, "stall"):
+        image, entries = _replayed_loop(fault)
+        (traced, untraced), built, stop = _calls_traced_and_untraced(
+            monkeypatch, "mem_stage", image, entries, decrypt_loads=True)
+        assert built and len(untraced) > 3 * pipeline._HOT_VISITS
+        assert (stop is None) == (fault is None)
+        assert [args[:4] for args in untraced] == [args[:4] for args in traced]
+
+
+def test_a_replayed_loop_misses_in_the_fetch_cache_as_a_traced_run_does(monkeypatch):
+    image, entries = _replayed_loop()
+    (traced, untraced), built, _ = _calls_traced_and_untraced(
+        monkeypatch, "fetch_word", image, entries)
+    assert built and [args[1:3] for args in untraced] == [args[1:3] for args in traced]
+
+
+def test_the_worked_example_compiles_no_segment(monkeypatch):
+    # its loop runs 7 times, far from the visits that pay for a compile;
+    # the verbatim example's endless loop compiles, and stops at its limit
+    # as the traced run does
+    built, compile_segment = [], pipeline._segment
+    monkeypatch.setattr(pipeline, "_segment",
+                        lambda *args: built.append(compile_segment(*args)) or built[-1])
+    pipeline.run(_worked_state())
+    assert not built
+    states = []
+    for trace in (None, [].append):
+        state = build_state(worked.VERBATIM, worked.data_memory(), encrypt_key=worked.KEY)
+        with pytest.raises(pipeline.CycleLimitExceeded):
+            pipeline.run(state, max_cycles=5_000, trace=trace)
+        states.append((_whole_state(state), state.pc))
+    assert built and states[0] == states[1]
+
+
 # ------------------------------------------------------------- differential
 
 def test_store_path_correctness_invariant():
