@@ -188,32 +188,36 @@ def _segment(record: list, decrypt_loads: bool) -> _Segment:
     functions, Instructions and this module's mem_stage as it is in this
     run. run(regs, keyreg, dmem, e, m), e and m being the values beside
     EXMEM and MEMWB, does per cycle WB's write of m, MEM's m and EX's e, and
-    returns (k, e, m, exc): k == n, or the cycle at whose top the guard
-    stopped it (exc None) or in which MEM raised exc."""
+    returns (k, e, m): k == n, or the cycle at whose top a guard stopped it
+    for the generic loop to run: the last, whose branch would resolve the
+    other way, or one whose MEM address is unaligned. That is the only
+    MachineError MEM can raise in a replay: while a segment lives, fetched
+    lives, so the crypt mode and the key are the recording's, in which each
+    access ran without a fault (so no KeyNotLoaded)."""
     seg, n = _Segment(), len(record) - 1
     target = record[n][0] if record[n][1] is FLUSH_BUBBLE else None     # a taken one's pc
     seg.n, seg.configs = n, [entry[:7] for entry in record]
     seg.marks = [tuple(x - y for x, y in zip(entry[7:], record[0][7:])) for entry in record]
     seg.retired = [(wb.pc, wb.word) for _, _, _, _, wb, *_ in record[:n] if wb.instr is not None]
-    names, lines = {"mem_stage": mem_stage, "MachineError": machine.MachineError}, []
+    names, lines = {"mem_stage": mem_stage}, []
     for c, (_, ifid, idex, exmem, memwb, _, exmem_mode) in enumerate(seg.configs[:n]):
         names.update({f"R{c}": ifid.redirect, f"B{c}": ifid.instr, f"M{c}": exmem.instr,
                       f"A{c}": idex.alu, f"I{c}": idex.instr})
-        if c == n - 1:      # the guard, with ID's operands as they read after WB
+        if c == n - 1:      # the branch guard, with ID's operands as they read after WB
             a, b = ("e" if exmem.dest is r else "m" if memwb.dest is r else f"regs[{r}]"
                     for r in (ifid.rs, ifid.rt))
-            lines.append(f"if R{c}({ifid.pc}, {a}, {b}, B{c}) != {target}: "
-                         f"return {c}, e, m, None")
+            lines.append(f"if R{c}({ifid.pc}, {a}, {b}, B{c}) != {target}: return {c}, e, m")
+        if exmem.mem is not None:
+            lines.append(f"if e & 7: return {c}, e, m")     # the alignment guard
         if memwb.dest is not None:
             lines.append(f"regs[{memwb.dest}] = m")
         call = f"mem_stage(M{c}, e, regs[{exmem.rt}], {exmem_mode}, keyreg, dmem, {decrypt_loads})"
-        lines += (["m = e"] if exmem.mem is None else [f"k = {c}", call, "m = e"]
-                  if exmem.mem == isa.WRITE else [f"k = {c}", f"m = {call}"])
+        lines += (["m = e"] if exmem.mem is None else [call, "m = e"]
+                  if exmem.mem == isa.WRITE else [f"m = {call}"])
         a, b = ("e" if exmem.dest is r else f"regs[{r}]" for r in (idex.rs, idex.rt))
         lines.append("e = 0" if idex.alu is None else f"e = A{c}({a}, {b}, I{c})")
-    source = "".join(f"        {line}\n" for line in lines)
-    exec(f"def run(regs, keyreg, dmem, e, m):\n    try:\n{source}        return {n}, e, m, None\n"
-         "    except MachineError as exc:\n        return k, e, m, exc\n", names)
+    source = "".join(f"    {line}\n" for line in lines)
+    exec(f"def run(regs, keyreg, dmem, e, m):\n{source}    return {n}, e, m\n", names)
     seg.run = names["run"]
     return seg
 
@@ -265,11 +269,12 @@ def _cycles(state: CpuState, limit: int,
     breaks after a resolving cycle, and the segment loop around it looks up
     the configuration left (pc, latches, idex_mode, exmem_mode) in fetched,
     whose two drops so retire segments too. The visit after _HOT_VISITS
-    records a cycle a pass up to the next resolution, for _segment; a miss
-    in IF or a drop of fetched discards it. A segment replays only when it
-    fits under limit; where its guard or MEM stops it, the loop takes that
-    cycle's latches, values and counts (through its WB, for a fault). A
-    traced run never breaks; step() never visits a configuration twice.
+    records a cycle a pass up to the next resolution, for _segment: the
+    count lived in fetched, so that path held no drop, and every fetch on it
+    hits but an end bubble's or unknown word's, which discard it. A segment
+    replays only when it fits under limit; where a guard stops it, the loop
+    takes that cycle's latches, values and counts and runs it. A traced run
+    never breaks; step() never visits a configuration twice.
     """
     if state.fault is not None:     # a Fault is final: no cycle runs after it
         raise state.fault.with_traceback(None)     # no traceback grows per raise
@@ -410,9 +415,9 @@ def _cycles(state: CpuState, limit: int,
             # a cycle resolved a branch or jump, or a recording ran one (or none, first)
             config, stop = (pc, ifid, idex, exmem, memwb, idex_mode, exmem_mode), limit
             if record is not None:
-                record.append(config + (stalls, flushes, fills, crypt_fetches, encrypted_stores))
-                if len(fetched) != size or ifid.kind in ("end", "unknown"):
-                    record = None   # it missed in IF or dropped fetched: keep nothing
+                record.append(config + (stalls, flushes, crypt_fetches, encrypted_stores))
+                if ifid.kind in ("end", "unknown"):
+                    record = None   # IF misses here on every visit: keep nothing
                 elif resolved:
                     fetched[record[0][:7]], record = _segment(record, decrypt_loads), None
                 else:
@@ -421,27 +426,21 @@ def _cycles(state: CpuState, limit: int,
                     continue
             seg, resolved = fetched.get(config, 0), False
             while seg.__class__ is _Segment and cycles + seg.n <= limit:
-                k, exmem_alu, memwb_alu, exc = seg.run(regs, keyreg, dmem, exmem_alu,
-                                                       memwb_alu)
-                at = k if exc is None else k + 1    # MEM raised after its cycle's WB
-                d_stalls, d_flushes, d_fills, _, _ = seg.marks[at]
-                _, _, _, d_fetch, d_store = seg.marks[k]
-                cycles += at
-                stalls, flushes, fills = stalls + d_stalls, flushes + d_flushes, fills + d_fills
+                k, exmem_alu, memwb_alu = seg.run(regs, keyreg, dmem, exmem_alu, memwb_alu)
+                d_stalls, d_flushes, d_fetch, d_store = seg.marks[k]
+                cycles, stalls, flushes = cycles + k, stalls + d_stalls, flushes + d_flushes
                 crypt_fetches += d_fetch
                 encrypted_stores += d_store
                 if retired_log is not None:
-                    retired_log += seg.retired[:at - d_stalls - d_flushes - d_fills]
+                    retired_log += seg.retired[:k - d_stalls - d_flushes]
                 pc, ifid, idex, exmem, memwb, idex_mode, exmem_mode = config = seg.configs[k]
-                if exc is not None:
-                    raise Fault(exc, exmem.pc, cycles) from exc
                 if k < seg.n:
-                    break       # the generic loop resolves the branch the other way
+                    break       # the generic loop runs the cycle a guard stopped before
                 seg = fetched.get(config, 0)
             if seg.__class__ is int:    # a failed recording starts over
                 fetched[config] = seg + 1 if seg < _HOT_VISITS else 0
                 if seg == _HOT_VISITS:  # record from here, after a pass of no cycle
-                    record, size, stop = [], len(fetched), cycles
+                    record, stop = [], cycles
     except Fault as fault:
         state.fault = fault
         raise

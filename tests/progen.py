@@ -224,6 +224,31 @@ def long_loop_entries(rng: random.Random) -> List[Tuple[int, int]]:
         (LONG_KEY_ADDR + 8, des.pad_word(KEY >> 32))]
 
 
+def segments_built(monkeypatch) -> Tuple[list, list]:
+    """Every segment pipeline._segment compiles from now on, and the
+    (segment, k) of each of their replays in the order they ran, k being
+    the cycle at whose top a guard stopped it, or its n. No configuration
+    of a compiled segment holds a fill bubble."""
+    built, replays, compile_segment = [], [], pipeline._segment
+
+    def wrapper(*args):
+        seg = compile_segment(*args)
+        assert not any(pipeline.FILL_BUBBLE in config for config in seg.configs)
+        run = seg.run
+
+        def counted(*run_args):
+            result = run(*run_args)
+            replays.append((seg, result[0]))
+            return result
+
+        seg.run = counted
+        built.append(seg)
+        return seg
+
+    monkeypatch.setattr(pipeline, "_segment", wrapper)
+    return built, replays
+
+
 def _crypt_positions(image: asm.ProgramImage) -> List[int]:
     return [i for i, (_, block) in enumerate(image.entries)
             if (spec := isa.spec_of(des.extract_word(block))) is not None

@@ -172,34 +172,12 @@ def test_golden_results_unchanged():
     _assert_unmoved(all_records())
 
 
-def _segments_built(monkeypatch) -> list:
-    """Every segment pipeline._segment compiles from now on, each with a
-    list beside it of the (k, exc) its replays return."""
-    built, compile_segment = [], pipeline._segment
-
-    def wrapper(*args):
-        seg, replays = compile_segment(*args), []
-        run = seg.run
-
-        def counted(*run_args):
-            result = run(*run_args)
-            replays.append((result[0], result[3]))
-            return result
-
-        seg.run = counted
-        built.append((seg, replays))
-        return seg
-
-    monkeypatch.setattr(pipeline, "_segment", wrapper)
-    return built
-
-
 def test_golden_results_unchanged_untraced(monkeypatch):
     # the corpus is recorded traced; untraced, the cycle loop must leave the
     # same state where it stops, having made no trace line from its locals,
     # also where it replayed compiled segments. No program of the five
     # seeded modes loops long enough to compile one.
-    built = _segments_built(monkeypatch)
+    built, _ = progen.segments_built(monkeypatch)
     records = {}
     for seed in SEEDS:
         records.update(seed_records(seed, traced=False))
@@ -215,21 +193,25 @@ def _config(state) -> tuple:
 
 def test_long_loops_replay_and_stop_inside_their_segments(monkeypatch):
     # the long_loop mode must judge the replay: most of its cycles replayed,
-    # and a replay stopped at a guard, at a fault and short of a limit
-    built = _segments_built(monkeypatch)
+    # and a replay stopped at a guard, before the cycle whose fault ends the
+    # run, and short of a limit
+    _, replays = progen.segments_built(monkeypatch)
     cycles = replayed = 0
     stops = set()
     for seed in LONG_SEEDS:
         (image, _, options), entries = long_loop_run(seed)
-        del built[:]
+        del replays[:]
         state, stop = _run(image, entries, **options)
         cycles += state.stats.cycles
-        for seg, replays in built:
-            replayed += sum(k + (exc is not None) for k, exc in replays)
-            stops.update("fault" if exc is not None else "guard"
-                         for k, exc in replays if k < seg.n)
-            if (isinstance(stop, pipeline.CycleLimitExceeded) and replays
-                    and _config(state) in seg.configs[1:-1]):
+        replayed += sum(k for _, k in replays)
+        stops.update("guard" for seg, k in replays[:-1] if k < seg.n)
+        if replays:
+            seg, k = replays[-1]
+            if k < seg.n:
+                stops.add("fault" if isinstance(stop, pipeline.Fault)
+                          and _config(state) == seg.configs[k] else "guard")
+            if (isinstance(stop, pipeline.CycleLimitExceeded)
+                    and any(_config(state) in seg.configs[1:-1] for seg, _ in replays)):
                 stops.add("limit")
     assert replayed >= cycles / 2
     assert stops == {"guard", "fault", "limit"}

@@ -1234,9 +1234,8 @@ def _calls_traced_and_untraced(monkeypatch, name, image, entries, **kwargs):
     """The calls to pipeline.<name> of a traced run and of an untraced run
     of image, each up to its halt or Fault, the segments the untraced run
     compiled, and the Fault it stopped with or None."""
-    calls, built, compile_segment = _calls_to(monkeypatch, pipeline, name), [], pipeline._segment
-    monkeypatch.setattr(pipeline, "_segment",
-                        lambda *args: built.append(compile_segment(*args)) or built[-1])
+    calls = _calls_to(monkeypatch, pipeline, name)
+    built, _ = progen.segments_built(monkeypatch)
     seen = []
     for trace in ([].append, None):
         calls.clear()
@@ -1274,9 +1273,7 @@ def test_the_worked_example_compiles_no_segment(monkeypatch):
     # its loop runs 7 times, far from the visits that pay for a compile;
     # the verbatim example's endless loop compiles, and stops at its limit
     # as the traced run does
-    built, compile_segment = [], pipeline._segment
-    monkeypatch.setattr(pipeline, "_segment",
-                        lambda *args: built.append(compile_segment(*args)) or built[-1])
+    built, _ = progen.segments_built(monkeypatch)
     pipeline.run(_worked_state())
     assert not built
     states = []
