@@ -271,10 +271,13 @@ def _cycles(state: CpuState, limit: int,
     whose two drops so retire segments too. The visit after _HOT_VISITS
     records a cycle a pass up to the next resolution, for _segment: the
     count lived in fetched, so that path held no drop, and every fetch on it
-    hits but an end bubble's or unknown word's, which discard it. A segment
-    replays only when it fits under limit; where a guard stops it, the loop
-    takes that cycle's latches, values and counts and runs it. A traced run
-    never breaks; step() never visits a configuration twice.
+    hits but the resolving cycle's of an end bubble or unknown word. Such a
+    segment compiles and never replays: behind it ID sees only end bubbles
+    up to the halt, or faults on the unknown word in the next cycle, so no
+    configuration is looked up again. A segment replays only when it fits
+    under limit; where a guard stops it, the loop takes that cycle's
+    latches, values and counts and runs it. A traced run never breaks;
+    step() never visits a configuration twice.
     """
     if state.fault is not None:     # a Fault is final: no cycle runs after it
         raise state.fault.with_traceback(None)     # no traceback grows per raise
@@ -416,14 +419,10 @@ def _cycles(state: CpuState, limit: int,
             config, stop = (pc, ifid, idex, exmem, memwb, idex_mode, exmem_mode), limit
             if record is not None:
                 record.append(config + (stalls, flushes, crypt_fetches, encrypted_stores))
-                if ifid.kind in ("end", "unknown"):
-                    record = None   # IF misses here on every visit: keep nothing
-                elif resolved:
-                    fetched[record[0][:7]], record = _segment(record, decrypt_loads), None
-                else:
-                    stop = cycles + 1
                 if not resolved:
+                    stop = cycles + 1
                     continue
+                fetched[record[0][:7]], record = _segment(record, decrypt_loads), None
             seg, resolved = fetched.get(config, 0), False
             while seg.__class__ is _Segment and cycles + seg.n <= limit:
                 k, exmem_alu, memwb_alu = seg.run(regs, keyreg, dmem, exmem_alu, memwb_alu)
@@ -437,8 +436,8 @@ def _cycles(state: CpuState, limit: int,
                 if k < seg.n:
                     break       # the generic loop runs the cycle a guard stopped before
                 seg = fetched.get(config, 0)
-            if seg.__class__ is int:    # a failed recording starts over
-                fetched[config] = seg + 1 if seg < _HOT_VISITS else 0
+            if seg.__class__ is int:
+                fetched[config] = seg + 1
                 if seg == _HOT_VISITS:  # record from here, after a pass of no cycle
                     record, stop = [], cycles
     except Fault as fault:

@@ -115,6 +115,9 @@ MUTANTS = [
            "pass"),
     Mutant("a replay skips its alignment guard", PIPELINE,
            'lines.append(f"if e & 7: return {c}, e, m")     # the alignment guard', "pass"),
+    Mutant("a recording never ends", PIPELINE, "if not resolved:", "if True:"),
+    Mutant("a recording compiles before its resolution", PIPELINE,
+           "if not resolved:", "if False:"),
     Mutant("a replay runs past the limit", PIPELINE,
            "_Segment and cycles + seg.n <= limit:", "_Segment and cycles < limit:"),
     Mutant("a fault in a replay restores the latches one cycle on", PIPELINE,

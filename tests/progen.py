@@ -249,6 +249,26 @@ def segments_built(monkeypatch) -> Tuple[list, list]:
     return built, replays
 
 
+def full_state(state: pipeline.CpuState) -> tuple:
+    """Everything a stop leaves in a CpuState, as one comparable value: each
+    latch as (kind, pc, word), which fix the rest of a slot (an unknown
+    slot's instr is an exception, equal only to itself), the values beside
+    the latches, pc, crypt mode, halted, the six stats, the retired log,
+    the architectural state and the Fault as (pc, cycle, cause class,
+    text) or None."""
+    st, fault = state.stats, state.fault
+    return (tuple((slot.kind, slot.pc, slot.word)
+                  for slot in (state.ifid, state.idex, state.exmem, state.memwb)),
+            (state.idex_mode, state.exmem_mode, state.exmem_alu, state.memwb_alu),
+            state.pc, state.crypt_mode, state.halted,
+            (st.cycles, st.retired, st.stalls, st.flushes, st.crypt_fetches,
+             st.encrypted_stores),
+            None if state.retired_log is None else tuple(state.retired_log),
+            pipeline.architectural_state(state),
+            None if fault is None else (fault.pc, fault.cycle, type(fault.cause).__name__,
+                                        str(fault.cause)))
+
+
 def _crypt_positions(image: asm.ProgramImage) -> List[int]:
     return [i for i, (_, block) in enumerate(image.entries)
             if (spec := isa.spec_of(des.extract_word(block))) is not None

@@ -296,6 +296,15 @@ def test_dump_disasm(tmp_path, capsys):
         "68: 000000005450414c  .word 0x5450414c\n")
 
 
+def test_dump_without_disasm_prints_address_and_block(tmp_path, capsys):
+    image = tmp_path / "img.hex"
+    image.write_text("0000000020010068\n00000000AC010004\n@1A0\nFFFFFFFF5450414C\n")
+    assert cli.main(["dump", str(image)]) == 0
+    out, err = capsys.readouterr()
+    assert out == "0: 0000000020010068\n8: 00000000ac010004\n1a0: ffffffff5450414c\n"
+    assert err == ""
+
+
 # (argv, a part of the error line or None)
 @pytest.mark.parametrize("argv, reason", [
     (["run", "{missing}"], "argument image: [Errno 2] No such file or directory"),

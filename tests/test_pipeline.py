@@ -643,13 +643,6 @@ def _step_to_fault(state):
             return exc
 
 
-def _after_fault(state):
-    """What a Fault leaves, and what no later step or run may change."""
-    return (tuple(getattr(state.stats, name) for name in STAT_NAMES),
-            list(state.retired_log or ()), state.regs.snapshot(),
-            state.dmem.items(), state.pc, state.halted)
-
-
 def test_a_fault_is_final():
     # the lw faults in MEM in cycle 5, whose WB retired the addi; each later
     # step or run raises that Fault again and clocks nothing
@@ -657,14 +650,15 @@ def test_a_fault_is_final():
     fault = _step_to_fault(state)
     assert (fault.pc, fault.cycle) == (0x8, 5)
     assert isinstance(fault.cause, machine.UnalignedAccess)
-    left = _after_fault(state)
-    assert left == ((5, 1, 0, 0, 0, 0), [(0, 0x20010001)], left[2], [], 0x10, False)
-    assert state.regs.read(1) == 1
+    assert state.stats == pipeline.Stats(5, 1)
+    assert state.retired_log == [(0, 0x20010001)] and state.regs.read(1) == 1
+    assert state.dmem.items() == [] and state.pc == 0x10 and not state.halted
+    left = progen.full_state(state)     # what no later step or run may change
     depths = set()
     for again in (pipeline.step, pipeline.step, pipeline.run):
         with pytest.raises(pipeline.Fault) as exc:
             again(state)
-        assert _after_fault(state) == left
+        assert progen.full_state(state) == left
         assert exc.value is fault
         depths.add(len(traceback.extract_tb(fault.__traceback__)))
     assert len(depths) == 1     # each raise's traceback holds only its own frames
@@ -736,10 +730,6 @@ def _worked_state():
     return build_state(worked.CORRECTED, worked.data_memory(), encrypt_key=worked.KEY)
 
 
-def _whole_state(state):
-    return _in_flight(state), pipeline.architectural_state(state)
-
-
 def test_worked_example_stops_at_the_exact_cycle_limit():
     # the end bubble reaches WB in cycle 100: a limit of 100 is a clean
     # halt, 99 stops where 99 calls of step stop
@@ -753,15 +743,15 @@ def test_worked_example_stops_at_the_exact_cycle_limit():
     for _ in range(99):
         pipeline.step(stepped)
     assert not stepped.halted and stepped.stats.cycles == 99
-    assert _whole_state(exc.value.state) == _whole_state(stepped)
+    assert progen.full_state(exc.value.state) == progen.full_state(stepped)
 
 
 def test_a_halted_state_runs_no_further_cycle():
     state, _ = pipeline.run(_worked_state())
-    halted = _whole_state(state)
+    halted = progen.full_state(state)
     pipeline.step(state)
     pipeline.run(state)
-    assert _whole_state(state) == halted and state.stats.cycles == 100
+    assert progen.full_state(state) == halted and state.stats.cycles == 100
 
 
 # Every trace event once or more: a load-use STALL (cycle 10), a
@@ -982,13 +972,6 @@ def _fields(slot):
     return tuple(getattr(slot, name, "unset") for name in type(slot).__slots__)
 
 
-def _in_flight(state):
-    return (tuple(_fields(latch) for latch in (state.ifid, state.idex, state.exmem,
-                                               state.memwb)),
-            state.idex_mode, state.exmem_mode, state.exmem_alu, state.memwb_alu,
-            state.pc, state.crypt_mode, state.stats, state.regs.snapshot())
-
-
 LOOP = "L: addi $r1, $r1, 1\nj L\n"
 
 
@@ -1020,7 +1003,7 @@ def test_no_slot_is_written_after_if_and_one_slot_sits_in_two_latches(
     stepped = build_state(source, key_dmem(), encrypt_key=encrypt_key)
     for _ in range(200):
         pipeline.step(stepped)
-    assert _in_flight(state) == _in_flight(stepped)
+    assert progen.full_state(state) == progen.full_state(stepped)
 
 
 # ----------------------------------------------------------- stage functions
@@ -1230,43 +1213,74 @@ def _replayed_loop(fault=None):
     return asm.encrypt_image(asm.build_image(source), progen.KEY), progen.long_loop_entries(rng)
 
 
-def _calls_traced_and_untraced(monkeypatch, name, image, entries, **kwargs):
-    """The calls to pipeline.<name> of a traced run and of an untraced run
-    of image, each up to its halt or Fault, the segments the untraced run
-    compiled, and the Fault it stopped with or None."""
-    calls = _calls_to(monkeypatch, pipeline, name)
-    built, _ = progen.segments_built(monkeypatch)
-    seen = []
+def _traced_and_untraced(calls, imem_entries, dmem_entries, **kwargs):
+    """A traced and then an untraced run of imem_entries, each up to its
+    halt or Fault: for each, the state it leaves and the calls it makes to
+    the function _calls_to watches in calls."""
+    runs = []
     for trace in ([].append, None):
         calls.clear()
-        state = pipeline.CpuState(progen.memory(image.entries), progen.memory(entries),
+        state = pipeline.CpuState(progen.memory(imem_entries), progen.memory(dmem_entries),
                                   **kwargs)
         try:
             pipeline.run(state, trace=trace)
         except pipeline.Fault:
             pass
-        seen.append(list(calls))
-    return seen, built, state.fault
+        runs.append((state, list(calls)))
+    return runs
 
 
 def test_a_replayed_loop_calls_mem_stage_as_a_traced_run_does(monkeypatch):
     # a replay binds this module's mem_stage when it compiles, in the run,
     # and calls it once for each instruction in MEM, in the same order and
     # with the same operands as the traced run, up to the faulting call
+    calls = _calls_to(monkeypatch, pipeline, "mem_stage")
+    built, _ = progen.segments_built(monkeypatch)
     for fault in (None, "stall"):
+        del built[:]
         image, entries = _replayed_loop(fault)
-        (traced, untraced), built, stop = _calls_traced_and_untraced(
-            monkeypatch, "mem_stage", image, entries, decrypt_loads=True)
+        (_, traced), (state, untraced) = _traced_and_untraced(
+            calls, image.entries, entries, decrypt_loads=True)
         assert built and len(untraced) > 3 * pipeline._HOT_VISITS
-        assert (stop is None) == (fault is None)
+        assert (state.fault is None) == (fault is None)
         assert [args[:4] for args in untraced] == [args[:4] for args in traced]
 
 
 def test_a_replayed_loop_misses_in_the_fetch_cache_as_a_traced_run_does(monkeypatch):
+    calls = _calls_to(monkeypatch, pipeline, "fetch_word")
+    built, _ = progen.segments_built(monkeypatch)
     image, entries = _replayed_loop()
-    (traced, untraced), built, _ = _calls_traced_and_untraced(
-        monkeypatch, "fetch_word", image, entries)
+    (_, traced), (_, untraced) = _traced_and_untraced(calls, image.entries, entries)
     assert built and [args[1:3] for args in untraced] == [args[1:3] for args in traced]
+
+
+@pytest.mark.parametrize("tail", ["end", "unknown"])
+@pytest.mark.parametrize("encrypted", [False, True], ids=["plain", "encrypted"])
+def test_a_loop_that_ends_imem_compiles_a_segment_it_never_replays(
+        monkeypatch, encrypted, tail):
+    # the recording that ends in the loop's exit also fetches there the end
+    # bubble or an unknown word, which miss on every visit; its segment
+    # compiles, but the run halts or faults behind it and looks up no
+    # configuration again, so it never replays
+    calls = _calls_to(monkeypatch, pipeline, "fetch_word")
+    built, replays = progen.segments_built(monkeypatch)
+    prolog = KEY_PROLOG + "nop\nnop\ncrypt 1\n" if encrypted else ""
+    for n in range(pipeline._HOT_VISITS, pipeline._HOT_VISITS + 5):
+        image = asm.build_image(prolog + f"addi $r1, $r0, {n}\nL: addi $r4, $r4, 3\n"
+                                         "addi $r1, $r1, -1\nbne $r1, $r0, L\n")
+        entries = (asm.encrypt_image(image, worked.KEY) if encrypted else image).entries
+        if tail == "unknown":
+            word = des.pad_word(0xFC000000)
+            entries = entries + [(entries[-1][0] + 8, des.cipher(worked.KEY).encrypt(word)
+                                  if encrypted else word)]
+        (traced, traced_calls), (state, untraced_calls) = _traced_and_untraced(
+            calls, entries, key_dmem().items(), record_retired=True)
+        assert progen.full_state(state) == progen.full_state(traced), n
+        assert [args[1:3] for args in untraced_calls] == [args[1:3] for args in traced_calls]
+        assert state.halted == (tail == "end") and state.regs.read(4) == 3 * n
+    ends = [seg for seg in built if seg.configs[-1][1] is pipeline.END_BUBBLE
+            or seg.configs[-1][1].kind == "unknown"]
+    assert ends and not any(seg in ends for seg, _ in replays)
 
 
 def test_the_worked_example_compiles_no_segment(monkeypatch):
@@ -1281,7 +1295,7 @@ def test_the_worked_example_compiles_no_segment(monkeypatch):
         state = build_state(worked.VERBATIM, worked.data_memory(), encrypt_key=worked.KEY)
         with pytest.raises(pipeline.CycleLimitExceeded):
             pipeline.run(state, max_cycles=5_000, trace=trace)
-        states.append((_whole_state(state), state.pc))
+        states.append(progen.full_state(state))
     assert built and states[0] == states[1]
 
 
