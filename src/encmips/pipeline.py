@@ -31,7 +31,9 @@ made from those locals. Inside one call, IF fetches each pc once per crypt
 mode and key: it keeps the Slot it made of the pc in a local dict, which a
 crypt-mode flip and a key-half commit drop, and hands out that slot on
 every later fetch, so a wrapper of fetch_word sees each miss, not each fetch.
-An untraced run replays a hot loop's cycles as compiled straight-line code.
+An untraced run replays a hot loop's cycles as compiled straight-line code,
+each source compiled once per process; a segment that ends in its own first
+configuration runs its passes in one call, up to the limit.
 
 A single-cycle reference interpreter with identical architectural
 semantics serves as the correctness oracle.
@@ -39,7 +41,9 @@ semantics serves as the correctness oracle.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
+from types import FunctionType
 
 from . import isa, machine
 from .machine import fetch_word, mem_stage
@@ -175,40 +179,45 @@ class CpuState:
 # Visits before a configuration's segment compiles, about one compile's cost in
 # generic runs of it (the sum loop's: 0.28-0.45 ms, 12 cycles at 0.31 us each).
 _HOT_VISITS = 100
+_compile = functools.lru_cache(maxsize=256)(compile)    # a pure function of the source
 
 
 class _Segment:
-    """n cycles compiled to run, and their configs, marks (counts) and retired."""
+    """n cycles compiled to run, and their configs, marks (counts), retired and loops."""
 
 
 def _segment(record: list, decrypt_loads: bool) -> _Segment:
     """Compile record, the configuration and then the counts at the top of
     each cycle and after the last, which resolved a branch or jump. Its
     source holds int, bool and None literals and names bound to row
-    functions, Instructions and this module's mem_stage as it is in this
-    run. run(regs, keyreg, dmem, e, m), e and m being the values beside
-    EXMEM and MEMWB, does per cycle WB's write of m, MEM's m and EX's e, and
-    returns (k, e, m): k == n, or the cycle at whose top a guard stopped it
-    for the generic loop to run: the last, whose branch would resolve the
-    other way, or one whose MEM address is unaligned. That is the only
-    MachineError MEM can raise in a replay: while a segment lives, fetched
-    lives, so the crypt mode and the key are the recording's, in which each
-    access ran without a fault (so no KeyNotLoaded)."""
+    functions, Instructions, range and this module's mem_stage as it is in
+    this run: the code compiles once per source in a process, and each run
+    binds it to its own names. run(regs, keyreg, dmem, e, m, times), e and
+    m being the values beside EXMEM and MEMWB, does per cycle WB's write of
+    m, MEM's m and EX's e for up to times passes, and returns (i, k, e, m):
+    i passes ran whole, and then k cycles of the next: k == n, or the cycle
+    at whose top a guard stopped it for the generic loop to run: the last,
+    whose branch would resolve the other way, or one whose MEM address is
+    unaligned. That is the only MachineError MEM can raise in a replay:
+    while a segment lives, fetched lives, so the crypt mode and the key are
+    the recording's, in which each access ran without a fault (so no
+    KeyNotLoaded). A segment ending in its first configuration loops."""
     seg, n = _Segment(), len(record) - 1
     target = record[n][0] if record[n][1] is FLUSH_BUBBLE else None     # a taken one's pc
     seg.n, seg.configs = n, [entry[:7] for entry in record]
+    seg.loops = seg.configs[n] == seg.configs[0]    # slots compare by identity
     seg.marks = [tuple(x - y for x, y in zip(entry[7:], record[0][7:])) for entry in record]
     seg.retired = [(wb.pc, wb.word) for _, _, _, _, wb, *_ in record[:n] if wb.instr is not None]
-    names, lines = {"mem_stage": mem_stage}, []
+    names, lines = {"mem_stage": mem_stage, "range": range}, []
     for c, (_, ifid, idex, exmem, memwb, _, exmem_mode) in enumerate(seg.configs[:n]):
         names.update({f"R{c}": ifid.redirect, f"B{c}": ifid.instr, f"M{c}": exmem.instr,
                       f"A{c}": idex.alu, f"I{c}": idex.instr})
         if c == n - 1:      # the branch guard, with ID's operands as they read after WB
             a, b = ("e" if exmem.dest is r else "m" if memwb.dest is r else f"regs[{r}]"
                     for r in (ifid.rs, ifid.rt))
-            lines.append(f"if R{c}({ifid.pc}, {a}, {b}, B{c}) != {target}: return {c}, e, m")
+            lines.append(f"if R{c}({ifid.pc}, {a}, {b}, B{c}) != {target}: return i, {c}, e, m")
         if exmem.mem is not None:
-            lines.append(f"if e & 7: return {c}, e, m")     # the alignment guard
+            lines.append(f"if e & 7: return i, {c}, e, m")     # the alignment guard
         if memwb.dest is not None:
             lines.append(f"regs[{memwb.dest}] = m")
         call = f"mem_stage(M{c}, e, regs[{exmem.rt}], {exmem_mode}, keyreg, dmem, {decrypt_loads})"
@@ -216,9 +225,10 @@ def _segment(record: list, decrypt_loads: bool) -> _Segment:
                   if exmem.mem == isa.WRITE else [f"m = {call}"])
         a, b = ("e" if exmem.dest is r else f"regs[{r}]" for r in (idex.rs, idex.rt))
         lines.append("e = 0" if idex.alu is None else f"e = A{c}({a}, {b}, I{c})")
-    source = "".join(f"    {line}\n" for line in lines)
-    exec(f"def run(regs, keyreg, dmem, e, m):\n{source}    return {n}, e, m\n", names)
-    seg.run = names["run"]
+    source = "".join(f"        {line}\n" for line in lines)
+    code = _compile(f"def run(regs, keyreg, dmem, e, m, times):\n    for i in range(times):\n"
+                    f"{source}    return times - 1, {n}, e, m\n", "<segment>", "exec")
+    seg.run = FunctionType(code.co_consts[0], names)     # the code of its one def
     return seg
 
 
@@ -275,9 +285,10 @@ def _cycles(state: CpuState, limit: int,
     segment compiles and never replays: behind it ID sees only end bubbles
     up to the halt, or faults on the unknown word in the next cycle, so no
     configuration is looked up again. A segment replays only when it fits
-    under limit; where a guard stops it, the loop takes that cycle's
-    latches, values and counts and runs it. A traced run never breaks;
-    step() never visits a configuration twice.
+    under limit, and one that ends in its first configuration, which looks
+    up itself, runs every pass that fits in one call; where a guard stops
+    it, the loop takes that cycle's latches, values and counts and runs it.
+    A traced run never breaks; step() never visits a configuration twice.
     """
     if state.fault is not None:     # a Fault is final: no cycle runs after it
         raise state.fault.with_traceback(None)     # no traceback grows per raise
@@ -425,13 +436,16 @@ def _cycles(state: CpuState, limit: int,
                 fetched[record[0][:7]], record = _segment(record, decrypt_loads), None
             seg, resolved = fetched.get(config, 0), False
             while seg.__class__ is _Segment and cycles + seg.n <= limit:
-                k, exmem_alu, memwb_alu = seg.run(regs, keyreg, dmem, exmem_alu, memwb_alu)
+                i, k, exmem_alu, memwb_alu = seg.run(regs, keyreg, dmem, exmem_alu, memwb_alu,
+                                                     (limit - cycles) // seg.n if seg.loops else 1)
+                p_stalls, p_flushes, p_fetch, p_store = seg.marks[-1]   # per whole pass
                 d_stalls, d_flushes, d_fetch, d_store = seg.marks[k]
-                cycles, stalls, flushes = cycles + k, stalls + d_stalls, flushes + d_flushes
-                crypt_fetches += d_fetch
-                encrypted_stores += d_store
+                cycles, stalls = cycles + i * seg.n + k, stalls + i * p_stalls + d_stalls
+                flushes += i * p_flushes + d_flushes
+                crypt_fetches += i * p_fetch + d_fetch
+                encrypted_stores += i * p_store + d_store
                 if retired_log is not None:
-                    retired_log += seg.retired[:k - d_stalls - d_flushes]
+                    retired_log += seg.retired * i + seg.retired[:k - d_stalls - d_flushes]
                 pc, ifid, idex, exmem, memwb, idex_mode, exmem_mode = config = seg.configs[k]
                 if k < seg.n:
                     break       # the generic loop runs the cycle a guard stopped before

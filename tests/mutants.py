@@ -111,24 +111,39 @@ MUTANTS = [
     # the replay of compiled segments: what it may assume, where it stops,
     # and the state it leaves where it stops
     Mutant("a replay skips its guard", PIPELINE,
-           'lines.append(f"if R{c}({ifid.pc}, {a}, {b}, B{c}) != {target}: return {c}, e, m")',
+           'lines.append(f"if R{c}({ifid.pc}, {a}, {b}, B{c}) != {target}: return i, {c}, e, m")',
            "pass"),
     Mutant("a replay skips its alignment guard", PIPELINE,
-           'lines.append(f"if e & 7: return {c}, e, m")     # the alignment guard', "pass"),
+           'lines.append(f"if e & 7: return i, {c}, e, m")     # the alignment guard', "pass"),
     Mutant("a recording never ends", PIPELINE, "if not resolved:", "if True:"),
     Mutant("a recording compiles before its resolution", PIPELINE,
            "if not resolved:", "if False:"),
     Mutant("a replay runs past the limit", PIPELINE,
            "_Segment and cycles + seg.n <= limit:", "_Segment and cycles < limit:"),
     Mutant("a fault in a replay restores the latches one cycle on", PIPELINE,
-           'lines.append(f"if e & 7: return {c}, e, m")     # the alignment guard',
-           'lines.append(f"if e & 7: return {c + 1}, e, m")'),
+           'lines.append(f"if e & 7: return i, {c}, e, m")     # the alignment guard',
+           'lines.append(f"if e & 7: return i, {c + 1}, e, m")'),
     Mutant("a fault in a replay leaves out its cycle's WB stall", PIPELINE,
            "elif memwb is stall_bubble:\n                    stalls += 1",
            "elif memwb is stall_bubble:\n"
            "                    stalls += exmem.mem is None or exmem_alu % 8 == 0"),
     Mutant("a replay adds no retired_log entries", PIPELINE,
-           "retired_log += seg.retired[:k - d_stalls - d_flushes]", "pass"),
+           "retired_log += seg.retired * i + seg.retired[:k - d_stalls - d_flushes]", "pass"),
+    # a segment that ends in its first configuration runs its passes in one call
+    Mutant("a looping replay runs one pass past the limit", PIPELINE,
+           "(limit - cycles) // seg.n if seg.loops",
+           "(limit - cycles) // seg.n + 1 if seg.loops"),
+    Mutant("a looping replay counts only one pass's stalls and flushes", PIPELINE,
+           "stalls + i * p_stalls + d_stalls\n"
+           "                flushes += i * p_flushes + d_flushes",
+           "stalls + d_stalls\n                flushes += d_flushes"),
+    Mutant("a looping replay logs only one pass's retired entries", PIPELINE,
+           "retired_log += seg.retired * i + seg.retired[", "retired_log += seg.retired["),
+    Mutant("every segment loops", PIPELINE,
+           "seg.loops = seg.configs[n] == seg.configs[0]", "seg.loops = True"),
+    Mutant("the memo caches the bound function, not the code", PIPELINE,
+           "seg.run = FunctionType(code.co_consts[0], names)",
+           "seg.run = _compile.__dict__.setdefault(code, FunctionType(code.co_consts[0], names))"),
     Mutant("a replay's mem_stage is bound at import", PIPELINE,
            "def _segment(record: list, decrypt_loads: bool) -> _Segment:",
            "def _segment(record: list, decrypt_loads: bool, mem_stage=mem_stage) -> _Segment:"),

@@ -226,9 +226,10 @@ def long_loop_entries(rng: random.Random) -> List[Tuple[int, int]]:
 
 def segments_built(monkeypatch) -> Tuple[list, list]:
     """Every segment pipeline._segment compiles from now on, and the
-    (segment, k) of each of their replays in the order they ran, k being
-    the cycle at whose top a guard stopped it, or its n. No configuration
-    of a compiled segment holds a fill bubble."""
+    (segment, i, k) of each of their replays in the order they ran: i whole
+    passes ran, and then k cycles, k being the cycle at whose top a guard
+    stopped it, or its n after the last pass. No configuration of a
+    compiled segment holds a fill bubble."""
     built, replays, compile_segment = [], [], pipeline._segment
 
     def wrapper(*args):
@@ -238,7 +239,7 @@ def segments_built(monkeypatch) -> Tuple[list, list]:
 
         def counted(*run_args):
             result = run(*run_args)
-            replays.append((seg, result[0]))
+            replays.append((seg, *result[:2]))
             return result
 
         seg.run = counted
@@ -366,21 +367,22 @@ def assert_timing(stats: pipeline.Stats, ref: pipeline.InterpState,
 
 def check_against_oracle(source: str, entries: List[Tuple[int, int]],
                          key: Optional[int] = None,
-                         decrypt_loads: bool = False) -> pipeline.CpuState:
+                         decrypt_loads: bool = False,
+                         limit: int = 100_000) -> pipeline.CpuState:
     """Run source in the pipeline, its image encrypted under key when one
     is given, and its plaintext image in the reference interpreter, each on
-    a fresh data memory of entries; assert that both end in the same
-    architectural state after the same retired log, that the pipeline's
-    cycles obey the accounting identity, and that its stalls and flushes
-    are the ones predict_timing makes of the oracle's run. Returns the
-    pipeline's state."""
+    a fresh data memory of entries and within limit cycles or instructions;
+    assert that both end in the same architectural state after the same
+    retired log, that the pipeline's cycles obey the accounting identity,
+    and that its stalls and flushes are the ones predict_timing makes of
+    the oracle's run. Returns the pipeline's state."""
     image = asm.build_image(source)
     loaded = asm.encrypt_image(image, key) if key is not None else image
     state = pipeline.CpuState(memory(loaded.entries), memory(entries),
                               decrypt_loads=decrypt_loads, record_retired=True)
-    _, stats = pipeline.run(state)
+    _, stats = pipeline.run(state, max_cycles=limit)
     ref = pipeline.reference_interpret(memory(image.entries), memory(entries),
-                                       decrypt_loads=decrypt_loads,
+                                       decrypt_loads=decrypt_loads, max_steps=limit,
                                        record_retired=True)
     assert (pipeline.architectural_state(state)
             == pipeline.architectural_state(ref)), f"state differs:\n{source}"

@@ -193,28 +193,38 @@ def _config(state) -> tuple:
 
 def test_long_loops_replay_and_stop_inside_their_segments(monkeypatch):
     # the long_loop mode must judge the replay: most of its cycles replayed,
-    # and a replay stopped at a guard, before the cycle whose fault ends the
-    # run, and short of a limit
+    # a segment that ends where it began ran many passes in one call, and a
+    # replay stopped at a guard, before the cycle whose fault ends the run,
+    # and short of a limit; a guard and a fault stopped one after a pass
     _, replays = progen.segments_built(monkeypatch)
-    cycles = replayed = 0
-    stops = set()
+    cycles = replayed = passes = 0
+    stops, looped_stops = set(), set()
     for seed in LONG_SEEDS:
         (image, _, options), entries = long_loop_run(seed)
         del replays[:]
         state, stop = _run(image, entries, **options)
         cycles += state.stats.cycles
-        replayed += sum(k for _, k in replays)
-        stops.update("guard" for seg, k in replays[:-1] if k < seg.n)
-        if replays:
-            seg, k = replays[-1]
+        replayed += sum(i * seg.n + k for seg, i, k in replays)
+        passes = max([passes] + [i + (k == seg.n) for seg, i, k in replays])
+        for seg, i, k in replays[:-1]:
             if k < seg.n:
-                stops.add("fault" if isinstance(stop, pipeline.Fault)
-                          and _config(state) == seg.configs[k] else "guard")
+                stops.add("guard")
+                if i:
+                    looped_stops.add("guard")
+        if replays:
+            seg, i, k = replays[-1]
+            if k < seg.n:
+                end = ("fault" if isinstance(stop, pipeline.Fault)
+                       and _config(state) == seg.configs[k] else "guard")
+                stops.add(end)
+                if i:
+                    looped_stops.add(end)
             if (isinstance(stop, pipeline.CycleLimitExceeded)
-                    and any(_config(state) in seg.configs[1:-1] for seg, _ in replays)):
+                    and any(_config(state) in seg.configs[1:-1] for seg, *_ in replays)):
                 stops.add("limit")
     assert replayed >= cycles / 2
     assert stops == {"guard", "fault", "limit"}
+    assert passes >= 2 and looped_stops == {"guard", "fault"}
 
 
 def test_run_leaves_the_state_a_loop_of_step_leaves():
@@ -239,16 +249,16 @@ class _SinkStop(Exception):
 
 
 def _first_replay(monkeypatch, image, entries, max_cycles, **options):
-    """The cycle count at the top of a run's first replay, and the length
-    of the segment it replays. That replay raises _SinkStop, so the cycle
-    loop writes back the state it had there."""
+    """The cycle count at the top of a run's first replay, and the segment
+    it replays. That replay raises _SinkStop, so the cycle loop writes back
+    the state it had there."""
     compile_segment = pipeline._segment
 
     def stopping(*args):
         seg = compile_segment(*args)
 
         def run(*run_args):
-            raise _SinkStop(seg.n)
+            raise _SinkStop(seg)
 
         seg.run = run
         return seg
@@ -264,17 +274,22 @@ def _first_replay(monkeypatch, image, entries, max_cycles, **options):
 def test_every_stop_around_the_replays_is_a_stepped_runs_stop(monkeypatch):
     # run(max_cycles=k) replays the segments that fit under k and runs the
     # rest generically; step() never replays. For every k around the first
-    # replays and the fault, and seeded k elsewhere, both must leave one state
+    # replays and the fault, k a few passes on into a segment that loops
+    # (where the limit cuts its call), and seeded k elsewhere, both must
+    # leave one state
     rng = random.Random(36)
-    checked, ends = 0, set()
-    for seed in (1, 3, 10, 17, 23, 24):     # each image kind, fault kind and a halt
+    checked, ends, looped = 0, set(), 0
+    # each image kind, fault kind and a halt; 16 and 24 loop in one call
+    for seed in (1, 3, 10, 16, 17, 23, 24):
         (image, _, options), entries = long_loop_run(seed)
         options = dict(options)
         max_cycles = options.pop("max_cycles")
         end_state, end_stop = _run(image, entries, max_cycles, **options)
         end = end_state.stats.cycles
-        first, n = _first_replay(monkeypatch, image, entries, max_cycles, **options)
+        first, seg = _first_replay(monkeypatch, image, entries, max_cycles, **options)
+        n, looped = seg.n, looped + (seg.loops and first + 40 * n < end)
         stops = {*range(first - 2, first + 2 * n + 3), *range(end - 2 * n - 2, end + 2),
+                 *(first + m * n + j for m in (3, 10, 40) for j in (-1, 0, 1)),
                  *(rng.randrange(1, end + 2) for _ in range(10))}
         stepped = _state(image, entries, **options)
         for k in range(1, max(stops) + 1):
@@ -288,7 +303,7 @@ def test_every_stop_around_the_replays_is_a_stepped_runs_stop(monkeypatch):
                     f"long_loop/{seed} k={k}"
                 checked += 1
         ends.add(type(end_stop).__name__)
-    assert ends == {"Fault", "NoneType"} and checked >= 250
+    assert ends == {"Fault", "NoneType"} and checked >= 250 and looped >= 2
 
 
 def test_a_raising_trace_sink_leaves_the_state_its_cycle_left():

@@ -1246,6 +1246,30 @@ def test_a_replayed_loop_calls_mem_stage_as_a_traced_run_does(monkeypatch):
         assert [args[:4] for args in untraced] == [args[:4] for args in traced]
 
 
+def test_a_second_run_reuses_each_segments_code_and_binds_its_own_names(monkeypatch):
+    # a segment's code is a pure function of its source, so a second run of
+    # one loop in a process compiles nothing; each run binds that code to a
+    # new function with its own names, so a wrapper of mem_stage installed
+    # for the second run sees its replayed calls as a traced run's
+    runs, compile_segment = [], pipeline._segment
+
+    def keeping(*args):
+        seg = compile_segment(*args)
+        runs.append(seg.run)
+        return seg
+
+    monkeypatch.setattr(pipeline, "_segment", keeping)
+    image, entries = _replayed_loop()
+    pipeline.run(pipeline.CpuState(progen.memory(image.entries), progen.memory(entries)))
+    first, runs[:] = runs[:], []
+    calls = _calls_to(monkeypatch, pipeline, "mem_stage")
+    (_, traced), (_, untraced) = _traced_and_untraced(calls, image.entries, entries)
+    assert first and len(runs) == len(first)
+    assert all(run.__code__ is old.__code__ and run is not old for run, old in zip(runs, first))
+    assert len(untraced) > 3 * pipeline._HOT_VISITS
+    assert [args[:4] for args in untraced] == [args[:4] for args in traced]
+
+
 def test_a_replayed_loop_misses_in_the_fetch_cache_as_a_traced_run_does(monkeypatch):
     calls = _calls_to(monkeypatch, pipeline, "fetch_word")
     built, _ = progen.segments_built(monkeypatch)
@@ -1280,7 +1304,7 @@ def test_a_loop_that_ends_imem_compiles_a_segment_it_never_replays(
         assert state.halted == (tail == "end") and state.regs.read(4) == 3 * n
     ends = [seg for seg in built if seg.configs[-1][1] is pipeline.END_BUBBLE
             or seg.configs[-1][1].kind == "unknown"]
-    assert ends and not any(seg in ends for seg, _ in replays)
+    assert ends and not any(seg in ends for seg, *_ in replays)
 
 
 def test_the_worked_example_compiles_no_segment(monkeypatch):
