@@ -11,17 +11,19 @@ row and its fields, not an `Instruction`, the same way:
 `SPECS` is the one place an instruction is defined: its row for a mnemonic
 gives the encoding, the assembler operands, the registers read and written,
 the ALU operation, the memory direction, the key-register load, the branch
-or jump target, the crypt mode it sets, and the disassembly. The assembler,
-the pipeline and the reference interpreter call the row's functions and
-name no mnemonic, so a new ALU operation, branch, jump, read or write is
-one row. The standard MIPS subset keeps its classic opcode/funct values;
-the three key-handling instructions take otherwise unused opcodes.
+or jump target, the crypt mode it sets, and the disassembly. A row gives
+its ALU operation and a compare branch its taken condition as expression
+templates, compiled once into the row's functions; the pipeline's compiled
+segments write the same templates inline (_render). The assembler, the
+pipeline and the reference interpreter call the row's functions and name
+no mnemonic, so a new ALU operation, branch, jump, read or write is one
+row. The standard MIPS subset keeps its classic opcode/funct values; the
+three key-handling instructions take otherwise unused opcodes.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from collections.abc import Callable
 
 WORD_MASK = 0xFFFFFFFF
@@ -33,17 +35,24 @@ READ = "read"
 WRITE = "write"  # block = zero-padded rt, encrypted in crypt mode
 
 
-def _add_imm(a: int, b: int, instr: Instruction) -> int:
-    """rs + imm: the result of addi and the address of every memory access."""
-    return (a + instr.imm) & WORD_MASK
+# rs + imm: the result of addi and the address of every memory access
+_ADD_IMM = "({a} + {imm}) & 0xFFFFFFFF"
 
 
-def _branch(taken: Callable[[int, int], bool]):
+def _render(text: str, a: str, b: str, instr: Instruction | None = None) -> str:
+    """A row's template as Python source: a and b are the source of its rs
+    and rt values, and the instruction's fields are instr's, as literals,
+    or with no instr reads of the instruction `i`."""
+    if instr is None:
+        return text.format(a=a, b=b, imm="i.imm", shamt="i.shamt")
+    return text.format(a=a, b=b, imm=f"({instr.imm})", shamt=f"({instr.shamt})")
+
+
+def _branch(taken: str):
     """A compare branch's redirect: pc + 8 + imm*8, wrapped like every pc,
-    when taken(rs value, rt value) holds, else None."""
-    def redirect(pc: int, a: int, b: int, instr: Instruction) -> int | None:
-        return (pc + 8 + instr.imm * 8) & WORD_MASK if taken(a, b) else None
-    return redirect
+    when the template taken holds, else None."""
+    return eval(f"lambda pc, a, b, i: (pc + 8 + i.imm * 8) & 0xFFFFFFFF "
+                f"if {_render(taken, 'a', 'b')} else None")
 
 
 # How the disassembly writes each operand shape; an `m` operand is imm(rs).
@@ -59,34 +68,39 @@ class InstrSpec:
     m offset(base), t label or raw number (a slot displacement into imm, a
     slot index into target); operands names the field each one fills.
     sources are the register fields read and dest the one written back.
-    alu maps (rs value, rt value, instruction) to the 32-bit result, None
-    when there is none; mem is the memory direction, READ or WRITE. A read
-    with no dest has load_key: (machine.KeyRegister, read word) -> None,
-    which sets one half. Branches and jumps have redirect, resolved in ID:
-    (pc, rs value, rt value, instruction) -> the next pc, or None when a
-    branch falls through. crypt has mode, resolved in ID: instruction -> the
+    alu, None for none, is the 32-bit result as a template (see _render)
+    over {a} and {b}, the rs and rt values, and {imm} and {shamt}; mem is
+    the memory direction, READ or WRITE. A read with no dest has load_key:
+    (machine.KeyRegister, read word) -> None, which sets one half. In ID a
+    compare branch resolves by taken, its condition as a template over {a}
+    and {b}, and a jump by redirect; crypt has mode: instruction -> the
     crypt mode it sets. aliases are other names the assembler accepts.
 
-    Derived: template, the disassembly as a str.format template over the
-    instruction `i`; sources_at and dest_at, where the constructor's
-    (rs, rt, rd, None) holds the sources' register numbers (a slice) and
-    the dest's (an index, 3 for none); and stage, what the pipeline's later
-    stages read, copied onto a slot at IF: alu, mem, redirect, mode,
-    load_key, and rare, True for a row with redirect or mode, else None.
-    Nothing writes a row after it is built.
+    Derived: alu_text and taken_text, the templates; alu, compiled from its
+    own: (rs value, rt value, instruction) -> the result; a branch's
+    redirect, from taken: (pc, rs value, rt value, instruction) -> the next
+    pc, or None when it falls through; template, the disassembly as a
+    str.format template over the instruction `i`; sources_at and dest_at,
+    where the constructor's (rs, rt, rd, None) holds the sources' register
+    numbers (a slice) and the dest's (an index, 3 for none); and stage,
+    what the pipeline's later stages read, copied onto a slot at IF: alu,
+    mem, redirect, mode, load_key, and rare, True for a row with redirect
+    or mode, else None. Nothing writes a row after it is built.
     """
 
     def __init__(self, mnemonic: str, fmt: str, opcode: int, funct: int | None,
                  shape: str, operands: tuple[str, ...], sources: tuple[str, ...] = (),
-                 dest: str | None = None,
-                 alu: Callable[[int, int, Instruction], int] | None = None,
-                 mem: str | None = None,
+                 dest: str | None = None, alu: str | None = None, mem: str | None = None,
                  load_key: Callable[[object, int], None] | None = None,
+                 taken: str | None = None,
                  redirect: Callable[[int, int, int, Instruction], int | None] | None = None,
                  mode: Callable[[Instruction], bool] | None = None,
                  aliases: tuple[str, ...] = ()):
         self.mnemonic, self.fmt, self.opcode, self.funct = mnemonic, fmt, opcode, funct
         self.shape, self.operands, self.sources, self.dest = shape, operands, sources, dest
+        self.alu_text, self.taken_text = alu, taken
+        alu = eval(f"lambda a, b, i: {_render(alu, 'a', 'b')}") if alu else None
+        redirect = _branch(taken) if taken else redirect
         self.alu, self.mem, self.load_key, self.redirect = alu, mem, load_key, redirect
         self.mode, self.aliases = mode, aliases
         text = ", ".join(_OPERAND_TEXT[kind].format(name)
@@ -104,35 +118,35 @@ class InstrSpec:
 SPECS: dict[str, InstrSpec] = {spec.mnemonic: spec for spec in (
     #         mnemonic fmt  opcode funct shape  operands
     InstrSpec("add",   "R", 0x00, 0x20, "rrr", ("rd", "rs", "rt"),
-              sources=("rs", "rt"), dest="rd", alu=lambda a, b, i: (a + b) & WORD_MASK),
+              sources=("rs", "rt"), dest="rd", alu="({a} + {b}) & 0xFFFFFFFF"),
     InstrSpec("sub",   "R", 0x00, 0x22, "rrr", ("rd", "rs", "rt"),
-              sources=("rs", "rt"), dest="rd", alu=lambda a, b, i: (a - b) & WORD_MASK),
+              sources=("rs", "rt"), dest="rd", alu="({a} - {b}) & 0xFFFFFFFF"),
     InstrSpec("and",   "R", 0x00, 0x24, "rrr", ("rd", "rs", "rt"),
-              sources=("rs", "rt"), dest="rd", alu=lambda a, b, i: a & b),
+              sources=("rs", "rt"), dest="rd", alu="{a} & {b}"),
     InstrSpec("or",    "R", 0x00, 0x25, "rrr", ("rd", "rs", "rt"),
-              sources=("rs", "rt"), dest="rd", alu=lambda a, b, i: a | b),
+              sources=("rs", "rt"), dest="rd", alu="{a} | {b}"),
     InstrSpec("slt",   "R", 0x00, 0x2A, "rrr", ("rd", "rs", "rt"),
               sources=("rs", "rt"), dest="rd",    # a flipped sign bit orders as signed
-              alu=lambda a, b, i: int((a ^ 0x80000000) < (b ^ 0x80000000))),
+              alu="1 if ({a} ^ 0x80000000) < ({b} ^ 0x80000000) else 0"),
     InstrSpec("sll",   "R", 0x00, 0x00, "rri", ("rd", "rt", "shamt"),
-              sources=("rt",), dest="rd", alu=lambda a, b, i: (b << i.shamt) & WORD_MASK),
+              sources=("rt",), dest="rd", alu="({b} << {shamt}) & 0xFFFFFFFF"),
     InstrSpec("addi",  "I", 0x08, None, "rri", ("rt", "rs", "imm"),
-              sources=("rs",), dest="rt", alu=_add_imm),
+              sources=("rs",), dest="rt", alu=_ADD_IMM),
     InstrSpec("lw",    "I", 0x23, None, "rm",  ("rt", "imm(rs)"),
-              sources=("rs",), dest="rt", alu=_add_imm, mem=READ),
+              sources=("rs",), dest="rt", alu=_ADD_IMM, mem=READ),
     InstrSpec("sw",    "I", 0x2B, None, "rm",  ("rt", "imm(rs)"),
-              sources=("rs", "rt"), alu=_add_imm, mem=WRITE),
+              sources=("rs", "rt"), alu=_ADD_IMM, mem=WRITE),
     InstrSpec("beq",   "I", 0x04, None, "rrt", ("rs", "rt", "imm"),
-              sources=("rs", "rt"), redirect=_branch(operator.eq)),
+              sources=("rs", "rt"), taken="{a} == {b}"),
     InstrSpec("bne",   "I", 0x05, None, "rrt", ("rs", "rt", "imm"),
-              sources=("rs", "rt"), redirect=_branch(operator.ne)),
+              sources=("rs", "rt"), taken="{a} != {b}"),
     InstrSpec("j",     "J", 0x02, None, "t",   ("target",),
               redirect=lambda pc, a, b, i: i.target * 8),
     InstrSpec("lklw",  "I", 0x1A, None, "m",   ("imm(rs)",),
-              sources=("rs",), alu=_add_imm, mem=READ, aliases=("lkw",),
+              sources=("rs",), alu=_ADD_IMM, mem=READ, aliases=("lkw",),
               load_key=lambda keyreg, word: keyreg.set_lower(word)),
     InstrSpec("lkuw",  "I", 0x1B, None, "m",   ("imm(rs)",),
-              sources=("rs",), alu=_add_imm, mem=READ,
+              sources=("rs",), alu=_ADD_IMM, mem=READ,
               load_key=lambda keyreg, word: keyreg.set_upper(word)),
     InstrSpec("crypt", "J", 0x1C, None, "i",   ("target",),
               mode=lambda i: i.target != 0),

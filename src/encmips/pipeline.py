@@ -32,7 +32,8 @@ mode and key: it keeps the Slot it made of the pc in a local dict, which a
 crypt-mode flip and a key-half commit drop, and hands out that slot on
 every later fetch, so a wrapper of fetch_word sees each miss, not each fetch.
 An untraced run replays a hot loop's cycles as compiled straight-line code,
-each source compiled once per process; a segment that ends in its own first
+which writes each row's ALU and compare templates inline, each source
+compiled once per process; a segment that ends in its own first
 configuration runs its passes in one call, up to the limit.
 
 A single-cycle reference interpreter with identical architectural
@@ -189,45 +190,53 @@ class _Segment:
 def _segment(record: list, decrypt_loads: bool) -> _Segment:
     """Compile record, the configuration and then the counts at the top of
     each cycle and after the last, which resolved a branch or jump. Its
-    source holds int, bool and None literals and names bound to row
-    functions, Instructions, range and this module's mem_stage as it is in
-    this run: the code compiles once per source in a process, and each run
-    binds it to its own names. run(regs, keyreg, dmem, e, m, times), e and
-    m being the values beside EXMEM and MEMWB, does per cycle WB's write of
-    m, MEM's m and EX's e for up to times passes, and returns (i, k, e, m):
-    i passes ran whole, and then k cycles of the next: k == n, or the cycle
-    at whose top a guard stopped it for the generic loop to run: the last,
-    whose branch would resolve the other way, or one whose MEM address is
+    source holds the rows' templates rendered inline (isa._render), int,
+    bool and None literals, locals, range, and this module's mem_stage as
+    it is in this run with the Instructions it takes: the code compiles
+    once per source in a process, and each run binds it to its own names.
+    run(regs, keyreg, dmem, e, m, times), e and m being the values beside
+    EXMEM and MEMWB, does per cycle c WB's write, MEM's access (a read's
+    word into m{c}) and EX's result into e{c} for up to times passes, and
+    returns (i, k, e, m): i passes ran whole, and then k cycles of the
+    next: k == n, or the cycle at whose top a guard stopped it for the
+    generic loop to run: the last, whose compare would resolve the other
+    way (a jump's slot fixes its target), or one whose MEM address is
     unaligned. That is the only MachineError MEM can raise in a replay:
     while a segment lives, fetched lives, so the crypt mode and the key are
     the recording's, in which each access ran without a fault (so no
     KeyNotLoaded). A segment ending in its first configuration loops."""
     seg, n = _Segment(), len(record) - 1
-    target = record[n][0] if record[n][1] is FLUSH_BUBBLE else None     # a taken one's pc
+    taken = record[n][1] is FLUSH_BUBBLE
     seg.n, seg.configs = n, [entry[:7] for entry in record]
     seg.loops = seg.configs[n] == seg.configs[0]    # slots compare by identity
     seg.marks = [tuple(x - y for x, y in zip(entry[7:], record[0][7:])) for entry in record]
     seg.retired = [(wb.pc, wb.word) for _, _, _, _, wb, *_ in record[:n] if wb.instr is not None]
     names, lines = {"mem_stage": mem_stage, "range": range}, []
+    x, y = "e", "m"     # the source of the values beside EXMEM and MEMWB
     for c, (_, ifid, idex, exmem, memwb, _, exmem_mode) in enumerate(seg.configs[:n]):
-        names.update({f"R{c}": ifid.redirect, f"B{c}": ifid.instr, f"M{c}": exmem.instr,
-                      f"A{c}": idex.alu, f"I{c}": idex.instr})
-        if c == n - 1:      # the branch guard, with ID's operands as they read after WB
-            a, b = ("e" if exmem.dest is r else "m" if memwb.dest is r else f"regs[{r}]"
-                    for r in (ifid.rs, ifid.rt))
-            lines.append(f"if R{c}({ifid.pc}, {a}, {b}, B{c}) != {target}: return i, {c}, e, m")
+        def operand(r):     # r as ID and EX read it, after this cycle's WB
+            return x if exmem.dest is r else y if memwb.dest is r else f"regs[{r}]" if r else "0"
+        stop = f"return i, {c}, {x}, {y}"
+        if c == n - 1 and ifid.instr.spec.taken_text is not None:     # the branch guard
+            cond = isa._render(ifid.instr.spec.taken_text, operand(ifid.rs), operand(ifid.rt))
+            lines.append(f"if not ({cond}): {stop}" if taken else f"if {cond}: {stop}")
         if exmem.mem is not None:
-            lines.append(f"if e & 7: return i, {c}, e, m")     # the alignment guard
+            lines.append(f"if {x} & 7: {stop}")     # the alignment guard
         if memwb.dest is not None:
-            lines.append(f"regs[{memwb.dest}] = m")
-        call = f"mem_stage(M{c}, e, regs[{exmem.rt}], {exmem_mode}, keyreg, dmem, {decrypt_loads})"
-        lines += (["m = e"] if exmem.mem is None else [call, "m = e"]
-                  if exmem.mem == isa.WRITE else [f"m = {call}"])
-        a, b = ("e" if exmem.dest is r else f"regs[{r}]" for r in (idex.rs, idex.rt))
-        lines.append("e = 0" if idex.alu is None else f"e = A{c}({a}, {b}, I{c})")
+            lines.append(f"regs[{memwb.dest}] = {y}")
+        if exmem.mem is not None:
+            names[f"M{c}"] = exmem.instr
+            call = (f"mem_stage(M{c}, {x}, regs[{exmem.rt}], {exmem_mode}, keyreg, dmem, "
+                    f"{decrypt_loads})")
+            lines.append(call if exmem.mem == isa.WRITE else f"m{c} = {call}")
+        if idex.alu is not None:
+            lines.append(f"e{c} = " + isa._render(idex.instr.spec.alu_text, operand(idex.rs),
+                                                  operand(idex.rt), idex.instr))
+        x, y = f"e{c}" if idex.alu is not None else "0", f"m{c}" if exmem.mem == isa.READ else x
     source = "".join(f"        {line}\n" for line in lines)
     code = _compile(f"def run(regs, keyreg, dmem, e, m, times):\n    for i in range(times):\n"
-                    f"{source}    return times - 1, {n}, e, m\n", "<segment>", "exec")
+                    f"{source}        e, m = {x}, {y}\n    return times - 1, {n}, e, m\n",
+                    "<segment>", "exec")
     seg.run = FunctionType(code.co_consts[0], names)     # the code of its one def
     return seg
 

@@ -111,18 +111,21 @@ MUTANTS = [
     # the replay of compiled segments: what it may assume, where it stops,
     # and the state it leaves where it stops
     Mutant("a replay skips its guard", PIPELINE,
-           'lines.append(f"if R{c}({ifid.pc}, {a}, {b}, B{c}) != {target}: return i, {c}, e, m")',
+           'lines.append(f"if not ({cond}): {stop}" if taken else f"if {cond}: {stop}")',
            "pass"),
     Mutant("a replay skips its alignment guard", PIPELINE,
-           'lines.append(f"if e & 7: return i, {c}, e, m")     # the alignment guard', "pass"),
+           'lines.append(f"if {x} & 7: {stop}")     # the alignment guard', "pass"),
+    Mutant("a replay forwards nothing", PIPELINE,
+           "return x if exmem.dest is r else y if memwb.dest is r else",
+           "return y if memwb.dest is r else"),
     Mutant("a recording never ends", PIPELINE, "if not resolved:", "if True:"),
     Mutant("a recording compiles before its resolution", PIPELINE,
            "if not resolved:", "if False:"),
     Mutant("a replay runs past the limit", PIPELINE,
            "_Segment and cycles + seg.n <= limit:", "_Segment and cycles < limit:"),
     Mutant("a fault in a replay restores the latches one cycle on", PIPELINE,
-           'lines.append(f"if e & 7: return i, {c}, e, m")     # the alignment guard',
-           'lines.append(f"if e & 7: return i, {c + 1}, e, m")'),
+           'lines.append(f"if {x} & 7: {stop}")     # the alignment guard',
+           'lines.append(f"if {x} & 7: return i, {c + 1}, {x}, {y}")'),
     Mutant("a fault in a replay leaves out its cycle's WB stall", PIPELINE,
            "elif memwb is stall_bubble:\n                    stalls += 1",
            "elif memwb is stall_bubble:\n"
@@ -219,10 +222,24 @@ MUTANTS = [
            "_SHIFTS = [1, 1, 2,", "_SHIFTS = [1, 2, 1,"),
     Mutant("S-box 1 entries swapped", DES,
            "    [14,  4, 13,", "    [ 4, 14, 13,"),
-    # the table and the assembler
+    # the table's templates, each compiled into its row's function and
+    # written inline in the replay's segments
+    Mutant("add does not wrap", ISA,
+           'alu="({a} + {b}) & 0xFFFFFFFF"', 'alu="{a} + {b}"'),
+    Mutant("sub subtracts rs from rt", ISA,
+           'alu="({a} - {b}) & 0xFFFFFFFF"', 'alu="({b} - {a}) & 0xFFFFFFFF"'),
+    Mutant("and reads rs twice", ISA, 'alu="{a} & {b}"', 'alu="{a} & {a}"'),
+    Mutant("or is exclusive", ISA, 'alu="{a} | {b}"', 'alu="{a} ^ {b}"'),
     Mutant("slt compares unsigned", ISA,
-           "alu=lambda a, b, i: int((a ^ 0x80000000) < (b ^ 0x80000000))",
-           "alu=lambda a, b, i: int(a < b)"),
+           'alu="1 if ({a} ^ 0x80000000) < ({b} ^ 0x80000000) else 0"',
+           'alu="1 if {a} < {b} else 0"'),
+    Mutant("sll does not wrap", ISA,
+           'alu="({b} << {shamt}) & 0xFFFFFFFF"', 'alu="{b} << {shamt}"'),
+    Mutant("addi and every address subtract the immediate", ISA,
+           '_ADD_IMM = "({a} + {imm}) & 0xFFFFFFFF"', '_ADD_IMM = "({a} - {imm}) & 0xFFFFFFFF"'),
+    Mutant("beq is taken when rs <= rt", ISA, 'taken="{a} == {b}"', 'taken="{a} <= {b}"'),
+    Mutant("bne is taken when rs > rt", ISA, 'taken="{a} != {b}"', 'taken="{a} > {b}"'),
+    # the assembler
     Mutant("encode checks rt before rs", ISA,
            'for name, value in (("rs", rs), ("rt", rt),',
            'for name, value in (("rt", rt), ("rs", rs),'),

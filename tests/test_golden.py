@@ -143,6 +143,26 @@ def long_loop_run(seed: int):
     return (image, plain, options), progen.long_loop_entries(rng)
 
 
+# A loop closed by beq, whose body runs sub, and, or and sll: the rows
+# gen_long_loop_program never puts in a replayed segment. It halts.
+BEQ_LOOP = """\
+addi $r1, $r0, 300
+addi $r9, $r0, 1
+addi $r2, $r0, 7
+addi $r3, $r0, -3
+L: sub $r5, $r2, $r3
+and $r6, $r5, $r1
+sll $r7, $r6, 2
+or $r3, $r7, $r2
+add $r4, $r4, $r3
+addi $r2, $r2, 5
+addi $r1, $r1, -1
+slt $r6, $r1, $r9
+beq $r6, $r0, L
+sw $r4, 56($r0)
+"""
+
+
 def long_loop_records(traced: bool = True) -> dict:
     records = {}
     for seed in LONG_SEEDS:
@@ -279,14 +299,20 @@ def test_every_stop_around_the_replays_is_a_stepped_runs_stop(monkeypatch):
     # leave one state
     rng = random.Random(36)
     checked, ends, looped = 0, set(), 0
-    # each image kind, fault kind and a halt; 16 and 24 loop in one call
-    for seed in (1, 3, 10, 16, 17, 23, 24):
-        (image, _, options), entries = long_loop_run(seed)
+    # each image kind, fault kind and a halt; 16 and 24 loop in one call,
+    # and so does BEQ_LOOP
+    runs = [(f"long_loop/{seed}", *long_loop_run(seed)) for seed in (1, 3, 10, 16, 17, 23, 24)]
+    runs.append(("beq_loop", (asm.build_image(BEQ_LOOP), None, {"max_cycles": 20_000}), []))
+    for name, (image, _, options), entries in runs:
         options = dict(options)
         max_cycles = options.pop("max_cycles")
         end_state, end_stop = _run(image, entries, max_cycles, **options)
         end = end_state.stats.cycles
         first, seg = _first_replay(monkeypatch, image, entries, max_cycles, **options)
+        if name == "beq_loop":
+            rows = {slot.instr.spec.mnemonic for config in seg.configs[:-1]
+                    for slot in config[1:5] if slot.kind is None}
+            assert {"sub", "and", "or", "sll", "beq"} <= rows and seg.loops
         n, looped = seg.n, looped + (seg.loops and first + 40 * n < end)
         stops = {*range(first - 2, first + 2 * n + 3), *range(end - 2 * n - 2, end + 2),
                  *(first + m * n + j for m in (3, 10, 40) for j in (-1, 0, 1)),
@@ -299,11 +325,10 @@ def test_every_stop_around_the_replays_is_a_stepped_runs_stop(monkeypatch):
                 pass    # a faulted state raises its Fault again and clocks nothing
             if k in stops:
                 state, _ = _run(image, entries, k, **options)
-                assert progen.full_state(state) == progen.full_state(stepped), \
-                    f"long_loop/{seed} k={k}"
+                assert progen.full_state(state) == progen.full_state(stepped), f"{name} k={k}"
                 checked += 1
         ends.add(type(end_stop).__name__)
-    assert ends == {"Fault", "NoneType"} and checked >= 250 and looped >= 2
+    assert ends == {"Fault", "NoneType"} and checked >= 250 and looped >= 3
 
 
 def test_a_raising_trace_sink_leaves_the_state_its_cycle_left():

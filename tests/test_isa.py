@@ -300,13 +300,58 @@ def test_row_effect(instr, pc, a, b, effect):
 
 
 # slt beyond PINNED's -1 < 1: the signed corners, as (rs value, rt value, result)
-@pytest.mark.parametrize("a, b, result", [
+SLT_CORNERS = [
     (0x80000000, 0x7FFFFFFF, 1), (0x7FFFFFFF, 0x80000000, 0),
     (0, 0xFFFFFFFF, 0), (0xFFFFFFFF, 0, 1),
-    (0x80000000, 0x80000000, 0), (0xFFFFFFFF, 0xFFFFFFFF, 0), (7, 7, 0)])
+    (0x80000000, 0x80000000, 0), (0xFFFFFFFF, 0xFFFFFFFF, 0), (7, 7, 0)]
+
+
+@pytest.mark.parametrize("a, b, result", SLT_CORNERS)
 def test_slt_compares_signed(a, b, result):
     slt = isa.Instruction("slt", rs=1, rt=2, rd=3)
     assert slt.spec.alu(a, b, slt) == result
+
+
+# Template inputs beyond PINNED's, as (instruction, rs value, rt value)
+TEMPLATE_CASES = [
+    *((isa.Instruction("slt", rs=1, rt=2, rd=3), a, b) for a, b, _ in SLT_CORNERS),
+    (isa.Instruction("sll", rt=2, rd=3, shamt=0), 0, 0x80000001),
+    (isa.Instruction("sll", rt=2, rd=3, shamt=31), 0, 0xFFFFFFFF),
+    (isa.Instruction("add", rs=1, rt=2, rd=3), 0xFFFFFFFF, 1),
+    (isa.Instruction("add", rs=1, rt=2, rd=3), 0x80000000, 0x80000000),
+    (isa.Instruction("sub", rs=1, rt=2, rd=3), 0, 1),
+    (isa.Instruction("sub", rs=1, rt=2, rd=3), 0x7FFFFFFF, 0xFFFFFFFF),
+    (isa.Instruction("addi", rs=1, rt=2, imm=-32768), 5, 0),
+    (isa.Instruction("addi", rs=1, rt=2, imm=-32768), 0xFFFFFFFF, 0),
+    (isa.Instruction("addi", rs=1, rt=2, imm=32767), 0xFFFFFFFF, 0),
+    (isa.Instruction("addi", rs=1, rt=2, imm=32767), 0, 0),
+    (isa.Instruction("beq", rs=1, rt=2, imm=3), 7, 7),
+    (isa.Instruction("beq", rs=1, rt=2, imm=-3), 7, 8),
+    (isa.Instruction("bne", rs=1, rt=2, imm=3), 7, 8),
+    (isa.Instruction("bne", rs=1, rt=2, imm=-3), 7, 7),
+]
+
+
+@pytest.mark.parametrize("mnemonic", sorted(m for m, spec in isa.SPECS.items()
+                                            if spec.alu_text or spec.taken_text))
+def test_each_template_written_inline_agrees_with_its_function(mnemonic):
+    # a compiled segment writes the row's template with its operands and
+    # the instruction's fields as literals; the generic loop, the oracle
+    # and PINNED call the function compiled from the same template
+    pinned = PINNED[mnemonic]
+    cases = [(pinned[0], pinned[4], pinned[5])] + [
+        (instr, a, b) for instr, a, b in TEMPLATE_CASES if instr.spec.mnemonic == mnemonic]
+    spec = isa.SPECS[mnemonic]
+    for instr, a, b in cases:
+        if spec.alu_text is not None:
+            inline = eval(isa._render(spec.alu_text, str(a), str(b), instr))
+            assert type(inline) is int and inline == spec.alu(a, b, instr), (instr, a, b)
+            assert type(spec.alu(a, b, instr)) is int
+        else:
+            inline = eval(isa._render(spec.taken_text, str(a), str(b), instr))
+            assert inline == (spec.redirect(16, a, b, instr) is not None), (instr, a, b)
+    if mnemonic in ("beq", "bne"):      # both taken and not taken
+        assert {spec.redirect(16, a, b, instr) is None for instr, a, b in cases} == {True, False}
 
 
 def test_fields_a_format_lacks_read_zero():
