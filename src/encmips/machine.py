@@ -140,16 +140,15 @@ def fetch_word(imem: Memory, pc: int, decrypt: bool, keyreg: KeyRegister) -> int
     return block & WORD_MASK
 
 
-def mem_stage(instr: isa.Instruction, addr: int, store_data: int, crypt_mode: bool,
+def mem_stage(spec: isa.InstrSpec, addr: int, store_data: int, crypt_mode: bool,
               keyreg: KeyRegister, dmem: Memory, decrypt_loads: bool = False) -> int | None:
-    """MEM-stage access. A read tests its alignment itself and returns the
-    low 32 bits of the block in dmem.blocks, which the caller passes to the
-    row's load_key, else to its dest; a write returns None and stores the
-    zero-padded word, DES-encrypted in crypt mode. A read into a register
-    field, $r0 included, goes through the decryptor when decrypt_loads and
-    crypt mode are on; a key load never does.
+    """MEM-stage access of spec's row, which MEM, replayed or not, and the
+    oracle call through pipeline's globals. A read tests its alignment and
+    returns the low 32 bits of its block in dmem.blocks, for the row's
+    load_key, else its dest; a write returns None and stores the zero-padded
+    word, DES-encrypted in crypt mode. A read into a register, $r0 too, is
+    decrypted when decrypt_loads and crypt mode are on; a key load never is.
     """
-    spec = instr.spec
     if spec.mem == isa.WRITE:
         block = des.pad_word(store_data)
         if crypt_mode:

@@ -1,14 +1,14 @@
 """Cycle-accurate 5-stage pipeline (IF ID EX MEM WB) over the machine state.
 
 machine owns the memory paths, fetch_word and mem_stage, with their DES
-use; this module keeps the timing and binds both names, so its loop and
-oracle call them through its globals and a wrapper sees each call. WB
-writes the register file first in every cycle, so an operand is EXMEM's
-ALU result when EXMEM writes its register, else the register file. EX and
-the ID branch compare read their operands so, and a store reads its data
-from the register file in MEM. A load's consumer directly behind it stalls
-one cycle. Branches resolve in ID and squash one fetch slot when taken, as
-does a crypt-mode change.
+use; this module keeps the timing and binds both names, so its loop, its
+replayed segments and its oracle call them through its globals and a
+wrapper sees each call. WB writes the register file first in every cycle,
+so an operand is EXMEM's ALU result when EXMEM writes its register, else
+the register file. EX and the ID branch compare read their operands so, and
+a store reads its data from the register file in MEM. A load's consumer
+directly behind it stalls one cycle. Branches resolve in ID and squash one
+fetch slot when taken, as does a crypt-mode change.
 
 Each fetched instruction is one Slot record that rides the latches from
 IFID to MEMWB by reference. IF sets all its fields, among them what each
@@ -31,10 +31,9 @@ made from those locals. Inside one call, IF fetches each pc once per crypt
 mode and key: it keeps the Slot it made of the pc in a local dict, which a
 crypt-mode flip and a key-half commit drop, and hands out that slot on
 every later fetch, so a wrapper of fetch_word sees each miss, not each fetch.
-An untraced run replays a hot loop's cycles as compiled straight-line code,
-which writes each row's ALU and compare templates inline, each source
-compiled once per process; a segment that ends in its own first
-configuration runs its passes in one call, up to the limit.
+An untraced run replays hot loops as straight-line code with the rows'
+templates inline, compiled from a self-contained source and cached whole; a
+segment ending where it began runs its passes in one call.
 
 A single-cycle reference interpreter with identical architectural
 semantics serves as the correctness oracle.
@@ -44,7 +43,6 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Callable
-from types import FunctionType
 
 from . import isa, machine
 from .machine import fetch_word, mem_stage
@@ -180,40 +178,45 @@ class CpuState:
 # Visits before a configuration's segment compiles, about one compile's cost in
 # generic runs of it (the sum loop's: 0.28-0.45 ms, 12 cycles at 0.31 us each).
 _HOT_VISITS = 100
-_compile = functools.lru_cache(maxsize=256)(compile)    # a pure function of the source
+
+
+@functools.lru_cache(maxsize=256)   # a pure function of the source
+def _compiled(source: str) -> Callable:
+    defined = {}    # run's globals are this module's, read at each call
+    exec(compile(source, "<segment>", "exec"), globals(), defined)
+    return defined["run"]
 
 
 class _Segment:
     """n cycles compiled to run, and their configs, marks (counts), retired and loops."""
 
 
-def _segment(record: list, decrypt_loads: bool) -> _Segment:
+def _segment(record: list, crypt_mode: bool, decrypt_loads: bool) -> _Segment:
     """Compile record, the configuration and then the counts at the top of
     each cycle and after the last, which resolved a branch or jump. Its
-    source holds the rows' templates rendered inline (isa._render), int,
-    bool and None literals, locals, range, and this module's mem_stage as
-    it is in this run with the Instructions it takes: the code compiles
-    once per source in a process, and each run binds it to its own names.
-    run(regs, keyreg, dmem, e, m, times), e and m being the values beside
-    EXMEM and MEMWB, does per cycle c WB's write, MEM's access (a read's
-    word into m{c}) and EX's result into e{c} for up to times passes, and
-    returns (i, k, e, m): i passes ran whole, and then k cycles of the
-    next: k == n, or the cycle at whose top a guard stopped it for the
-    generic loop to run: the last, whose compare would resolve the other
-    way (a jump's slot fixes its target), or one whose MEM address is
-    unaligned. That is the only MachineError MEM can raise in a replay:
-    while a segment lives, fetched lives, so the crypt mode and the key are
-    the recording's, in which each access ran without a fault (so no
-    KeyNotLoaded). A segment ending in its first configuration loops."""
+    source is self-contained: the rows' templates inline (isa._render),
+    literals (crypt_mode in each access), locals, and the memory rows bound
+    at run's top; run reads mem_stage, isa and range in this module's
+    globals per call, so it is cached whole. run(regs, keyreg, dmem, e, m,
+    times), e and m being the values beside EXMEM and MEMWB, does per cycle
+    c WB's write, MEM's access (a read's word into m{c}) and EX's result
+    into e{c} for up to times passes, and returns (i, k, e, m): i passes ran
+    whole, and then k cycles of the next: k == n, or the cycle at whose top
+    a guard stopped it for the generic loop to run: the last, whose compare
+    would resolve the other way (a jump's slot fixes its target), or one
+    whose MEM address is unaligned. That is the only MachineError MEM can
+    raise in a replay: while a segment lives, fetched lives, so the crypt
+    mode and the key are the recording's, under which each access ran
+    without a fault. A segment ending in its first configuration loops."""
     seg, n = _Segment(), len(record) - 1
     taken = record[n][1] is FLUSH_BUBBLE
-    seg.n, seg.configs = n, [entry[:7] for entry in record]
+    seg.n, seg.configs = n, [entry[:5] for entry in record]
     seg.loops = seg.configs[n] == seg.configs[0]    # slots compare by identity
-    seg.marks = [tuple(x - y for x, y in zip(entry[7:], record[0][7:])) for entry in record]
+    seg.marks = [tuple(x - y for x, y in zip(entry[5:], record[0][5:])) for entry in record]
     seg.retired = [(wb.pc, wb.word) for _, _, _, _, wb, *_ in record[:n] if wb.instr is not None]
-    names, lines = {"mem_stage": mem_stage, "range": range}, []
+    rows, lines = {}, []    # rows: a line for each memory row, which binds it at run's top
     x, y = "e", "m"     # the source of the values beside EXMEM and MEMWB
-    for c, (_, ifid, idex, exmem, memwb, _, exmem_mode) in enumerate(seg.configs[:n]):
+    for c, (_, ifid, idex, exmem, memwb) in enumerate(seg.configs[:n]):
         def operand(r):     # r as ID and EX read it, after this cycle's WB
             return x if exmem.dest is r else y if memwb.dest is r else f"regs[{r}]" if r else "0"
         stop = f"return i, {c}, {x}, {y}"
@@ -225,19 +228,19 @@ def _segment(record: list, decrypt_loads: bool) -> _Segment:
         if memwb.dest is not None:
             lines.append(f"regs[{memwb.dest}] = {y}")
         if exmem.mem is not None:
-            names[f"M{c}"] = exmem.instr
-            call = (f"mem_stage(M{c}, {x}, regs[{exmem.rt}], {exmem_mode}, keyreg, dmem, "
+            row = exmem.instr.spec.mnemonic
+            rows[row] = f"    {row} = isa.SPECS[{row!r}]\n"
+            call = (f"mem_stage({row}, {x}, regs[{exmem.rt}], {crypt_mode}, keyreg, dmem, "
                     f"{decrypt_loads})")
             lines.append(call if exmem.mem == isa.WRITE else f"m{c} = {call}")
         if idex.alu is not None:
             lines.append(f"e{c} = " + isa._render(idex.instr.spec.alu_text, operand(idex.rs),
                                                   operand(idex.rt), idex.instr))
         x, y = f"e{c}" if idex.alu is not None else "0", f"m{c}" if exmem.mem == isa.READ else x
-    source = "".join(f"        {line}\n" for line in lines)
-    code = _compile(f"def run(regs, keyreg, dmem, e, m, times):\n    for i in range(times):\n"
-                    f"{source}        e, m = {x}, {y}\n    return times - 1, {n}, e, m\n",
-                    "<segment>", "exec")
-    seg.run = FunctionType(code.co_consts[0], names)     # the code of its one def
+    body = "".join(f"        {line}\n" for line in lines)
+    seg.run = _compiled(f"def run(regs, keyreg, dmem, e, m, times):\n{''.join(rows.values())}"
+                        f"    for i in range(times):\n{body}"
+                        f"        e, m = {x}, {y}\n    return times - 1, {n}, e, m\n")
     return seg
 
 
@@ -286,18 +289,18 @@ def _cycles(state: CpuState, limit: int,
     Between two resolutions of a branch or jump, every decision but the
     outcome and MEM's alignment reads only slot identity. Untraced, the loop
     breaks after a resolving cycle, and the segment loop around it looks up
-    the configuration left (pc, latches, idex_mode, exmem_mode) in fetched,
-    whose two drops so retire segments too. The visit after _HOT_VISITS
-    records a cycle a pass up to the next resolution, for _segment: the
-    count lived in fetched, so that path held no drop, and every fetch on it
-    hits but the resolving cycle's of an end bubble or unknown word. Such a
-    segment compiles and never replays: behind it ID sees only end bubbles
-    up to the halt, or faults on the unknown word in the next cycle, so no
-    configuration is looked up again. A segment replays only when it fits
-    under limit, and one that ends in its first configuration, which looks
-    up itself, runs every pass that fits in one call; where a guard stops
-    it, the loop takes that cycle's latches, values and counts and runs it.
-    A traced run never breaks; step() never visits a configuration twice.
+    the configuration left, pc and the latches, in fetched, whose two drops
+    so retire segments too. The visit after _HOT_VISITS records a cycle a
+    pass up to the next resolution, for _segment: the count lived in
+    fetched, so that path held no drop, nor a mode flip (nor does a
+    resolution, so idex_mode and exmem_mode are crypt_mode at each lookup),
+    and every fetch on it hits but the resolving cycle's of an end bubble or
+    unknown word. Such a segment compiles and never replays: behind it ID
+    sees only end bubbles or faults on the unknown word. A segment replays
+    only when it fits under limit; one that ends in its first configuration
+    runs every pass that fits in one call, and where a guard stops it, the
+    loop takes that cycle's latches, values and counts and runs it. A traced
+    run never breaks; step() never visits a configuration twice.
     """
     if state.fault is not None:     # a Fault is final: no cycle runs after it
         raise state.fault.with_traceback(None)     # no traceback grows per raise
@@ -343,7 +346,7 @@ def _cycles(state: CpuState, limit: int,
                 if exmem.mem is not None:
                     # a store's data: every older instruction has written back
                     try:
-                        out = mem_stage(exmem.instr, exmem_alu, regs[exmem.rt], exmem_mode,
+                        out = mem_stage(exmem.instr.spec, exmem_alu, regs[exmem.rt], exmem_mode,
                                         keyreg, dmem, decrypt_loads)
                     except machine.MachineError as exc:
                         raise Fault(exc, exmem.pc, cycles) from exc
@@ -436,13 +439,13 @@ def _cycles(state: CpuState, limit: int,
             if cycles >= limit:
                 return
             # a cycle resolved a branch or jump, or a recording ran one (or none, first)
-            config, stop = (pc, ifid, idex, exmem, memwb, idex_mode, exmem_mode), limit
+            config, stop = (pc, ifid, idex, exmem, memwb), limit
             if record is not None:
                 record.append(config + (stalls, flushes, crypt_fetches, encrypted_stores))
                 if not resolved:
                     stop = cycles + 1
                     continue
-                fetched[record[0][:7]], record = _segment(record, decrypt_loads), None
+                fetched[record[0][:5]], record = _segment(record, crypt_mode, decrypt_loads), None
             seg, resolved = fetched.get(config, 0), False
             while seg.__class__ is _Segment and cycles + seg.n <= limit:
                 i, k, exmem_alu, memwb_alu = seg.run(regs, keyreg, dmem, exmem_alu, memwb_alu,
@@ -455,7 +458,7 @@ def _cycles(state: CpuState, limit: int,
                 encrypted_stores += i * p_store + d_store
                 if retired_log is not None:
                     retired_log += seg.retired * i + seg.retired[:k - d_stalls - d_flushes]
-                pc, ifid, idex, exmem, memwb, idex_mode, exmem_mode = config = seg.configs[k]
+                pc, ifid, idex, exmem, memwb = config = seg.configs[k]
                 if k < seg.n:
                     break       # the generic loop runs the cycle a guard stopped before
                 seg = fetched.get(config, 0)
@@ -574,7 +577,7 @@ def reference_interpret(imem: machine.Memory, dmem: machine.Memory, *,
             a, b = regs[instr.rs], regs[instr.rt]
             value = spec.alu(a, b, instr) if spec.alu is not None else 0
             if spec.mem is not None:
-                out = mem_stage(instr, value, b, s.crypt_mode, s.keyreg, s.dmem,
+                out = mem_stage(spec, value, b, s.crypt_mode, s.keyreg, s.dmem,
                                 decrypt_loads)
                 if spec.load_key is not None:
                     spec.load_key(s.keyreg, out)

@@ -144,12 +144,17 @@ MUTANTS = [
            "retired_log += seg.retired * i + seg.retired[", "retired_log += seg.retired["),
     Mutant("every segment loops", PIPELINE,
            "seg.loops = seg.configs[n] == seg.configs[0]", "seg.loops = True"),
-    Mutant("the memo caches the bound function, not the code", PIPELINE,
-           "seg.run = FunctionType(code.co_consts[0], names)",
-           "seg.run = _compile.__dict__.setdefault(code, FunctionType(code.co_consts[0], names))"),
+    # a segment's function is cached whole and reads this module's globals,
+    # so a wrapper of mem_stage installed at any time sees the replayed calls
+    Mutant("a segment's globals are copied", PIPELINE,
+           'exec(compile(source, "<segment>", "exec"), globals(), defined)',
+           'exec(compile(source, "<segment>", "exec"), dict(globals()), defined)'),
     Mutant("a replay's mem_stage is bound at import", PIPELINE,
-           "def _segment(record: list, decrypt_loads: bool) -> _Segment:",
-           "def _segment(record: list, decrypt_loads: bool, mem_stage=mem_stage) -> _Segment:"),
+           "def _compiled(source: str) -> Callable:",
+           "def _compiled(source: str, globals=lambda names=dict(globals()): names) -> Callable:"),
+    Mutant("a replayed access ignores crypt mode", PIPELINE,
+           'call = (f"mem_stage({row}, {x}, regs[{exmem.rt}], {crypt_mode}, keyreg, dmem, "',
+           'call = (f"mem_stage({row}, {x}, regs[{exmem.rt}], False, keyreg, dmem, "'),
     # the trace line: a snapshot of the locals after each cycle's work
     Mutant("DEC_FETCH never reported", PIPELINE,
            'events.append("DEC_FETCH")', "pass"),

@@ -226,7 +226,7 @@ def _memory(instr, addr, b):
     keyreg = machine.KeyRegister()
     keyreg.set_lower(PAPER_KEY & 0xFFFFFFFF)
     keyreg.set_upper(PAPER_KEY >> 32)
-    word = pipeline.mem_stage(instr, addr, b, True, keyreg, dmem, decrypt_loads=True)
+    word = pipeline.mem_stage(instr.spec, addr, b, True, keyreg, dmem, decrypt_loads=True)
     return instr.spec.mem, word, dmem.read_block(addr)
 
 

@@ -456,11 +456,11 @@ def test_decrypt_loads_covers_a_load_into_r0():
     assert str(exc.value.cause) == "decrypting load before key loaded"
     lw = isa.Instruction("lw", rs=0, rt=0, imm=0)
     with pytest.raises(machine.KeyNotLoaded, match="^decrypting load before key loaded$"):
-        pipeline.mem_stage(lw, 0, 0, True, machine.KeyRegister(), machine.Memory(),
+        pipeline.mem_stage(lw.spec, 0, 0, True, machine.KeyRegister(), machine.Memory(),
                            decrypt_loads=True)
     # read raw, the same load needs no key
     assert interp_asm(source).executed == 2
-    assert pipeline.mem_stage(lw, 0, 0, True, machine.KeyRegister(), machine.Memory()) == 0
+    assert pipeline.mem_stage(lw.spec, 0, 0, True, machine.KeyRegister(), machine.Memory()) == 0
 
 
 # -------------------------------------------------------------------- faults
@@ -1036,12 +1036,12 @@ def test_mem_stage_store_paths():
     dmem = machine.Memory()
     sw = isa.Instruction("sw", rs=0, rt=4, imm=56)
     # published known-answer triple for this key and store value
-    pipeline.mem_stage(sw, 56, 0xCB97F7EE, True, keyreg, dmem)
+    pipeline.mem_stage(sw.spec, 56, 0xCB97F7EE, True, keyreg, dmem)
     assert dmem.read_block(56) == 0x10539160018D5FF7
     # the stated array sum encrypts consistently: it decrypts back
-    pipeline.mem_stage(sw, 56, 0xCBA767EE, True, keyreg, dmem)
+    pipeline.mem_stage(sw.spec, 56, 0xCBA767EE, True, keyreg, dmem)
     assert des.decrypt_block(dmem.read_block(56), sched) == des.pad_word(0xCBA767EE)
-    pipeline.mem_stage(sw, 0, 0xDEAD, False, machine.KeyRegister(), dmem)
+    pipeline.mem_stage(sw.spec, 0, 0xDEAD, False, machine.KeyRegister(), dmem)
     assert dmem.read_block(0) == des.pad_word(0xDEAD)
 
 
@@ -1049,8 +1049,8 @@ def test_mem_stage_load_ignores_crypt_mode():
     dmem = machine.Memory()
     dmem.write_block(8, 0xFFFFFFFF12345678)
     lw = isa.Instruction("lw", rs=0, rt=1, imm=8)
-    assert pipeline.mem_stage(lw, 8, 0, False, machine.KeyRegister(), dmem) == 0x12345678
-    assert pipeline.mem_stage(lw, 8, 0, True, loaded_keyreg(), dmem) == 0x12345678
+    assert pipeline.mem_stage(lw.spec, 8, 0, False, machine.KeyRegister(), dmem) == 0x12345678
+    assert pipeline.mem_stage(lw.spec, 8, 0, True, loaded_keyreg(), dmem) == 0x12345678
 
 
 def _slot(instr, pc=0):
@@ -1231,9 +1231,10 @@ def _traced_and_untraced(calls, imem_entries, dmem_entries, **kwargs):
 
 
 def test_a_replayed_loop_calls_mem_stage_as_a_traced_run_does(monkeypatch):
-    # a replay binds this module's mem_stage when it compiles, in the run,
-    # and calls it once for each instruction in MEM, in the same order and
-    # with the same operands as the traced run, up to the faulting call
+    # a replay calls this module's mem_stage through its globals, once for
+    # each instruction in MEM, in the same order and with the same
+    # operands (the row, address, data and crypt mode) as the traced run,
+    # up to the faulting call
     calls = _calls_to(monkeypatch, pipeline, "mem_stage")
     built, _ = progen.segments_built(monkeypatch)
     for fault in (None, "stall"):
@@ -1246,11 +1247,12 @@ def test_a_replayed_loop_calls_mem_stage_as_a_traced_run_does(monkeypatch):
         assert [args[:4] for args in untraced] == [args[:4] for args in traced]
 
 
-def test_a_second_run_reuses_each_segments_code_and_binds_its_own_names(monkeypatch):
-    # a segment's code is a pure function of its source, so a second run of
-    # one loop in a process compiles nothing; each run binds that code to a
-    # new function with its own names, so a wrapper of mem_stage installed
-    # for the second run sees its replayed calls as a traced run's
+def test_a_second_run_reuses_segment_functions_and_its_wrapper_sees_the_replays(monkeypatch):
+    # a segment's function is a pure function of its source, so a second run
+    # of one loop in a process compiles nothing; the function reads
+    # mem_stage in this module's globals at each call, so a wrapper of
+    # mem_stage installed for the second run sees its replayed calls as a
+    # traced run's
     runs, compile_segment = [], pipeline._segment
 
     def keeping(*args):
@@ -1265,7 +1267,7 @@ def test_a_second_run_reuses_each_segments_code_and_binds_its_own_names(monkeypa
     calls = _calls_to(monkeypatch, pipeline, "mem_stage")
     (_, traced), (_, untraced) = _traced_and_untraced(calls, image.entries, entries)
     assert first and len(runs) == len(first)
-    assert all(run.__code__ is old.__code__ and run is not old for run, old in zip(runs, first))
+    assert all(run is old for run, old in zip(runs, first))
     assert len(untraced) > 3 * pipeline._HOT_VISITS
     assert [args[:4] for args in untraced] == [args[:4] for args in traced]
 
@@ -1276,6 +1278,55 @@ def test_a_replayed_loop_misses_in_the_fetch_cache_as_a_traced_run_does(monkeypa
     image, entries = _replayed_loop()
     (_, traced), (_, untraced) = _traced_and_untraced(calls, image.entries, entries)
     assert built and [args[1:3] for args in untraced] == [args[1:3] for args in traced]
+
+
+def _flipping_loop(encrypted, gap, n):
+    """Two passes of a loop that flips crypt mode, runs an inner loop of n
+    passes in the other mode and flips back, gap nops before its back
+    branch; encrypted runs the outer loop in crypt mode. The inner loop's
+    first branch resolves two cycles after the flip into it, and its body
+    stores and holds a crypt of the mode already set."""
+    outer, inner = ("crypt 1", "crypt 0") if encrypted else ("crypt 0", "crypt 1")
+    return "\n".join([
+        KEY_PROLOG + "nop\nnop", *["crypt 1"] * encrypted, "addi $r1, $r0, 2",
+        f"L: addi $r5, $r0, {n}", inner, "M: beq $r5, $r0, X", "addi $r4, $r4, 3",
+        "sw $r4, 56($r0)", "addi $r5, $r5, -1", inner, "j M",
+        "X: addi $r1, $r1, -1", outer, *["nop"] * gap, "bne $r1, $r0, L", ""])
+
+
+@pytest.mark.parametrize("hot_visits", [1, 100])
+@pytest.mark.parametrize("encrypted", [False, True], ids=["plain", "encrypted"])
+def test_replays_between_crypt_flips_stop_where_a_stepped_run_does(
+        monkeypatch, encrypted, hot_visits):
+    # a configuration is pc and the four latches: at every lookup and
+    # recorded cycle the modes beside IDEX and EXMEM equal crypt mode, since
+    # a resolving cycle flips nothing and a recording's path holds no flip.
+    # Here branches resolve two and three cycles after a flip; at each stop
+    # in and around the inner loop's replays, where at most 3 passes are
+    # left, an untraced run leaves what a loop of step leaves, the modes
+    # beside the latches included
+    monkeypatch.setattr(pipeline, "_HOT_VISITS", hot_visits)
+    _, replays = progen.segments_built(monkeypatch)
+    n, checked = hot_visits + 4, 0
+    for gap in (0, 1):
+        image = asm.encrypt_image(asm.build_image(_flipping_loop(encrypted, gap, n)), worked.KEY)
+        stepped = pipeline.CpuState(progen.memory(image.entries), key_dmem())
+        del replays[:]
+        while not stepped.halted:
+            pipeline.step(stepped)
+            if stepped.regs.read(5) < 4:
+                state = pipeline.CpuState(progen.memory(image.entries), key_dmem())
+                try:
+                    pipeline.run(state, max_cycles=stepped.stats.cycles)
+                except pipeline.CycleLimitExceeded:
+                    pass
+                assert progen.full_state(state) == progen.full_state(stepped), \
+                    (gap, stepped.stats.cycles)
+                checked += 1
+        assert stepped.regs.read(4) == 2 * 3 * n and stepped.crypt_mode == encrypted
+        assert stepped.stats.encrypted_stores == (0 if encrypted else 2 * n)
+        assert any(k < seg.n for seg, _, k in replays), gap   # a guard stopped one
+    assert checked >= 100
 
 
 @pytest.mark.parametrize("tail", ["end", "unknown"])
@@ -1349,6 +1400,24 @@ def _with_next_line_branches(rng, source):
             out += [f"{mnemonic} $r{rng.choice(regs)}, $r{rng.choice(regs)}, next{i}",
                     f"next{i}:"]
     return "\n".join(out + [last]) + "\n"
+
+
+def test_differential_programs_replaying_at_once(replay_at_once, monkeypatch):
+    # with a configuration's second visit recording its segment, a loop
+    # replays from its fourth pass: progen's loops of four passes replay
+    # their last and stop at its guard; the pipeline must still match the
+    # oracle
+    _, replays = progen.segments_built(monkeypatch)
+    rng = random.Random(2022)
+    for _ in range(100):
+        source = _with_next_line_branches(rng, progen.gen_program(rng))
+        progen.check_against_oracle(source, progen.gen_dmem_entries(rng))
+    for decrypt_loads in (False, True):
+        for _ in range(50):
+            source = _with_next_line_branches(rng, progen.gen_crypt_program(rng))
+            progen.check_against_oracle(source, progen.gen_dmem_entries(rng, with_key=True),
+                                        progen.KEY, decrypt_loads)
+    assert len(replays) >= 100
 
 
 def _with_loads_into_r0(rng, source):
