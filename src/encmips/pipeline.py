@@ -17,12 +17,14 @@ writes them after; the values a stage computes in flight (the crypt mode
 MEM uses, the result WB writes) shift in locals beside the latches. An
 empty latch holds one of four shared bubbles: Slots with no instruction,
 whose kind says why they exist (fill, stall, flush, end of program). WB
-counts only the bubbles that drain past it: stalls, flushes and the four
-fills. The run halts when the end-of-program bubble reaches the WB latch.
-Each cycle's WB sees one slot, so retired is derived from
+counts only the stall and flush bubbles that drain past it; the four fills
+drain in cycles 1-4 of every run from reset. The run halts when the
+end-of-program bubble reaches the WB latch. Each cycle's WB sees one slot,
+so retired is derived from
     cycles == retired + stalls + flushes + min(cycles, 4)
 which holds at every stop of a run from reset; a halting run has drained
 all four fills, even when a squashed slot falls inside the final drain.
+With record_retired, WB logs the slot it sees in every cycle that runs.
 
 One loop, _cycles(), clocks the pipeline for run() and step(), with the
 latches, the values beside them, pc, crypt mode and the statistics in
@@ -142,7 +144,12 @@ class Stats:
 
 class CpuState:
     """All architectural and microarchitectural state of one core. imem and
-    dmem are two distinct memories: a store never writes imem."""
+    dmem are two distinct memories: a store never writes imem.
+
+    With record_retired, wb_log holds the slot WB saw in each cycle that
+    ran, bubbles included, so its length is stats.cycles at every stop;
+    else it is None. The end bubble's cycle never runs, so it is not logged.
+    """
 
     def __init__(self, imem: machine.Memory | None = None,
                  dmem: machine.Memory | None = None, *,
@@ -167,7 +174,15 @@ class CpuState:
         self.exmem_alu = self.memwb_alu = 0
         self.stats = Stats()
         self.fault: Fault | None = None     # the Fault that ended the run, raised again
-        self.retired_log: list[tuple[int, int]] | None = [] if record_retired else None
+        self.wb_log: list[Slot] | None = [] if record_retired else None
+
+    @property
+    def retired_log(self) -> list[tuple[int, int]] | None:
+        """The (pc, word) of each instruction WB retired, in order, read from
+        wb_log; None without record_retired."""
+        if self.wb_log is None:
+            return None
+        return [(slot.pc, slot.word) for slot in self.wb_log if slot.instr is not None]
 
     @property
     def halted(self) -> bool:
@@ -188,12 +203,13 @@ def _compiled(source: str) -> Callable:
 
 
 class _Segment:
-    """n cycles compiled to run, and their configs, marks (counts), retired and loops."""
+    """n cycles compiled to run, and their configs, marks (counts), wb and loops."""
 
 
 def _segment(record: list, crypt_mode: bool, decrypt_loads: bool) -> _Segment:
     """Compile record, the configuration and then the counts at the top of
-    each cycle and after the last, which resolved a branch or jump. Its
+    each cycle and after the last, which resolved a branch or jump; wb keeps
+    the slot in MEMWB at the top of each cycle, the one its WB sees. Its
     source is self-contained: the rows' templates inline (isa._render),
     literals (crypt_mode in each access), locals, and the memory rows bound
     at run's top; run reads mem_stage, isa and range in this module's
@@ -213,7 +229,7 @@ def _segment(record: list, crypt_mode: bool, decrypt_loads: bool) -> _Segment:
     seg.n, seg.configs = n, [entry[:5] for entry in record]
     seg.loops = seg.configs[n] == seg.configs[0]    # slots compare by identity
     seg.marks = [tuple(x - y for x, y in zip(entry[5:], record[0][5:])) for entry in record]
-    seg.retired = [(wb.pc, wb.word) for _, _, _, _, wb, *_ in record[:n] if wb.instr is not None]
+    seg.wb = [config[4] for config in seg.configs[:n]]
     rows, lines = {}, []    # rows: a line for each memory row, which binds it at run's top
     x, y = "e", "m"     # the source of the values beside EXMEM and MEMWB
     for c, (_, ifid, idex, exmem, memwb) in enumerate(seg.configs[:n]):
@@ -299,7 +315,8 @@ def _cycles(state: CpuState, limit: int,
     sees only end bubbles or faults on the unknown word. A segment replays
     only when it fits under limit; one that ends in its first configuration
     runs every pass that fits in one call, and where a guard stops it, the
-    loop takes that cycle's latches, values and counts and runs it. A traced
+    loop takes that cycle's latches, values and counts and runs it. The WB
+    log gains the recorded MEMWB slot of each cycle a replay ran. A traced
     run never breaks; step() never visits a configuration twice.
     """
     if state.fault is not None:     # a Fault is final: no cycle runs after it
@@ -309,10 +326,9 @@ def _cycles(state: CpuState, limit: int,
     exmem_alu, memwb_alu = state.exmem_alu, state.memwb_alu
     pc, crypt_mode, st = state.pc, state.crypt_mode, state.stats
     cycles, stalls, flushes = st.cycles, st.stalls, st.flushes
-    fills = cycles - st.retired - stalls - flushes      # fill bubbles drained so far
     crypt_fetches, encrypted_stores = st.crypt_fetches, st.encrypted_stores
     regs, keyreg, imem, dmem = state.regs.values, state.keyreg, state.imem, state.dmem
-    decrypt_loads, retired_log = state.decrypt_loads, state.retired_log
+    decrypt_loads, wb_log = state.decrypt_loads, state.wb_log
     stall_bubble, flush_bubble, end_bubble = STALL_BUBBLE, FLUSH_BUBBLE, END_BUBBLE
     fetched = {}    # pc -> its Slot, and a configuration -> its _Segment or visits to it
     load_key = handoff = record = None
@@ -326,11 +342,10 @@ def _cycles(state: CpuState, limit: int,
             for cycles in range(cycles + 1, stop + 1):
                 # WB first, so later stages read its result in the register file;
                 # dest is never $r0 and every result is 32 bits, so write directly.
+                # A fill bubble, in one of the first 4 cycles, takes no arm.
                 if memwb.instr is not None:
                     if memwb.dest is not None:
                         regs[memwb.dest] = memwb_alu
-                    if retired_log is not None:
-                        retired_log.append((memwb.pc, memwb.word))
                 elif memwb is stall_bubble:
                     stalls += 1
                 elif memwb is flush_bubble:
@@ -338,8 +353,8 @@ def _cycles(state: CpuState, limit: int,
                 elif memwb is end_bubble:
                     cycles -= 1     # halted before this cycle, which never ran
                     return
-                else:               # a fill bubble, in one of the first 4 cycles
-                    fills += 1
+                if wb_log is not None:
+                    wb_log.append(memwb)
 
                 # MEM: a key half commits at the cycle's end, after IF used the old key
                 mem_out = exmem_alu
@@ -456,8 +471,8 @@ def _cycles(state: CpuState, limit: int,
                 flushes += i * p_flushes + d_flushes
                 crypt_fetches += i * p_fetch + d_fetch
                 encrypted_stores += i * p_store + d_store
-                if retired_log is not None:
-                    retired_log += seg.retired * i + seg.retired[:k - d_stalls - d_flushes]
+                if wb_log is not None:
+                    wb_log += seg.wb * i + seg.wb[:k]
                 pc, ifid, idex, exmem, memwb = config = seg.configs[k]
                 if k < seg.n:
                     break       # the generic loop runs the cycle a guard stopped before
@@ -475,7 +490,8 @@ def _cycles(state: CpuState, limit: int,
         state.exmem_alu, state.memwb_alu = exmem_alu, memwb_alu
         state.pc, state.crypt_mode = pc, crypt_mode
         st.cycles, st.stalls, st.flushes = cycles, stalls, flushes
-        st.retired = cycles - stalls - flushes - fills  # each cycle's WB saw one slot
+        # each cycle's WB saw one slot, the fill bubbles in cycles 1-4
+        st.retired = cycles - stalls - flushes - min(cycles, 4)
         st.crypt_fetches, st.encrypted_stores = crypt_fetches, encrypted_stores
 
 

@@ -63,7 +63,10 @@ MUTANTS = [
     Mutant("a halt counts the cycle it never ran", PIPELINE,
            "cycles -= 1     # halted before this cycle, which never ran", "pass"),
     Mutant("retired derived without the fill bubbles", PIPELINE,
-           "st.retired = cycles - stalls - flushes - fills", "st.retired = cycles - stalls - flushes"),
+           "st.retired = cycles - stalls - flushes - min(cycles, 4)",
+           "st.retired = cycles - stalls - flushes"),
+    Mutant("the WB log skips bubbles", PIPELINE,
+           "wb_log.append(memwb)", "memwb.instr is None or wb_log.append(memwb)"),
     # ID's handoff to IF, and the key half MEM hands to the cycle's end
     Mutant("IF keeps a redirect it took", PIPELINE,
            "next_idex, ifid, pc, handoff = ifid, flush_bubble, handoff, None",
@@ -131,7 +134,7 @@ MUTANTS = [
            "elif memwb is stall_bubble:\n"
            "                    stalls += exmem.mem is None or exmem_alu % 8 == 0"),
     Mutant("a replay adds no retired_log entries", PIPELINE,
-           "retired_log += seg.retired * i + seg.retired[:k - d_stalls - d_flushes]", "pass"),
+           "wb_log += seg.wb * i + seg.wb[:k]", "pass"),
     # a segment that ends in its first configuration runs its passes in one call
     Mutant("a looping replay runs one pass past the limit", PIPELINE,
            "(limit - cycles) // seg.n if seg.loops",
@@ -141,7 +144,7 @@ MUTANTS = [
            "                flushes += i * p_flushes + d_flushes",
            "stalls + d_stalls\n                flushes += d_flushes"),
     Mutant("a looping replay logs only one pass's retired entries", PIPELINE,
-           "retired_log += seg.retired * i + seg.retired[", "retired_log += seg.retired["),
+           "wb_log += seg.wb * i + seg.wb[", "wb_log += seg.wb["),
     Mutant("every segment loops", PIPELINE,
            "seg.loops = seg.configs[n] == seg.configs[0]", "seg.loops = True"),
     # a segment's function is cached whole and reads this module's globals,

@@ -254,17 +254,19 @@ def full_state(state: pipeline.CpuState) -> tuple:
     """Everything a stop leaves in a CpuState, as one comparable value: each
     latch as (kind, pc, word), which fix the rest of a slot (an unknown
     slot's instr is an exception, equal only to itself), the values beside
-    the latches, pc, crypt mode, halted, the six stats, the retired log,
-    the architectural state and the Fault as (pc, cycle, cause class,
-    text) or None."""
+    the latches, pc, crypt mode, halted, the six stats, the WB log as
+    (kind, pc, word) per entry, the architectural state and the Fault as
+    (pc, cycle, cause class, text) or None."""
+    def slots(seq):
+        return tuple((slot.kind, slot.pc, slot.word) for slot in seq)
+
     st, fault = state.stats, state.fault
-    return (tuple((slot.kind, slot.pc, slot.word)
-                  for slot in (state.ifid, state.idex, state.exmem, state.memwb)),
+    return (slots((state.ifid, state.idex, state.exmem, state.memwb)),
             (state.idex_mode, state.exmem_mode, state.exmem_alu, state.memwb_alu),
             state.pc, state.crypt_mode, state.halted,
             (st.cycles, st.retired, st.stalls, st.flushes, st.crypt_fetches,
              st.encrypted_stores),
-            None if state.retired_log is None else tuple(state.retired_log),
+            None if state.wb_log is None else slots(state.wb_log),
             pipeline.architectural_state(state),
             None if fault is None else (fault.pc, fault.cycle, type(fault.cause).__name__,
                                         str(fault.cause)))
@@ -314,27 +316,30 @@ def memory(entries: Iterable[Tuple[int, int]]) -> machine.Memory:
     return mem
 
 
-def predict_timing(retired_log) -> Tuple[int, int]:
-    """The (stalls, flushes) a halting pipeline run counts, predicted from
-    the oracle's retired log as ((pc, word), taken) entries, taken being the
-    oracle's InterpState.taken flag (zip(ref.retired_log, ref.taken)).
+def predict_wb_order(retired_log) -> list:
+    """What drains past WB in a halting pipeline run, in order, predicted
+    from the oracle's retired log as ((pc, word), taken) entries, taken
+    being the oracle's InterpState.taken flag (zip(ref.retired_log,
+    ref.taken)): "fill", "stall" or "flush" for a bubble, the pc for an
+    instruction.
 
-    It rebuilds the pipeline order, each bubble taking a slot, by the rules
-    of docs/isa.md, Pipeline timing:
+    Four fills come first. Then each instruction drains behind its stall
+    bubbles, by the rules of docs/isa.md, Pipeline timing, each bubble
+    taking a slot:
     - 1 stall before a consumer when the slot directly ahead is a load
       whose dest it reads;
     - for a branch whose sources the slot directly ahead writes, 1 stall,
       or 2 if that slot is a load;
     - otherwise, for a branch, 1 stall when the slot two ahead is a load
       whose dest it reads;
-    - 1 flush after each taken branch, each jump and each `crypt` that
-      changes the mode.
+    and 1 flush drains after each taken branch, each jump and each `crypt`
+    that changes the mode.
     """
     bubble = (None, False)
     ahead = deque([bubble, bubble], maxlen=2)     # (dest, is a load) per slot
-    stalls = flushes = 0
+    order = ["fill"] * 4
     mode = False
-    for (_, word), taken in retired_log:
+    for (pc, word), taken in retired_log:
         instr = isa.decode(word)
         spec, sources = instr.spec, instr.sources
         (dest2, load2), (dest1, load1) = ahead
@@ -344,25 +349,36 @@ def predict_timing(retired_log) -> Tuple[int, int]:
         else:
             stall = int(load1 and dest1 in sources
                         or branch and load2 and dest2 in sources)
-        stalls += stall
+        order += ["stall"] * stall + [pc]
         ahead.extend([bubble] * stall + [(instr.dest, spec.mem is not None)])
         switch = spec.mode is not None and spec.mode(instr) != mode
         if switch:
             mode = not mode
         if taken or switch:
-            flushes += 1
+            order.append("flush")
             ahead.append(bubble)
-    return stalls, flushes
+    return order
 
 
-def assert_timing(stats: pipeline.Stats, ref: pipeline.InterpState,
+def predict_timing(retired_log) -> Tuple[int, int]:
+    """The (stalls, flushes) a halting pipeline run counts: those of
+    predict_wb_order's order for the same oracle log."""
+    order = predict_wb_order(retired_log)
+    return order.count("stall"), order.count("flush")
+
+
+def assert_timing(state: pipeline.CpuState, ref: pipeline.InterpState,
                   what: str = "") -> None:
-    """The pipeline's stalls and flushes are what predict_timing makes of
-    the oracle's run."""
-    predicted = predict_timing(zip(ref.retired_log, ref.taken))
-    assert predicted == (stats.stalls, stats.flushes), \
-        f"timing model predicts (stalls, flushes) {predicted}, " \
-        f"pipeline counted {(stats.stalls, stats.flushes)}:\n{what}"
+    """The pipeline's WB log, a bubble's kind or an instruction's pc per
+    entry, is the order predict_wb_order makes of the oracle's run."""
+    predicted = predict_wb_order(zip(ref.retired_log, ref.taken))
+    logged = [slot.kind if slot.instr is None else slot.pc for slot in state.wb_log]
+    if logged != predicted:
+        at = next((i for i, (x, y) in enumerate(zip(logged, predicted)) if x != y),
+                  min(len(logged), len(predicted)))
+        raise AssertionError(
+            f"timing model predicts {predicted[at:at + 4]} from WB entry {at} of "
+            f"{len(predicted)}, pipeline logged {logged[at:at + 4]} of {len(logged)}:\n{what}")
 
 
 def check_against_oracle(source: str, entries: List[Tuple[int, int]],
@@ -374,8 +390,8 @@ def check_against_oracle(source: str, entries: List[Tuple[int, int]],
     a fresh data memory of entries and within limit cycles or instructions;
     assert that both end in the same architectural state after the same
     retired log, that the pipeline's cycles obey the accounting identity,
-    and that its stalls and flushes are the ones predict_timing makes of
-    the oracle's run. Returns the pipeline's state."""
+    and that its WB log is the order predict_wb_order makes of the
+    oracle's run. Returns the pipeline's state."""
     image = asm.build_image(source)
     loaded = asm.encrypt_image(image, key) if key is not None else image
     state = pipeline.CpuState(memory(loaded.entries), memory(entries),
@@ -389,5 +405,5 @@ def check_against_oracle(source: str, entries: List[Tuple[int, int]],
     assert state.retired_log == ref.retired_log, f"retired log differs:\n{source}"
     assert stats.cycles == stats.retired + stats.stalls + stats.flushes + 4, \
         f"cycle identity fails:\n{source}"
-    assert_timing(stats, ref, what=source)
+    assert_timing(state, ref, what=source)
     return state

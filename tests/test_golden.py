@@ -428,7 +428,7 @@ def test_timing_model_predicts_every_halting_run():
             progen.memory(plaintext.entries), progen.memory(entries),
             decrypt_loads=options.get("decrypt_loads", False), record_retired=True)
         assert ref.retired_log == state.retired_log, what
-        progen.assert_timing(state.stats, ref, what)
+        progen.assert_timing(state, ref, what)
         checked.append(what.split("/")[0])
     assert len(checked) >= 900 and checked.count("long_loop") >= 8
 

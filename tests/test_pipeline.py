@@ -827,10 +827,11 @@ def _stop_programs():
 
 
 def test_stats_obey_the_identity_at_every_stop():
-    # WB counts bubbles only, and retired is derived from the identity with
-    # the min(cycles, 4) fill bubbles drained since reset; so a run stopped
-    # at any cycle limit, at a fault or at its halt must count its retired
-    # log, and a loop of step must count the same
+    # WB counts stall and flush bubbles only, and retired is derived from
+    # the identity with the min(cycles, 4) fill bubbles drained since reset;
+    # so a run stopped at any cycle limit, at a fault or at its halt must
+    # count its retired log, its WB log must hold one slot per cycle and
+    # the counted bubbles, and a loop of step must count the same
     stops = []
     for imem_entries, dmem_entries in _stop_programs():
         imem = progen.memory(imem_entries)      # stores write dmem, never imem
@@ -857,6 +858,9 @@ def test_stats_obey_the_identity_at_every_stop():
                 assert stop in (None, "halt")
             s = state.stats
             assert s.cycles == k and s.retired == len(state.retired_log)
+            assert len(state.wb_log) == s.cycles
+            kinds = [slot.kind for slot in state.wb_log]
+            assert (kinds.count("stall"), kinds.count("flush")) == (s.stalls, s.flushes)
             assert s.cycles == s.retired + s.stalls + s.flushes + min(s.cycles, 4)
             assert stepped.stats == s, k
         stops.append(stop)
@@ -1406,7 +1410,9 @@ def test_differential_programs_replaying_at_once(replay_at_once, monkeypatch):
     # with a configuration's second visit recording its segment, a loop
     # replays from its fourth pass: progen's loops of four passes replay
     # their last and stop at its guard; the pipeline must still match the
-    # oracle
+    # oracle. Those replay no whole pass in one call, so long loops of
+    # 130-160 iterations, plain, encrypted and with decrypt_loads, put a
+    # looping replay's whole passes in the WB log under the same check
     _, replays = progen.segments_built(monkeypatch)
     rng = random.Random(2022)
     for _ in range(100):
@@ -1418,6 +1424,14 @@ def test_differential_programs_replaying_at_once(replay_at_once, monkeypatch):
             progen.check_against_oracle(source, progen.gen_dmem_entries(rng, with_key=True),
                                         progen.KEY, decrypt_loads)
     assert len(replays) >= 100
+    del replays[:]
+    rng = random.Random(41)
+    for i in range(30):
+        crypt = i % 3 != 0
+        source = progen.gen_long_loop_program(rng, rng.randrange(130, 161), crypt)
+        progen.check_against_oracle(source, progen.long_loop_entries(rng),
+                                    progen.KEY if crypt else None, i % 3 == 2)
+    assert any(passes >= 1 for _, passes, _ in replays)
 
 
 def _with_loads_into_r0(rng, source):
