@@ -471,8 +471,10 @@ def _cycles(state: CpuState, limit: int,
                 flushes += i * p_flushes + d_flushes
                 crypt_fetches += i * p_fetch + d_fetch
                 encrypted_stores += i * p_store + d_store
-                if wb_log is not None:
-                    wb_log += seg.wb * i + seg.wb[:k]
+                if wb_log is not None:      # pass by pass, with no list of i passes
+                    for _ in range(i):
+                        wb_log += seg.wb
+                    wb_log += seg.wb[:k]
                 pc, ifid, idex, exmem, memwb = config = seg.configs[k]
                 if k < seg.n:
                     break       # the generic loop runs the cycle a guard stopped before

@@ -134,7 +134,10 @@ MUTANTS = [
            "elif memwb is stall_bubble:\n"
            "                    stalls += exmem.mem is None or exmem_alu % 8 == 0"),
     Mutant("a replay adds no retired_log entries", PIPELINE,
-           "wb_log += seg.wb * i + seg.wb[:k]", "pass"),
+           "for _ in range(i):\n"
+           "                        wb_log += seg.wb\n"
+           "                    wb_log += seg.wb[:k]",
+           "pass"),
     # a segment that ends in its first configuration runs its passes in one call
     Mutant("a looping replay runs one pass past the limit", PIPELINE,
            "(limit - cycles) // seg.n if seg.loops",
@@ -144,7 +147,7 @@ MUTANTS = [
            "                flushes += i * p_flushes + d_flushes",
            "stalls + d_stalls\n                flushes += d_flushes"),
     Mutant("a looping replay logs only one pass's retired entries", PIPELINE,
-           "wb_log += seg.wb * i + seg.wb[", "wb_log += seg.wb["),
+           "for _ in range(i):", "for _ in range(min(i, 1)):"),
     Mutant("every segment loops", PIPELINE,
            "seg.loops = seg.configs[n] == seg.configs[0]", "seg.loops = True"),
     # a segment's function is cached whole and reads this module's globals,

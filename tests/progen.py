@@ -370,8 +370,15 @@ def predict_timing(retired_log) -> Tuple[int, int]:
 def assert_timing(state: pipeline.CpuState, ref: pipeline.InterpState,
                   what: str = "") -> None:
     """The pipeline's WB log, a bubble's kind or an instruction's pc per
-    entry, is the order predict_wb_order makes of the oracle's run."""
+    entry, is the order predict_wb_order makes of the oracle's run, and
+    its Stats count that order's stalls, flushes and instructions: the
+    counters are kept apart from the log, by WB and by each replay."""
     predicted = predict_wb_order(zip(ref.retired_log, ref.taken))
+    stats = state.stats
+    counted = (stats.stalls, stats.flushes, stats.retired)
+    expected = (predicted.count("stall"), predicted.count("flush"), len(ref.retired_log))
+    assert counted == expected, (f"timing model predicts (stalls, flushes, retired) "
+                                 f"{expected}, pipeline counted {counted}:\n{what}")
     logged = [slot.kind if slot.instr is None else slot.pc for slot in state.wb_log]
     if logged != predicted:
         at = next((i for i, (x, y) in enumerate(zip(logged, predicted)) if x != y),
