@@ -8,13 +8,14 @@ so an operand is EXMEM's ALU result when EXMEM writes its register, else
 the register file. EX and the ID branch compare read their operands so, and
 a store reads its data from the register file in MEM. A load's consumer
 directly behind it stalls one cycle. Branches resolve in ID and squash one
-fetch slot when taken, as does a crypt-mode change.
+fetch slot when taken, as does a crypt-mode change; a memory access uses
+the crypt mode its instruction was fetched in.
 
 Each fetched instruction is one Slot record that rides the latches from
 IFID to MEMWB by reference. IF sets all its fields, among them what each
-later stage reads of the instruction and its table row, and nothing
-writes them after; the values a stage computes in flight (the crypt mode
-MEM uses, the result WB writes) shift in locals beside the latches. An
+later stage reads of the instruction and its table row and the crypt mode
+of the fetch, and nothing writes them after; the values a stage computes
+in flight (the result WB writes) shift in locals beside the latches. An
 empty latch holds one of four shared bubbles: Slots with no instruction,
 whose kind says why they exist (fill, stall, flush, end of program). WB
 counts only the stall and flush bubbles that drain past it; the four fills
@@ -76,24 +77,27 @@ class Slot:
     latches (see _cycles), so IF may hand out one cached slot for every
     fetch of its pc, and one slot may sit in two latches at once.
 
-    pc, word and instr say what IF fetched. The rest is what the later
-    stages read, copied at IF: rs, rt, sources and dest (the register WB
-    writes, None for none or $r0) from the instruction, alu, mem, redirect,
-    mode, load_key and rare from its row, and next_pc, the pc fetched after
-    it. kind is None for an instruction. A bubble has no instruction and a
-    kind that names it (fill, stall, flush, end); a word no row decodes has
-    kind "unknown" and, as instr, the isa.UnknownInstruction that ID raises
-    as a Fault in its own cycle. Their stage fields are inert (None, (), 0),
-    but an unknown word has its next_pc, and rare True for ID's fault.
+    pc, word and instr say what IF fetched, and crypt the crypt mode it
+    fetched in, which MEM uses for the slot's access: a flip squashes the
+    one slot IF fetched in its cycle, so no slot crosses one. The rest is
+    what the later stages read, copied at IF: rs, rt, sources and dest (the
+    register WB writes, None for none or $r0) from the instruction, alu,
+    mem, redirect, mode, load_key and rare from its row, and next_pc, the pc
+    fetched after it. kind is None for an instruction. A bubble has no
+    instruction, crypt False and a kind that names it (fill, stall, flush,
+    end); a word no row decodes has kind "unknown" and, as instr, the
+    isa.UnknownInstruction that ID raises as a Fault in its own cycle. Their
+    stage fields are inert (None, (), 0), but an unknown word has its
+    next_pc, and rare True for ID's fault.
     """
 
-    __slots__ = ("pc", "word", "instr", "kind", "rs", "rt", "sources", "dest",
+    __slots__ = ("pc", "word", "instr", "crypt", "kind", "rs", "rt", "sources", "dest",
                  "alu", "mem", "redirect", "mode", "load_key", "rare", "next_pc")
 
-    def __init__(self, pc, word, instr, kind=None):
+    def __init__(self, pc, word, instr, crypt=False, kind=None):
         # at most three names an assignment, so none builds a tuple first
         self.pc, self.word, self.instr = pc, word, instr
-        self.kind = kind
+        self.crypt, self.kind = crypt, kind
         if kind is None:
             self.rs, self.rt = instr.rs, instr.rt
             self.sources, self.dest = instr.sources, instr.dest
@@ -108,10 +112,10 @@ class Slot:
 
 
 # The pipeline uses only these four bubbles; nothing forwards from them.
-FILL_BUBBLE = Slot(None, None, None, "fill")
-STALL_BUBBLE = Slot(None, None, None, "stall")
-FLUSH_BUBBLE = Slot(None, None, None, "flush")
-END_BUBBLE = Slot(None, None, None, "end")
+FILL_BUBBLE = Slot(None, None, None, kind="fill")
+STALL_BUBBLE = Slot(None, None, None, kind="stall")
+FLUSH_BUBBLE = Slot(None, None, None, kind="flush")
+END_BUBBLE = Slot(None, None, None, kind="end")
 
 
 class Stats:
@@ -168,9 +172,7 @@ class CpuState:
         self.idex: Slot = FILL_BUBBLE
         self.exmem: Slot = FILL_BUBBLE
         self.memwb: Slot = FILL_BUBBLE
-        # beside the latches: the crypt mode an instruction takes from ID to
-        # MEM, and EX's result (MEM's word, for a read) on its way to WB
-        self.idex_mode = self.exmem_mode = False
+        # beside the latches: EX's result (MEM's word, for a read) on its way to WB
         self.exmem_alu = self.memwb_alu = 0
         self.stats = Stats()
         self.fault: Fault | None = None     # the Fault that ended the run, raised again
@@ -206,12 +208,12 @@ class _Segment:
     """n cycles compiled to run, and their configs, marks (counts), wb and loops."""
 
 
-def _segment(record: list, crypt_mode: bool, decrypt_loads: bool) -> _Segment:
+def _segment(record: list, decrypt_loads: bool) -> _Segment:
     """Compile record, the configuration and then the counts at the top of
     each cycle and after the last, which resolved a branch or jump; wb keeps
     the slot in MEMWB at the top of each cycle, the one its WB sees. Its
     source is self-contained: the rows' templates inline (isa._render),
-    literals (crypt_mode in each access), locals, and the memory rows bound
+    literals (each access's slot's crypt), locals, and the memory rows bound
     at run's top; run reads mem_stage, isa and range in this module's
     globals per call, so it is cached whole. run(regs, keyreg, dmem, e, m,
     times), e and m being the values beside EXMEM and MEMWB, does per cycle
@@ -221,9 +223,9 @@ def _segment(record: list, crypt_mode: bool, decrypt_loads: bool) -> _Segment:
     a guard stopped it for the generic loop to run: the last, whose compare
     would resolve the other way (a jump's slot fixes its target), or one
     whose MEM address is unaligned. That is the only MachineError MEM can
-    raise in a replay: while a segment lives, fetched lives, so the crypt
-    mode and the key are the recording's, under which each access ran
-    without a fault. A segment ending in its first configuration loops."""
+    raise in a replay: while a segment lives, fetched lives, so the key is
+    the recording's, and each access's slot its crypt mode, under which it
+    ran without a fault. A segment ending in its first configuration loops."""
     seg, n = _Segment(), len(record) - 1
     taken = record[n][1] is FLUSH_BUBBLE
     seg.n, seg.configs = n, [entry[:5] for entry in record]
@@ -246,7 +248,7 @@ def _segment(record: list, crypt_mode: bool, decrypt_loads: bool) -> _Segment:
         if exmem.mem is not None:
             row = exmem.instr.spec.mnemonic
             rows[row] = f"    {row} = isa.SPECS[{row!r}]\n"
-            call = (f"mem_stage({row}, {x}, regs[{exmem.rt}], {crypt_mode}, keyreg, dmem, "
+            call = (f"mem_stage({row}, {x}, regs[{exmem.rt}], {exmem.crypt}, keyreg, dmem, "
                     f"{decrypt_loads})")
             lines.append(call if exmem.mem == isa.WRITE else f"m{c} = {call}")
         if idex.alu is not None:
@@ -272,9 +274,9 @@ def _cycles(state: CpuState, limit: int,
     work, and the previous cycle's snapshot is its "before".
 
     Slots are never written after IF, so the in-flight values shift beside
-    the latches: idex_mode and exmem_mode carry the crypt mode an
-    instruction takes from ID to MEM, and exmem_alu and memwb_alu carry EX's
-    result, or for a read the word MEM read in place of the address, to WB.
+    the latches: exmem_alu and memwb_alu carry EX's result, or for a read
+    the word MEM read in place of the address, to WB. MEM's access uses its
+    slot's crypt, the mode IF fetched it in.
     Each stage writes only locals of its own, which the shift at the cycle's
     end moves into place, so every stage sees its inputs as the last cycle
     left them. EX and the ID branch compare read exmem_alu only for a
@@ -308,21 +310,19 @@ def _cycles(state: CpuState, limit: int,
     the configuration left, pc and the latches, in fetched, whose two drops
     so retire segments too. The visit after _HOT_VISITS records a cycle a
     pass up to the next resolution, for _segment: the count lived in
-    fetched, so that path held no drop, nor a mode flip (nor does a
-    resolution, so idex_mode and exmem_mode are crypt_mode at each lookup),
-    and every fetch on it hits but the resolving cycle's of an end bubble or
-    unknown word. Such a segment compiles and never replays: behind it ID
-    sees only end bubbles or faults on the unknown word. A segment replays
-    only when it fits under limit; one that ends in its first configuration
-    runs every pass that fits in one call, and where a guard stops it, the
-    loop takes that cycle's latches, values and counts and runs it. The WB
-    log gains the recorded MEMWB slot of each cycle a replay ran. A traced
-    run never breaks; step() never visits a configuration twice.
+    fetched, so that path held no drop, nor a mode flip, and every fetch on
+    it hits but the resolving cycle's of an end bubble or unknown word. Such
+    a segment compiles and never replays: behind it ID sees only end
+    bubbles or faults on the unknown word. A segment replays only when it
+    fits under limit; one that ends in its first configuration runs every
+    pass that fits in one call, and where a guard stops it, the loop takes
+    that cycle's latches, values and counts and runs it. The WB log gains
+    the recorded MEMWB slot of each cycle a replay ran. A traced run never
+    breaks; step() never visits a configuration twice.
     """
     if state.fault is not None:     # a Fault is final: no cycle runs after it
         raise state.fault.with_traceback(None)     # no traceback grows per raise
     ifid, idex, exmem, memwb = state.ifid, state.idex, state.exmem, state.memwb
-    idex_mode, exmem_mode = state.idex_mode, state.exmem_mode
     exmem_alu, memwb_alu = state.exmem_alu, state.memwb_alu
     pc, crypt_mode, st = state.pc, state.crypt_mode, state.stats
     cycles, stalls, flushes = st.cycles, st.stalls, st.flushes
@@ -361,7 +361,7 @@ def _cycles(state: CpuState, limit: int,
                 if exmem.mem is not None:
                     # a store's data: every older instruction has written back
                     try:
-                        out = mem_stage(exmem.instr.spec, exmem_alu, regs[exmem.rt], exmem_mode,
+                        out = mem_stage(exmem.instr.spec, exmem_alu, regs[exmem.rt], exmem.crypt,
                                         keyreg, dmem, decrypt_loads)
                     except machine.MachineError as exc:
                         raise Fault(exc, exmem.pc, cycles) from exc
@@ -369,7 +369,7 @@ def _cycles(state: CpuState, limit: int,
                         load_key, key_word = exmem.load_key, out
                     elif out is not None:   # a read: its word replaces the address
                         mem_out = out
-                    elif exmem_mode:
+                    elif exmem.crypt:
                         encrypted_stores += 1
 
                 # EX: an operand is EXMEM's result when EXMEM writes its register,
@@ -425,9 +425,9 @@ def _cycles(state: CpuState, limit: int,
                             ifid = end_bubble
                         else:
                             try:
-                                ifid = fetched[pc] = Slot(pc, word, isa.decode(word))
+                                ifid = fetched[pc] = Slot(pc, word, isa.decode(word), crypt_mode)
                             except isa.UnknownInstruction as exc:
-                                ifid = Slot(pc, word, exc, "unknown")
+                                ifid = Slot(pc, word, exc, crypt_mode, "unknown")
                             pc = ifid.next_pc
                             if crypt_mode:
                                 crypt_fetches += 1
@@ -436,11 +436,10 @@ def _cycles(state: CpuState, limit: int,
                 else:                               # a redirect squashes the fetch
                     next_idex, ifid, pc, handoff = ifid, flush_bubble, handoff, None
 
-                # each latch shifts with the values beside it (these assignments
-                # build no tuple); nothing reads a bubble's mode or result
+                # each latch shifts with the value beside it (these assignments
+                # build no tuple); nothing reads a bubble's result
                 memwb, memwb_alu = exmem, mem_out
-                exmem, exmem_alu, exmem_mode = idex, ex_out, idex_mode
-                idex, idex_mode = next_idex, crypt_mode
+                exmem, exmem_alu, idex = idex, ex_out, next_idex
                 if load_key is not None:
                     load_key(keyreg, key_word)
                     load_key = None
@@ -460,7 +459,7 @@ def _cycles(state: CpuState, limit: int,
                 if not resolved:
                     stop = cycles + 1
                     continue
-                fetched[record[0][:5]], record = _segment(record, crypt_mode, decrypt_loads), None
+                fetched[record[0][:5]], record = _segment(record, decrypt_loads), None
             seg, resolved = fetched.get(config, 0), False
             while seg.__class__ is _Segment and cycles + seg.n <= limit:
                 i, k, exmem_alu, memwb_alu = seg.run(regs, keyreg, dmem, exmem_alu, memwb_alu,
@@ -488,7 +487,6 @@ def _cycles(state: CpuState, limit: int,
         raise
     finally:
         state.ifid, state.idex, state.exmem, state.memwb = ifid, idex, exmem, memwb
-        state.idex_mode, state.exmem_mode = idex_mode, exmem_mode
         state.exmem_alu, state.memwb_alu = exmem_alu, memwb_alu
         state.pc, state.crypt_mode = pc, crypt_mode
         st.cycles, st.stalls, st.flushes = cycles, stalls, flushes

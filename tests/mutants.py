@@ -59,6 +59,14 @@ MUTANTS = [
            "                        if crypt_mode:\n"
            "                            crypt_fetches += 1",
            "ifid, pc = slot, slot.next_pc"),
+    # a memory access uses the crypt mode its slot was fetched in, which a
+    # flip in ID one slot behind it does not change
+    Mutant("a store takes the mode at MEM, not its slot's", PIPELINE,
+           "regs[exmem.rt], exmem.crypt,", "regs[exmem.rt], crypt_mode,"),
+    Mutant("an encrypted store counted by the mode at MEM", PIPELINE,
+           "elif exmem.crypt:", "elif crypt_mode:"),
+    Mutant("IF makes every slot in plain mode", PIPELINE,
+           "self.crypt, self.kind = crypt, kind", "self.crypt, self.kind = False, kind"),
     # the cycle loop's end
     Mutant("a halt counts the cycle it never ran", PIPELINE,
            "cycles -= 1     # halted before this cycle, which never ran", "pass"),
@@ -159,7 +167,7 @@ MUTANTS = [
            "def _compiled(source: str) -> Callable:",
            "def _compiled(source: str, globals=lambda names=dict(globals()): names) -> Callable:"),
     Mutant("a replayed access ignores crypt mode", PIPELINE,
-           'call = (f"mem_stage({row}, {x}, regs[{exmem.rt}], {crypt_mode}, keyreg, dmem, "',
+           'call = (f"mem_stage({row}, {x}, regs[{exmem.rt}], {exmem.crypt}, keyreg, dmem, "',
            'call = (f"mem_stage({row}, {x}, regs[{exmem.rt}], False, keyreg, dmem, "'),
     # the trace line: a snapshot of the locals after each cycle's work
     Mutant("DEC_FETCH never reported", PIPELINE,

@@ -252,17 +252,17 @@ def segments_built(monkeypatch) -> Tuple[list, list]:
 
 def full_state(state: pipeline.CpuState) -> tuple:
     """Everything a stop leaves in a CpuState, as one comparable value: each
-    latch as (kind, pc, word), which fix the rest of a slot (an unknown
-    slot's instr is an exception, equal only to itself), the values beside
-    the latches, pc, crypt mode, halted, the six stats, the WB log as
-    (kind, pc, word) per entry, the architectural state and the Fault as
-    (pc, cycle, cause class, text) or None."""
+    latch as (kind, pc, word, crypt), which fix the rest of a slot (an
+    unknown slot's instr is an exception, equal only to itself), the values
+    beside the latches, pc, crypt mode, halted, the six stats, the WB log as
+    (kind, pc, word, crypt) per entry, the architectural state and the Fault
+    as (pc, cycle, cause class, text) or None."""
     def slots(seq):
-        return tuple((slot.kind, slot.pc, slot.word) for slot in seq)
+        return tuple((slot.kind, slot.pc, slot.word, slot.crypt) for slot in seq)
 
     st, fault = state.stats, state.fault
     return (slots((state.ifid, state.idex, state.exmem, state.memwb)),
-            (state.idex_mode, state.exmem_mode, state.exmem_alu, state.memwb_alu),
+            (state.exmem_alu, state.memwb_alu),
             state.pc, state.crypt_mode, state.halted,
             (st.cycles, st.retired, st.stalls, st.flushes, st.crypt_fetches,
              st.encrypted_stores),

@@ -397,13 +397,21 @@ def test_crypt_toggle_off():
     assert not state.crypt_mode
 
 
-def test_store_mode_snapshot_at_decode():
-    # a store one slot ahead of crypt decodes before the mode flips, so it
-    # must not be encrypted even though its MEM stage happens afterwards
-    source = (KEY_PROLOG + "nop\nnop\nsw $r0, 16($r0)\ncrypt 1\n"
-              "addi $r9, $r0, 0\n")
-    state, _ = run_asm(source, key_dmem(), encrypt_key=worked.KEY)
-    assert state.dmem.read_block(16) == 0
+@pytest.mark.parametrize("flip", ["crypt 1", "crypt 0"], ids=["crypt1", "crypt0"])
+def test_store_mode_snapshot_at_decode(flip):
+    # a store one slot ahead of a flipping crypt is fetched and decoded in
+    # the old mode, so it keeps that mode even though its MEM stage happens
+    # after the flip: plain ahead of crypt 1, encrypted ahead of crypt 0.
+    # The oracle cannot check the count of encrypted stores, so it is here
+    encrypted = flip == "crypt 0"
+    source = (KEY_PROLOG + "nop\nnop\n" + "crypt 1\n" * encrypted +
+              f"sw $r1, 16($r0)\n{flip}\naddi $r9, $r0, 0\n")
+    state, stats = run_asm(source, key_dmem(), encrypt_key=worked.KEY)
+    block = des.pad_word(104)
+    if encrypted:
+        block = des.encrypt_block(block, des.key_schedule(worked.KEY))
+    assert state.dmem.read_block(16) == block
+    assert stats.encrypted_stores == encrypted
     ref = interp_asm(source, key_dmem())
     assert pipeline.architectural_state(state) == pipeline.architectural_state(ref)
 
@@ -896,8 +904,8 @@ def test_every_latch_holds_a_slot_and_no_stage_writes_a_bubble():
     # load-use test, which its empty sources pass
     bubbles = (pipeline.FILL_BUBBLE, pipeline.STALL_BUBBLE, pipeline.FLUSH_BUBBLE,
                pipeline.END_BUBBLE)
-    assert [(b.kind, b.pc, b.word, b.instr) + _stage_fields(b) for b in bubbles] == \
-        [(kind, None, None, None) + INERT for kind in ("fill", "stall", "flush", "end")]
+    assert [(b.kind, b.pc, b.word, b.instr, b.crypt) + _stage_fields(b) for b in bubbles] == \
+        [(kind, None, None, None, False) + INERT for kind in ("fill", "stall", "flush", "end")]
 
 
 # what the later stages read of a slot, and its value on a slot no stage acts on
@@ -910,11 +918,16 @@ def _stage_fields(slot):
     return tuple(getattr(slot, name) for name in STAGE_FIELDS)
 
 
-def _fetched_slot(word, pc=0):
-    """The slot IF builds of word at pc, read from IFID after one cycle."""
+def _fetched_slot(word, pc=0, key=None):
+    """The slot IF builds of word at pc, read from IFID after one cycle; with
+    a key, a crypt-mode fetch of word encrypted under it."""
     imem = machine.Memory()
-    imem.write_block(pc, des.pad_word(word))
     state = pipeline.CpuState(imem)
+    block = des.pad_word(word)
+    if key is not None:
+        block = des.encrypt_block(block, des.key_schedule(key))
+        state.keyreg, state.crypt_mode = loaded_keyreg(key), True
+    imem.write_block(pc, block)
     state.pc = pc
     pipeline.step(state)
     return state.ifid
@@ -924,15 +937,17 @@ def _fetched_slot(word, pc=0):
 def test_if_copies_each_row_and_instruction_onto_its_slot(mnemonic):
     # every field is nonzero where the format has it, so a field read from
     # the wrong place shows; the top block's next_pc wraps to 0; rare sends
-    # a branch, a jump and crypt past ID's load-use test
+    # a branch, a jump and crypt past ID's load-use test; crypt is the mode
+    # of the fetch, which the slot's memory access uses
     spec = isa.SPECS[mnemonic]
     instr = isa.Instruction(mnemonic, rs=3, rt=4, rd=5, shamt=6, imm=-7, target=9)
     word = encode_instruction(instr)
     rare = True if spec.redirect is not None or spec.mode is not None else None
-    for pc, next_pc in ((0, 8), (0xFFFFFFF8, 0)):
-        slot = _fetched_slot(word, pc)
+    for pc, next_pc, key in ((0, 8, None), (0xFFFFFFF8, 0, None), (0, 8, worked.KEY)):
+        slot = _fetched_slot(word, pc, key)
         assert type(slot) is pipeline.Slot and slot.kind is None
         assert (slot.pc, slot.word, slot.instr) == (pc, word, instr)
+        assert slot.crypt is (key is not None)
         assert _stage_fields(slot) == (instr.rs, instr.rt, instr.sources, instr.dest,
                                        spec.alu, spec.mem, spec.redirect, spec.mode,
                                        spec.load_key, rare, next_pc)
@@ -960,10 +975,12 @@ def test_a_slots_register_numbers_are_the_shared_int_objects():
 
 def test_an_unknown_words_slot_holds_inert_fields():
     # but for rare, which sends it to ID's fault, and next_pc, by which IF
-    # moves pc as for any slot it makes
-    for pc, next_pc in ((16, 24), (0xFFFFFFF8, 0)):
-        slot = _fetched_slot(0xFC000000, pc)
+    # moves pc as for any slot it makes; crypt is the mode of the fetch, as
+    # on every slot IF makes
+    for pc, next_pc, key in ((16, 24, None), (0xFFFFFFF8, 0, None), (16, 24, worked.KEY)):
+        slot = _fetched_slot(0xFC000000, pc, key)
         assert (slot.pc, slot.word, slot.kind) == (pc, 0xFC000000, "unknown")
+        assert slot.crypt is (key is not None)
         assert isinstance(slot.instr, isa.UnknownInstruction)
         assert slot.rare is True
         expected = {"rare": True, "next_pc": next_pc}
@@ -1302,13 +1319,12 @@ def _flipping_loop(encrypted, gap, n):
 @pytest.mark.parametrize("encrypted", [False, True], ids=["plain", "encrypted"])
 def test_replays_between_crypt_flips_stop_where_a_stepped_run_does(
         monkeypatch, encrypted, hot_visits):
-    # a configuration is pc and the four latches: at every lookup and
-    # recorded cycle the modes beside IDEX and EXMEM equal crypt mode, since
-    # a resolving cycle flips nothing and a recording's path holds no flip.
+    # a configuration is pc and the four latches, and each access's crypt
+    # mode is its slot's, which a replay writes as that access's literal.
     # Here branches resolve two and three cycles after a flip; at each stop
     # in and around the inner loop's replays, where at most 3 passes are
-    # left, an untraced run leaves what a loop of step leaves, the modes
-    # beside the latches included
+    # left, an untraced run leaves what a loop of step leaves, each latch's
+    # crypt included
     monkeypatch.setattr(pipeline, "_HOT_VISITS", hot_visits)
     _, replays = progen.segments_built(monkeypatch)
     n, checked = hot_visits + 4, 0
@@ -1404,6 +1420,38 @@ def _with_next_line_branches(rng, source):
             out += [f"{mnemonic} $r{rng.choice(regs)}, $r{rng.choice(regs)}, next{i}",
                     f"next{i}:"]
     return "\n".join(out + [last]) + "\n"
+
+
+def _with_accesses_between_flips(rng, source):
+    """source with `crypt 0`, one more load or store and `crypt 1` after
+    about half of its loads and stores, so an access sits directly ahead
+    of, between and behind two flips; progen's own `crypt` lines follow a
+    nop or an addi."""
+    out = []
+    for line in source.splitlines():
+        out.append(line)
+        if line.startswith(("lw ", "sw ")) and rng.random() < 0.5:
+            if rng.random() < 0.5:
+                access = f"lw $r{rng.choice(progen.DATA_REGS)}"
+            else:
+                access = f"sw $r{rng.choice([0] + progen.DATA_REGS)}"
+            out += ["crypt 0", f"{access}, {8 * rng.randrange(16)}($r0)", "crypt 1"]
+    return "\n".join(out) + "\n"
+
+
+def test_differential_accesses_next_to_crypt_flips():
+    # each access uses the crypt mode its instruction was fetched in, which
+    # is the oracle's mode where it executes the instruction, though a
+    # pipeline's flip in ID runs before the MEM of the access ahead of it
+    rng = random.Random(2023)
+    flips = 0
+    for decrypt_loads in (False, True):
+        for _ in range(100):
+            source = _with_accesses_between_flips(rng, progen.gen_crypt_program(rng))
+            flips += source.count("crypt 0")
+            progen.check_against_oracle(source, progen.gen_dmem_entries(rng, with_key=True),
+                                        progen.KEY, decrypt_loads)
+    assert flips >= 200
 
 
 def test_differential_programs_replaying_at_once(replay_at_once, monkeypatch):
